@@ -146,6 +146,27 @@ fn serve_once_drains_a_spool_and_then_skips() {
 }
 
 #[test]
+fn row_spanning_trace_op_with_a_huge_length_fails_cleanly() {
+    let dir = sandbox("wrap");
+    let spec = dir.join("wrap.dlk");
+    // `col + len` used to wrap for this length, letting the request
+    // past the row-boundary check and into a capacity-overflow panic.
+    fs::write(
+        &spec,
+        "geometry tiny\n\
+         victim rows home=0 protect=0 first=20 count=1 fill=0xa5\n\
+         attack replay-trace untrusted=1\n\
+         op R 0x1 18446744073709551615\n",
+    )
+    .unwrap();
+    let run = dlk(&["run", &spec.display().to_string()]);
+    assert_eq!(run.status.code(), Some(1), "{}", stderr(&run));
+    assert!(stderr(&run).contains("spans a row boundary"), "{}", stderr(&run));
+    assert!(!stderr(&run).contains("panicked"), "{}", stderr(&run));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_passes_the_committed_spec_corpus_and_catalog() {
     let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
     let corpus = dlk(&["check", specs]);

@@ -369,7 +369,7 @@ impl ShardedEngine {
     /// merged in channel-id order.
     pub fn snapshot(&self) -> EngineSnapshot {
         let per_channel: Vec<ControllerStats> =
-            self.shards.iter().map(|shard| *shard.stats()).collect();
+            self.shards.iter().map(ChannelShard::stats).collect();
         let mut controller = ControllerStats::default();
         for stats in &per_channel {
             controller.merge(stats);
@@ -443,7 +443,7 @@ mod tests {
             .map(|c| (c.denied, c.data))
             .collect();
         assert_eq!(reference, sharded);
-        assert_eq!(ctrl.stats(), &engine.snapshot().controller);
+        assert_eq!(ctrl.stats(), engine.snapshot().controller);
         assert_eq!(ctrl.dram().stats().cycles, engine.snapshot().cycles);
     }
 
@@ -522,6 +522,34 @@ mod tests {
         assert_eq!(registry.counter("engine.drains").get(), 4);
         assert_eq!(registry.histogram("engine.drain_wall_ns").count(), 4);
         assert_eq!(registry.histogram("engine.merge_wall_ns").count(), 1);
+    }
+
+    /// Each controller records every counter once, so the shards'
+    /// exports into one prefix and the snapshot's merged stats agree.
+    #[test]
+    fn shard_exports_equal_the_snapshot_controller_stats() {
+        let registry = Registry::new();
+        let mut engine = tiny_engine(EngineConfig::sharded(2));
+        engine.observe(&registry);
+        let row_bytes = engine.primary().controller().geometry().row_bytes as u64;
+        for channel in 0..2 {
+            engine.shard_mut(channel).controller_mut().os_protect_range(0, 2 * row_bytes);
+        }
+        for row in 0..8u64 {
+            engine.submit(MemRequest::write(row * row_bytes + 5, vec![row as u8]));
+            engine.submit(MemRequest::read(row * row_bytes + 5, 1).untrusted());
+        }
+        engine.run_to_completion().unwrap();
+
+        let stats = engine.snapshot().controller;
+        let counter = |name: &str| registry.counter(&format!("memctrl.{name}")).get();
+        assert_eq!(
+            (stats.served, stats.denied, stats.redirected, stats.os_faults),
+            (counter("served"), counter("denied"), counter("redirected"), counter("os_faults"))
+        );
+        let latency = |kind: &str| registry.histogram(&format!("memctrl.latency_cycles.{kind}"));
+        assert_eq!(stats.total_latency, latency("read").sum() + latency("write").sum());
+        assert!(stats.os_faults > 0 && stats.reads > 0 && stats.writes == 8, "{stats:?}");
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl ChannelShard {
     }
 
     /// This shard's controller statistics.
-    pub fn stats(&self) -> &ControllerStats {
+    pub fn stats(&self) -> ControllerStats {
         self.ctrl.stats()
     }
 

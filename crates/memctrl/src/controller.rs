@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use dlk_dram::{DramConfig, DramDevice, DramGeometry, RowAddr};
+use dlk_obs::LocalHistogram;
 
 use crate::error::MemCtrlError;
 use crate::interpose::{DefenseHook, HookAction, NoDefense};
@@ -49,27 +50,6 @@ impl MemCtrlConfig {
     }
 }
 
-/// One row of the per-kind action table: how a request kind touches
-/// the device and which statistics it bumps. Indexed by
-/// [`RequestKind::index`], this replaces the per-request match
-/// dispatch that used to sit in the servicing hot loop.
-struct KindAction {
-    /// `true` if the DRAM access is a read returning data.
-    is_read: bool,
-    /// Increment applied to [`ControllerStats::reads`].
-    reads: u64,
-    /// Increment applied to [`ControllerStats::writes`].
-    writes: u64,
-}
-
-/// The flat action table consulted by [`MemoryController::service_mapped`]
-/// — the one servicing tail shared by `service`, `service_batch` and
-/// the queued `step` loop.
-const KIND_ACTIONS: [KindAction; RequestKind::COUNT] = [
-    KindAction { is_read: true, reads: 1, writes: 0 },
-    KindAction { is_read: false, reads: 0, writes: 1 },
-];
-
 /// A served (or skipped) request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedRequest {
@@ -83,7 +63,9 @@ pub struct CompletedRequest {
     pub data: Option<Vec<u8>>,
 }
 
-/// Aggregate controller statistics.
+/// Aggregate controller statistics: a view computed from the
+/// controller's [`CtrlMetrics`] by [`MemoryController::stats`], which
+/// stay the one recorder of every counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControllerStats {
     /// Requests served against DRAM.
@@ -163,7 +145,6 @@ pub struct MemoryController {
     mapper: AddressMapper,
     queue: RequestQueue,
     hook: Box<dyn DefenseHook>,
-    stats: ControllerStats,
     metrics: CtrlMetrics,
     /// Physical byte ranges untrusted processes cannot touch (the OS's
     /// virtual-memory isolation of victim-owned pages).
@@ -176,7 +157,7 @@ impl std::fmt::Debug for MemoryController {
             .field("mapper", &self.mapper)
             .field("pending", &self.queue.len())
             .field("hook", &self.hook.name())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -196,7 +177,6 @@ impl MemoryController {
             mapper,
             queue: RequestQueue::new(config.policy),
             hook,
-            stats: ControllerStats::default(),
             metrics: CtrlMetrics::new(),
             os_protected: Vec::new(),
         }
@@ -212,9 +192,11 @@ impl MemoryController {
     }
 
     fn os_faults(&self, request: &MemRequest) -> bool {
+        // An end past `u64::MAX` lies beyond every range start.
+        let request_end = request.addr.checked_add(request.len as u64);
         request.untrusted
             && self.os_protected.iter().any(|&(start, end)| {
-                request.addr < end && request.addr + request.len as u64 > start
+                request.addr < end && request_end.is_none_or(|request_end| request_end > start)
             })
     }
 
@@ -254,9 +236,20 @@ impl MemoryController {
         &mut self.dram
     }
 
-    /// Controller statistics.
-    pub fn stats(&self) -> &ControllerStats {
-        &self.stats
+    /// Controller statistics, derived from [`MemoryController::metrics`].
+    /// The latency histograms are cumulative, so exporting the metrics
+    /// never resets these totals.
+    pub fn stats(&self) -> ControllerStats {
+        let metrics = &self.metrics;
+        ControllerStats {
+            served: metrics.served.iter().sum(),
+            denied: metrics.denied,
+            redirected: metrics.redirected,
+            os_faults: metrics.os_faults,
+            reads: metrics.served[RequestKind::Read.index()],
+            writes: metrics.served[RequestKind::Write.index()],
+            total_latency: metrics.latency_cycles.iter().map(LocalHistogram::sum).sum(),
+        }
     }
 
     /// The local metrics this controller has recorded.
@@ -277,58 +270,29 @@ impl MemoryController {
         self.queue.len()
     }
 
-    /// Enqueues a request.
+    /// Enqueues a request. Its address is mapped here, once: FR-FCFS
+    /// matches the row against open row buffers, and
+    /// [`MemoryController::step`] serves at the stored location.
     pub fn submit(&mut self, request: MemRequest) {
-        match self.mapper.to_dram(request.addr) {
-            Ok((row, _)) => self.queue.push_mapped(request, row),
-            // Defer the error to service time so the caller sees it.
-            Err(_) => self.queue.push(request),
-        }
+        // An unmappable request is queued unmapped; its error surfaces
+        // when it is stepped, so the caller sees it.
+        let mapped = self.mapper.to_dram(request.addr).ok();
+        self.queue.push(request, mapped);
     }
 
-    /// Serves the next scheduled request, if any.
+    /// Serves the next scheduled request, if any. The scheduler reads
+    /// the open rows straight off the device, and the location mapped
+    /// at submit is reused, so nothing but read data is allocated.
     ///
     /// # Errors
     ///
     /// Returns an error for unmappable addresses or row-spanning
     /// requests; the DRAM device state is unchanged in that case.
     pub fn step(&mut self) -> Result<Option<CompletedRequest>, MemCtrlError> {
-        let banks: Vec<Option<RowAddr>> =
-            (0..self.geometry().banks).map(|b| self.dram.open_row_of(b)).collect();
-        let Some(request) = self.queue.pop(|bank| banks.get(bank as usize).copied().flatten())
-        else {
+        let Some((request, mapped)) = self.queue.pop(|bank| self.dram.open_row_of(bank)) else {
             return Ok(None);
         };
-        self.service(request).map(Some)
-    }
-
-    /// The shared validation head of every servicing path: the OS
-    /// page-protection fault comes first (before any address
-    /// validation — an untrusted request into a protected range is
-    /// denied, never an error), then address mapping and the
-    /// row-boundary check. `Ok(None)` means the request OS-faults.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unmappable addresses or row-spanning
-    /// requests.
-    fn prepare(&self, request: &MemRequest) -> Result<Option<(RowAddr, usize)>, MemCtrlError> {
-        if self.os_faults(request) {
-            return Ok(None);
-        }
-        let (row, col) = self.mapper.to_dram(request.addr)?;
-        if col + request.len > self.geometry().row_bytes {
-            return Err(MemCtrlError::SpansRowBoundary { addr: request.addr, len: request.len });
-        }
-        Ok(Some((row, col)))
-    }
-
-    /// Completes an OS-faulting request: denied, zero latency, no
-    /// device access.
-    fn complete_os_fault(&mut self, request: MemRequest) -> CompletedRequest {
-        self.stats.os_faults += 1;
-        self.metrics.os_faults += 1;
-        CompletedRequest { request, denied: true, latency: 0, data: None }
+        self.serve(request, mapped).map(Some)
     }
 
     /// Serves one request immediately, bypassing the queue.
@@ -338,90 +302,68 @@ impl MemoryController {
     /// Returns an error for unmappable addresses or row-spanning
     /// requests.
     pub fn service(&mut self, request: MemRequest) -> Result<CompletedRequest, MemCtrlError> {
-        match self.prepare(&request)? {
-            None => Ok(self.complete_os_fault(request)),
-            Some((row, col)) => self.service_mapped(request, row, col),
-        }
+        self.serve(request, None)
     }
 
-    /// Serves a slice of requests in one pass, bypassing the queue —
-    /// the batched fast path for dense request streams (e.g. a CNN
-    /// weight fetch). Behaviourally identical to calling
-    /// [`MemoryController::service`] per request — same completions,
-    /// same statistics, same device state — but every address is
-    /// validated up front (by the same [`MemoryController::prepare`]
-    /// head the per-request path uses), so a malformed request is
-    /// rejected *before* any request of the batch touches the device,
-    /// and the per-request dispatch overhead is paid once.
+    /// The one servicing path behind [`MemoryController::service`] and
+    /// [`MemoryController::step`]. The OS page-protection fault comes
+    /// first, before any address validation: an untrusted request into
+    /// a protected range is denied, never an error. The request is then
+    /// located — at `mapped` if `submit` already mapped it, otherwise by
+    /// mapping its address here — and checked against the row boundary
+    /// before the hook is consulted and the device accessed.
     ///
     /// # Errors
     ///
     /// Returns an error for unmappable addresses or row-spanning
-    /// requests; the controller and device are unchanged in that case.
-    pub fn service_batch(
-        &mut self,
-        requests: &[MemRequest],
-    ) -> Result<Vec<CompletedRequest>, MemCtrlError> {
-        let mut prepared = Vec::with_capacity(requests.len());
-        for request in requests {
-            prepared.push(self.prepare(request)?);
-        }
-        let mut done = Vec::with_capacity(requests.len());
-        for (request, prepared) in requests.iter().zip(prepared) {
-            done.push(match prepared {
-                None => self.complete_os_fault(request.clone()),
-                Some((row, col)) => self.service_mapped(request.clone(), row, col)?,
-            });
-        }
-        Ok(done)
-    }
-
-    /// The one servicing tail behind [`MemoryController::service`],
-    /// [`MemoryController::service_batch`] and the queued step loop:
-    /// hook consultation, the per-kind action-table dispatch and the
-    /// DRAM access for an already-validated request.
-    fn service_mapped(
+    /// requests.
+    fn serve(
         &mut self,
         request: MemRequest,
-        row: RowAddr,
-        col: usize,
+        mapped: Option<(RowAddr, usize)>,
     ) -> Result<CompletedRequest, MemCtrlError> {
+        if self.os_faults(&request) {
+            self.metrics.os_faults += 1;
+            return Ok(CompletedRequest { request, denied: true, latency: 0, data: None });
+        }
+        let (row, col) = match mapped {
+            Some(location) => location,
+            None => self.mapper.to_dram(request.addr)?,
+        };
+        // `col < row_bytes`, so unlike `col + len` this cannot wrap.
+        if request.len > self.geometry().row_bytes - col {
+            return Err(MemCtrlError::SpansRowBoundary { addr: request.addr, len: request.len });
+        }
         let mut latency = self.hook.check_latency();
-        let action = self.hook.before_access(&request, row, &mut self.dram);
-        let (row, col) = match action {
-            HookAction::Allow => (row, col),
+        let row = match self.hook.before_access(&request, row, &mut self.dram) {
+            HookAction::Allow => row,
             HookAction::Deny => {
-                self.stats.denied += 1;
-                self.stats.total_latency += latency;
                 self.metrics.denied += 1;
                 self.metrics.record_latency(request.kind, latency);
                 self.dram.advance(latency);
                 return Ok(CompletedRequest { request, denied: true, latency, data: None });
             }
             HookAction::Redirect(new_row) => {
-                self.stats.redirected += 1;
                 self.metrics.redirected += 1;
-                (new_row, col)
+                new_row
             }
         };
         let will_activate = self.dram.open_row_of(row.bank) != Some(row);
-        let kind = &KIND_ACTIONS[request.kind.index()];
-        let data = if kind.is_read {
-            let (data, cycles) = self.dram.access_read(row, col, request.len)?;
-            latency += cycles;
-            Some(data)
-        } else {
-            latency += self.dram.access_write(row, col, &request.payload)?;
-            None
+        let data = match request.kind {
+            RequestKind::Read => {
+                let (data, cycles) = self.dram.access_read(row, col, request.len)?;
+                latency += cycles;
+                Some(data)
+            }
+            RequestKind::Write => {
+                latency += self.dram.access_write(row, col, &request.payload)?;
+                None
+            }
         };
         if will_activate {
             self.hook.on_activate(row, &mut self.dram);
         }
-        self.stats.reads += kind.reads;
-        self.stats.writes += kind.writes;
-        self.stats.served += 1;
-        self.stats.total_latency += latency;
-        self.metrics.served += 1;
+        self.metrics.served[request.kind.index()] += 1;
         self.metrics.record_latency(request.kind, latency);
         Ok(CompletedRequest { request, denied: false, latency, data })
     }
@@ -462,6 +404,44 @@ mod tests {
         let row_bytes = ctrl.geometry().row_bytes;
         let req = MemRequest::read(row_bytes as u64 - 1, 2);
         assert!(matches!(ctrl.service(req), Err(MemCtrlError::SpansRowBoundary { .. })));
+    }
+
+    #[test]
+    fn huge_length_is_rejected_not_wrapped() {
+        // `col + len` would wrap to a small value and pass the check.
+        let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
+        let req = MemRequest::read(1, usize::MAX).untrusted();
+        assert!(matches!(ctrl.service(req.clone()), Err(MemCtrlError::SpansRowBoundary { .. })));
+        ctrl.submit(req);
+        assert!(matches!(ctrl.step(), Err(MemCtrlError::SpansRowBoundary { .. })));
+        assert_eq!(ctrl.dram().stats().total_activations(), 0);
+    }
+
+    #[test]
+    fn os_fault_overlap_test_does_not_overflow() {
+        let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
+        ctrl.os_protect_range(0, 64);
+        ctrl.os_protect_range(u64::MAX - 8, u64::MAX);
+        // The end of this request lies past `u64::MAX`: it overlaps the
+        // top range and faults instead of overflowing.
+        let top = ctrl.service(MemRequest::read(u64::MAX - 4, 16).untrusted()).unwrap();
+        assert!(top.denied);
+        let wrapping = ctrl.service(MemRequest::read(64, usize::MAX).untrusted()).unwrap();
+        assert!(wrapping.denied);
+        // Clear of both ranges, a request is validated as usual.
+        let beyond = MemRequest::read(u64::MAX - 100, 8).untrusted();
+        assert!(matches!(ctrl.service(beyond), Err(MemCtrlError::AddressOutOfRange { .. })));
+        assert_eq!(ctrl.stats().os_faults, 2);
+    }
+
+    #[test]
+    fn queued_os_fault_wins_over_validation() {
+        let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
+        let row_bytes = ctrl.geometry().row_bytes as u64;
+        ctrl.os_protect_range(0, 2 * row_bytes);
+        ctrl.submit(MemRequest::read(row_bytes - 1, 2).untrusted());
+        assert!(ctrl.step().unwrap().unwrap().denied);
+        assert_eq!(ctrl.stats().os_faults, 1);
     }
 
     #[test]
@@ -564,71 +544,6 @@ mod tests {
         assert_eq!(acts.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
-    /// The batch path is the optimized twin of the per-request path:
-    /// identical completions, statistics and device state.
-    #[test]
-    fn service_batch_matches_per_request_reference() {
-        let requests: Vec<MemRequest> = (0..40u64)
-            .flat_map(|i| {
-                [
-                    MemRequest::write(i * 96 % 4096, vec![i as u8, (i + 1) as u8]),
-                    MemRequest::read(i * 96 % 4096, 2),
-                    MemRequest::read(i * 64 % 4096, 1).untrusted(),
-                ]
-            })
-            .collect();
-        let mut reference = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        reference.os_protect_range(0, 256);
-        let mut batched = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        batched.os_protect_range(0, 256);
-
-        let one_by_one: Vec<CompletedRequest> =
-            requests.iter().map(|r| reference.service(r.clone()).unwrap()).collect();
-        let in_one_pass = batched.service_batch(&requests).unwrap();
-
-        let observable = |done: &CompletedRequest| {
-            (done.request.addr, done.denied, done.latency, done.data.clone())
-        };
-        assert_eq!(
-            one_by_one.iter().map(observable).collect::<Vec<_>>(),
-            in_one_pass.iter().map(observable).collect::<Vec<_>>(),
-        );
-        assert_eq!(reference.stats(), batched.stats());
-        assert_eq!(reference.dram().stats(), batched.dram().stats());
-    }
-
-    #[test]
-    fn service_batch_denies_protected_requests_without_validating_them() {
-        // `service` os-faults an untrusted protected request before
-        // even mapping its address; the batch path must agree, so a
-        // protected request with a row-spanning length is denied, not
-        // an error.
-        let row_bytes = MemoryController::new(MemCtrlConfig::tiny_for_tests()).geometry().row_bytes;
-        let spanning = MemRequest::read(row_bytes as u64 - 1, 2).untrusted();
-        let mut reference = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        reference.os_protect_range(0, 2 * row_bytes as u64);
-        let mut batched = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        batched.os_protect_range(0, 2 * row_bytes as u64);
-
-        let one = reference.service(spanning.clone()).unwrap();
-        let batch = batched.service_batch(&[spanning]).unwrap();
-        assert!(one.denied && batch[0].denied);
-        assert_eq!(reference.stats(), batched.stats());
-        assert_eq!(batched.stats().os_faults, 1);
-    }
-
-    #[test]
-    fn service_batch_validates_before_touching_the_device() {
-        let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        let row_bytes = ctrl.geometry().row_bytes;
-        // A good request followed by a row-spanning one: the whole
-        // batch is rejected and the device stays untouched.
-        let batch = vec![MemRequest::read(0, 1), MemRequest::read(row_bytes as u64 - 1, 2)];
-        assert!(matches!(ctrl.service_batch(&batch), Err(MemCtrlError::SpansRowBoundary { .. })));
-        assert_eq!(ctrl.stats().served, 0);
-        assert_eq!(ctrl.dram().stats().total_activations(), 0);
-    }
-
     #[test]
     fn metrics_record_serves_denies_and_faults() {
         let registry = dlk_obs::Registry::new();
@@ -650,6 +565,23 @@ mod tests {
         assert_eq!(writes.count(), 1);
         assert_eq!(reads.max(), 3); // DenyAll's check latency
         assert!(writes.max() > 0);
+
+        // `stats()` is a view of the same recorder: after more (queued)
+        // traffic and a second export, it equals the registry.
+        for addr in [136u64, 512] {
+            ctrl.submit(MemRequest::write(addr, vec![2]));
+            ctrl.submit(MemRequest::read(addr, 1));
+        }
+        ctrl.run_to_completion().unwrap();
+        ctrl.export_obs(&registry, "memctrl");
+        let stats = ctrl.stats();
+        let counter = |name: &str| registry.counter(&format!("memctrl.{name}")).get();
+        assert_eq!(
+            (stats.served, stats.denied, stats.redirected, stats.os_faults),
+            (counter("served"), counter("denied"), counter("redirected"), counter("os_faults"))
+        );
+        assert_eq!((stats.reads, stats.writes), (2, 3));
+        assert_eq!(stats.total_latency, reads.sum() + writes.sum());
     }
 
     #[test]

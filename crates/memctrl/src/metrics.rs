@@ -1,5 +1,6 @@
 //! Controller observability: per-[`RequestKind`] latency histograms
-//! and outcome counters.
+//! and outcome counters — the controller's one recorder, from which
+//! [`ControllerStats`](crate::ControllerStats) is derived.
 //!
 //! [`CtrlMetrics`] is a plain local recorder, not a bundle of shared
 //! atomics: the servicing hot path runs under `&mut self`, so every
@@ -26,8 +27,9 @@ pub struct CtrlMetrics {
     /// part of the service distribution, as in the paper's skipped
     /// instructions).
     pub latency_cycles: [LocalHistogram; RequestKind::COUNT],
-    /// Requests served against DRAM.
-    pub served: u64,
+    /// Requests served against DRAM, per kind (indexed by
+    /// [`RequestKind::index`]).
+    pub served: [u64; RequestKind::COUNT],
     /// Requests denied by the defense hook.
     pub denied: u64,
     /// Requests redirected by the defense hook.
@@ -63,7 +65,7 @@ impl CtrlMetrics {
                 .absorb(&mut self.latency_cycles[at]);
         }
         let counters = [
-            ("served", self.served),
+            ("served", self.served.iter().sum()),
             ("denied", self.denied),
             ("redirected", self.redirected),
             ("os_faults", self.os_faults),
@@ -87,7 +89,7 @@ mod tests {
         let registry = Registry::new();
         let mut a = CtrlMetrics::new();
         let mut b = CtrlMetrics::new();
-        a.served += 2;
+        a.served[RequestKind::Read.index()] += 2;
         a.record_latency(RequestKind::Read, 10);
         b.denied += 1;
         b.record_latency(RequestKind::Read, 30);
@@ -103,7 +105,7 @@ mod tests {
         assert_eq!(registry.counter("memctrl.served").get(), 2);
         assert_eq!(registry.histogram("memctrl.latency_cycles.read").count(), 2);
 
-        a.served += 1;
+        a.served[RequestKind::Write.index()] += 1;
         a.export_into(&registry, "memctrl");
         assert_eq!(registry.counter("memctrl.served").get(), 3);
     }

@@ -24,21 +24,25 @@ pub enum SchedulingPolicy {
 
 /// A pending-request queue with pluggable scheduling.
 ///
+/// Each request is queued with its DRAM location `(row, column)`, when
+/// it has one: FR-FCFS matches the row against open row buffers, and
+/// the controller serves at that location without mapping again.
+///
 /// # Example
 ///
 /// ```
 /// use dlk_memctrl::{MemRequest, RequestQueue, SchedulingPolicy};
 ///
 /// let mut queue = RequestQueue::new(SchedulingPolicy::Fcfs);
-/// queue.push(MemRequest::read(0, 4));
+/// queue.push(MemRequest::read(0, 4), None);
 /// assert_eq!(queue.len(), 1);
-/// let next = queue.pop(|_| None).unwrap();
-/// assert_eq!(next.addr, 0);
+/// let (next, location) = queue.pop(|_| None).unwrap();
+/// assert_eq!((next.addr, location), (0, None));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RequestQueue {
     policy: SchedulingPolicy,
-    pending: VecDeque<(MemRequest, Option<RowAddr>)>,
+    pending: VecDeque<(MemRequest, Option<(RowAddr, usize)>)>,
 }
 
 impl RequestQueue {
@@ -62,34 +66,32 @@ impl RequestQueue {
         self.pending.is_empty()
     }
 
-    /// Enqueues a request (target row unknown — FCFS ordering only).
-    pub fn push(&mut self, request: MemRequest) {
-        self.pending.push_back((request, None));
+    /// Enqueues a request with its mapped `(row, column)` location, or
+    /// `None` when the address does not map (FCFS ordering only).
+    pub fn push(&mut self, request: MemRequest, location: Option<(RowAddr, usize)>) {
+        self.pending.push_back((request, location));
     }
 
-    /// Enqueues a request together with its mapped DRAM row so FR-FCFS
-    /// can match it against open row buffers.
-    pub fn push_mapped(&mut self, request: MemRequest, row: RowAddr) {
-        self.pending.push_back((request, Some(row)));
-    }
-
-    /// Removes and returns the next request to serve.
+    /// Removes and returns the next request to serve, with the location
+    /// it was pushed with.
     ///
     /// `open_row` reports the currently-open row of a bank (for
     /// FR-FCFS); FCFS ignores it.
-    pub fn pop(&mut self, open_row: impl Fn(u16) -> Option<RowAddr>) -> Option<MemRequest> {
-        if self.pending.is_empty() {
-            return None;
-        }
+    pub fn pop(
+        &mut self,
+        open_row: impl Fn(u16) -> Option<RowAddr>,
+    ) -> Option<(MemRequest, Option<(RowAddr, usize)>)> {
         let index = match self.policy {
             SchedulingPolicy::Fcfs => 0,
             SchedulingPolicy::FrFcfs => self
                 .pending
                 .iter()
-                .position(|(_, row)| row.is_some_and(|r| open_row(r.bank) == Some(r)))
+                .position(|(_, location)| {
+                    location.is_some_and(|(row, _)| open_row(row.bank) == Some(row))
+                })
                 .unwrap_or(0),
         };
-        self.pending.remove(index).map(|(req, _)| req)
+        self.pending.remove(index)
     }
 
     /// Drops every pending request, returning how many were discarded.
@@ -110,10 +112,10 @@ mod tests {
         let a = MemRequest::read(0, 1);
         let b = MemRequest::read(64, 1);
         let (ida, idb) = (a.id, b.id);
-        queue.push(a);
-        queue.push(b);
-        assert_eq!(queue.pop(|_| None).unwrap().id, ida);
-        assert_eq!(queue.pop(|_| None).unwrap().id, idb);
+        queue.push(a, None);
+        queue.push(b, None);
+        assert_eq!(queue.pop(|_| None).unwrap().0.id, ida);
+        assert_eq!(queue.pop(|_| None).unwrap().0.id, idb);
         assert!(queue.pop(|_| None).is_none());
     }
 
@@ -125,10 +127,11 @@ mod tests {
         let hit_id = hit.id;
         let miss_row = RowAddr::new(0, 0, 0);
         let hit_row = RowAddr::new(0, 0, 1);
-        queue.push_mapped(miss, miss_row);
-        queue.push_mapped(hit, hit_row);
-        let popped = queue.pop(|bank| (bank == 0).then_some(hit_row)).unwrap();
+        queue.push(miss, Some((miss_row, 0)));
+        queue.push(hit, Some((hit_row, 0)));
+        let (popped, location) = queue.pop(|bank| (bank == 0).then_some(hit_row)).unwrap();
         assert_eq!(popped.id, hit_id, "row-buffer hit should jump the queue");
+        assert_eq!(location, Some((hit_row, 0)), "the location travels with the request");
     }
 
     #[test]
@@ -136,17 +139,17 @@ mod tests {
         let mut queue = RequestQueue::new(SchedulingPolicy::FrFcfs);
         let a = MemRequest::read(0, 1);
         let a_id = a.id;
-        queue.push_mapped(a, RowAddr::new(0, 0, 0));
-        queue.push_mapped(MemRequest::read(64, 1), RowAddr::new(0, 0, 1));
-        let popped = queue.pop(|_| None).unwrap();
+        queue.push(a, Some((RowAddr::new(0, 0, 0), 0)));
+        queue.push(MemRequest::read(64, 1), Some((RowAddr::new(0, 0, 1), 0)));
+        let (popped, _) = queue.pop(|_| None).unwrap();
         assert_eq!(popped.id, a_id);
     }
 
     #[test]
     fn clear_reports_count() {
         let mut queue = RequestQueue::new(SchedulingPolicy::Fcfs);
-        queue.push(MemRequest::read(0, 1));
-        queue.push(MemRequest::read(1, 1));
+        queue.push(MemRequest::read(0, 1), None);
+        queue.push(MemRequest::read(1, 1), None);
         assert_eq!(queue.clear(), 2);
         assert!(queue.is_empty());
     }

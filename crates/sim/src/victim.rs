@@ -269,26 +269,13 @@ impl DeployedVictim {
         let (victim, bytes) = match &self.kind {
             DeployedKind::Rows { .. } => return Ok(None),
             DeployedKind::Model { victim, layout } => {
-                // Contiguous images know every chunk up front, so the
-                // whole fetch goes through the controller's batched
-                // one-pass path (stats-identical to per-request reads).
-                let mut requests = Vec::new();
+                // A contiguous image is fetched row chunk by row chunk.
                 let (start, end) = layout.phys_range(&victim.model);
-                let mut phys = start;
-                while phys < end {
+                let bytes = read_stream(ctrl, (end - start) as usize, |_, done| {
+                    let phys = start + done as u64;
                     let col = mapper.to_dram(phys).map(|(_, col)| col as u64)?;
-                    let take = (row_bytes - col).min(end - phys);
-                    requests.push(MemRequest::read(phys, take as usize));
-                    phys += take;
-                }
-                let mut bytes = Vec::with_capacity((end - start) as usize);
-                for done in ctrl.service_batch(&requests)? {
-                    match done.data {
-                        Some(data) => bytes.extend_from_slice(&data),
-                        // Denied reads yield zero bytes (fail-closed).
-                        None => bytes.extend(std::iter::repeat_n(0u8, done.request.len)),
-                    }
-                }
+                    Ok((phys, (row_bytes - col).min(end - phys)))
+                })?;
                 (victim, bytes)
             }
             DeployedKind::Paged { victim, table } => {

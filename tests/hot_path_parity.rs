@@ -1,13 +1,11 @@
-//! Parity pins for the table-driven hot path: `service_batch` must be
-//! behaviourally identical to per-request `service` — same
-//! completions, same statistics, same device state — now that both
-//! run through the one `prepare`/`service_mapped` head (the batch
-//! path used to duplicate the OS-fault-before-validation logic).
+//! Parity pin for the controller's one servicing path: queued
+//! `submit` + `run_to_completion` (FCFS) must be behaviourally
+//! identical to direct `service` — same completions, same statistics,
+//! same device state — although the queued path maps each address at
+//! submit time and the direct path maps it at service time.
 
 use dram_locker::locker::{DramLocker, LockerConfig};
-use dram_locker::memctrl::{
-    ControllerStats, MemCtrlConfig, MemRequest, MemoryController, RequestKind,
-};
+use dram_locker::memctrl::{MemCtrlConfig, MemRequest, MemoryController};
 
 /// Deterministic xorshift for the request mix.
 struct Rng(u64);
@@ -62,69 +60,31 @@ fn controller_under_test() -> MemoryController {
     ctrl
 }
 
-fn outcome(stats: &ControllerStats) -> (u64, u64, u64, u64, u64, u64, u64) {
-    (
-        stats.served,
-        stats.denied,
-        stats.redirected,
-        stats.os_faults,
-        stats.reads,
-        stats.writes,
-        stats.total_latency,
-    )
-}
-
 #[test]
-fn service_batch_stats_identical_to_per_request_service() {
+fn queued_fcfs_run_is_identical_to_direct_service() {
     for seed in [1u64, 42, 0xDEAD_BEEF] {
-        let mut per_request = controller_under_test();
-        let mut batched = controller_under_test();
-        let geometry = per_request.geometry();
+        let mut direct = controller_under_test();
+        let mut queued = controller_under_test();
+        let geometry = direct.geometry();
         let mix = request_mix(seed, 400, geometry.row_bytes as u64, geometry.total_rows());
 
         let mut singles = Vec::with_capacity(mix.len());
         for request in &mix {
-            singles.push(per_request.service(request.clone()).expect("mappable"));
+            singles.push(direct.service(request.clone()).expect("mappable"));
         }
-        // Batch the same requests in uneven chunks so chunk boundaries
-        // land mid-pattern.
-        let mut batch_done = Vec::with_capacity(mix.len());
-        for chunk in mix.chunks(7) {
-            batch_done.extend(batched.service_batch(chunk).expect("mappable"));
+        for request in mix {
+            queued.submit(request);
         }
+        let stepped = queued.run_to_completion().expect("mappable");
 
-        assert_eq!(singles.len(), batch_done.len());
-        for (single, batch) in singles.iter().zip(&batch_done) {
-            assert_eq!(single.request.id, batch.request.id, "same request stream");
-            assert_eq!(single.denied, batch.denied, "denial parity for {}", single.request);
-            assert_eq!(single.latency, batch.latency, "latency parity for {}", single.request);
-            assert_eq!(single.data, batch.data, "data parity for {}", single.request);
-        }
-        assert_eq!(
-            outcome(per_request.stats()),
-            outcome(batched.stats()),
-            "stats diverged for seed {seed}"
-        );
+        assert_eq!(singles, stepped, "completions diverged for seed {seed}");
+        assert_eq!(direct.stats(), queued.stats(), "stats diverged for seed {seed}");
+        assert_eq!(direct.dram().stats(), queued.dram().stats(), "device diverged for seed {seed}");
         // The mix must actually exercise all three completion paths,
         // or the parity claim is vacuous.
-        let stats = per_request.stats();
+        let stats = direct.stats();
         assert!(stats.served > 0, "mix never reached the device");
         assert!(stats.os_faults > 0, "mix never OS-faulted");
         assert!(stats.denied > 0, "mix never hit a locked row");
-    }
-}
-
-#[test]
-fn batch_read_data_matches_prior_writes() {
-    let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-    let row_bytes = ctrl.geometry().row_bytes as u64;
-    let writes: Vec<MemRequest> =
-        (0..8).map(|i| MemRequest::write(i * row_bytes, vec![i as u8 + 1; 4])).collect();
-    ctrl.service_batch(&writes).expect("writes");
-    let reads: Vec<MemRequest> = (0..8).map(|i| MemRequest::read(i * row_bytes, 4)).collect();
-    let done = ctrl.service_batch(&reads).expect("reads");
-    for (i, completed) in done.iter().enumerate() {
-        assert_eq!(completed.request.kind, RequestKind::Read);
-        assert_eq!(completed.data.as_deref(), Some(&[i as u8 + 1; 4][..]));
     }
 }
