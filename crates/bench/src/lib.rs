@@ -1,38 +1,19 @@
 //! # dlk-bench — benchmark harness
 //!
-//! Criterion benches regenerating every table and figure of the
-//! DRAM-Locker paper, plus micro-benchmarks and ablations. Each bench
-//! prints its artifact once (the rows/series the paper reports) and
-//! then measures a representative kernel.
+//! One table-driven bench binary measures every layer of the stack:
+//! `benches/layers.rs` holds a `const` table of `(layer, name, unit,
+//! setup)` cases, [`harness`] runs it in interleaved rounds and writes
+//! one `BENCH_<layer>.json` snapshot per layer ([`snapshot`]), and
+//! [`diff`] compares two snapshots (`dlk bench diff`, the CI gate).
 //!
-//! Run everything with `cargo bench --workspace`; individual artifacts
-//! with e.g. `cargo bench -p dlk-bench --bench fig7`.
-
-use std::sync::Once;
+//! ```sh
+//! cargo bench -p dlk-bench --bench layers   # a baseline and CI's run alike
+//! ```
+//!
+//! The paper's tables and figures themselves print from
+//! `examples/paper_figures.rs`; the bench only times their
+//! regeneration (the `figures` layer).
 
 pub mod diff;
+pub mod harness;
 pub mod snapshot;
-
-/// Prints a block of experiment output exactly once per process, so
-/// Criterion's iteration loop doesn't repeat multi-line artifacts.
-pub fn print_once(once: &'static Once, artifact: impl FnOnce() -> String) {
-    once.call_once(|| println!("{}", artifact()));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn print_once_runs_single_time() {
-        static ONCE: Once = Once::new();
-        let mut calls = 0;
-        for _ in 0..3 {
-            print_once(&ONCE, || {
-                calls += 1;
-                String::new()
-            });
-        }
-        assert_eq!(calls, 1);
-    }
-}

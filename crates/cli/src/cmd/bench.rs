@@ -4,9 +4,11 @@
 //! Thin shell over [`dlk_bench::diff`]: both documents are parsed with
 //! the shared JSON reader, aligned by member name, and printed as a
 //! delta table with percent changes. With `--check`, any row that
-//! moved more than `--max-regress` percent (default 10) in its bad
-//! direction — throughput down, time up — fails the command, which is
-//! the CI regression gate over the committed `BENCH_*.json` baselines.
+//! moved in its bad direction — throughput down, time up — by more
+//! than `--max-regress` percent (default 10) *and* more than the
+//! baseline's recorded spread fails the command; wall times under the
+//! floor never do. This is the CI regression gate over the committed
+//! `BENCH_*.json` baselines.
 
 use dlk_bench::diff;
 use dlk_sim::obs::json;
@@ -25,7 +27,7 @@ const DEFAULT_MAX_REGRESS: f64 = 10.0;
 ///
 /// Usage errors, [`CliError::Failed`] when a document is missing or
 /// unparseable, and — under `--check` — when any metric regressed past
-/// the threshold.
+/// the gate.
 pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
     let check = args::take_switch(&mut args, "--check");
     let max_regress = match args::take_value(&mut args, "--max-regress")? {
@@ -59,12 +61,13 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
                 })
                 .collect();
             return Err(CliError::Failed(format!(
-                "{} metric(s) regressed more than {max_regress}%: {}",
+                "{}: {} metric(s) regressed more than {max_regress}% and their spread: {}",
+                diff.new_name,
                 regressed.len(),
                 worst.join(", ")
             )));
         }
-        println!("ok: no metric regressed more than {max_regress}%");
+        println!("ok: no metric regressed more than {max_regress}% beyond its spread");
     }
     Ok(())
 }

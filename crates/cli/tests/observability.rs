@@ -131,11 +131,13 @@ fn top_once_renders_the_fixture_through_the_binary() {
 
 #[test]
 fn bench_diff_gate_passes_identical_and_fails_regressed() {
+    use dlk_bench::snapshot::{Snapshot, Spread};
     let root = sandbox("benchdiff");
-    let mut old = dlk_bench::snapshot::Snapshot::new("gate");
-    old.metric("decode_minstr_per_s", 100.0, "M/s");
-    old.metric("job_wall_us", 50.0, "us");
-    old.speedup("decode_vs_reference", 4.0);
+    let mut old = Snapshot::new("locker", 5, 1000.0);
+    old.metric("decode_minstr_per_s", "M/s", Spread::of(&[98.0, 99.0, 100.0, 101.0, 102.0]));
+    old.metric("table2_wall_ms", "ms", Spread::exact(50.0));
+    old.metric("fig1b_wall_ms", "ms", Spread::exact(0.01));
+    old.speedup("decode_vs_reference", Spread::exact(4.0));
     old.write(root.join("old.json")).unwrap();
 
     let old_path = root.join("old.json").display().to_string();
@@ -146,11 +148,13 @@ fn bench_diff_gate_passes_identical_and_fails_regressed() {
     assert!(table.contains("no metric regressed"), "{table}");
 
     // 20% throughput drop and 20% wall-time growth: both past the 15%
-    // gate, in opposite numeric directions.
-    let mut new = dlk_bench::snapshot::Snapshot::new("gate");
-    new.metric("decode_minstr_per_s", 80.0, "M/s");
-    new.metric("job_wall_us", 60.0, "us");
-    new.speedup("decode_vs_reference", 4.0);
+    // gate and the recorded spread, in opposite numeric directions. The
+    // sub-millisecond wall time triples and stays ungated.
+    let mut new = Snapshot::new("locker", 5, 1000.0);
+    new.metric("decode_minstr_per_s", "M/s", Spread::of(&[78.0, 79.0, 80.0, 81.0, 82.0]));
+    new.metric("table2_wall_ms", "ms", Spread::exact(60.0));
+    new.metric("fig1b_wall_ms", "ms", Spread::exact(0.03));
+    new.speedup("decode_vs_reference", Spread::exact(4.0));
     new.write(root.join("new.json")).unwrap();
 
     let new_path = root.join("new.json").display().to_string();
@@ -158,9 +162,11 @@ fn bench_diff_gate_passes_identical_and_fails_regressed() {
     assert_eq!(gate.status.code(), Some(1));
     let table = String::from_utf8_lossy(&gate.stdout);
     assert!(table.contains("<< REGRESSION"), "{table}");
+    assert!(table.contains("(below floor)"), "{table}");
     let err = String::from_utf8_lossy(&gate.stderr);
-    assert!(err.contains("2 metric(s) regressed"), "{err}");
-    assert!(err.contains("decode_minstr_per_s") && err.contains("job_wall_us"), "{err}");
+    assert!(err.contains("locker: 2 metric(s) regressed"), "the gate names the layer: {err}");
+    assert!(err.contains("decode_minstr_per_s") && err.contains("table2_wall_ms"), "{err}");
+    assert!(!err.contains("fig1b_wall_ms"), "{err}");
 
     // Without --check the same diff reports and exits zero.
     let report = dlk(&["bench", "diff", &old_path, &new_path]);
@@ -174,16 +180,21 @@ fn real_snapshots_diff_cleanly_against_themselves() {
     // The committed BENCH_*.json baselines must flow through the gate:
     // schema drift here is exactly what this test exists to catch.
     let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in ["BENCH_hot_path.json", "BENCH_sweep.json", "BENCH_figures.json"] {
-        let path = repo.join(name);
-        if !path.exists() {
-            continue;
-        }
+    let mut snapshots: Vec<PathBuf> = fs::read_dir(&repo)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    snapshots.sort();
+    for path in snapshots {
         let path = path.display().to_string();
         let out = dlk(&["bench", "diff", &path, &path, "--check", "--max-regress", "0.1"]);
         assert!(
             out.status.success(),
-            "{name} vs itself must pass the gate: {}",
+            "{path} vs itself must pass the gate: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }

@@ -212,8 +212,8 @@ impl Tensor {
     }
 
     /// Pre-refactor scalar `matmul`, kept as the oracle for the
-    /// blocked kernel (exact-equivalence tests; `benches/hot_path.rs`
-    /// reports the MFLOP/s ratio).
+    /// blocked kernel (exact-equivalence tests; the layered bench
+    /// reports the MFLOP/s ratio as `dnn/gemm_vs_reference`).
     #[doc(hidden)]
     pub fn matmul_reference(&self, other: &Tensor) -> Result<Tensor, DnnError> {
         if self.cols != other.rows {

@@ -167,8 +167,8 @@ impl Instruction {
 
     /// The pre-refactor match-based decoder, kept verbatim as the
     /// oracle for the table-driven [`Instruction::decode`] (tests pin
-    /// the two word-for-word over all 65536 words; `benches/hot_path.rs`
-    /// reports the throughput ratio).
+    /// the two word-for-word over all 65536 words; the layered bench
+    /// reports the throughput ratio as `locker/decode_vs_reference`).
     #[doc(hidden)]
     pub fn decode_reference(word: u16) -> Result<Self, IsaError> {
         let op = word >> 14;

@@ -17,7 +17,7 @@
 //! `is_locked(&mut self)` / `peek(&self)` split anymore. The
 //! pre-refactor behavioural twin survives as
 //! [`reference::ScanLockTable`], the oracle for the stats-identity
-//! tests and the `benches/hot_path.rs` probe throughput pin.
+//! tests and the layered bench's `locker/probe_vs_scan_reference` pin.
 
 use std::cell::Cell;
 

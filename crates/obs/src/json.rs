@@ -13,7 +13,7 @@
 //! {
 //!   "schema_version": 2,
 //!   "kind": "bench",
-//!   "name": "hot_path",
+//!   "name": "locker",
 //!   "build": {
 //!     "package_version": "0.1.0",
 //!     "profile": "release",
@@ -26,10 +26,14 @@
 //! }
 //! ```
 //!
-//! followed by one array per named section (`"metrics"`, `"speedups"`,
-//! `"counters"`, `"gauges"`, `"histograms"`, ...), each element an
-//! object rendered by the producer. `kind` is `"bench"` for snapshot
-//! trajectories and `"metrics"` for registry dumps.
+//! A producer may append its own fields to `build` with
+//! [`Document::build_field`] (bench snapshots add `reps` and
+//! `host_mops`).
+//! The header is followed by one array per named section
+//! (`"metrics"`, `"speedups"`, `"counters"`, `"gauges"`,
+//! `"histograms"`, ...), each element an object rendered by the
+//! producer. `kind` is `"bench"` for snapshot trajectories and
+//! `"metrics"` for registry dumps.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -128,6 +132,7 @@ pub struct Document {
     kind: String,
     name: String,
     build: BuildInfo,
+    build_fields: Vec<(String, String)>,
     sections: Vec<(String, Vec<String>)>,
 }
 
@@ -139,6 +144,7 @@ impl Document {
             kind: kind.into(),
             name: name.into(),
             build: BuildInfo::current(),
+            build_fields: Vec::new(),
             sections: Vec::new(),
         }
     }
@@ -147,6 +153,15 @@ impl Document {
     /// byte-for-byte deterministic render.
     pub fn set_build(&mut self, build: BuildInfo) -> &mut Self {
         self.build = build;
+        self
+    }
+
+    /// Appends a producer-specific field to the `build` block, after
+    /// the [`BuildInfo`] fields (bench snapshots record their `reps`
+    /// and `host_mops` here). `value` must already be a valid JSON
+    /// fragment.
+    pub fn build_field(&mut self, key: &str, value: String) -> &mut Self {
+        self.build_fields.push((key.to_string(), value));
         self
     }
 
@@ -197,7 +212,11 @@ impl Document {
         let _ = writeln!(out, "    \"arch\": {},", escape(&self.build.arch));
         let _ = writeln!(out, "    \"os\": {},", escape(&self.build.os));
         let _ = writeln!(out, "    \"host_threads\": {},", self.build.host_threads);
-        let _ = writeln!(out, "    \"unix_time_secs\": {}", self.build.unix_time_secs);
+        let _ = write!(out, "    \"unix_time_secs\": {}", self.build.unix_time_secs);
+        for (key, value) in &self.build_fields {
+            let _ = write!(out, ",\n    {}: {value}", escape(key));
+        }
+        out.push('\n');
         if self.sections.is_empty() {
             out.push_str("  }\n");
         } else {
@@ -653,6 +672,17 @@ mod tests {
         assert_eq!(value.section("counters")[0].get("name").unwrap().as_str(), Some("a.b"));
         assert_eq!(value.section("counters")[0].get("value").unwrap().as_u64(), Some(7));
         assert!(value.section("series").is_empty());
+    }
+
+    #[test]
+    fn build_fields_extend_the_build_block() {
+        let mut doc = Document::new("bench", "b");
+        doc.build_field("mode", escape("fast")).build_field("reps", "5".into());
+        let value = parse(&doc.to_json()).expect("writer output must parse");
+        let build = value.get("build").unwrap();
+        assert_eq!(build.get("mode").unwrap().as_str(), Some("fast"));
+        assert_eq!(build.get("reps").unwrap().as_u64(), Some(5));
+        assert!(build.get("unix_time_secs").is_some(), "BuildInfo fields stay");
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //! | [`table2`] | Table II — vs training-based defenses |
 //! | [`pta`] | §V prose — PTA evaluation |
 //! | [`overhead_inference`] | Table II prose — defense cost on victim traffic |
+//! | [`ablation`] | design ablations — re-lock interval and lock target |
 //! | [`generations`] | Fig. 1(b) × Fig. 7(b) — sweep across DRAM generations |
 //! | [`defense_grid`] | channel × defense sweep through the spec-driven runner |
 //!
-//! Every experiment takes a [`Fidelity`]: `Fast` shrinks models and
-//! budgets for CI/tests; `Full` reproduces the paper-scale run used by
-//! the benches and EXPERIMENTS.md.
+//! The model-backed experiments take a [`Fidelity`]: `Fast` shrinks
+//! models and budgets for CI, tests and the layered bench; `Full`
+//! reproduces the paper-scale run of `examples/paper_figures.rs` and
+//! EXPERIMENTS.md.
 
+pub mod ablation;
 pub mod defense_grid;
 pub mod dl_model;
 pub mod fig1a;
@@ -40,7 +43,7 @@ pub use dl_model::{DlLatencyModel, DlSecurityModel};
 pub enum Fidelity {
     /// Small models and budgets — seconds, for tests.
     Fast,
-    /// Paper-scale models and budgets — minutes, for benches.
+    /// Paper-scale models and budgets — minutes, for `paper_figures`.
     #[default]
     Full,
 }

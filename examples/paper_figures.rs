@@ -8,8 +8,8 @@
 
 use dram_locker::sim;
 use dram_locker::xlayer::experiments::{
-    defense_grid, fig1a, fig1b, fig7a, fig7b, fig8, generations, mc_variation, overhead_inference,
-    pta, table1, table2, Fidelity,
+    ablation, defense_grid, fig1a, fig1b, fig7a, fig7b, fig8, generations, mc_variation,
+    overhead_inference, pta, table1, table2, Fidelity,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,6 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table2::run(fidelity));
     println!("{}", pta::run()?);
     println!("{}", overhead_inference::run()?);
+    println!("{}", ablation::run()?);
     println!("{}", generations::run());
 
     println!("scenario catalog (run any with sim::find(name); every entry is a spec file):");
