@@ -317,7 +317,7 @@ mod tests {
     }
 
     fn spread_snap(pairs: &[(&str, Spread, &str)], speedups: &[(&str, f64)]) -> Value {
-        let mut snapshot = Snapshot::new("unit", 5, 1000.0);
+        let mut snapshot = Snapshot::new("unit", 5);
         for (name, spread, unit) in pairs {
             snapshot.metric(name, unit, *spread);
         }

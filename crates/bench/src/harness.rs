@@ -10,18 +10,10 @@
 //! a committed baseline or the CI gate's fresh one — takes this same
 //! measurement, so any two snapshots compare.
 //!
-//! On a shared host the CPU share a process gets swings by tens of
-//! percent between (and within) runs. So right before each sample the
-//! runner times a fixed calibration loop, and every sample is scaled
-//! to the speed it would have had on a host that runs that loop at
-//! [`NOMINAL_HOST_MOPS`]: rates by `nominal / measured`, wall times by
-//! `measured / nominal`. A case's normalized samples become a
-//! five-number [`Spread`]; a ratio's spread is that of its per-round
-//! quotients. [`Results::snapshots`] groups both into one schema-v2
-//! document per layer, whose `build` block also records the measured
-//! host speed (`host_mops`), from which raw rates can be recovered.
+//! A case's samples become a five-number [`Spread`]; a ratio's spread
+//! is that of its per-round quotients. [`Results::snapshots`] groups
+//! both into one schema-v2 document per layer.
 
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use crate::snapshot::{Snapshot, Spread};
@@ -39,14 +31,6 @@ pub const REPS: usize = 27;
 
 /// Minimum timed span of one case in one round.
 pub const WINDOW: Duration = Duration::from_millis(25);
-
-/// Timed span of the calibration loop before each sample.
-const CALIBRATION_WINDOW: Duration = Duration::from_millis(5);
-
-/// Speed of the reference host every sample is scaled to: the rate at
-/// which it runs the calibration loop, in million operations per
-/// second.
-pub const NOMINAL_HOST_MOPS: f64 = 1000.0;
 
 /// A case's measured body. Each call does some work and returns how
 /// many units it did (instructions, requests, FLOPs, regenerations).
@@ -78,22 +62,6 @@ pub struct Ratio {
     pub numerator: &'static str,
     /// Case name of the reference path.
     pub denominator: &'static str,
-}
-
-/// The calibration loop: a multiply-add mix over an L1-resident
-/// buffer. It is bench-owned and never changes, so its rate tracks
-/// only the CPU share the host gives this process.
-fn calibration() -> Kernel {
-    let mut state = [0u64; 512];
-    Box::new(move || {
-        for round in 0..64u64 {
-            for (i, x) in state.iter_mut().enumerate() {
-                *x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64 ^ round);
-            }
-        }
-        black_box(&state);
-        64 * 512
-    })
 }
 
 fn rate_divisor(unit: &str) -> Option<f64> {
@@ -170,22 +138,16 @@ fn run_rounds<'a>(
 ) -> Result<Results<'a>, String> {
     check(cases, ratios)?;
     let mut kernels: Vec<Kernel> = cases.iter().map(|case| (case.setup)()).collect();
-    let mut host = calibration();
-    for kernel in kernels.iter_mut().chain([&mut host]) {
+    for kernel in &mut kernels {
         kernel(); // warm caches and lazy state once, untimed
     }
     let mut samples = vec![Vec::with_capacity(reps); cases.len()];
-    let mut host_mops = Vec::with_capacity(reps * cases.len());
     for _ in 0..reps {
         for ((case, kernel), samples) in cases.iter().zip(&mut kernels).zip(&mut samples) {
-            let mops = measure("M/s", &mut host, CALIBRATION_WINDOW);
-            let speed = mops / NOMINAL_HOST_MOPS;
-            let raw = measure(case.unit, kernel, WINDOW);
-            samples.push(if case.unit == WALL_UNIT { raw * speed } else { raw / speed });
-            host_mops.push(mops);
+            samples.push(measure(case.unit, kernel, WINDOW));
         }
     }
-    Ok(Results { reps, cases, ratios, samples, host_mops: Spread::of(&host_mops).median })
+    Ok(Results { reps, cases, ratios, samples })
 }
 
 /// The measured samples of one bench run.
@@ -194,10 +156,8 @@ pub struct Results<'a> {
     reps: usize,
     cases: &'a [Case],
     ratios: &'a [Ratio],
-    /// Per case (table order), one normalized sample per round.
+    /// Per case (table order), one sample per round.
     samples: Vec<Vec<f64>>,
-    /// Median measured calibration speed over the run.
-    host_mops: f64,
 }
 
 impl Results<'_> {
@@ -229,7 +189,7 @@ impl Results<'_> {
         self.layers()
             .into_iter()
             .map(|layer| {
-                let mut snap = Snapshot::new(layer, self.reps, self.host_mops);
+                let mut snap = Snapshot::new(layer, self.reps);
                 for (case, samples) in self.cases.iter().zip(&self.samples) {
                     if case.layer == layer {
                         snap.metric(case.name, case.unit, Spread::of(samples));
@@ -245,10 +205,7 @@ impl Results<'_> {
 
     /// The aligned stdout table: one line per case and ratio.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "layers bench ({} reps; host {:.0} M op/s, values scaled to {NOMINAL_HOST_MOPS})\n",
-            self.reps, self.host_mops,
-        );
+        let mut out = format!("layers bench ({} reps)\n", self.reps);
         out.push_str(&format!(
             "{:<9} {:<36} {:>12} {:>12} {:>12}\n",
             "layer", "name", "median", "q1", "q3"
@@ -332,12 +289,9 @@ mod tests {
         let results = run_rounds(CASES, RATIOS, 3).unwrap();
         assert!(results.samples.iter().all(|s| s.len() == 3));
         assert!(results.samples[0].iter().all(|&rate| rate.is_finite() && rate > 0.0));
-        // 2 ms sleeps in a 25 ms window: ~2 ms per regeneration, scaled
-        // by the host speed.
+        // 2 ms sleeps in a 25 ms window: at least 2 ms per regeneration.
         let wall = Spread::of(&results.samples[2]);
-        let speed = results.host_mops / NOMINAL_HOST_MOPS;
-        assert!((speed..50.0 * speed).contains(&wall.median), "{wall:?} at {speed}");
-        assert!(results.host_mops > 0.0);
+        assert!((2.0..50.0).contains(&wall.median), "{wall:?}");
 
         let snaps = results.snapshots();
         let names: Vec<&str> = snaps.iter().map(Snapshot::name).collect();
@@ -345,8 +299,6 @@ mod tests {
         let alpha = dlk_obs::json::parse(&snaps[0].to_json()).unwrap();
         let reps = alpha.get("build").unwrap().get("reps").unwrap().as_u64();
         assert_eq!(reps, Some(3));
-        let host = alpha.get("build").unwrap().get("host_mops").unwrap().as_f64();
-        assert_eq!(host, Some(results.host_mops));
         assert_eq!(alpha.section("metrics").len(), 2);
         let ratio = &alpha.section("speedups")[0];
         assert_eq!(ratio.get("name").unwrap().as_str(), Some("a_vs_b"));
@@ -354,7 +306,7 @@ mod tests {
         assert!(dlk_obs::json::parse(&snaps[1].to_json()).unwrap().section("speedups").is_empty());
 
         let table = results.render();
-        assert!(table.starts_with("layers bench (3 reps; host "), "{table}");
+        assert!(table.starts_with("layers bench (3 reps)\n"), "{table}");
         assert!(table.contains("alpha") && table.contains("a_vs_b") && table.contains(" ms\n"));
     }
 

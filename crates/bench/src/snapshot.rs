@@ -5,8 +5,7 @@
 //! validation and the atomic on-disk write all live in the shared
 //! [`dlk_obs::json`] layer (schema version 2); this module keeps the
 //! bench-facing `Snapshot` builder — a `kind: "bench"` document whose
-//! `build` block also records the run's `reps` and measured host speed
-//! (`host_mops`, see [`crate::harness`]), with a
+//! `build` block also records the run's `reps`, with a
 //! `metrics` section (name, unit and the five-number summary over the
 //! reps: median, quartiles, min, max) and a `speedups` section (name
 //! and the same summary of the per-rep ratios).
@@ -16,7 +15,7 @@
 //!   "schema_version": 2,
 //!   "kind": "bench",
 //!   "name": "locker",
-//!   "build": { ..., "reps": 27, "host_mops": 1331.0 },
+//!   "build": { ..., "reps": 27 },
 //!   "metrics": [
 //!     { "name": "decode_minstr_per_s", "unit": "M/s", "median": 1958.3, "q1": 1940.1, "q3": 1971.0, "min": 1901.2, "max": 1990.0 }
 //!   ],
@@ -129,17 +128,15 @@ pub struct Speedup {
 pub struct Snapshot {
     bench: String,
     reps: usize,
-    host_mops: f64,
     metrics: Vec<Metric>,
     speedups: Vec<Speedup>,
 }
 
 impl Snapshot {
     /// Starts an empty snapshot for the named bench, measured over
-    /// `reps` repetitions on a host that ran the calibration loop at
-    /// `host_mops` (see [`crate::harness::NOMINAL_HOST_MOPS`]).
-    pub fn new(bench: impl Into<String>, reps: usize, host_mops: f64) -> Self {
-        Self { bench: bench.into(), reps, host_mops, metrics: Vec::new(), speedups: Vec::new() }
+    /// `reps` repetitions.
+    pub fn new(bench: impl Into<String>, reps: usize) -> Self {
+        Self { bench: bench.into(), reps, metrics: Vec::new(), speedups: Vec::new() }
     }
 
     /// The bench (layer) name.
@@ -163,8 +160,7 @@ impl Snapshot {
     /// sections always present, possibly empty).
     pub fn to_document(&self) -> Document {
         let mut doc = Document::new("bench", &self.bench);
-        doc.build_field("reps", self.reps.to_string())
-            .build_field("host_mops", json::number(self.host_mops));
+        doc.build_field("reps", self.reps.to_string());
         doc.section("metrics");
         doc.section("speedups");
         for metric in &self.metrics {
@@ -218,7 +214,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_carries_fields() {
-        let mut snap = Snapshot::new("locker", 5, 1000.0);
+        let mut snap = Snapshot::new("locker", 5);
         snap.metric("decode_minstr_per_s", "M/s", Spread::of(&[120.0, 123.456, 130.0]));
         snap.metric("gemm_mflop_per_s", "MFLOP/s", Spread::exact(789.0));
         snap.speedup("decode_vs_reference", Spread::exact(2.4));
@@ -259,7 +255,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_valid() {
-        let json = Snapshot::new("empty", 1, 1000.0).to_json();
+        let json = Snapshot::new("empty", 1).to_json();
         validate_json(&json).expect("empty snapshot must parse");
         assert!(json.contains("\"metrics\": []"));
         assert!(json.contains("\"speedups\": []"));
@@ -267,7 +263,7 @@ mod tests {
 
     #[test]
     fn non_finite_metrics_serialize_as_zero() {
-        let mut snap = Snapshot::new("nan", 1, 1000.0);
+        let mut snap = Snapshot::new("nan", 1);
         snap.metric("bad", "x", Spread::exact(f64::NAN)).metric(
             "inf",
             "x",
@@ -280,7 +276,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let mut snap = Snapshot::new("quote\"and\\slash\n", 1, 1000.0);
+        let mut snap = Snapshot::new("quote\"and\\slash\n", 1);
         snap.metric("tab\there", "u", Spread::exact(1.0));
         let json = snap.to_json();
         validate_json(&json).expect("escaped JSON must parse");
@@ -292,7 +288,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dlk_snapshot_test_{}", std::process::id()));
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("BENCH_test.json");
-        let mut snap = Snapshot::new("test", 1, 1000.0);
+        let mut snap = Snapshot::new("test", 1);
         snap.metric("m", "u", Spread::exact(1.0));
         snap.write(&path).expect("write");
         let on_disk = fs::read_to_string(&path).expect("read back");

@@ -133,7 +133,7 @@ fn top_once_renders_the_fixture_through_the_binary() {
 fn bench_diff_gate_passes_identical_and_fails_regressed() {
     use dlk_bench::snapshot::{Snapshot, Spread};
     let root = sandbox("benchdiff");
-    let mut old = Snapshot::new("locker", 5, 1000.0);
+    let mut old = Snapshot::new("locker", 5);
     old.metric("decode_minstr_per_s", "M/s", Spread::of(&[98.0, 99.0, 100.0, 101.0, 102.0]));
     old.metric("table2_wall_ms", "ms", Spread::exact(50.0));
     old.metric("fig1b_wall_ms", "ms", Spread::exact(0.01));
@@ -150,7 +150,7 @@ fn bench_diff_gate_passes_identical_and_fails_regressed() {
     // 20% throughput drop and 20% wall-time growth: both past the 15%
     // gate and the recorded spread, in opposite numeric directions. The
     // sub-millisecond wall time triples and stays ungated.
-    let mut new = Snapshot::new("locker", 5, 1000.0);
+    let mut new = Snapshot::new("locker", 5);
     new.metric("decode_minstr_per_s", "M/s", Spread::of(&[78.0, 79.0, 80.0, 81.0, 82.0]));
     new.metric("table2_wall_ms", "ms", Spread::exact(60.0));
     new.metric("fig1b_wall_ms", "ms", Spread::exact(0.03));

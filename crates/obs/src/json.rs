@@ -27,8 +27,7 @@
 //! ```
 //!
 //! A producer may append its own fields to `build` with
-//! [`Document::build_field`] (bench snapshots add `reps` and
-//! `host_mops`).
+//! [`Document::build_field`] (bench snapshots add `reps`).
 //! The header is followed by one array per named section
 //! (`"metrics"`, `"speedups"`, `"counters"`, `"gauges"`,
 //! `"histograms"`, ...), each element an object rendered by the
@@ -158,7 +157,7 @@ impl Document {
 
     /// Appends a producer-specific field to the `build` block, after
     /// the [`BuildInfo`] fields (bench snapshots record their `reps`
-    /// and `host_mops` here). `value` must already be a valid JSON
+    /// here). `value` must already be a valid JSON
     /// fragment.
     pub fn build_field(&mut self, key: &str, value: String) -> &mut Self {
         self.build_fields.push((key.to_string(), value));
