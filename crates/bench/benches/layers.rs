@@ -40,8 +40,8 @@ use dlk_memctrl::{
 };
 use dlk_sim::sweep::{SweepGrid, SweepRunner};
 use dlk_sim::{
-    AttackSpec, Budget, DefenseSpec, HammerAttack, LockerMitigation, RunReport, Scenario,
-    ScenarioSpec, SimError, VictimSpec,
+    AttackSpec, Budget, DefenseSpec, HammerAttack, RunReport, Scenario, ScenarioSpec, SimError,
+    VictimSpec,
 };
 use dlk_xlayer::circuit::{MonteCarlo, VariationConfig};
 use dlk_xlayer::experiments::{
@@ -549,7 +549,7 @@ fn denied_hammer_campaign() -> Kernel {
         .label("fig8-kernel")
         .victim(VictimSpec::row(20, 0xA5))
         .attack(HammerAttack::bit(5))
-        .defense(LockerMitigation::adjacent())
+        .defense(DefenseSpec::locker_adjacent())
         .budget(Budget { max_activations: 64, check_interval: 8, iterations: 1 })
         .build()
         .expect("scenario builds");

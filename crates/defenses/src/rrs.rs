@@ -177,8 +177,8 @@ impl DefenseHook for RowSwapDefense {
         }
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn actions(&self) -> u64 {
+        self.swaps()
     }
 }
 

@@ -71,8 +71,8 @@ impl DefenseHook for Shadow {
         "shadow"
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn actions(&self) -> u64 {
+        self.shuffles()
     }
 }
 

@@ -65,7 +65,7 @@ impl<T: RowTracker> CounterDefenseHook<T> {
     }
 }
 
-impl<T: RowTracker + 'static> DefenseHook for CounterDefenseHook<T> {
+impl<T: RowTracker> DefenseHook for CounterDefenseHook<T> {
     fn before_access(
         &mut self,
         _request: &MemRequest,
@@ -91,8 +91,8 @@ impl<T: RowTracker + 'static> DefenseHook for CounterDefenseHook<T> {
         self.tracker.name()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn actions(&self) -> u64 {
+        self.mitigations
     }
 }
 

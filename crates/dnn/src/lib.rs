@@ -10,7 +10,7 @@
 //! - [`conv`]: 2-D convolution (im2col forward/backward) and pooling;
 //! - [`model`]: the [`Mlp`] network and its training-time API;
 //! - [`network`]: the general sequential [`Network`] — a flat
-//!   [`Layer`](network::Layer) plan with residual-skip markers that
+//!   [`Layer`] plan with residual-skip markers that
 //!   subsumes [`Mlp`] and hosts the CNN topologies;
 //! - [`quant`]: symmetric 8-bit quantization and the
 //!   [`QuantNetwork`] inference network (historical alias

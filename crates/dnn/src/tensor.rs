@@ -149,7 +149,7 @@ impl Tensor {
     }
 
     /// Matrix product `self (m,k) × other (k,n) -> (m,n)` via the
-    /// blocked kernel ([`gemm_acc`]).
+    /// blocked kernel (`gemm_acc`).
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 //! through the engine: the engine routes each request to its home
 //! shard, then drains all shards (in parallel when configured). The
 //! canonical source is [`TraceReplay`] over a
-//! [`Trace`](dlk_memctrl::Trace) — either generated by a
+//! [`Trace`] — either generated by a
 //! [`Workload`](crate::Workload) or parsed from a trace file with
 //! [`Trace::from_text`](dlk_memctrl::Trace::from_text).
 

@@ -6,7 +6,7 @@
 //! row granularity (the common controller default — consecutive rows
 //! land on different channels, so sequential traffic spreads over all
 //! shards), and within a channel the shard's own
-//! [`AddressMapper`](dlk_memctrl::AddressMapper) takes over:
+//! [`AddressMapper`] takes over:
 //!
 //! ```text
 //! global row g  →  channel  g mod n,  local row  g div n
@@ -54,7 +54,7 @@ impl ChannelRouter {
     /// # Panics
     ///
     /// Panics if `channels` is zero; the engine constructor reports
-    /// [`EngineError::NoChannels`](crate::EngineError::NoChannels)
+    /// [`EngineError::NoChannels`]
     /// before this can be reached.
     pub fn new(channels: usize, mapper: &AddressMapper) -> Self {
         assert!(channels > 0, "router needs at least one channel");

@@ -48,8 +48,6 @@ pub struct LockerConfig {
     pub copy_error_rate: f64,
     /// Rows per subarray reserved as the free-row pool for SWAPs.
     pub free_rows_per_subarray: u32,
-    /// Which rows the protection plan locks.
-    pub lock_target: LockTarget,
     /// RNG seed for free-row selection and error injection.
     pub seed: u64,
 }
@@ -63,7 +61,6 @@ impl Default for LockerConfig {
             check_cycles: 1,
             copy_error_rate: 0.0,
             free_rows_per_subarray: 4,
-            lock_target: LockTarget::AdjacentRows,
             seed: 0xD1A0_10CC,
         }
     }

@@ -122,8 +122,8 @@ impl Instruction {
 
     /// Whether `word` is a canonical encoding — the branch-free
     /// validity test of the decode table. Uses the compile-time
-    /// projections of the flag columns ([`Self::VALID_BITS`],
-    /// [`Self::DONE_ZERO_MASK`]) so the check is pure arithmetic and
+    /// projections of the flag columns (`VALID_BITS`,
+    /// `DONE_ZERO_MASK`) so the check is pure arithmetic and
     /// the bulk scan in [`CompiledProgram::from_words`] vectorizes;
     /// the exhaustive-u16 test pins it against the table decoder.
     #[inline]

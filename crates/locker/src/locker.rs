@@ -280,6 +280,10 @@ impl DefenseHook for DramLocker {
         "dram-locker"
     }
 
+    fn actions(&self) -> u64 {
+        self.stats.denies + self.stats.swaps
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }

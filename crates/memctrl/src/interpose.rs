@@ -57,10 +57,17 @@ pub trait DefenseHook: Send {
     /// Short name for reports.
     fn name(&self) -> &str;
 
-    /// Downcasting support so evaluation harnesses can read a mounted
-    /// hook's concrete statistics (swap counts, mitigation counts, …)
-    /// after a run. Defenses that expose such statistics return
-    /// `Some(self)`; the default hides the hook.
+    /// Defensive actions taken so far (denies and swaps for
+    /// DRAM-Locker, targeted refreshes for counter trackers, row swaps
+    /// or shuffles for the remapping defenses). The default reports
+    /// zero for hooks that take none.
+    fn actions(&self) -> u64 {
+        0
+    }
+
+    /// Downcasting support for harnesses that need a mounted hook's
+    /// concrete type after a run (a hook chain's members, a locker's
+    /// lock-table counters). The default hides the hook.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
@@ -98,6 +105,7 @@ mod tests {
         let action = hook.before_access(&req, RowAddr::new(0, 0, 0), &mut dram);
         assert_eq!(action, HookAction::Allow);
         assert_eq!(hook.check_latency(), 0);
+        assert_eq!(hook.actions(), 0);
         assert_eq!(hook.name(), "none");
     }
 

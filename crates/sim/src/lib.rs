@@ -5,10 +5,10 @@
 //!
 //! ```text
 //! Scenario::builder()
-//!     .geometry(..)   // MemCtrlConfig (device + mapping + scheduling)
+//!     .geometry(..)   // GeometrySpec preset (device + mapping + scheduling)
 //!     .victim(..)     // raw rows, a deployed model, or a paged model
 //!     .attack(..)     // any `Attack` driver
-//!     .defense(..)    // any `Mitigation`, stackable
+//!     .defense(..)    // any `DefenseSpec`, stackable
 //!     .budget(..)     // activations / iterations
 //!     .build()?       // deploys victims, mounts defenses
 //!     .run()?         // -> RunReport
@@ -19,11 +19,14 @@
 //! ([`HammerAttack`]), the progressive bit search ([`ProgressiveBfa`],
 //! [`BfaHammerAttack`]), random flips ([`RandomFlipAttack`]), the page
 //! table attack ([`PageTablePoison`]) and benign victim traffic
-//! ([`InferenceStream`]); the [`Mitigation`] trait covers DRAM-Locker
-//! ([`LockerMitigation`]) and every baseline in `dlk-defenses`
-//! ([`TrackerMitigation`], [`RowSwapMitigation`], [`ShadowMitigation`]).
-//! The unified [`RunReport`] carries accuracy deltas, denied/landed
-//! flips, cycles, energy and per-defense mitigation counts.
+//! ([`InferenceStream`]). Every defense is one [`DefenseSpec`] value:
+//! DRAM-Locker ([`DefenseSpec::locker_adjacent`]) and every baseline in
+//! `dlk-defenses` (Graphene, Hydra, TWiCE, counter-per-row, RRS/SRS,
+//! SHADOW). [`DefenseSpec::mount`] builds its controller hook on each
+//! channel; stacked defenses share one [`HookChain`]. The unified
+//! [`RunReport`] carries accuracy deltas, denied/landed flips, cycles,
+//! energy and each hook's [`actions`](dlk_memctrl::DefenseHook::actions)
+//! count.
 //!
 //! ## Paper-figure → catalog map
 //!
@@ -92,10 +95,7 @@ pub use crate::attack::{
 };
 pub use crate::catalog::{catalog, find, CatalogEntry, Expected};
 pub use crate::error::SimError;
-pub use crate::mitigation::{
-    HookChain, LockerMitigation, Mitigation, MountCtx, RowSwapMitigation, ShadowMitigation,
-    TrackerMitigation,
-};
+pub use crate::mitigation::HookChain;
 pub use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
 pub use crate::scenario::{Budget, Scenario, ScenarioBuilder, ScenarioRun};
 pub use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};

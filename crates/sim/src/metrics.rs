@@ -1,10 +1,22 @@
-//! Unified metrics export for swept runs.
+//! The workspace's one result table.
 //!
-//! A [`Table`] collects any number of [`RunReport`]s into one
-//! rectangular result set — rows keyed by scenario label, columns the
-//! report's scalar fields plus one `mit:<defense>` column per defense
-//! name seen anywhere in the set — and exports it as CSV (for figure
-//! pipelines and CI logs) or markdown (for docs and PR summaries).
+//! A [`Table`] is a rectangular result set, printed column-aligned
+//! (under a `== title ==` line when titled) and exported as CSV (for
+//! figure pipelines and CI logs) or markdown (for docs and PR
+//! summaries). The paper's figure and table experiments fill one row by
+//! row; [`Table::from_reports`] collects any number of [`RunReport`]s
+//! into one — rows keyed by scenario label, columns the report's scalar
+//! fields plus one `mit:<defense>` column per defense name seen
+//! anywhere in the set.
+//!
+//! ```
+//! use dlk_sim::metrics::Table;
+//!
+//! let mut table = Table::new("demo", &["x", "y"]);
+//! table.row(vec!["1".to_owned(), "2".to_owned()]);
+//! assert!(table.to_string().starts_with("== demo ==\n"));
+//! assert_eq!(table.to_csv(), "x,y\n1,2\n");
+//! ```
 //!
 //! ```
 //! use dlk_sim::{metrics, Scenario};
@@ -20,14 +32,34 @@
 
 use crate::report::{csv_escape, RunReport};
 
-/// A rectangular result set over swept scenario runs.
+/// A rectangular result set with an optional title.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
+    title: Option<String>,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
+    /// An empty titled table with the given column names.
+    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+        Self {
+            title: Some(title.into()),
+            columns: columns.iter().map(|&c| c.to_owned()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell count differs from the column count.
+    pub fn row(&mut self, cells: Vec<String>) {
+        assert_eq!(cells.len(), self.columns.len(), "row width must match columns");
+        self.rows.push(cells);
+    }
+
     /// Builds the table from reports, in the given (deterministic)
     /// order. Per-defense mitigation-count columns are the union of the
     /// defense names across all reports, in first-appearance order;
@@ -65,7 +97,7 @@ impl Table {
                 cells
             })
             .collect();
-        Self { columns, rows }
+        Self { title: None, columns, rows }
     }
 
     /// The column names.
@@ -103,9 +135,13 @@ impl Table {
     }
 }
 
-/// Column-aligned plain text (pads every column to its widest cell).
+/// Column-aligned plain text (pads every column but the last to its
+/// widest cell), under a `== title ==` line when the table has a title.
 impl std::fmt::Display for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(title) = &self.title {
+            writeln!(f, "== {title} ==")?;
+        }
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
         for row in &self.rows {
             for (width, cell) in widths.iter_mut().zip(row) {
@@ -113,10 +149,12 @@ impl std::fmt::Display for Table {
             }
         }
         let write_row = |f: &mut std::fmt::Formatter<'_>, cells: &[String]| {
-            for (index, (cell, width)) in cells.iter().zip(&widths).enumerate() {
+            for (index, (cell, &width)) in cells.iter().zip(&widths).enumerate() {
                 if index > 0 {
                     write!(f, "  ")?;
                 }
+                // The last column is not padded: no trailing blanks.
+                let width = if index + 1 < cells.len() { width } else { 0 };
                 write!(f, "{cell:width$}")?;
             }
             writeln!(f)
@@ -140,7 +178,6 @@ mod tests {
             scenario: label.to_owned(),
             attack: "hammer".into(),
             channels: 1,
-            defenses: defenses.iter().map(|(n, _)| (*n).to_owned()).collect(),
             landed_flips: 0,
             requests: 10,
             denied: 10,
@@ -196,5 +233,20 @@ mod tests {
         assert!(md.lines().nth(1).unwrap().starts_with("|---|"));
         let text = table.to_string();
         assert!(text.lines().next().unwrap().starts_with("scenario"));
+    }
+
+    #[test]
+    fn titled_table_renders_aligned_under_its_title() {
+        let mut table = Table::new("t", &["name", "value"]);
+        table.row(vec!["alpha".to_owned(), "1".to_owned()]);
+        table.row(vec!["b".to_owned(), "10000".to_owned()]);
+        assert_eq!(table.to_string(), "== t ==\nname   value\nalpha  1\nb      10000\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn ragged_row_rejected() {
+        let mut table = Table::new("t", &["a", "b"]);
+        table.row(vec!["only-one".to_owned()]);
     }
 }

@@ -1,238 +1,64 @@
-//! The object-safe [`Mitigation`] trait and its implementations.
+//! Mounting declarative defenses on a controller.
 //!
-//! A `Mitigation` is a *mountable* defense: given the scenario's
-//! geometry and the victims' guarded physical ranges it produces the
-//! [`DefenseHook`] the controller will consult on every request. After
-//! the run it can read its own action count back out of the mounted
-//! hook (via [`DefenseHook::as_any`]), which is how the unified
-//! [`RunReport`](crate::RunReport) carries per-defense mitigation
-//! counts without knowing any concrete defense type.
+//! [`DefenseSpec::mount`] turns one defense into the [`DefenseHook`] a
+//! channel's controller consults on every request, and [`HookChain`]
+//! stacks several mounted hooks on one controller. After the run every
+//! hook reports its own count through [`DefenseHook::actions`], which
+//! is how the unified [`RunReport`](crate::RunReport) carries
+//! per-defense action counts without knowing any concrete defense type.
 
-use dlk_defenses::{CounterDefenseHook, RowSwapDefense, RowTracker, Shadow, SwapPolicy};
-use dlk_dram::{DramDevice, DramGeometry, RowAddr};
-use dlk_locker::{DramLocker, LockTarget, LockerConfig, ProtectionPlan};
+use dlk_defenses::{
+    CounterDefenseHook, CounterPerRow, Graphene, Hydra, RowSwapDefense, Shadow, Twice,
+};
+use dlk_dram::{DramDevice, RowAddr};
+use dlk_locker::{DramLocker, ProtectionPlan};
 use dlk_memctrl::{AddressMapper, DefenseHook, HookAction, MemRequest};
 
 use crate::error::SimError;
+use crate::spec::DefenseSpec;
 
-/// Everything a mitigation needs to mount itself on a scenario.
-pub struct MountCtx<'a> {
-    /// The device geometry.
-    pub geometry: DramGeometry,
-    /// The controller's address mapper.
-    pub mapper: &'a AddressMapper,
-    /// Physical byte ranges the deployed victims asked to have guarded.
-    pub guarded: &'a [(u64, u64)],
-}
-
-/// A defense assignable to a scenario.
-pub trait Mitigation {
-    /// Short name for reports.
-    fn name(&self) -> &str;
-
-    /// Builds the controller hook for this scenario.
+impl DefenseSpec {
+    /// Builds this defense's hook for one channel. `guarded` lists the
+    /// physical byte ranges the channel's victims asked to have
+    /// guarded; DRAM-Locker locks rows around them through a
+    /// [`ProtectionPlan`], and every other defense ignores them.
     ///
     /// # Errors
     ///
-    /// Returns an error when the defense cannot cover the guarded
-    /// ranges (lock-table capacity, unmappable ranges, …).
-    fn mount(&self, ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError>;
-
-    /// Defensive actions the mounted `hook` took, read back after the
-    /// run. The default reports zero for hooks that expose no stats.
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        let _ = hook;
-        0
-    }
-}
-
-impl Mitigation for Box<dyn Mitigation> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn mount(&self, ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        (**self).mount(ctx)
-    }
-
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        (**self).actions(hook)
-    }
-}
-
-/// DRAM-Locker mounted through a [`ProtectionPlan`] over the guarded
-/// ranges.
-#[derive(Debug, Clone)]
-pub struct LockerMitigation {
-    config: LockerConfig,
-    target: LockTarget,
-    radius: u32,
-}
-
-impl LockerMitigation {
-    /// The paper's configuration: lock the rows *adjacent* to the
-    /// guarded data (the aggressor-candidate rows).
-    pub fn adjacent() -> Self {
-        Self::new(LockerConfig::default(), LockTarget::AdjacentRows)
-    }
-
-    /// The ablation configuration: lock the guarded data rows
-    /// themselves (maximum unlock churn).
-    pub fn data_rows() -> Self {
-        Self::new(LockerConfig::default(), LockTarget::DataRows)
-    }
-
-    /// A locker with an explicit configuration and lock target.
-    pub fn new(config: LockerConfig, target: LockTarget) -> Self {
-        Self { config, target, radius: 1 }
-    }
-
-    /// Sets the lock radius (2 covers Half-Double-style distance-2
-    /// disturbance).
-    pub fn with_radius(mut self, radius: u32) -> Self {
-        self.radius = radius.max(1);
-        self
-    }
-}
-
-impl From<LockerMitigation> for crate::spec::DefenseSpec {
-    fn from(m: LockerMitigation) -> Self {
-        crate::spec::DefenseSpec::Locker { config: m.config, target: m.target, radius: m.radius }
-    }
-}
-
-impl Mitigation for LockerMitigation {
-    fn name(&self) -> &str {
-        "dram-locker"
-    }
-
-    fn mount(&self, ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        let mut locker = DramLocker::new(self.config, ctx.geometry);
-        if !ctx.guarded.is_empty() {
-            let mut plan = ProtectionPlan::new(self.target).with_radius(self.radius);
-            for &(start, end) in ctx.guarded {
-                plan.protect_range(ctx.mapper, start, end)?;
+    /// Returns an error when the locker cannot cover the guarded ranges
+    /// (lock-table capacity, unmappable ranges, …).
+    pub fn mount(
+        &self,
+        mapper: &AddressMapper,
+        guarded: &[(u64, u64)],
+    ) -> Result<Box<dyn DefenseHook>, SimError> {
+        Ok(match *self {
+            DefenseSpec::Locker { config, target, radius } => {
+                let mut locker = DramLocker::new(config, *mapper.geometry());
+                let mut plan = ProtectionPlan::new(target).with_radius(radius);
+                for &(start, end) in guarded {
+                    plan.protect_range(mapper, start, end)?;
+                }
+                plan.apply(&mut locker)?;
+                Box::new(locker)
             }
-            plan.apply(&mut locker)?;
-        }
-        Ok(Box::new(locker))
-    }
-
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        hook.as_any()
-            .and_then(|any| any.downcast_ref::<DramLocker>())
-            .map(|locker| locker.stats().denies + locker.stats().swaps)
-            .unwrap_or(0)
-    }
-}
-
-/// Any counter-based [`RowTracker`] mounted as a targeted-refresh hook.
-#[derive(Debug, Clone)]
-pub struct TrackerMitigation<T> {
-    tracker: T,
-    name: String,
-}
-
-impl<T: RowTracker + Clone + 'static> TrackerMitigation<T> {
-    /// Wraps a tracker; the mounted hook gets a fresh clone of it.
-    pub fn new(tracker: T) -> Self {
-        let name = tracker.name().to_owned();
-        Self { tracker, name }
-    }
-}
-
-impl<T: RowTracker + Clone + 'static> Mitigation for TrackerMitigation<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn mount(&self, _ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        Ok(Box::new(CounterDefenseHook::new(self.tracker.clone())))
-    }
-
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        hook.as_any()
-            .and_then(|any| any.downcast_ref::<CounterDefenseHook<T>>())
-            .map(CounterDefenseHook::mitigations)
-            .unwrap_or(0)
-    }
-}
-
-/// RRS / SRS (swap-based row remapping).
-#[derive(Debug, Clone)]
-pub struct RowSwapMitigation {
-    policy: SwapPolicy,
-    threshold: u64,
-    seed: u64,
-}
-
-impl RowSwapMitigation {
-    /// A swap defense triggering at `threshold` activations.
-    pub fn new(policy: SwapPolicy, threshold: u64, seed: u64) -> Self {
-        Self { policy, threshold, seed }
-    }
-}
-
-impl From<RowSwapMitigation> for crate::spec::DefenseSpec {
-    fn from(m: RowSwapMitigation) -> Self {
-        crate::spec::DefenseSpec::RowSwap { policy: m.policy, threshold: m.threshold, seed: m.seed }
-    }
-}
-
-impl Mitigation for RowSwapMitigation {
-    fn name(&self) -> &str {
-        match self.policy {
-            SwapPolicy::Randomized => "rrs",
-            SwapPolicy::Secure => "srs",
-        }
-    }
-
-    fn mount(&self, _ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        Ok(Box::new(RowSwapDefense::new(self.policy, self.threshold, self.seed)))
-    }
-
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        hook.as_any()
-            .and_then(|any| any.downcast_ref::<RowSwapDefense>())
-            .map(RowSwapDefense::swaps)
-            .unwrap_or(0)
-    }
-}
-
-/// SHADOW (intra-subarray shuffling).
-#[derive(Debug, Clone)]
-pub struct ShadowMitigation {
-    threshold: u64,
-    seed: u64,
-}
-
-impl ShadowMitigation {
-    /// A SHADOW defense shuffling at `threshold` activations.
-    pub fn new(threshold: u64, seed: u64) -> Self {
-        Self { threshold, seed }
-    }
-}
-
-impl From<ShadowMitigation> for crate::spec::DefenseSpec {
-    fn from(m: ShadowMitigation) -> Self {
-        crate::spec::DefenseSpec::Shadow { threshold: m.threshold, seed: m.seed }
-    }
-}
-
-impl Mitigation for ShadowMitigation {
-    fn name(&self) -> &str {
-        "shadow"
-    }
-
-    fn mount(&self, _ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        Ok(Box::new(Shadow::new(self.threshold, self.seed)))
-    }
-
-    fn actions(&self, hook: &dyn DefenseHook) -> u64 {
-        hook.as_any()
-            .and_then(|any| any.downcast_ref::<Shadow>())
-            .map(Shadow::shuffles)
-            .unwrap_or(0)
+            DefenseSpec::Graphene { capacity, threshold } => {
+                Box::new(CounterDefenseHook::new(Graphene::new(capacity, threshold)))
+            }
+            DefenseSpec::Hydra { group_size, group_threshold, row_threshold } => Box::new(
+                CounterDefenseHook::new(Hydra::new(group_size, group_threshold, row_threshold)),
+            ),
+            DefenseSpec::Twice { threshold, prune_interval, prune_rate } => {
+                Box::new(CounterDefenseHook::new(Twice::new(threshold, prune_interval, prune_rate)))
+            }
+            DefenseSpec::CounterPerRow { threshold } => {
+                Box::new(CounterDefenseHook::new(CounterPerRow::new(threshold)))
+            }
+            DefenseSpec::RowSwap { policy, threshold, seed } => {
+                Box::new(RowSwapDefense::new(policy, threshold, seed))
+            }
+            DefenseSpec::Shadow { threshold, seed } => Box::new(Shadow::new(threshold, seed)),
+        })
     }
 }
 
@@ -300,53 +126,57 @@ impl DefenseHook for HookChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlk_defenses::Graphene;
-    use dlk_dram::DramConfig;
+    use dlk_dram::{DramConfig, DramGeometry};
     use dlk_memctrl::MappingScheme;
 
-    fn ctx(mapper: &AddressMapper) -> MountCtx<'_> {
-        MountCtx { geometry: *mapper.geometry(), mapper, guarded: &[] }
+    fn mapper() -> AddressMapper {
+        AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential)
     }
 
     #[test]
-    fn locker_mounts_empty_without_guarded_ranges() {
-        let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
-        let mitigation = LockerMitigation::adjacent();
-        let hook = mitigation.mount(&ctx(&mapper)).unwrap();
-        assert_eq!(hook.name(), "dram-locker");
-        assert_eq!(mitigation.actions(hook.as_ref()), 0);
+    fn mounted_hooks_carry_the_spec_names() {
+        let specs = [
+            DefenseSpec::locker_adjacent(),
+            DefenseSpec::graphene(64, 8),
+            DefenseSpec::hydra(16, 4, 8),
+            DefenseSpec::twice(8, 64, 1),
+            DefenseSpec::counter_per_row(8),
+            DefenseSpec::rrs(8, 1),
+            DefenseSpec::srs(8, 1),
+            DefenseSpec::shadow(8, 1),
+        ];
+        for spec in specs {
+            let hook = spec.mount(&mapper(), &[]).unwrap();
+            assert_eq!(hook.name(), spec.name());
+            assert_eq!(hook.actions(), 0, "{} acted before any traffic", spec.name());
+        }
     }
 
     #[test]
     fn locker_guards_ranges_through_the_plan() {
-        let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
         let guarded = [(10 * 64u64, 11 * 64u64)];
-        let ctx = MountCtx { geometry: *mapper.geometry(), mapper: &mapper, guarded: &guarded };
-        let hook = LockerMitigation::adjacent().mount(&ctx).unwrap();
+        let hook = DefenseSpec::locker_adjacent().mount(&mapper(), &guarded).unwrap();
         let locker = hook.as_any().unwrap().downcast_ref::<DramLocker>().unwrap();
         assert_eq!(locker.lock_table().len(), 2, "two neighbours of row 10");
     }
 
     #[test]
-    fn tracker_mitigation_reports_refreshes() {
-        let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
-        let mitigation = TrackerMitigation::new(Graphene::new(64, 4));
-        let mut hook = mitigation.mount(&ctx(&mapper)).unwrap();
+    fn tracker_hook_reports_refreshes() {
+        let mut hook = DefenseSpec::graphene(64, 4).mount(&mapper(), &[]).unwrap();
         let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
         let row = RowAddr::new(0, 0, 5);
         for _ in 0..16 {
             hook.on_activate(row, &mut dram);
         }
-        assert!(mitigation.actions(hook.as_ref()) > 0);
+        assert!(hook.actions() > 0);
     }
 
     #[test]
     fn chain_first_verdict_wins_and_latency_sums() {
-        let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
+        let mapper = mapper();
         let guarded = [(10 * 64u64, 11 * 64u64)];
-        let ctx = MountCtx { geometry: *mapper.geometry(), mapper: &mapper, guarded: &guarded };
-        let locker = LockerMitigation::data_rows().mount(&ctx).unwrap();
-        let graphene = TrackerMitigation::new(Graphene::new(64, 4)).mount(&ctx).unwrap();
+        let locker = DefenseSpec::locker_data_rows().mount(&mapper, &guarded).unwrap();
+        let graphene = DefenseSpec::graphene(64, 4).mount(&mapper, &guarded).unwrap();
         let mut chain = HookChain::new(vec![locker, graphene]);
         assert_eq!(chain.name(), "dram-locker+graphene");
         assert_eq!(chain.check_latency(), 2);

@@ -64,9 +64,9 @@ impl VictimReport {
 pub struct MitigationReport {
     /// The mitigation's name.
     pub name: String,
-    /// Mitigation-specific action count (denies + swaps for
-    /// DRAM-Locker, targeted refreshes for counter trackers, row swaps
-    /// for RRS/SRS/SHADOW).
+    /// The mounted hooks' [`DefenseHook::actions`](dlk_memctrl::DefenseHook::actions),
+    /// summed over channels (denies + swaps for DRAM-Locker, targeted
+    /// refreshes for counter trackers, row swaps for RRS/SRS/SHADOW).
     pub actions: u64,
 }
 
@@ -83,8 +83,6 @@ pub struct RunReport {
     pub attack: String,
     /// DRAM channels the scenario ran over (shards of the engine).
     pub channels: usize,
-    /// Names of the mounted defenses, in mount order.
-    pub defenses: Vec<String>,
     /// Flips the attack landed.
     pub landed_flips: u64,
     /// Attacker-side requests issued.
@@ -108,7 +106,7 @@ pub struct RunReport {
     pub controller: ControllerStats,
     /// Per-victim outcomes, in deployment order.
     pub victims: Vec<VictimReport>,
-    /// Per-defense action counts, in mount order.
+    /// The mounted defenses with their action counts, in mount order.
     pub mitigations: Vec<MitigationReport>,
 }
 
@@ -131,6 +129,12 @@ impl RunReport {
     /// Total defensive actions across all mounted mitigations.
     pub fn mitigation_total(&self) -> u64 {
         self.mitigations.iter().map(|m| m.actions).sum()
+    }
+
+    /// The mounted defenses' names joined by `+`, in mount order
+    /// (empty when none was mounted).
+    fn defense_stack(&self) -> String {
+        self.mitigations.iter().map(|m| m.name.as_str()).collect::<Vec<_>>().join("+")
     }
 
     /// `true` if any victim was observably harmed (data corrupted,
@@ -172,7 +176,7 @@ impl RunReport {
             self.scenario.clone(),
             self.attack.clone(),
             self.channels.to_string(),
-            self.defenses.join("+"),
+            self.defense_stack(),
             self.requests.to_string(),
             self.denied.to_string(),
             self.landed_flips.to_string(),
@@ -202,7 +206,7 @@ pub(crate) fn csv_escape(cell: &str) -> String {
 impl std::fmt::Display for RunReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let defenses =
-            if self.defenses.is_empty() { "none".to_owned() } else { self.defenses.join("+") };
+            if self.mitigations.is_empty() { "none".to_owned() } else { self.defense_stack() };
         writeln!(f, "scenario        {}", self.scenario)?;
         writeln!(f, "attack          {}", if self.attack.is_empty() { "-" } else { &self.attack })?;
         writeln!(f, "channels        {}", self.channels)?;
@@ -243,7 +247,6 @@ mod tests {
             scenario: "t".into(),
             attack: "a".into(),
             channels: 1,
-            defenses: vec![],
             landed_flips: 0,
             requests: 0,
             denied: 0,
@@ -280,7 +283,6 @@ mod tests {
             scenario: "csv, quoted".into(),
             attack: "hammer".into(),
             channels: 2,
-            defenses: vec!["dram-locker".into(), "graphene".into()],
             landed_flips: 0,
             requests: 100,
             denied: 100,
@@ -296,7 +298,10 @@ mod tests {
                 accuracy_after_pct: None,
                 data_intact: Some(true),
             }],
-            mitigations: vec![MitigationReport { name: "dram-locker".into(), actions: 7 }],
+            mitigations: vec![
+                MitigationReport { name: "dram-locker".into(), actions: 7 },
+                MitigationReport { name: "graphene".into(), actions: 0 },
+            ],
         }
     }
 

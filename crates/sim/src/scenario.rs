@@ -10,19 +10,19 @@
 //! declarative [`ScenarioSpec`] — geometry preset, engine shape,
 //! victims, attack, defense stack, budget — into a deployed
 //! [`ScenarioRun`]. [`ScenarioBuilder`] is sugar that assembles a spec
-//! method by method (and offers `custom_*` escape hatches for drivers
-//! and hooks that are code, not data — spy hooks in tests, one-off
-//! bench workloads).
+//! method by method (and offers a `custom_attack` escape hatch for
+//! drivers that are code, not data — one-off experiment workloads).
+//! Each [`DefenseSpec`] mounts itself through [`DefenseSpec::mount`].
 //!
 //! ```
-//! use dlk_sim::{Budget, HammerAttack, LockerMitigation, Scenario, VictimSpec};
+//! use dlk_sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
 //!
 //! # fn main() -> Result<(), dlk_sim::SimError> {
 //! let mut run = Scenario::builder()
 //!     .label("doc")
 //!     .victim(VictimSpec::row(20, 0xA5))
 //!     .attack(HammerAttack::bit(7))
-//!     .defense(LockerMitigation::adjacent())
+//!     .defense(DefenseSpec::locker_adjacent())
 //!     .budget(Budget { max_activations: 1_000, check_interval: 8, iterations: 1 })
 //!     .build()?;
 //! let report = run.run()?;
@@ -54,7 +54,7 @@
 use dlk_dnn::{QuantizedMlp, WeightLayout};
 use dlk_engine::{ChannelRouter, EngineConfig, ShardedEngine};
 use dlk_locker::DramLocker;
-use dlk_memctrl::{AddressMapper, MemCtrlConfig, MemoryController};
+use dlk_memctrl::{AddressMapper, DefenseHook, MemCtrlConfig, MemoryController};
 use dlk_obs::{Registry, SpanRecorder, SpanTree};
 
 use crate::attack::{
@@ -62,7 +62,7 @@ use crate::attack::{
     RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
 };
 use crate::error::SimError;
-use crate::mitigation::{HookChain, Mitigation, MountCtx};
+use crate::mitigation::HookChain;
 use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
 use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};
 use crate::victim::{DeployedVictim, SpecKind, VictimSpec};
@@ -102,18 +102,12 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`SimError::Build`] for an empty victim list, a bad
-    /// target index, a zero channel count or an out-of-range home
-    /// channel, and propagates deployment/mount failures.
+    /// target index, a zero channel count, an out-of-range home
+    /// channel or a zero eval batch, and propagates deployment/mount
+    /// failures.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<ScenarioRun, SimError> {
         ScenarioBuilder::from_spec(spec.clone()).build()
     }
-}
-
-/// One defense slot of a builder: declarative, or a custom mounted
-/// object (spy hooks, one-off bench defenses).
-enum DefenseSlot {
-    Spec(DefenseSpec),
-    Custom(Box<dyn Mitigation>),
 }
 
 /// Assembles a [`ScenarioSpec`] method by method, then builds it.
@@ -121,14 +115,13 @@ enum DefenseSlot {
 /// The builder *is* spec assembly: every declarative method writes one
 /// spec field, [`ScenarioBuilder::spec`] hands the assembled value
 /// back, and [`ScenarioBuilder::build`] routes through the same
-/// resolution path as [`Scenario::from_spec`]. The `custom_*` methods
-/// accept components that are code rather than data; a builder that
-/// used any of them no longer corresponds to a serializable spec.
+/// resolution path as [`Scenario::from_spec`].
+/// [`ScenarioBuilder::custom_attack`] accepts a driver that is code
+/// rather than data; a builder that uses it no longer corresponds to a
+/// serializable spec.
 pub struct ScenarioBuilder {
     spec: ScenarioSpec,
-    custom_geometry: Option<MemCtrlConfig>,
     custom_attack: Option<Box<dyn Attack>>,
-    defenses: Vec<DefenseSlot>,
 }
 
 impl ScenarioBuilder {
@@ -138,37 +131,23 @@ impl ScenarioBuilder {
 
     /// A builder pre-loaded with `spec` (the catalog's path from an
     /// entry to a tweakable builder).
-    pub fn from_spec(mut spec: ScenarioSpec) -> Self {
-        let defenses = spec.defenses.drain(..).map(DefenseSlot::Spec).collect();
-        Self { spec, custom_geometry: None, custom_attack: None, defenses }
+    pub fn from_spec(spec: ScenarioSpec) -> Self {
+        Self { spec, custom_attack: None }
     }
 
     /// The assembled spec.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Build`] when the builder holds `custom_*`
-    /// components, which have no data representation.
+    /// Returns [`SimError::Build`] when the builder holds a custom
+    /// attack, which has no data representation.
     pub fn spec(&self) -> Result<ScenarioSpec, SimError> {
-        if self.custom_geometry.is_some() || self.custom_attack.is_some() {
+        if self.custom_attack.is_some() {
             return Err(SimError::Build(
-                "scenario uses a custom geometry/attack; not spec-representable".to_owned(),
+                "scenario uses a custom attack; not spec-representable".to_owned(),
             ));
         }
-        let mut spec = self.spec.clone();
-        spec.defenses = Vec::with_capacity(self.defenses.len());
-        for slot in &self.defenses {
-            match slot {
-                DefenseSlot::Spec(defense) => spec.defenses.push(defense.clone()),
-                DefenseSlot::Custom(mitigation) => {
-                    return Err(SimError::Build(format!(
-                        "scenario mounts custom defense '{}'; not spec-representable",
-                        mitigation.name()
-                    )))
-                }
-            }
-        }
-        Ok(spec)
+        Ok(self.spec.clone())
     }
 
     /// Names the scenario (shows up in the report).
@@ -181,13 +160,6 @@ impl ScenarioBuilder {
     /// [`GeometrySpec::Tiny`], the tiny test geometry with TRH 16).
     pub fn geometry(mut self, geometry: GeometrySpec) -> Self {
         self.spec.geometry = geometry;
-        self
-    }
-
-    /// Escape hatch: a free-form per-channel `MemCtrlConfig` instead of
-    /// a named preset. The resulting scenario is not spec-representable.
-    pub fn custom_geometry(mut self, config: MemCtrlConfig) -> Self {
-        self.custom_geometry = Some(config);
         self
     }
 
@@ -233,20 +205,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Mounts a defense as data. Repeatable: multiple defenses stack
-    /// into a [`HookChain`] consulted in mount order. The workspace
-    /// mitigations ([`crate::LockerMitigation`],
-    /// [`crate::RowSwapMitigation`], [`crate::ShadowMitigation`])
-    /// convert implicitly.
-    pub fn defense(mut self, defense: impl Into<DefenseSpec>) -> Self {
-        self.defenses.push(DefenseSlot::Spec(defense.into()));
-        self
-    }
-
-    /// Escape hatch: an arbitrary [`Mitigation`] object (spy hooks in
-    /// tests). The resulting scenario is not spec-representable.
-    pub fn custom_defense(mut self, mitigation: impl Mitigation + 'static) -> Self {
-        self.defenses.push(DefenseSlot::Custom(Box::new(mitigation)));
+    /// Mounts a defense. Repeatable: multiple defenses stack into a
+    /// [`HookChain`] consulted in mount order.
+    pub fn defense(mut self, defense: DefenseSpec) -> Self {
+        self.spec.defenses.push(defense);
         self
     }
 
@@ -256,9 +218,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Held-out sample size for accuracy measurements (default 64).
+    /// Held-out sample size for accuracy measurements (default 64;
+    /// [`ScenarioBuilder::build`] rejects 0).
     pub fn eval_batch(mut self, n: usize) -> Self {
-        self.spec.eval_batch = n.max(1);
+        self.spec.eval_batch = n;
         self
     }
 
@@ -274,12 +237,19 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::Build`] for an empty victim list, a bad
-    /// target index, a zero channel count or an out-of-range home
-    /// channel, and propagates deployment/mount failures.
+    /// target index, a zero channel count, an out-of-range home
+    /// channel or a zero eval batch, and propagates deployment/mount
+    /// failures.
     pub fn build(self) -> Result<ScenarioRun, SimError> {
         let spec = self.spec;
         if spec.victims.is_empty() {
             return Err(SimError::Build(format!("scenario '{}' has no victim", spec.label)));
+        }
+        if spec.eval_batch == 0 {
+            return Err(SimError::Build(format!(
+                "scenario '{}' has eval batch 0; accuracy needs at least one sample",
+                spec.label
+            )));
         }
         if spec.target >= spec.victims.len() {
             return Err(SimError::Build(format!(
@@ -294,10 +264,7 @@ impl ScenarioBuilder {
                 "victim homed on channel {bad}, but the engine has {channels} channels"
             )));
         }
-        let config = match self.custom_geometry {
-            Some(config) => config,
-            None => spec.geometry.config(),
-        };
+        let config = spec.geometry.config();
         let attack = match self.custom_attack {
             Some(attack) => Some(attack),
             None => match &spec.attack {
@@ -305,14 +272,6 @@ impl ScenarioBuilder {
                 None => None,
             },
         };
-        let defenses: Vec<Box<dyn Mitigation>> = self
-            .defenses
-            .into_iter()
-            .map(|slot| match slot {
-                DefenseSlot::Spec(defense) => resolve_defense(&defense),
-                DefenseSlot::Custom(mitigation) => mitigation,
-            })
-            .collect();
         let mut engine = ShardedEngine::new(spec.engine, config)?;
 
         // Deploy every victim on its home shard (shard-local
@@ -332,23 +291,19 @@ impl ScenarioBuilder {
             guarded_per_channel[home].extend(victim.guarded_ranges().iter().copied());
         }
         for (channel, guarded) in guarded_per_channel.iter().enumerate() {
-            let shard = engine.shard_mut(channel);
-            let ctx = MountCtx {
-                geometry: shard.controller().geometry(),
-                mapper: shard.controller().mapper(),
-                guarded,
-            };
-            let mut hooks = Vec::with_capacity(defenses.len());
-            for mitigation in &defenses {
-                hooks.push(mitigation.mount(&ctx)?);
-            }
+            let ctrl = engine.shard_mut(channel).controller_mut();
+            let mut hooks = spec
+                .defenses
+                .iter()
+                .map(|defense| defense.mount(ctrl.mapper(), guarded))
+                .collect::<Result<Vec<_>, _>>()?;
             match hooks.len() {
                 0 => {}
                 1 => {
-                    shard.controller_mut().set_hook(hooks.pop().expect("one hook"));
+                    ctrl.set_hook(hooks.pop().expect("one hook"));
                 }
                 _ => {
-                    shard.controller_mut().set_hook(Box::new(HookChain::new(hooks)));
+                    ctrl.set_hook(Box::new(HookChain::new(hooks)));
                 }
             }
         }
@@ -358,7 +313,7 @@ impl ScenarioBuilder {
             victims,
             homes,
             attack,
-            defenses,
+            defenses: spec.defenses.iter().map(DefenseSpec::name).collect(),
             budget: spec.budget,
             eval_batch: spec.eval_batch,
             target: spec.target,
@@ -415,35 +370,6 @@ fn resolve_attack(
     })
 }
 
-/// Resolves a declarative defense into its mountable mitigation.
-fn resolve_defense(defense: &DefenseSpec) -> Box<dyn Mitigation> {
-    use crate::mitigation::{
-        LockerMitigation, RowSwapMitigation, ShadowMitigation, TrackerMitigation,
-    };
-    use dlk_defenses::{CounterPerRow, Graphene, Hydra, Twice};
-    match *defense {
-        DefenseSpec::Locker { config, target, radius } => {
-            Box::new(LockerMitigation::new(config, target).with_radius(radius))
-        }
-        DefenseSpec::Graphene { capacity, threshold } => {
-            Box::new(TrackerMitigation::new(Graphene::new(capacity, threshold)))
-        }
-        DefenseSpec::Hydra { group_size, group_threshold, row_threshold } => {
-            Box::new(TrackerMitigation::new(Hydra::new(group_size, group_threshold, row_threshold)))
-        }
-        DefenseSpec::Twice { threshold, prune_interval, prune_rate } => {
-            Box::new(TrackerMitigation::new(Twice::new(threshold, prune_interval, prune_rate)))
-        }
-        DefenseSpec::CounterPerRow { threshold } => {
-            Box::new(TrackerMitigation::new(CounterPerRow::new(threshold)))
-        }
-        DefenseSpec::RowSwap { policy, threshold, seed } => {
-            Box::new(RowSwapMitigation::new(policy, threshold, seed))
-        }
-        DefenseSpec::Shadow { threshold, seed } => Box::new(ShadowMitigation::new(threshold, seed)),
-    }
-}
-
 /// A built, deployed pipeline, ready to run.
 pub struct ScenarioRun {
     label: String,
@@ -452,7 +378,8 @@ pub struct ScenarioRun {
     /// Each victim's home channel, parallel to `victims`.
     homes: Vec<usize>,
     attack: Option<Box<dyn Attack>>,
-    defenses: Vec<Box<dyn Mitigation>>,
+    /// Names of the mounted defenses, in mount order.
+    defenses: Vec<&'static str>,
     budget: Budget,
     eval_batch: usize,
     target: usize,
@@ -645,27 +572,17 @@ impl ScenarioRun {
         let span_stats = spans.as_deref_mut().map(|rec| rec.enter("mitigation-stats"));
         // Per-defense action counts, summed over channels in channel-id
         // order: every shard mounted the same stack, so defense `i` is
-        // hook `i` of every shard's chain.
-        let mitigations: Vec<MitigationReport> = self
+        // mounted hook `i` of every shard.
+        let mut mitigations: Vec<MitigationReport> = self
             .defenses
             .iter()
-            .enumerate()
-            .map(|(index, mitigation)| {
-                let actions = self
-                    .engine
-                    .shards()
-                    .iter()
-                    .map(|shard| {
-                        let hook = shard.controller().hook();
-                        match hook.as_any().and_then(|any| any.downcast_ref::<HookChain>()) {
-                            Some(chain) => mitigation.actions(chain.hooks()[index].as_ref()),
-                            None => mitigation.actions(hook),
-                        }
-                    })
-                    .sum();
-                MitigationReport { name: mitigation.name().to_owned(), actions }
-            })
+            .map(|&name| MitigationReport { name: name.to_owned(), actions: 0 })
             .collect();
+        for shard in self.engine.shards() {
+            for (report, hook) in mitigations.iter_mut().zip(mounted_hooks(shard.controller())) {
+                report.actions += hook.actions();
+            }
+        }
         if let (Some(rec), Some(id)) = (spans, span_stats) {
             rec.exit(id);
         }
@@ -682,7 +599,6 @@ impl ScenarioRun {
             scenario: self.label.clone(),
             attack: attack_name,
             channels: self.engine.channels(),
-            defenses: self.defenses.iter().map(|m| m.name().to_owned()).collect(),
             landed_flips: outcome.landed_flips,
             requests: outcome.requests,
             denied: outcome.denied,
@@ -703,33 +619,29 @@ impl ScenarioRun {
     /// the observed registry as `locker.locktable.*` deltas.
     fn export_defense_obs(&self, registry: &Registry) {
         for shard in self.engine.shards() {
-            let hook = shard.controller().hook();
-            match hook.as_any().and_then(|any| any.downcast_ref::<HookChain>()) {
-                Some(chain) => {
-                    for hook in chain.hooks() {
-                        if let Some(locker) =
-                            hook.as_any().and_then(|any| any.downcast_ref::<DramLocker>())
-                        {
-                            locker.export_obs(registry, "locker");
-                        }
-                    }
-                }
-                None => {
-                    if let Some(locker) =
-                        hook.as_any().and_then(|any| any.downcast_ref::<DramLocker>())
-                    {
-                        locker.export_obs(registry, "locker");
-                    }
+            for hook in mounted_hooks(shard.controller()) {
+                if let Some(locker) = hook.as_any().and_then(|any| any.downcast_ref::<DramLocker>())
+                {
+                    locker.export_obs(registry, "locker");
                 }
             }
         }
     }
 }
 
+/// The defenses mounted on one controller, in mount order: a
+/// [`HookChain`]'s members, or the single mounted hook.
+fn mounted_hooks(ctrl: &MemoryController) -> Vec<&dyn DefenseHook> {
+    let hook = ctrl.hook();
+    match hook.as_any().and_then(|any| any.downcast_ref::<HookChain>()) {
+        Some(chain) => chain.hooks().iter().map(Box::as_ref).collect(),
+        None => vec![hook],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mitigation::LockerMitigation;
 
     fn hammer_budget() -> Budget {
         Budget { max_activations: 4_000, check_interval: 8, iterations: 1 }
@@ -740,6 +652,18 @@ mod tests {
         assert!(matches!(Scenario::builder().build(), Err(SimError::Build(_))));
         let bad_target = Scenario::builder().victim(VictimSpec::row(5, 1)).target_victim(3).build();
         assert!(matches!(bad_target, Err(SimError::Build(_))));
+    }
+
+    #[test]
+    fn zero_eval_batch_is_rejected_through_both_entry_points() {
+        let builder = Scenario::builder().victim(VictimSpec::row(5, 1)).eval_batch(0);
+        assert!(matches!(builder.build(), Err(SimError::Build(_))));
+        // The model-backed catalog entry would otherwise report 0.0%
+        // accuracy before and after the attack.
+        let mut spec = crate::catalog::find("bfa-vs-none").unwrap().spec;
+        spec.eval_batch = 0;
+        let err = Scenario::from_spec(&spec).unwrap_err();
+        assert!(err.to_string().contains("eval batch 0"), "{err}");
     }
 
     #[test]
@@ -764,7 +688,7 @@ mod tests {
             .label("defended")
             .victim(VictimSpec::row(20, 0xA5))
             .attack(HammerAttack::bit(77))
-            .defense(LockerMitigation::adjacent())
+            .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
             .unwrap();
@@ -772,7 +696,8 @@ mod tests {
         assert!(report.fully_denied(), "{report:?}");
         assert_eq!(report.victims[0].data_intact, Some(true));
         assert!(!report.harmed());
-        assert_eq!(report.defenses, vec!["dram-locker".to_owned()]);
+        assert_eq!(report.mitigations.len(), 1);
+        assert_eq!(report.mitigations[0].name, "dram-locker");
         assert!(report.mitigation_total() > 0);
     }
 
@@ -782,7 +707,7 @@ mod tests {
             .label("stacked")
             .victim(VictimSpec::row(20, 0xA5))
             .attack(HammerAttack::bit(77))
-            .defense(LockerMitigation::adjacent())
+            .defense(DefenseSpec::locker_adjacent())
             .defense(DefenseSpec::graphene(64, 8))
             .budget(hammer_budget())
             .build()
@@ -802,7 +727,7 @@ mod tests {
             .label("probe")
             .victim(VictimSpec::row(10, 0x42))
             .attack(RowProbe { accesses: 100 })
-            .defense(LockerMitigation::data_rows())
+            .defense(DefenseSpec::locker_data_rows())
             .build()
             .unwrap();
         let report = run.run().unwrap();
@@ -817,7 +742,7 @@ mod tests {
             .label("spec-sugar")
             .victim(VictimSpec::row(20, 0xA5))
             .attack(HammerAttack::bit(77))
-            .defense(LockerMitigation::adjacent())
+            .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget());
         let spec = builder.spec().unwrap();
         assert_eq!(spec.label, "spec-sugar");
@@ -855,7 +780,7 @@ mod tests {
             .label("observed")
             .victim(VictimSpec::row(20, 0xA5))
             .attack(HammerAttack::bit(77))
-            .defense(LockerMitigation::adjacent())
+            .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
             .unwrap();

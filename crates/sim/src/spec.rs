@@ -4,7 +4,7 @@
 //! experiment: geometry preset, execution engine, victims and their
 //! home channels, the attack, the defense stack and the budget. Every
 //! part is enum-keyed data — [`AttackSpec`], [`DefenseSpec`],
-//! [`VictimSpec`](crate::VictimSpec) — so specs can be enumerated
+//! [`VictimSpec`] — so specs can be enumerated
 //! (`catalog()`), diffed (`PartialEq`), expanded into grids
 //! ([`SweepGrid`](crate::sweep::SweepGrid)) and persisted.
 //!
@@ -42,9 +42,7 @@ use crate::scenario::Budget;
 use crate::victim::{SpecKind, VictimSpec};
 
 /// A named device/controller configuration preset. Geometry is keyed
-/// (not free-form) so specs stay diffable and the codec stays exact;
-/// free-form `MemCtrlConfig`s remain available through
-/// [`ScenarioBuilder::custom_geometry`](crate::ScenarioBuilder::custom_geometry).
+/// (not free-form) so specs stay diffable and the codec stays exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum GeometrySpec {
     /// The tiny test geometry, TRH 16 (`MemCtrlConfig::tiny_for_tests`).
@@ -246,8 +244,9 @@ impl From<crate::attack::InferenceStream> for AttackSpec {
     }
 }
 
-/// A defense as enum-keyed data. Each variant resolves to one mounted
-/// [`Mitigation`](crate::Mitigation) when the scenario is built.
+/// A defense as enum-keyed data. When the scenario is built, each
+/// variant mounts as one controller hook per channel through
+/// [`DefenseSpec::mount`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DefenseSpec {
     /// DRAM-Locker over the guarded ranges.
@@ -953,7 +952,7 @@ fn write_defense(out: &mut String, defense: &DefenseSpec) {
     match defense {
         DefenseSpec::Locker { config, target, radius } => out.push_str(&format!(
             "defense dram-locker target={} radius={radius} relock={} table={} entry={} \
-             check={} copy-err={} free={} lock-target={} seed={}\n",
+             check={} copy-err={} free={} seed={}\n",
             lock_target_token(*target),
             config.relock_interval,
             config.table_capacity_bytes,
@@ -961,7 +960,6 @@ fn write_defense(out: &mut String, defense: &DefenseSpec) {
             config.check_cycles,
             config.copy_error_rate,
             config.free_rows_per_subarray,
-            lock_target_token(config.lock_target),
             config.seed,
         )),
         DefenseSpec::Graphene { capacity, threshold } => out.push_str(&format!(
@@ -999,7 +997,6 @@ fn parse_defense(line: usize, kind: &str, fields: &Fields<'_>) -> Result<Defense
                 check_cycles: fields.num("check")?,
                 copy_error_rate: fields.float("copy-err")?,
                 free_rows_per_subarray: fields.num("free")?,
-                lock_target: parse_lock_target(line, fields.get("lock-target")?)?,
                 seed: fields.num("seed")?,
             },
             target: parse_lock_target(line, fields.get("target")?)?,

@@ -10,9 +10,8 @@
 
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_memctrl::MemRequest;
-use dlk_sim::{Attack, AttackOutcome, LockerMitigation, RunEnv, Scenario, SimError, VictimSpec};
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
+use dlk_sim::{Attack, AttackOutcome, DefenseSpec, RunEnv, Scenario, SimError, VictimSpec};
 
 /// The swept re-lock intervals (R/W operations between re-locks).
 pub const RELOCK_INTERVALS: [u64; 3] = [100, 1_000, 10_000];
@@ -68,12 +67,12 @@ pub struct AblationRun {
 ///
 /// Propagates scenario build and run failures.
 pub fn victim_workload(relock_interval: u64, target: LockTarget) -> Result<AblationRun, SimError> {
-    let config = LockerConfig { relock_interval, lock_target: target, ..LockerConfig::default() };
+    let config = LockerConfig { relock_interval, ..LockerConfig::default() };
     let report = Scenario::builder()
         .label("ablation")
         // Protect rows 10..12 (data): which rows lock depends on `target`.
         .victim(VictimSpec::row_span(10, 2, 0xA5))
-        .defense(LockerMitigation::new(config, target))
+        .defense(DefenseSpec::Locker { config, target, radius: 1 })
         .custom_attack(VictimMix { accesses: 2_000 })
         .build()?
         .run()?;
@@ -96,7 +95,7 @@ pub fn run() -> Result<Table, SimError> {
         &["Ablation", "Setting", "Redirects", "Denies", "Mean latency (cycles)"],
     );
     let mut row = |ablation: &str, setting: String, run: AblationRun| {
-        table.row_owned(vec![
+        table.row(vec![
             ablation.to_string(),
             setting,
             run.redirected.to_string(),
@@ -124,9 +123,9 @@ mod tests {
     #[test]
     fn table_has_one_row_per_setting() {
         let table = run().unwrap();
-        assert_eq!(table.rows.len(), RELOCK_INTERVALS.len() + LOCK_TARGETS.len());
-        assert_eq!(table.rows[0][1], "100");
-        assert_eq!(table.rows[5][1], "both");
+        assert_eq!(table.rows().len(), RELOCK_INTERVALS.len() + LOCK_TARGETS.len());
+        assert_eq!(table.rows()[0][1], "100");
+        assert_eq!(table.rows()[5][1], "both");
     }
 
     #[test]

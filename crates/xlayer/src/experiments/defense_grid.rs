@@ -6,7 +6,7 @@
 //! [`SweepGrid`], executed across worker threads by a [`SweepRunner`]
 //! (results bit-identical to serial execution — the determinism suite
 //! asserts it) and exported through the unified
-//! [`metrics::Table`](dlk_sim::metrics::Table). This is the experiment
+//! [`metrics::Table`]. This is the experiment
 //! CI prints as CSV so figure data is visible in the job log.
 
 use dlk_sim::sweep::{SweepGrid, SweepRunner};

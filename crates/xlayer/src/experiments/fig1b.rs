@@ -1,8 +1,7 @@
 //! Fig. 1(b): RowHammer thresholds per DRAM generation.
 
 use dlk_dram::DramGeneration;
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
 
 /// Builds the Fig. 1(b) table.
 pub fn run() -> Table {
@@ -19,7 +18,7 @@ pub fn run() -> Table {
         } else {
             format!("{:.1}K", generation.trh() as f64 / 1000.0)
         };
-        table.row_owned(vec![generation.label().to_owned(), trh]);
+        table.row(vec![generation.label().to_owned(), trh]);
     }
     table
 }
@@ -31,7 +30,7 @@ mod tests {
     #[test]
     fn table_matches_paper_values() {
         let table = run();
-        assert_eq!(table.rows.len(), 6);
+        assert_eq!(table.rows().len(), 6);
         let text = table.to_string();
         assert!(text.contains("139K"));
         assert!(text.contains("22.4K"));

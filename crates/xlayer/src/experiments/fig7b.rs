@@ -7,8 +7,7 @@
 //! (fractions of) days.
 
 use dlk_defenses::ShadowModel;
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
 
 use super::dl_model::DlSecurityModel;
 
@@ -25,11 +24,7 @@ pub fn run() -> Table {
     for trh in THRESHOLDS {
         let shadow = ShadowModel::new(trh).defense_time_days(trh);
         let locker = dl.defense_time_days(trh);
-        table.row_owned(vec![
-            format!("{}K", trh / 1000),
-            format!("{shadow:.4}"),
-            format!("{locker:.0}"),
-        ]);
+        table.row(vec![format!("{}K", trh / 1000), format!("{shadow:.4}"), format!("{locker:.0}")]);
     }
     table
 }
@@ -62,7 +57,7 @@ mod tests {
     #[test]
     fn table_shows_locker_dominating_shadow() {
         let table = run();
-        for row in &table.rows {
+        for row in table.rows() {
             let shadow: f64 = row[1].parse().unwrap();
             let locker: f64 = row[2].parse().unwrap();
             assert!(locker > shadow * 100.0, "row {row:?}");

@@ -9,8 +9,7 @@
 //! chips" claim of §V.
 
 use dlk_dram::{DramGeneration, TimingParams};
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
 
 use super::dl_model::DlSecurityModel;
 
@@ -52,7 +51,7 @@ pub fn run() -> Table {
         &["Generation", "TRH", "Campaigns/window", "DL defense (days)"],
     );
     for row in rows() {
-        table.row_owned(vec![
+        table.row(vec![
             row.generation.label().to_owned(),
             row.trh.to_string(),
             row.campaigns_per_window.to_string(),

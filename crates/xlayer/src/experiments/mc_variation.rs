@@ -1,7 +1,8 @@
 //! §IV-D: Monte-Carlo SWAP error rates under process variation.
 
+use dlk_sim::metrics::Table;
+
 use crate::circuit::{MonteCarlo, VariationConfig};
-use crate::report::Table;
 
 use super::Fidelity;
 
@@ -19,7 +20,7 @@ pub fn run(fidelity: Fidelity) -> Table {
     );
     for (variation, paper) in [(0.0, 0.0), (0.10, 0.14), (0.20, 9.6)] {
         let report = mc.run(variation, trials, 0xD1A0);
-        table.row_owned(vec![
+        table.row(vec![
             format!("±{:.0}%", variation * 100.0),
             report.trials.to_string(),
             report.failures.to_string(),
@@ -37,18 +38,18 @@ mod tests {
     #[test]
     fn sweep_has_three_rows_in_paper_order() {
         let table = run(Fidelity::Fast);
-        assert_eq!(table.rows.len(), 3);
-        assert!(table.rows[0][0].contains('0'));
+        assert_eq!(table.rows().len(), 3);
+        assert!(table.rows()[0][0].contains('0'));
         // Zero variation row reports zero failures.
-        assert_eq!(table.rows[0][2], "0");
+        assert_eq!(table.rows()[0][2], "0");
     }
 
     #[test]
     fn full_mode_runs_paper_trial_count() {
         let table = run(Fidelity::Full);
-        assert_eq!(table.rows[0][1], "10000");
+        assert_eq!(table.rows()[0][1], "10000");
         // ±20% lands in the paper's ballpark.
-        let rate: f64 = table.rows[2][3].parse().unwrap();
+        let rate: f64 = table.rows()[2][3].parse().unwrap();
         assert!((6.0..14.0).contains(&rate), "rate {rate}");
     }
 }

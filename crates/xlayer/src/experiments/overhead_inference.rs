@@ -10,10 +10,9 @@
 //! the argument for the adjacent-row policy in §IV-A.
 
 use dlk_dnn::models::ModelKind;
-use dlk_locker::LockTarget;
-use dlk_sim::{InferenceStream, LockerMitigation, Scenario, SimError, VictimSpec};
-
-use crate::report::Table;
+use dlk_locker::{LockTarget, LockerConfig};
+use dlk_sim::metrics::Table;
+use dlk_sim::{DefenseSpec, InferenceStream, Scenario, SimError, VictimSpec};
 
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,8 +27,8 @@ pub struct OverheadRun {
     pub denied: u64,
 }
 
-fn stream_weights(lock_target: Option<LockTarget>) -> Result<OverheadRun, SimError> {
-    let label = match lock_target {
+fn stream_weights(target: Option<LockTarget>) -> Result<OverheadRun, SimError> {
+    let label = match target {
         None => "no defense".to_owned(),
         Some(target) => format!("locker ({target:?})"),
     };
@@ -37,13 +36,13 @@ fn stream_weights(lock_target: Option<LockTarget>) -> Result<OverheadRun, SimErr
         .label(label.clone())
         .victim(VictimSpec::model(ModelKind::Tiny, 3, 0x400))
         .attack(InferenceStream { batches: 10, chunk: 32 });
-    builder = match lock_target {
-        None => builder,
-        Some(LockTarget::AdjacentRows) => builder.defense(LockerMitigation::adjacent()),
-        Some(LockTarget::DataRows) => builder.defense(LockerMitigation::data_rows()),
-        Some(LockTarget::Both) => builder
-            .defense(LockerMitigation::new(dlk_locker::LockerConfig::default(), LockTarget::Both)),
-    };
+    if let Some(target) = target {
+        builder = builder.defense(DefenseSpec::Locker {
+            config: LockerConfig::default(),
+            target,
+            radius: 1,
+        });
+    }
     let report = builder.build()?.run()?;
     Ok(OverheadRun {
         label,
@@ -70,7 +69,7 @@ pub fn run() -> Result<Table, SimError> {
         stream_weights(Some(LockTarget::DataRows))?,
     ] {
         let overhead = (run.cycles as f64 / baseline.cycles as f64 - 1.0) * 100.0;
-        table.row_owned(vec![
+        table.row(vec![
             run.label.clone(),
             run.cycles.to_string(),
             format!("{:.2}", run.energy_pj / 1000.0),
@@ -128,7 +127,7 @@ mod tests {
     #[test]
     fn table_reports_three_scenarios() {
         let table = run().unwrap();
-        assert_eq!(table.rows.len(), 3);
-        assert_eq!(table.rows[0][4], "0.00");
+        assert_eq!(table.rows().len(), 3);
+        assert_eq!(table.rows()[0][4], "0.00");
     }
 }

@@ -1,6 +1,6 @@
 //! §V: the Page Table Attack evaluation.
 //!
-//! End-to-end through the unified [`Scenario`](dlk_sim::Scenario)
+//! End-to-end through the unified [`Scenario`]
 //! pipeline: the victim's quantized weights live in physical frames
 //! mapped by a DRAM-resident page table ([`VictimSpec::paged`]); the
 //! attacker stages a corrupted copy of a weight page at the frame the
@@ -11,11 +11,10 @@
 //! every hammer access is denied and the weights survive untouched.
 
 use dlk_dnn::models::ModelKind;
+use dlk_sim::metrics::Table;
 use dlk_sim::{
-    Budget, LockerMitigation, PageTablePoison, Scenario, ScenarioBuilder, SimError, VictimSpec,
+    Budget, DefenseSpec, PageTablePoison, Scenario, ScenarioBuilder, SimError, VictimSpec,
 };
-
-use crate::report::Table;
 
 /// Result of one PTA run.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +40,7 @@ pub fn scenario(defended: bool) -> ScenarioBuilder {
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .eval_batch(64);
     if defended {
-        builder.defense(LockerMitigation::adjacent())
+        builder.defense(DefenseSpec::locker_adjacent())
     } else {
         builder
     }
@@ -76,7 +75,7 @@ pub fn run() -> Result<Table, SimError> {
     );
     for defended in [false, true] {
         let run = run_scenario(defended)?;
-        table.row_owned(vec![
+        table.row(vec![
             run.label.clone(),
             run.redirected.to_string(),
             run.denied.to_string(),
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn report_table_has_both_scenarios() {
         let table = run().unwrap();
-        assert_eq!(table.rows.len(), 2);
+        assert_eq!(table.rows().len(), 2);
         let text = table.to_string();
         assert!(text.contains("without DRAM-Locker") && text.contains("with DRAM-Locker"));
     }

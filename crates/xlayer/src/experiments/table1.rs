@@ -1,8 +1,7 @@
 //! Table I: hardware overhead comparison at 32 GB / 16-bank DDR4.
 
 use dlk_defenses::overhead::{table1 as overhead_rows, DramSpec};
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
 
 fn format_bytes(bytes: u64) -> String {
     const KB: u64 = 1024;
@@ -37,12 +36,7 @@ pub fn run() -> Table {
             (None, Some(counters)) => format!("{counters} counter(s)"),
             (None, None) => "NULL".to_owned(),
         };
-        table.row_owned(vec![
-            row.framework.to_owned(),
-            kinds.join("-"),
-            capacity.join(" + "),
-            area,
-        ]);
+        table.row(vec![row.framework.to_owned(), kinds.join("-"), capacity.join(" + "), area]);
     }
     table
 }
@@ -66,7 +60,7 @@ mod tests {
     #[test]
     fn all_ten_frameworks_present() {
         let table = run();
-        assert_eq!(table.rows.len(), 10);
+        assert_eq!(table.rows().len(), 10);
         let text = table.to_string();
         for framework in [
             "Graphene",
@@ -87,7 +81,7 @@ mod tests {
     #[test]
     fn locker_row_shows_zero_dram_plus_56kb_sram() {
         let table = run();
-        let locker = table.rows.iter().find(|r| r[0] == "DRAM-Locker").unwrap();
+        let locker = table.rows().iter().find(|r| r[0] == "DRAM-Locker").unwrap();
         assert!(locker[2].contains("0 DRAM"));
         assert!(locker[2].contains("56KB SRAM"));
         assert_eq!(locker[3], "0.02%");
@@ -110,7 +104,7 @@ mod tests {
     #[test]
     fn involved_memory_column_consistent() {
         let table = run();
-        let hydra = table.rows.iter().find(|r| r[0] == "Hydra").unwrap();
+        let hydra = table.rows().iter().find(|r| r[0] == "Hydra").unwrap();
         assert_eq!(hydra[1], "SRAM-DRAM");
     }
 

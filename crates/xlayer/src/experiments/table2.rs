@@ -10,8 +10,7 @@ use dlk_defenses::training::binary::{BinaryWeight, CapacityScale, RaBnn};
 use dlk_defenses::training::transforms::{PiecewiseClustering, WeightReconstruction};
 use dlk_defenses::training::{baseline_entry, dram_locker_entry, TableTwoEntry};
 use dlk_dnn::models;
-
-use crate::report::Table;
+use dlk_sim::metrics::Table;
 
 use super::Fidelity;
 
@@ -39,7 +38,7 @@ pub fn run(fidelity: Fidelity) -> Table {
         &["Model", "Clean Acc. (%)", "Post-Attack Acc. (%)", "Bit-Flips #"],
     );
     for entry in entries(fidelity) {
-        table.row_owned(vec![
+        table.row(vec![
             entry.name.clone(),
             format!("{:.2}", entry.clean_acc_pct),
             format!("{:.2}", entry.post_attack_acc_pct),
@@ -75,6 +74,6 @@ mod tests {
     #[test]
     fn table_has_seven_rows() {
         let table = run(Fidelity::Fast);
-        assert_eq!(table.rows.len(), 7);
+        assert_eq!(table.rows().len(), 7);
     }
 }

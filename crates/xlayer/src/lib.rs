@@ -10,8 +10,8 @@
 //!   standing in for CACTI + Design Compiler;
 //! - [`optimizer`]: combines memory statistics with the cost models
 //!   into end-to-end performance parameters;
-//! - [`report`]: ASCII tables, series and CSV export for every
-//!   experiment;
+//! - [`report`]: the figure curves ([`Series`]); every table is a
+//!   [`dlk_sim::metrics::Table`];
 //! - [`experiments`]: one module per table/figure of the paper —
 //!   `fig1a`, `fig1b`, `mc_variation` (§IV-D), `table1`, `fig7a`,
 //!   `fig7b`, `fig8`, `table2` and `pta` (§V prose).
@@ -35,4 +35,4 @@ pub mod report;
 pub use crate::cacti::{ArrayKind, ArrayModel, CactiModel};
 pub use crate::circuit::{MonteCarlo, MonteCarloReport, VariationConfig};
 pub use crate::optimizer::{Optimizer, PerformanceParams};
-pub use crate::report::{Series, Table};
+pub use crate::report::Series;

@@ -1,101 +1,7 @@
-//! Experiment output: ASCII tables, series and CSV export.
+//! Experiment output: figure curves. Tables are
+//! [`dlk_sim::metrics::Table`].
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A rectangular result table.
-///
-/// # Example
-///
-/// ```
-/// use dlk_xlayer::Table;
-/// let mut table = Table::new("demo", &["x", "y"]);
-/// table.row(&["1", "2"]);
-/// let text = table.to_string();
-/// assert!(text.contains("demo") && text.contains('1'));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Table {
-    /// Title shown above the table.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of cells.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Self {
-            title: title.into(),
-            headers: headers.iter().map(|h| (*h).to_owned()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width must match headers");
-        self.rows.push(cells.iter().map(|c| (*c).to_owned()).collect());
-    }
-
-    /// Appends a row of owned strings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row width must match headers");
-        self.rows.push(cells);
-    }
-
-    /// Serializes as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    fn widths(&self) -> Vec<usize> {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (index, cell) in row.iter().enumerate() {
-                widths[index] = widths[index].max(cell.len());
-            }
-        }
-        widths
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let widths = self.widths();
-        writeln!(f, "== {} ==", self.title)?;
-        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            for (index, cell) in cells.iter().enumerate() {
-                write!(f, "| {:width$} ", cell, width = widths[index])?;
-            }
-            writeln!(f, "|")
-        };
-        line(f, &self.headers)?;
-        let total: usize = widths.iter().map(|w| w + 3).sum::<usize>() + 1;
-        writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
-            line(f, row)?;
-        }
-        Ok(())
-    }
-}
 
 /// A named (x, y) series — one curve of a figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,32 +59,6 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_with_alignment() {
-        let mut table = Table::new("t", &["name", "value"]);
-        table.row(&["alpha", "1"]);
-        table.row(&["b", "10000"]);
-        let text = table.to_string();
-        assert!(text.contains("== t =="));
-        assert!(text.contains("alpha"));
-        assert!(text.contains("10000"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn ragged_row_rejected() {
-        let mut table = Table::new("t", &["a", "b"]);
-        table.row(&["only-one"]);
-    }
-
-    #[test]
-    fn csv_roundtrip_structure() {
-        let mut table = Table::new("t", &["a", "b"]);
-        table.row(&["1", "2"]);
-        let csv = table.to_csv();
-        assert_eq!(csv, "a,b\n1,2\n");
-    }
 
     #[test]
     fn series_render_includes_all_labels() {

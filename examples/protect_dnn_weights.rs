@@ -7,7 +7,7 @@
 //! The OS already isolates the victim's own pages (an unprivileged
 //! attacker cannot *address* them), so the attacker's only aggressors
 //! are the unowned rows physically adjacent to the weight image —
-//! exactly the rows the scenario's `LockerMitigation` locks. The
+//! exactly the rows `DefenseSpec::locker_adjacent()` locks. The
 //! gradient scan that picks the most damaging reachable bit is
 //! `dlk_dnn::models::best_edge_target`, the same helper the
 //! `BfaHammerAttack` driver uses.
@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example protect_dnn_weights`
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{BfaHammerAttack, Budget, LockerMitigation, Scenario, VictimSpec};
+use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, VictimSpec};
 
 const WEIGHT_BASE: u64 = 0x400;
 
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if defended {
             // Register the weight image with the protection framework:
             // DRAM-Locker locks the rows an attacker must hammer.
-            builder = builder.defense(LockerMitigation::adjacent());
+            builder = builder.defense(DefenseSpec::locker_adjacent());
         }
         let report = builder.build()?.run()?;
         if defended {

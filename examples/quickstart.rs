@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use dram_locker::memctrl::MemRequest;
-use dram_locker::sim::{LockerMitigation, RowProbe, Scenario, VictimSpec};
+use dram_locker::sim::{DefenseSpec, RowProbe, Scenario, VictimSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The whole pipeline in one builder: a secret-filled DRAM row,
@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut run = Scenario::builder()
         .label("quickstart")
         .victim(VictimSpec::row(10, 0x42))
-        .defense(LockerMitigation::data_rows())
+        .defense(DefenseSpec::locker_data_rows())
         .attack(RowProbe { accesses: 1000 })
         .build()?;
     let report = run.run()?;

@@ -12,7 +12,7 @@
 
 use dram_locker::memctrl::Trace;
 use dram_locker::sim::{
-    AttackSpec, EngineConfig, LockerMitigation, RunReport, Scenario, VictimSpec, Workload,
+    AttackSpec, DefenseSpec, EngineConfig, RunReport, Scenario, VictimSpec, Workload,
 };
 
 const ROW_BYTES: u64 = 64; // tiny geometry
@@ -39,7 +39,7 @@ fn replay(engine: EngineConfig, trace: &Trace, defended: bool) -> RunReport {
         .victim_on(VictimSpec::row(20, 0x5A), 1)
         .attack(AttackSpec::trace(trace.clone()));
     if defended {
-        builder = builder.defense(LockerMitigation::adjacent());
+        builder = builder.defense(DefenseSpec::locker_adjacent());
     }
     builder.build().expect("scenario builds").run().expect("replay runs")
 }

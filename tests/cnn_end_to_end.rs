@@ -9,8 +9,8 @@ use dram_locker::dnn::models::ModelKind;
 use dram_locker::dnn::{QuantizedMlp, WeightLayout};
 use dram_locker::memctrl::{AddressMapper, MemCtrlConfig};
 use dram_locker::sim::{
-    find, AttackSpec, BfaHammerAttack, Budget, ChannelRouter, EngineConfig, LockerMitigation,
-    Scenario, VictimSpec,
+    find, AttackSpec, BfaHammerAttack, Budget, ChannelRouter, DefenseSpec, EngineConfig, Scenario,
+    VictimSpec,
 };
 
 const WEIGHT_BASE: u64 = 0x400;
@@ -40,7 +40,7 @@ fn resnet20_cnn_reports_identical_on_serial_and_sharded_engines() {
             .engine(engine)
             .victim(VictimSpec::model(ModelKind::Resnet20Cnn, 42, WEIGHT_BASE))
             .attack(AttackSpec::trace(fetch_trace(&victim.model, 2)))
-            .defense(LockerMitigation::adjacent())
+            .defense(DefenseSpec::locker_adjacent())
             .build()
             .expect("scenario builds")
             .run()
@@ -104,7 +104,7 @@ fn physical_bfa_corrupts_a_conv_kernel_and_locker_denies_it() {
             .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
             .eval_batch(32);
         if defended {
-            builder = builder.defense(LockerMitigation::adjacent());
+            builder = builder.defense(DefenseSpec::locker_adjacent());
         }
         builder.build().expect("scenario builds")
     };

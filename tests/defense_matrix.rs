@@ -12,15 +12,17 @@
 //!   survives (the report's integrity probe follows the remap);
 //! - DRAM-Locker: aggressor accesses are denied outright.
 
-use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, RunReport, Scenario, VictimSpec};
+use dram_locker::sim::{find, Budget, DefenseSpec, HammerAttack, RunReport, Scenario, VictimSpec};
 
-fn campaign(defense: Option<DefenseSpec>) -> RunReport {
+/// The campaign against `defenses`, stacked in order (`None` for an
+/// undefended run).
+fn campaign(defenses: impl IntoIterator<Item = DefenseSpec>) -> RunReport {
     let mut builder = Scenario::builder()
         .label("defense-matrix")
         .victim(VictimSpec::row(20, 0xA5))
         .attack(HammerAttack::bit(77))
         .budget(Budget { max_activations: 4_000, check_interval: 8, iterations: 1 });
-    if let Some(defense) = defense {
+    for defense in defenses {
         builder = builder.defense(defense);
     }
     builder.build().expect("scenario builds").run().expect("campaign runs")
@@ -95,4 +97,35 @@ fn counter_defenses_allow_but_mitigate() {
     assert!(report.requests > 0);
     assert_eq!(report.mitigations.len(), 1);
     assert_eq!(report.mitigations[0].name, "graphene");
+}
+
+#[test]
+fn per_defense_action_counts_are_pinned() {
+    // Denies + swaps for DRAM-Locker, targeted refreshes for the
+    // counter trackers, swaps or shuffles for the remapping defenses.
+    let cases = [
+        (vec![DefenseSpec::locker_adjacent()], vec![8]),
+        (vec![DefenseSpec::graphene(64, 8)], vec![1000]),
+        (vec![DefenseSpec::hydra(16, 4, 8)], vec![1000]),
+        (vec![DefenseSpec::twice(8, 64, 1)], vec![1000]),
+        (vec![DefenseSpec::counter_per_row(8)], vec![1000]),
+        (vec![DefenseSpec::rrs(8, 5)], vec![16]),
+        (vec![DefenseSpec::srs(8, 5)], vec![16]),
+        (vec![DefenseSpec::shadow(8, 5)], vec![16]),
+        // The locker denies everything, so the stacked tracker sees no
+        // activation to act on.
+        (vec![DefenseSpec::locker_adjacent(), DefenseSpec::graphene(64, 8)], vec![8, 0]),
+    ];
+    for (stack, expected) in cases {
+        let want: Vec<(&str, u64)> = stack.iter().map(DefenseSpec::name).zip(expected).collect();
+        let report = campaign(stack.clone());
+        let got: Vec<(&str, u64)> =
+            report.mitigations.iter().map(|m| (m.name.as_str(), m.actions)).collect();
+        assert_eq!(got, want);
+    }
+    // Summed over the four channel shards, each with its own locker.
+    let entry = find("replay-multitenant-4ch-vs-dram-locker").expect("catalog entry");
+    let report = entry.scenario().build().expect("builds").run().expect("runs");
+    assert_eq!(report.mitigations.len(), 1);
+    assert_eq!(report.mitigation_total(), 405);
 }

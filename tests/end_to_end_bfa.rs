@@ -5,9 +5,7 @@
 //! with and without DRAM-Locker.
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{
-    BfaHammerAttack, Budget, LockerMitigation, Scenario, ScenarioRun, VictimSpec,
-};
+use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
 
 const WEIGHT_BASE: u64 = 0x400;
 
@@ -18,7 +16,7 @@ fn setup(seed: u64, defended: bool) -> ScenarioRun {
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .eval_batch(32);
     if defended {
-        builder = builder.defense(LockerMitigation::adjacent());
+        builder = builder.defense(DefenseSpec::locker_adjacent());
     }
     builder.build().expect("scenario builds")
 }
@@ -60,7 +58,7 @@ fn victim_traffic_still_flows_under_protection() {
     let victim = models::victim_tiny(32);
     let mut run = Scenario::builder()
         .victim(VictimSpec::model(ModelKind::Tiny, 32, WEIGHT_BASE))
-        .defense(LockerMitigation::adjacent())
+        .defense(DefenseSpec::locker_adjacent())
         .build()
         .expect("scenario builds");
     let reloaded = run.reload_model(0).expect("load").expect("model victim");

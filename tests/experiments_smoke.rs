@@ -14,19 +14,19 @@ fn fig1a_bfa_beats_random() {
 
 #[test]
 fn fig1b_has_all_generations() {
-    assert_eq!(fig1b::run().rows.len(), 6);
+    assert_eq!(fig1b::run().rows().len(), 6);
 }
 
 #[test]
 fn mc_variation_zero_is_perfect() {
     let table = mc_variation::run(Fidelity::Fast);
-    assert_eq!(table.rows[0][2], "0");
+    assert_eq!(table.rows()[0][2], "0");
 }
 
 #[test]
 fn table1_ranks_locker_smallest_area() {
     let table = table1::run();
-    let locker = table.rows.iter().find(|r| r[0] == "DRAM-Locker").unwrap();
+    let locker = table.rows().iter().find(|r| r[0] == "DRAM-Locker").unwrap();
     assert_eq!(locker[3], "0.02%");
 }
 

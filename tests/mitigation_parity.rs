@@ -1,5 +1,5 @@
-//! Property: a `Mitigation` mounted through the Scenario builder sees
-//! exactly the same activation stream as the same defense hand-wired
+//! Property: a defense hook mounted on a built scenario's controller
+//! sees exactly the same activation stream as the same hook hand-wired
 //! onto a raw `MemoryController` (the legacy path). The scenario
 //! pipeline adds nothing and hides nothing from the hook.
 
@@ -11,12 +11,10 @@ use dram_locker::attacks::hammer::{HammerConfig, HammerDriver};
 use dram_locker::defenses::{CounterDefenseHook, RowTracker};
 use dram_locker::dram::RowId;
 use dram_locker::memctrl::{MemCtrlConfig, MemRequest, MemoryController};
-use dram_locker::sim::{Budget, HammerAttack, Scenario, TrackerMitigation, VictimSpec};
+use dram_locker::sim::{Budget, HammerAttack, Scenario, VictimSpec};
 
-/// A tracker that records every activation it is shown. Clones share
-/// the log, so the copy the builder mounts writes into the observer's
-/// buffer.
-#[derive(Clone)]
+/// A tracker that records every activation it is shown into a shared
+/// log the test reads back.
 struct SpyTracker {
     threshold: u64,
     count: u64,
@@ -68,18 +66,18 @@ proptest! {
         let bit = 7usize;
         let fill = 0xA5u8;
 
-        // Path 1: the Scenario builder. Its report phase ends with one
-        // trusted integrity read of the victim row.
+        // Path 1: the Scenario builder, with the hook mounted between
+        // build (which deploys the victim) and run. Its report phase
+        // ends with one trusted integrity read of the victim row.
         let (tracker, scenario_log) = SpyTracker::new(threshold);
-        let report = Scenario::builder()
+        let mut run = Scenario::builder()
             .victim(VictimSpec::row(victim_row, fill))
             .attack(HammerAttack::bit(bit))
-            .custom_defense(TrackerMitigation::new(tracker))
             .budget(Budget { max_activations: budget, check_interval: 8, iterations: 1 })
             .build()
-            .expect("scenario builds")
-            .run()
-            .expect("scenario runs");
+            .expect("scenario builds");
+        run.controller_mut().set_hook(Box::new(CounterDefenseHook::new(tracker)));
+        let report = run.run().expect("scenario runs");
 
         // Path 2: the legacy wiring — seed the row, mount the hook by
         // hand, run the same campaign, read the row back.

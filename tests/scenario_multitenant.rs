@@ -3,9 +3,7 @@
 //! the ROADMAP's multi-tenant workload.
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{
-    BfaHammerAttack, Budget, LockerMitigation, Scenario, ScenarioRun, VictimSpec,
-};
+use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
 
 const TENANT_A_BASE: u64 = 0x400; // rows 16.. of the tiny geometry
 const TENANT_B_BASE: u64 = 0x800; // rows 32.., same subarray, well apart
@@ -19,7 +17,7 @@ fn two_tenant_run(defended: bool) -> ScenarioRun {
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .target_victim(0);
     if defended {
-        builder = builder.defense(LockerMitigation::adjacent());
+        builder = builder.defense(DefenseSpec::locker_adjacent());
     }
     builder.build().expect("two tenants deploy on one device")
 }

@@ -22,8 +22,8 @@ use rand::{RngExt, SeedableRng};
 use dram_locker::dram::{DramDevice, RowAddr};
 use dram_locker::memctrl::{DefenseHook, HookAction, MemRequest, Trace, TraceOp};
 use dram_locker::sim::{
-    find, AttackSpec, EngineConfig, LockerMitigation, Mitigation, MountCtx, RunReport, Scenario,
-    ScenarioBuilder, SimError, VictimSpec, Workload,
+    find, AttackSpec, DefenseSpec, EngineConfig, RunReport, Scenario, ScenarioBuilder, SimError,
+    VictimSpec, Workload,
 };
 
 const ROW_BYTES: u64 = 64; // tiny geometry
@@ -51,7 +51,7 @@ fn multitenant_4ch() -> ScenarioBuilder {
 fn run_with(engine: EngineConfig, defended: bool) -> Result<RunReport, SimError> {
     let mut builder = multitenant_4ch().engine(engine);
     if defended {
-        builder = builder.defense(LockerMitigation::adjacent());
+        builder = builder.defense(DefenseSpec::locker_adjacent());
     }
     builder.build()?.run()
 }
@@ -85,11 +85,11 @@ fn per_shard_lock_table_slices_contain_the_hammer_tenant() {
 
 /// A mounted hook that records which thread served its shard's
 /// traffic.
-struct ThreadSpyHook {
+struct ThreadSpy {
     seen: Arc<Mutex<HashSet<ThreadId>>>,
 }
 
-impl DefenseHook for ThreadSpyHook {
+impl DefenseHook for ThreadSpy {
     fn before_access(
         &mut self,
         _request: &MemRequest,
@@ -105,28 +105,16 @@ impl DefenseHook for ThreadSpyHook {
     }
 }
 
-#[derive(Clone)]
-struct ThreadSpy {
-    seen: Arc<Mutex<HashSet<ThreadId>>>,
-}
-
-impl Mitigation for ThreadSpy {
-    fn name(&self) -> &str {
-        "thread-spy"
-    }
-
-    fn mount(&self, _ctx: &MountCtx<'_>) -> Result<Box<dyn DefenseHook>, SimError> {
-        Ok(Box::new(ThreadSpyHook { seen: self.seen.clone() }))
-    }
-}
-
+/// Mounts a spy on every shard between `build()` and `run()`: the
+/// victims are already deployed then, exactly as when a defense mounts
+/// during the build.
 fn spy_threads(engine: EngineConfig) -> HashSet<ThreadId> {
     let seen = Arc::new(Mutex::new(HashSet::new()));
-    let mut run = multitenant_4ch()
-        .engine(engine)
-        .custom_defense(ThreadSpy { seen: seen.clone() })
-        .build()
-        .unwrap();
+    let mut run = multitenant_4ch().engine(engine).build().unwrap();
+    for channel in 0..run.engine().channels() {
+        let spy = Box::new(ThreadSpy { seen: seen.clone() });
+        run.engine_mut().shard_mut(channel).controller_mut().set_hook(spy);
+    }
     run.run().unwrap();
     let set = seen.lock().unwrap().clone();
     set

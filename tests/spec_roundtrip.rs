@@ -143,8 +143,6 @@ fn generated_defense(rng: &mut StdRng) -> DefenseSpec {
                 check_cycles: rng.random_range(0u64..8),
                 copy_error_rate: rng.random_range(0u64..u64::MAX) as f64 / u64::MAX as f64,
                 free_rows_per_subarray: rng.random_range(1u32..16),
-                lock_target: [LockTarget::AdjacentRows, LockTarget::DataRows, LockTarget::Both]
-                    [rng.random_range(0usize..3)],
                 seed: rng.random_range(0u64..u64::MAX),
             },
             target: [LockTarget::AdjacentRows, LockTarget::DataRows, LockTarget::Both]
@@ -255,7 +253,7 @@ victim paged home=2 protect=1 kind=tiny seed=21 page=256 pfn=8 table=0x1000
 attack replay
 tenant sequential base=0x0 len=8 count=400
 tenant hammer-loop a=0x1300 b=0x1500 iterations=200
-defense dram-locker target=adjacent radius=1 relock=1000 table=57344 entry=8 check=1 copy-err=0 free=4 lock-target=adjacent seed=3516928204
+defense dram-locker target=adjacent radius=1 relock=1000 table=57344 entry=8 check=1 copy-err=0 free=4 seed=3516928204
 defense graphene capacity=64 threshold=8
 ";
 
