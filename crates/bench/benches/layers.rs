@@ -40,8 +40,7 @@ use dlk_memctrl::{
 };
 use dlk_sim::sweep::{SweepGrid, SweepRunner};
 use dlk_sim::{
-    AttackSpec, Budget, DefenseSpec, HammerAttack, RunReport, Scenario, ScenarioSpec, SimError,
-    VictimSpec,
+    AttackSpec, Budget, DefenseSpec, RunReport, Scenario, ScenarioSpec, SimError, VictimSpec,
 };
 use dlk_xlayer::circuit::{MonteCarlo, VariationConfig};
 use dlk_xlayer::experiments::{
@@ -548,7 +547,7 @@ fn denied_hammer_campaign() -> Kernel {
     let mut run = Scenario::builder()
         .label("fig8-kernel")
         .victim(VictimSpec::row(20, 0xA5))
-        .attack(HammerAttack::bit(5))
+        .attack(AttackSpec::Hammer { bit: 5 })
         .defense(DefenseSpec::locker_adjacent())
         .budget(Budget { max_activations: 64, check_interval: 8, iterations: 1 })
         .build()

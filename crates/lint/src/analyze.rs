@@ -4,13 +4,13 @@
 //! rejects specs that parse but cannot mean what their author wanted —
 //! a victim homed on a channel the engine does not have, a duplicate
 //! label silently shadowing a sweep row, a budget that can never fire,
-//! a bit-flip attack aimed at a victim with no model. Findings use the
+//! an attack aimed at a victim it does not run against. Findings use the
 //! same [`Report`]/rule-code machinery as the source linter, with
 //! spans resolved back to the record lines of the spec file (or a
 //! `<catalog:NAME>` pseudo-file for catalog entries, which have no
 //! file).
 
-use dlk_sim::{AttackSpec, ScenarioSpec, SimError};
+use dlk_sim::{AttackSpec, ScenarioSpec, SimError, VictimSpec};
 
 use crate::diag::{Diagnostic, Report, RuleCode, Severity};
 
@@ -105,6 +105,17 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
             "eval-batch 0: accuracy would be measured on no samples".to_string(),
         ));
     }
+    if let Some(
+        attack @ (AttackSpec::InferenceStream { chunk: 0, .. }
+        | AttackSpec::WeightFetch { chunk: 0, .. }),
+    ) = &spec.attack
+    {
+        findings.push(Finding::error(
+            RuleCode::Dlk103,
+            Record::Attack,
+            format!("{} chunk=0: every read would be empty", attack.token()),
+        ));
+    }
     if budget.max_activations > ABSURD_ACTIVATIONS {
         findings.push(Finding::warning(
             RuleCode::Dlk103,
@@ -126,8 +137,9 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
         ));
     }
 
-    // DLK104: the target index must name a deployed victim, and
-    // model-space attacks need a model there.
+    // DLK104: the target index must name a deployed victim, and the
+    // attack must run against it (the pairing rule scenario build
+    // applies).
     let target_valid = spec.target < spec.victims.len();
     if spec.attack.is_some() && !spec.victims.is_empty() && !target_valid {
         findings.push(Finding::error(
@@ -141,28 +153,19 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
             ),
         ));
     }
-    let target_model = spec.victims.get(spec.target).and_then(|(victim, _)| victim.model_kind());
+    let target_victim = spec.victims.get(spec.target).map(|(victim, _)| victim);
     if let Some(attack) = &spec.attack {
-        let needs_model = matches!(
-            attack,
-            AttackSpec::BfaHammer { .. }
-                | AttackSpec::ProgressiveBfa { .. }
-                | AttackSpec::RandomFlip { .. }
-        );
-        if needs_model && target_valid && target_model.is_none() {
+        if let Some(Err(mismatch)) = target_victim.map(|victim| attack.check_victim(victim)) {
             findings.push(Finding::error(
                 RuleCode::Dlk104,
                 Record::Attack,
-                format!(
-                    "attack {} flips model weight bits, but target {} is a raw row span",
-                    attack.token(),
-                    spec.target
-                ),
+                format!("target {}: {mismatch}", spec.target),
             ));
         }
         if let AttackSpec::ProgressiveBfa { config, .. } = attack {
             if config.candidates_per_layer == 0 {
-                let pool = target_model
+                let pool = target_victim
+                    .and_then(VictimSpec::model_kind)
                     .map(|kind| {
                         format!(
                             " ({} has {} weighted layers)",
@@ -320,7 +323,7 @@ pub fn analyze_spec(file: &str, spec: &ScenarioSpec) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlk_sim::{DefenseSpec, VictimSpec};
+    use dlk_sim::DefenseSpec;
 
     fn codes(report: &Report) -> Vec<&'static str> {
         report.diagnostics.iter().map(|d| d.code.code()).collect()
@@ -398,6 +401,69 @@ mod tests {
         let report = analyze_text("a.dlk", &spec.to_text()).unwrap();
         assert_eq!(codes(&report), ["DLK104"]);
         assert!(report.diagnostics[0].message.contains("raw row span"));
+    }
+
+    #[test]
+    fn dlk104_fires_exactly_where_the_run_rejects_the_pairing() {
+        // Every attack kind against a raw row span, a contiguous model
+        // and a paged model, on a 64-activation budget.
+        let attacks = [
+            "hammer bit=7",
+            "row-probe accesses=4",
+            "bfa-hammer batch=8",
+            "progressive-bfa rate=1 seed=1 candidates=2 bits=6,7",
+            "random-flip seed=1",
+            "page-table pfn-bit=1 xor=0x80",
+            "inference batches=1 chunk=32",
+            "replay\ntenant sequential base=0x0 len=8 count=4",
+            "replay-trace untrusted=1\nop R 0x0 8\nop R 0x40 8",
+            "weight-fetch samples=1 chunk=32 channel=0",
+        ];
+        let victims = [
+            "victim rows home=0 protect=0 first=20 count=1 fill=0xa5",
+            "victim model home=0 protect=1 kind=tiny seed=42 base=0x400",
+            "victim paged home=0 protect=1 kind=tiny seed=42 page=256 pfn=8 table=0x1000",
+        ];
+        let mut rejected = 0;
+        for attack in attacks {
+            for victim in victims {
+                let text = format!(
+                    "label pair\nbudget activations=64 check=8 iterations=1\n{victim}\nattack {attack}\n"
+                );
+                let spec = ScenarioSpec::from_text(&text).unwrap();
+                let token = spec.attack.as_ref().map_or("", AttackSpec::token);
+                let flagged = check_spec(&spec).iter().any(|f| f.code == RuleCode::Dlk104);
+                match dlk_sim::Scenario::from_spec(&spec).and_then(|mut run| run.run()) {
+                    Ok(report) => {
+                        assert!(!flagged, "{token} vs `{victim}` runs but DLK104 fires");
+                        assert_eq!(report.attack, token);
+                    }
+                    Err(SimError::Build(why)) => {
+                        assert!(flagged, "{token} vs `{victim}` fails to build ({why}) unflagged");
+                        rejected += 1;
+                    }
+                    Err(other) => panic!("{token} vs `{victim}`: {other}"),
+                }
+            }
+        }
+        assert_eq!(rejected, 14);
+    }
+
+    #[test]
+    fn dlk103_flags_a_zero_read_chunk() {
+        for attack in [
+            AttackSpec::InferenceStream { batches: 1, chunk: 0 },
+            AttackSpec::weight_fetch(1, 0, 0),
+        ] {
+            let spec = ScenarioSpec {
+                victims: vec![(VictimSpec::model(dlk_sim::ModelKind::Tiny, 42, 0x400), 0)],
+                attack: Some(attack),
+                ..ScenarioSpec::new("chunk")
+            };
+            let report = analyze_text("a.dlk", &spec.to_text()).unwrap();
+            assert_eq!(codes(&report), ["DLK103"]);
+            assert!(report.diagnostics[0].message.contains("chunk=0"), "{report:?}");
+        }
     }
 
     #[test]

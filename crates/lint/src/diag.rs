@@ -36,10 +36,11 @@ pub enum RuleCode {
     Dlk101,
     /// Duplicate labels in a spec list file.
     Dlk102,
-    /// Zero (error) or absurd (warning) budget fields.
+    /// Zero (error) or absurd (warning) budget fields, or a zero read
+    /// chunk.
     Dlk103,
-    /// Target index out of range, or a model attack aimed at a victim
-    /// that has no model.
+    /// Target index out of range, an attack aimed at a victim it does
+    /// not run against, or a bad `progressive-bfa` search window.
     Dlk104,
     /// Duplicate mitigation in a defense stack.
     Dlk105,
@@ -84,8 +85,8 @@ impl RuleCode {
             RuleCode::Dlk004 => "every spec-enum variant present in both codec directions",
             RuleCode::Dlk101 => "victim home / replay channel within the engine's channel count",
             RuleCode::Dlk102 => "labels unique within a spec list",
-            RuleCode::Dlk103 => "budget fields non-zero and plausibly sized",
-            RuleCode::Dlk104 => "attack target index valid for the deployed victims",
+            RuleCode::Dlk103 => "budget fields and read chunks non-zero and plausibly sized",
+            RuleCode::Dlk104 => "attack target valid and of the kind the attack runs against",
             RuleCode::Dlk105 => "no duplicate mitigation in a defense stack",
         }
     }

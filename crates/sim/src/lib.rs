@@ -7,20 +7,23 @@
 //! Scenario::builder()
 //!     .geometry(..)   // GeometrySpec preset (device + mapping + scheduling)
 //!     .victim(..)     // raw rows, a deployed model, or a paged model
-//!     .attack(..)     // any `Attack` driver
+//!     .attack(..)     // any `AttackSpec`
 //!     .defense(..)    // any `DefenseSpec`, stackable
 //!     .budget(..)     // activations / iterations
 //!     .build()?       // deploys victims, mounts defenses
 //!     .run()?         // -> RunReport
 //! ```
 //!
-//! Attacks and defenses are uniformly *assignable* components: the
-//! object-safe [`Attack`] trait covers the RowHammer driver
-//! ([`HammerAttack`]), the progressive bit search ([`ProgressiveBfa`],
-//! [`BfaHammerAttack`]), random flips ([`RandomFlipAttack`]), the page
-//! table attack ([`PageTablePoison`]) and benign victim traffic
-//! ([`InferenceStream`]). Every defense is one [`DefenseSpec`] value:
-//! DRAM-Locker ([`DefenseSpec::locker_adjacent`]) and every baseline in
+//! Attacks and defenses are uniformly *assignable* data. Every attack is
+//! one [`AttackSpec`] value: the RowHammer campaign
+//! ([`AttackSpec::Hammer`]), the progressive bit search
+//! ([`AttackSpec::ProgressiveBfa`], [`AttackSpec::BfaHammer`]), random
+//! flips ([`AttackSpec::RandomFlip`]), the page table attack
+//! ([`AttackSpec::PageTable`]) and benign traffic (inference streams,
+//! weight fetches and trace replays); a built scenario runs it through
+//! one `match`, against the victim [`AttackSpec::check_victim`] names.
+//! Every defense is one [`DefenseSpec`] value: DRAM-Locker
+//! ([`DefenseSpec::locker_adjacent`]) and every baseline in
 //! `dlk-defenses` (Graphene, Hydra, TWiCE, counter-per-row, RRS/SRS,
 //! SHADOW). [`DefenseSpec::mount`] builds its controller hook on each
 //! channel; stacked defenses share one [`HookChain`]. The unified
@@ -78,7 +81,7 @@
 //! println!("{}", metrics::Table::from_reports(&reports).to_csv());
 //! ```
 
-pub mod attack;
+mod attack;
 pub mod catalog;
 pub mod error;
 pub mod metrics;
@@ -89,14 +92,10 @@ pub mod spec;
 pub mod sweep;
 pub mod victim;
 
-pub use crate::attack::{
-    Attack, BfaHammerAttack, HammerAttack, InferenceStream, PageTablePoison, ProgressiveBfa,
-    RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
-};
 pub use crate::catalog::{catalog, find, CatalogEntry, Expected};
 pub use crate::error::SimError;
 pub use crate::mitigation::HookChain;
-pub use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
+pub use crate::report::{MitigationReport, RunReport, VictimReport};
 pub use crate::scenario::{Budget, Scenario, ScenarioBuilder, ScenarioRun};
 pub use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};
 pub use crate::sweep::{JobError, JobOutcome, JobStatus, SweepGrid, SweepResult, SweepRunner};

@@ -3,33 +3,6 @@
 use dlk_dnn::BitIndex;
 use dlk_memctrl::ControllerStats;
 
-/// What the attack itself observed.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AttackOutcome {
-    /// Bit flips the attack actually landed.
-    pub landed_flips: u64,
-    /// Attacker-side requests issued.
-    pub requests: u64,
-    /// Attacker requests denied by the defense (hardware hook or OS).
-    pub denied: u64,
-    /// A page translation was corrupted (page-table attacks).
-    pub redirected: bool,
-    /// Weight bits the attack targeted (chosen, whether or not landed).
-    pub target_bits: Vec<BitIndex>,
-    /// Weight bits whose flips landed.
-    pub flipped_bits: Vec<BitIndex>,
-    /// Accuracy trajectory: `(iteration, accuracy %)` per iteration,
-    /// for progressive attacks.
-    pub curve: Vec<(f64, f64)>,
-}
-
-impl AttackOutcome {
-    /// `true` if the defense blocked every attacker request.
-    pub fn fully_denied(&self) -> bool {
-        self.denied > 0 && self.denied == self.requests
-    }
-}
-
 /// Per-victim outcome.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VictimReport {
@@ -79,7 +52,8 @@ pub struct MitigationReport {
 pub struct RunReport {
     /// Scenario label.
     pub scenario: String,
-    /// Attack name (empty when the scenario ran without one).
+    /// The attack's spec token ([`AttackSpec::token`](crate::AttackSpec::token)),
+    /// empty when the scenario ran without one.
     pub attack: String,
     /// DRAM channels the scenario ran over (shards of the engine).
     pub channels: usize,
@@ -270,12 +244,6 @@ mod tests {
         report.victims[0].accuracy_after_pct = Some(90.0);
         report.redirected = true;
         assert!(report.harmed());
-    }
-
-    #[test]
-    fn fully_denied_requires_requests() {
-        let outcome = AttackOutcome::default();
-        assert!(!outcome.fully_denied());
     }
 
     fn sample_report() -> RunReport {

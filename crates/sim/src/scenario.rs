@@ -1,8 +1,8 @@
 //! The scenario pipeline: spec in, report out.
 //!
 //! One object owns a run: device geometry, deployed victims, the
-//! mounted defense stack, the attack driver and its budget. Everything
-//! the workspace previously hand-wired (`MemCtrlConfig` →
+//! mounted defense stack, the attack and its budget. Everything the
+//! workspace previously hand-wired (`MemCtrlConfig` →
 //! `MemoryController` → `WeightLayout::deploy` → `os_protect_range` →
 //! attack driver → ad-hoc defense mounting) goes through here.
 //!
@@ -10,18 +10,20 @@
 //! declarative [`ScenarioSpec`] — geometry preset, engine shape,
 //! victims, attack, defense stack, budget — into a deployed
 //! [`ScenarioRun`]. [`ScenarioBuilder`] is sugar that assembles a spec
-//! method by method (and offers a `custom_attack` escape hatch for
-//! drivers that are code, not data — one-off experiment workloads).
-//! Each [`DefenseSpec`] mounts itself through [`DefenseSpec::mount`].
+//! method by method. Each [`DefenseSpec`] mounts itself through
+//! [`DefenseSpec::mount`]; the [`AttackSpec`] runs when the scenario
+//! does. Traffic that is code rather than data (a one-off experiment
+//! workload) goes through [`ScenarioRun::controller_mut`] or
+//! [`ScenarioRun::engine_mut`] after `build()`.
 //!
 //! ```
-//! use dlk_sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+//! use dlk_sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 //!
 //! # fn main() -> Result<(), dlk_sim::SimError> {
 //! let mut run = Scenario::builder()
 //!     .label("doc")
 //!     .victim(VictimSpec::row(20, 0xA5))
-//!     .attack(HammerAttack::bit(7))
+//!     .attack(AttackSpec::Hammer { bit: 7 })
 //!     .defense(DefenseSpec::locker_adjacent())
 //!     .budget(Budget { max_activations: 1_000, check_interval: 8, iterations: 1 })
 //!     .build()?;
@@ -51,21 +53,18 @@
 //! # }
 //! ```
 
-use dlk_dnn::{QuantizedMlp, WeightLayout};
-use dlk_engine::{ChannelRouter, EngineConfig, ShardedEngine};
+use dlk_dnn::QuantizedMlp;
+use dlk_engine::{EngineConfig, ShardedEngine};
 use dlk_locker::DramLocker;
-use dlk_memctrl::{AddressMapper, DefenseHook, MemCtrlConfig, MemoryController};
+use dlk_memctrl::{DefenseHook, MemoryController};
 use dlk_obs::{Registry, SpanRecorder, SpanTree};
 
-use crate::attack::{
-    Attack, BfaHammerAttack, HammerAttack, InferenceStream, PageTablePoison, ProgressiveBfa,
-    RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
-};
+use crate::attack::{AttackOutcome, RunEnv};
 use crate::error::SimError;
 use crate::mitigation::HookChain;
-use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
+use crate::report::{MitigationReport, RunReport, VictimReport};
 use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};
-use crate::victim::{DeployedVictim, SpecKind, VictimSpec};
+use crate::victim::{DeployedVictim, VictimSpec};
 
 /// The attack-side resource budget of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,15 +95,12 @@ impl Scenario {
 
     /// The one construction path from a declarative spec to a deployed,
     /// runnable pipeline: resolves the geometry preset, instantiates
-    /// the engine, trains/deploys the victims, resolves the attack
-    /// driver and mounts the defense stack on every channel shard.
+    /// the engine, trains/deploys the victims and mounts the defense
+    /// stack on every channel shard.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Build`] for an empty victim list, a bad
-    /// target index, a zero channel count, an out-of-range home
-    /// channel or a zero eval batch, and propagates deployment/mount
-    /// failures.
+    /// As [`ScenarioBuilder::build`].
     pub fn from_spec(spec: &ScenarioSpec) -> Result<ScenarioRun, SimError> {
         ScenarioBuilder::from_spec(spec.clone()).build()
     }
@@ -116,12 +112,8 @@ impl Scenario {
 /// spec field, [`ScenarioBuilder::spec`] hands the assembled value
 /// back, and [`ScenarioBuilder::build`] routes through the same
 /// resolution path as [`Scenario::from_spec`].
-/// [`ScenarioBuilder::custom_attack`] accepts a driver that is code
-/// rather than data; a builder that uses it no longer corresponds to a
-/// serializable spec.
 pub struct ScenarioBuilder {
     spec: ScenarioSpec,
-    custom_attack: Option<Box<dyn Attack>>,
 }
 
 impl ScenarioBuilder {
@@ -132,22 +124,12 @@ impl ScenarioBuilder {
     /// A builder pre-loaded with `spec` (the catalog's path from an
     /// entry to a tweakable builder).
     pub fn from_spec(spec: ScenarioSpec) -> Self {
-        Self { spec, custom_attack: None }
+        Self { spec }
     }
 
     /// The assembled spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Build`] when the builder holds a custom
-    /// attack, which has no data representation.
-    pub fn spec(&self) -> Result<ScenarioSpec, SimError> {
-        if self.custom_attack.is_some() {
-            return Err(SimError::Build(
-                "scenario uses a custom attack; not spec-representable".to_owned(),
-            ));
-        }
-        Ok(self.spec.clone())
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
     }
 
     /// Names the scenario (shows up in the report).
@@ -189,19 +171,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the attack (or benign workload) as data. Concrete driver
-    /// types ([`HammerAttack`], [`ProgressiveBfa`], …) convert
-    /// implicitly, so `.attack(HammerAttack::bit(7))` still reads as
-    /// before — it now records `AttackSpec::Hammer { bit: 7 }`.
-    pub fn attack(mut self, attack: impl Into<AttackSpec>) -> Self {
-        self.spec.attack = Some(attack.into());
-        self
-    }
-
-    /// Escape hatch: an arbitrary [`Attack`] driver object. The
-    /// resulting scenario is not spec-representable.
-    pub fn custom_attack(mut self, attack: impl Attack + 'static) -> Self {
-        self.custom_attack = Some(Box::new(attack));
+    /// Sets the attack (or benign workload).
+    pub fn attack(mut self, attack: AttackSpec) -> Self {
+        self.spec.attack = Some(attack);
         self
     }
 
@@ -238,8 +210,9 @@ impl ScenarioBuilder {
     ///
     /// Returns [`SimError::Build`] for an empty victim list, a bad
     /// target index, a zero channel count, an out-of-range home
-    /// channel or a zero eval batch, and propagates deployment/mount
-    /// failures.
+    /// channel, a zero eval batch, an attack aimed at a victim it does
+    /// not run against ([`AttackSpec::check_victim`]) or a zero read
+    /// chunk, and propagates deployment/mount failures.
     pub fn build(self) -> Result<ScenarioRun, SimError> {
         let spec = self.spec;
         if spec.victims.is_empty() {
@@ -258,21 +231,24 @@ impl ScenarioBuilder {
                 spec.victims.len()
             )));
         }
+        if let Some(attack) = &spec.attack {
+            attack.check_victim(&spec.victims[spec.target].0).map_err(SimError::Build)?;
+            if let AttackSpec::InferenceStream { chunk: 0, .. }
+            | AttackSpec::WeightFetch { chunk: 0, .. } = attack
+            {
+                return Err(SimError::Build(format!(
+                    "scenario '{}' reads chunk=0 bytes per request; a read needs at least one",
+                    spec.label
+                )));
+            }
+        }
         let channels = spec.engine.channels;
         if let Some(&(_, bad)) = spec.victims.iter().find(|&&(_, channel)| channel >= channels) {
             return Err(SimError::Build(format!(
                 "victim homed on channel {bad}, but the engine has {channels} channels"
             )));
         }
-        let config = spec.geometry.config();
-        let attack = match self.custom_attack {
-            Some(attack) => Some(attack),
-            None => match &spec.attack {
-                Some(attack_spec) => Some(resolve_attack(attack_spec, &spec, &config)?),
-                None => None,
-            },
-        };
-        let mut engine = ShardedEngine::new(spec.engine, config)?;
+        let mut engine = ShardedEngine::new(spec.engine, spec.geometry.config())?;
 
         // Deploy every victim on its home shard (shard-local
         // addressing: each channel is its own device).
@@ -312,7 +288,7 @@ impl ScenarioBuilder {
             engine,
             victims,
             homes,
-            attack,
+            attack: spec.attack,
             defenses: spec.defenses.iter().map(DefenseSpec::name).collect(),
             budget: spec.budget,
             eval_batch: spec.eval_batch,
@@ -322,54 +298,6 @@ impl ScenarioBuilder {
     }
 }
 
-/// Resolves a declarative attack into its driver. [`AttackSpec::WeightFetch`]
-/// is the one derived variant: it records the target victim's
-/// weight-fetch trace against its layout (shard-local), lifts it to
-/// global addresses on the requested channel, and replays it.
-fn resolve_attack(
-    attack: &AttackSpec,
-    spec: &ScenarioSpec,
-    config: &MemCtrlConfig,
-) -> Result<Box<dyn Attack>, SimError> {
-    Ok(match attack {
-        AttackSpec::Hammer { bit } => Box::new(HammerAttack::bit(*bit)),
-        AttackSpec::RowProbe { accesses } => Box::new(RowProbe { accesses: *accesses }),
-        AttackSpec::BfaHammer { batch } => Box::new(BfaHammerAttack { batch: *batch }),
-        AttackSpec::ProgressiveBfa { success_rate, seed, config } => {
-            Box::new(ProgressiveBfa { success_rate: *success_rate, seed: *seed, config: *config })
-        }
-        AttackSpec::RandomFlip { seed } => Box::new(RandomFlipAttack::new(*seed)),
-        AttackSpec::PageTable { pfn_bit, payload_xor } => {
-            Box::new(PageTablePoison { pfn_bit: *pfn_bit, payload_xor: *payload_xor })
-        }
-        AttackSpec::InferenceStream { batches, chunk } => {
-            Box::new(InferenceStream { batches: *batches, chunk: *chunk })
-        }
-        AttackSpec::Replay { tenants } => match tenants.as_slice() {
-            [workload] => Box::new(ReplayWorkload::workload(workload)),
-            many => Box::new(ReplayWorkload::tenants(many)),
-        },
-        AttackSpec::ReplayTrace { trace } => Box::new(ReplayWorkload::trace(trace.clone())),
-        AttackSpec::WeightFetch { samples, chunk, channel } => {
-            let (victim_spec, _) = spec.victims.get(spec.target).ok_or_else(|| {
-                SimError::Build("weight-fetch replay needs a target victim".to_owned())
-            })?;
-            let SpecKind::Model { model, seed, base_phys } = victim_spec.kind else {
-                return Err(SimError::Build(
-                    "weight-fetch replay needs a contiguously deployed model victim".to_owned(),
-                ));
-            };
-            let victim = model.victim(seed);
-            let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
-            let layout = WeightLayout::new(base_phys, mapper);
-            let local = layout.fetch_trace(&victim.model, *samples, *chunk)?;
-            let router = ChannelRouter::new(spec.engine.channels, &mapper);
-            let trace = router.globalize_trace(&local, *channel)?;
-            Box::new(ReplayWorkload::trace(trace))
-        }
-    })
-}
-
 /// A built, deployed pipeline, ready to run.
 pub struct ScenarioRun {
     label: String,
@@ -377,7 +305,7 @@ pub struct ScenarioRun {
     victims: Vec<DeployedVictim>,
     /// Each victim's home channel, parallel to `victims`.
     homes: Vec<usize>,
-    attack: Option<Box<dyn Attack>>,
+    attack: Option<AttackSpec>,
     /// Names of the mounted defenses, in mount order.
     defenses: Vec<&'static str>,
     budget: Budget,
@@ -393,7 +321,7 @@ impl std::fmt::Debug for ScenarioRun {
             .field("label", &self.label)
             .field("channels", &self.engine.channels())
             .field("victims", &self.victims.len())
-            .field("attack", &self.attack.as_ref().map(|a| a.name()))
+            .field("attack", &self.attack.as_ref().map(AttackSpec::token))
             .field("hook", &self.engine.primary().controller().hook().name())
             .field("budget", &self.budget)
             .finish()
@@ -523,22 +451,15 @@ impl ScenarioRun {
         }
 
         let span_attack = spans.as_deref_mut().map(|rec| rec.enter("attack"));
-        let (outcome, attack_name) = match self.attack.take() {
-            Some(mut attack) => {
-                let mut env = RunEnv {
-                    engine: &mut self.engine,
-                    victims: &self.victims,
-                    homes: &self.homes,
-                    target: self.target,
-                    budget: self.budget,
-                    eval_batch: self.eval_batch,
-                };
-                let result = attack.execute(&mut env);
-                let name = attack.name().to_owned();
-                self.attack = Some(attack);
-                (result?, name)
-            }
-            None => (AttackOutcome::default(), String::new()),
+        let outcome = match &self.attack {
+            Some(attack) => attack.execute(&mut RunEnv {
+                engine: &mut self.engine,
+                victim: &self.victims[self.target],
+                home: self.homes[self.target],
+                budget: self.budget,
+                eval_batch: self.eval_batch,
+            })?,
+            None => AttackOutcome::default(),
         };
 
         // Snapshot attack-phase costs before the measurement probes
@@ -597,7 +518,7 @@ impl ScenarioRun {
 
         Ok(RunReport {
             scenario: self.label.clone(),
-            attack: attack_name,
+            attack: self.attack.as_ref().map_or("", AttackSpec::token).to_owned(),
             channels: self.engine.channels(),
             landed_flips: outcome.landed_flips,
             requests: outcome.requests,
@@ -667,11 +588,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_read_chunk_is_rejected_through_both_entry_points() {
+        let model = VictimSpec::model(crate::ModelKind::Tiny, 3, 0x400);
+        let builder = Scenario::builder()
+            .victim(model)
+            .attack(AttackSpec::InferenceStream { batches: 1, chunk: 0 });
+        assert!(matches!(builder.build(), Err(SimError::Build(_))));
+        let spec = ScenarioSpec {
+            victims: vec![(model, 0)],
+            attack: Some(AttackSpec::weight_fetch(1, 0, 0)),
+            ..ScenarioSpec::new("fetch")
+        };
+        let err = Scenario::from_spec(&spec).unwrap_err();
+        assert!(err.to_string().contains("chunk=0"), "{err}");
+    }
+
+    #[test]
     fn undefended_hammer_harms_the_row_victim() {
         let mut run = Scenario::builder()
             .label("undefended")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .budget(hammer_budget())
             .build()
             .unwrap();
@@ -687,7 +624,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("defended")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
@@ -706,7 +643,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("stacked")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .defense(DefenseSpec::graphene(64, 8))
             .budget(hammer_budget())
@@ -726,7 +663,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("probe")
             .victim(VictimSpec::row(10, 0x42))
-            .attack(RowProbe { accesses: 100 })
+            .attack(AttackSpec::RowProbe { accesses: 100 })
             .defense(DefenseSpec::locker_data_rows())
             .build()
             .unwrap();
@@ -741,10 +678,10 @@ mod tests {
         let builder = Scenario::builder()
             .label("spec-sugar")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget());
-        let spec = builder.spec().unwrap();
+        let spec = builder.spec().clone();
         assert_eq!(spec.label, "spec-sugar");
         assert_eq!(spec.attack, Some(AttackSpec::Hammer { bit: 77 }));
         assert_eq!(spec.defenses.len(), 1);
@@ -757,29 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_components_have_no_spec_form() {
-        struct Noop;
-        impl crate::attack::Attack for Noop {
-            fn name(&self) -> &str {
-                "noop"
-            }
-            fn execute(&mut self, _env: &mut RunEnv<'_>) -> Result<AttackOutcome, SimError> {
-                Ok(AttackOutcome::default())
-            }
-        }
-        let builder = Scenario::builder().victim(VictimSpec::row(5, 1)).custom_attack(Noop);
-        assert!(matches!(builder.spec(), Err(SimError::Build(_))));
-        // It still builds and runs — just not as data.
-        builder.build().unwrap().run().unwrap();
-    }
-
-    #[test]
     fn observed_run_exports_engine_and_locker_metrics() {
         let registry = Registry::new();
         let mut run = Scenario::builder()
             .label("observed")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
@@ -809,7 +729,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("traced")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(3))
+            .attack(AttackSpec::Hammer { bit: 3 })
             .budget(hammer_budget())
             .build()
             .unwrap();
@@ -829,7 +749,7 @@ mod tests {
     fn report_snapshots_attack_phase_costs() {
         let mut run = Scenario::builder()
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(3))
+            .attack(AttackSpec::Hammer { bit: 3 })
             .budget(hammer_budget())
             .build()
             .unwrap();

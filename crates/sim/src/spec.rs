@@ -90,9 +90,9 @@ impl GeometrySpec {
     }
 }
 
-/// An attack (or benign driver) as enum-keyed data. Each variant
-/// resolves to one concrete [`Attack`](crate::Attack) driver when the
-/// scenario is built.
+/// An attack (or benign driver) as enum-keyed data. A built scenario
+/// runs it through one `match` (`AttackSpec::execute`), against the
+/// victim [`AttackSpec::check_victim`] names.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttackSpec {
     /// Raw RowHammer campaign against the victim row's bit `bit`.
@@ -151,8 +151,8 @@ pub enum AttackSpec {
         trace: Trace,
     },
     /// The target victim's own weight-fetch trace, recorded against its
-    /// layout at build time and replayed through the engine homed on
-    /// `channel` — derived inference traffic without embedding a trace.
+    /// layout when the attack runs and replayed through the engine homed
+    /// on `channel` — derived inference traffic without embedding a trace.
     WeightFetch {
         /// Input samples per recorded inference pass.
         samples: usize,
@@ -199,48 +199,6 @@ impl AttackSpec {
             AttackSpec::ReplayTrace { .. } => "replay-trace",
             AttackSpec::WeightFetch { .. } => "weight-fetch",
         }
-    }
-}
-
-impl From<crate::attack::HammerAttack> for AttackSpec {
-    fn from(a: crate::attack::HammerAttack) -> Self {
-        AttackSpec::Hammer { bit: a.bit }
-    }
-}
-
-impl From<crate::attack::RowProbe> for AttackSpec {
-    fn from(a: crate::attack::RowProbe) -> Self {
-        AttackSpec::RowProbe { accesses: a.accesses }
-    }
-}
-
-impl From<crate::attack::BfaHammerAttack> for AttackSpec {
-    fn from(a: crate::attack::BfaHammerAttack) -> Self {
-        AttackSpec::BfaHammer { batch: a.batch }
-    }
-}
-
-impl From<crate::attack::ProgressiveBfa> for AttackSpec {
-    fn from(a: crate::attack::ProgressiveBfa) -> Self {
-        AttackSpec::ProgressiveBfa { success_rate: a.success_rate, seed: a.seed, config: a.config }
-    }
-}
-
-impl From<crate::attack::RandomFlipAttack> for AttackSpec {
-    fn from(a: crate::attack::RandomFlipAttack) -> Self {
-        AttackSpec::RandomFlip { seed: a.seed }
-    }
-}
-
-impl From<crate::attack::PageTablePoison> for AttackSpec {
-    fn from(a: crate::attack::PageTablePoison) -> Self {
-        AttackSpec::PageTable { pfn_bit: a.pfn_bit, payload_xor: a.payload_xor }
-    }
-}
-
-impl From<crate::attack::InferenceStream> for AttackSpec {
-    fn from(a: crate::attack::InferenceStream) -> Self {
-        AttackSpec::InferenceStream { batches: a.batches, chunk: a.chunk }
     }
 }
 

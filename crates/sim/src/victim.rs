@@ -13,7 +13,6 @@
 
 use dlk_dnn::models::{ModelKind, Victim};
 use dlk_dnn::{QuantizedMlp, WeightLayout};
-use dlk_dram::{DramDevice, RowAddr};
 use dlk_memctrl::{
     MemCtrlError, MemRequest, MemoryController, PageTable, PageTableConfig, VirtAddr,
 };
@@ -111,11 +110,9 @@ impl VictimSpec {
         match self.kind {
             SpecKind::RowSpan { first_row, rows, fill } => {
                 let pattern = vec![fill; row_bytes as usize];
-                let mut addrs = Vec::with_capacity(rows as usize);
                 for r in first_row..first_row + rows {
                     let (row, _) = mapper.to_dram(r * row_bytes)?;
                     ctrl.dram_mut().write_row(row, &pattern)?;
-                    addrs.push(row);
                 }
                 let start = first_row * row_bytes;
                 let end = (first_row + rows) * row_bytes;
@@ -124,7 +121,7 @@ impl VictimSpec {
                 }
                 Ok(DeployedVictim {
                     guarded: vec![(start, end)],
-                    kind: DeployedKind::Rows { addrs, start, fill },
+                    kind: DeployedKind::Rows { rows, start, fill },
                 })
             }
             SpecKind::Model { model, seed, base_phys } => {
@@ -188,7 +185,7 @@ impl VictimSpec {
 
 #[derive(Debug)]
 enum DeployedKind {
-    Rows { addrs: Vec<RowAddr>, start: u64, fill: u8 },
+    Rows { rows: u64, start: u64, fill: u8 },
     Model { victim: Victim, layout: WeightLayout },
     Paged { victim: Victim, table: PageTable },
 }
@@ -204,17 +201,6 @@ impl DeployedVictim {
     /// The physical byte ranges defenses should guard for this victim.
     pub fn guarded_ranges(&self) -> &[(u64, u64)] {
         &self.guarded
-    }
-
-    /// The victim's first (or only) DRAM data row, where applicable.
-    pub fn primary_row(&self, ctrl: &MemoryController) -> Option<RowAddr> {
-        match &self.kind {
-            DeployedKind::Rows { addrs, .. } => addrs.first().copied(),
-            DeployedKind::Model { layout, .. } => {
-                ctrl.mapper().to_dram(layout.base_phys()).ok().map(|(row, _)| row)
-            }
-            DeployedKind::Paged { .. } => None,
-        }
     }
 
     /// First physical byte of the victim's data (rows or weight image).
@@ -296,20 +282,6 @@ impl DeployedVictim {
         Ok(Some(model))
     }
 
-    /// Reads the model back *functionally* (no controller requests, no
-    /// hook interaction) — the fast path for iterated searches whose
-    /// physical realization is modelled statistically.
-    pub fn model_from_dram(&self, dram: &DramDevice) -> Result<Option<QuantizedMlp>, SimError> {
-        match &self.kind {
-            DeployedKind::Model { victim, layout } => {
-                let mut model = victim.model.clone();
-                layout.load(&mut model, dram)?;
-                Ok(Some(model))
-            }
-            _ => Ok(None),
-        }
-    }
-
     /// Accuracy (percent) of `model` on this victim's held-out sample.
     pub fn accuracy_pct(&self, model: &QuantizedMlp, eval_batch: usize) -> Option<f64> {
         let victim = self.victim()?;
@@ -321,12 +293,12 @@ impl DeployedVictim {
     /// controller (trusted, following redirects) and checks the fill
     /// pattern survived.
     pub fn data_intact(&self, ctrl: &mut MemoryController) -> Result<Option<bool>, SimError> {
-        let DeployedKind::Rows { addrs, start, fill } = &self.kind else {
+        let DeployedKind::Rows { rows, start, fill } = &self.kind else {
             return Ok(None);
         };
         let row_bytes = ctrl.geometry().row_bytes;
         let expected = vec![*fill; row_bytes];
-        for index in 0..addrs.len() as u64 {
+        for index in 0..*rows {
             let phys = start + index * row_bytes as u64;
             let done = ctrl.service(MemRequest::read(phys, row_bytes))?;
             if done.data.as_deref() != Some(expected.as_slice()) {

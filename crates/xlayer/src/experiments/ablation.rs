@@ -2,16 +2,17 @@
 //! (paper: every 1k R/W) and the lock target (adjacent rows, the data
 //! rows themselves, or both).
 //!
-//! Each configuration runs one victim workload through the unified
-//! scenario pipeline: 2000 reads that mostly hit the victim's data rows
-//! 10/11 and every tenth touch the locked neighbour row 9. The cost of
-//! a configuration is what that benign traffic pays — SWAP redirects,
-//! denied accesses and mean service latency.
+//! Each configuration builds one scenario with the locker mounted and
+//! drives a victim workload through its controller: 2000 reads that
+//! mostly hit the victim's data rows 10/11 and every tenth touch the
+//! locked neighbour row 9. The cost of a configuration is what that
+//! benign traffic pays — SWAP redirects, denied accesses and mean
+//! service latency.
 
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_memctrl::MemRequest;
 use dlk_sim::metrics::Table;
-use dlk_sim::{Attack, AttackOutcome, DefenseSpec, RunEnv, Scenario, SimError, VictimSpec};
+use dlk_sim::{DefenseSpec, Scenario, SimError, VictimSpec};
 
 /// The swept re-lock intervals (R/W operations between re-locks).
 pub const RELOCK_INTERVALS: [u64; 3] = [100, 1_000, 10_000];
@@ -22,32 +23,6 @@ pub const LOCK_TARGETS: [(&str, LockTarget); 3] = [
     ("data-rows", LockTarget::DataRows),
     ("both", LockTarget::Both),
 ];
-
-/// Victim workload: reads over data rows 10/11, every tenth on the
-/// locked neighbour row 9.
-struct VictimMix {
-    accesses: u64,
-}
-
-impl Attack for VictimMix {
-    fn name(&self) -> &str {
-        "victim-mix"
-    }
-
-    fn execute(&mut self, env: &mut RunEnv<'_>) -> Result<AttackOutcome, SimError> {
-        let row_bytes = env.ctrl().geometry().row_bytes as u64;
-        let mut outcome = AttackOutcome::default();
-        for index in 0..self.accesses {
-            let row = if index % 10 == 0 { 9 } else { 10 + index % 2 };
-            let done = env.ctrl().service(MemRequest::read(row * row_bytes, 1))?;
-            outcome.requests += 1;
-            if done.denied {
-                outcome.denied += 1;
-            }
-        }
-        Ok(outcome)
-    }
-}
 
 /// What the victim workload paid under one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,18 +43,25 @@ pub struct AblationRun {
 /// Propagates scenario build and run failures.
 pub fn victim_workload(relock_interval: u64, target: LockTarget) -> Result<AblationRun, SimError> {
     let config = LockerConfig { relock_interval, ..LockerConfig::default() };
-    let report = Scenario::builder()
+    let mut run = Scenario::builder()
         .label("ablation")
         // Protect rows 10..12 (data): which rows lock depends on `target`.
         .victim(VictimSpec::row_span(10, 2, 0xA5))
         .defense(DefenseSpec::Locker { config, target, radius: 1 })
-        .custom_attack(VictimMix { accesses: 2_000 })
-        .build()?
-        .run()?;
+        .build()?;
+    // The victim workload: reads over data rows 10/11, every tenth on
+    // the locked neighbour row 9.
+    let ctrl = run.controller_mut();
+    let row_bytes = ctrl.geometry().row_bytes as u64;
+    for index in 0..2_000u64 {
+        let row = if index % 10 == 0 { 9 } else { 10 + index % 2 };
+        ctrl.service(MemRequest::read(row * row_bytes, 1))?;
+    }
+    let stats = run.controller().stats();
     Ok(AblationRun {
-        redirected: report.controller.redirected,
-        denied: report.controller.denied,
-        mean_latency: report.controller.mean_latency(),
+        redirected: stats.redirected,
+        denied: stats.denied,
+        mean_latency: stats.mean_latency(),
     })
 }
 

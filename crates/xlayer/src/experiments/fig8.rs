@@ -2,15 +2,16 @@
 //!
 //! 100 attack iterations against (a) ResNet-20-like / CIFAR-10-like
 //! and (b) VGG-11-like / CIFAR-100-like, each run through the unified
-//! scenario pipeline with a DRAM-deployed weight image and the
-//! [`ProgressiveBfa`] driver. Without the defense every iteration lands
+//! scenario pipeline with a DRAM-deployed weight image and an
+//! [`AttackSpec::ProgressiveBfa`] attack. Without the defense every iteration lands
 //! its chosen flip. With DRAM-Locker under worst-case ±20% process
 //! variation, an iteration only succeeds when an erroneous SWAP leaves
 //! a window — 9.6% of the time (§IV-D) — so the attacker needs an order
 //! of magnitude more iterations for the same damage.
 
+use dlk_attacks::bfa::BfaConfig;
 use dlk_dnn::models::ModelKind;
-use dlk_sim::{Budget, GeometrySpec, ProgressiveBfa, Scenario, VictimSpec};
+use dlk_sim::{AttackSpec, Budget, GeometrySpec, Scenario, VictimSpec};
 
 use crate::report::Series;
 
@@ -59,7 +60,7 @@ fn attack(model: ModelKind, iterations: usize, success_rate: f64, seed: u64) -> 
         .label(label)
         .geometry(geometry)
         .victim(VictimSpec::model(model, MODEL_SEED, WEIGHT_BASE))
-        .attack(ProgressiveBfa::new(success_rate, seed))
+        .attack(AttackSpec::ProgressiveBfa { success_rate, seed, config: BfaConfig::default() })
         .budget(Budget { max_activations: 0, check_interval: 1, iterations })
         .eval_batch(128)
         .build()

@@ -3,8 +3,8 @@
 //! in the Table II discussion).
 //!
 //! The victim's inference loop streams every weight byte from DRAM
-//! once per batch — the [`InferenceStream`] driver of the unified
-//! scenario pipeline. With the protection plan locking only the
+//! once per batch — the [`AttackSpec::InferenceStream`] traffic of the
+//! unified scenario pipeline. With the protection plan locking only the
 //! *adjacent* rows, the victim's reads never touch a locked row, so the
 //! only cost is the one-cycle lock-table check per request — which is
 //! the argument for the adjacent-row policy in §IV-A.
@@ -12,7 +12,7 @@
 use dlk_dnn::models::ModelKind;
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_sim::metrics::Table;
-use dlk_sim::{DefenseSpec, InferenceStream, Scenario, SimError, VictimSpec};
+use dlk_sim::{AttackSpec, DefenseSpec, Scenario, SimError, VictimSpec};
 
 /// One measured configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +35,7 @@ fn stream_weights(target: Option<LockTarget>) -> Result<OverheadRun, SimError> {
     let mut builder = Scenario::builder()
         .label(label.clone())
         .victim(VictimSpec::model(ModelKind::Tiny, 3, 0x400))
-        .attack(InferenceStream { batches: 10, chunk: 32 });
+        .attack(AttackSpec::InferenceStream { batches: 10, chunk: 32 });
     if let Some(target) = target {
         builder = builder.defense(DefenseSpec::Locker {
             config: LockerConfig::default(),

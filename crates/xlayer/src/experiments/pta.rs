@@ -5,16 +5,14 @@
 //! mapped by a DRAM-resident page table ([`VictimSpec::paged`]); the
 //! attacker stages a corrupted copy of a weight page at the frame the
 //! PTE would point to after one PFN-bit flip, then hammers the PTE row
-//! ([`PageTablePoison`]). Undefended, translation silently redirects
+//! ([`AttackSpec::PageTable`]). Undefended, translation silently redirects
 //! and the victim loads poisoned weights. With DRAM-Locker guarding the
 //! page-table rows (locking their aggressor-candidate neighbours),
 //! every hammer access is denied and the weights survive untouched.
 
 use dlk_dnn::models::ModelKind;
 use dlk_sim::metrics::Table;
-use dlk_sim::{
-    Budget, DefenseSpec, PageTablePoison, Scenario, ScenarioBuilder, SimError, VictimSpec,
-};
+use dlk_sim::{AttackSpec, Budget, DefenseSpec, Scenario, ScenarioBuilder, SimError, VictimSpec};
 
 /// Result of one PTA run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +34,7 @@ pub fn scenario(defended: bool) -> ScenarioBuilder {
     let builder = Scenario::builder()
         .label(if defended { "with DRAM-Locker" } else { "without DRAM-Locker" })
         .victim(VictimSpec::paged(ModelKind::Tiny, 21))
-        .attack(PageTablePoison { pfn_bit: 1, payload_xor: 0x80 })
+        .attack(AttackSpec::PageTable { pfn_bit: 1, payload_xor: 0x80 })
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .eval_batch(64);
     if defended {

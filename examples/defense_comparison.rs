@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example defense_comparison`
 
-use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 use dram_locker::xlayer::experiments::table1;
 
 fn campaign(defense: Option<DefenseSpec>) -> (bool, u64, u64) {
@@ -12,7 +12,7 @@ fn campaign(defense: Option<DefenseSpec>) -> (bool, u64, u64) {
     let mut builder = Scenario::builder()
         .label("defense-comparison")
         .victim(VictimSpec::row(20, 0xA5))
-        .attack(HammerAttack::bit(99))
+        .attack(AttackSpec::Hammer { bit: 99 })
         .budget(Budget { max_activations: 5_000, check_interval: 8, iterations: 1 });
     if let Some(defense) = defense {
         builder = builder.defense(defense);

@@ -10,12 +10,12 @@
 //! exactly the rows `DefenseSpec::locker_adjacent()` locks. The
 //! gradient scan that picks the most damaging reachable bit is
 //! `dlk_dnn::models::best_edge_target`, the same helper the
-//! `BfaHammerAttack` driver uses.
+//! `AttackSpec::BfaHammer` attack uses.
 //!
 //! Run with: `cargo run --release --example protect_dnn_weights`
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 
 const WEIGHT_BASE: u64 = 0x400;
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut builder = Scenario::builder()
             .label(if defended { "with DRAM-Locker" } else { "without DRAM-Locker" })
             .victim(VictimSpec::model(ModelKind::Tiny, 21, WEIGHT_BASE))
-            .attack(BfaHammerAttack { batch: 48 })
+            .attack(AttackSpec::BfaHammer { batch: 48 })
             .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
             .eval_batch(48);
         if defended {

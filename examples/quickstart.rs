@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use dram_locker::memctrl::MemRequest;
-use dram_locker::sim::{DefenseSpec, RowProbe, Scenario, VictimSpec};
+use dram_locker::sim::{AttackSpec, DefenseSpec, Scenario, VictimSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The whole pipeline in one builder: a secret-filled DRAM row,
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .label("quickstart")
         .victim(VictimSpec::row(10, 0x42))
         .defense(DefenseSpec::locker_data_rows())
-        .attack(RowProbe { accesses: 1000 })
+        .attack(AttackSpec::RowProbe { accesses: 1000 })
         .build()?;
     let report = run.run()?;
 

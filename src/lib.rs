@@ -20,19 +20,21 @@
 //! ## Quickstart
 //!
 //! Every experiment is one `Scenario`: pick a victim, an attack and a
-//! defense, and run. A defense is one [`sim::DefenseSpec`] value —
-//! DRAM-Locker in the paper's configuration is
-//! [`sim::DefenseSpec::locker_adjacent`], and each baseline has its own
-//! constructor — mounted on the memory controller's request path.
+//! defense, and run. An attack is one [`sim::AttackSpec`] value (here
+//! the RowHammer campaign, [`sim::AttackSpec::Hammer`]). A defense is
+//! one [`sim::DefenseSpec`] value — DRAM-Locker in the paper's
+//! configuration is [`sim::DefenseSpec::locker_adjacent`], and each
+//! baseline has its own constructor — mounted on the memory
+//! controller's request path.
 //!
 //! ```
-//! use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+//! use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 //!
 //! # fn main() -> Result<(), dram_locker::sim::SimError> {
 //! let mut run = Scenario::builder()
 //!     .label("quickstart")
 //!     .victim(VictimSpec::row(20, 0xA5))
-//!     .attack(HammerAttack::bit(7))
+//!     .attack(AttackSpec::Hammer { bit: 7 })
 //!     .defense(DefenseSpec::locker_adjacent())
 //!     .budget(Budget { max_activations: 1_000, check_interval: 8, iterations: 1 })
 //!     .build()?;

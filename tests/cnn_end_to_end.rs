@@ -9,8 +9,7 @@ use dram_locker::dnn::models::ModelKind;
 use dram_locker::dnn::{QuantizedMlp, WeightLayout};
 use dram_locker::memctrl::{AddressMapper, MemCtrlConfig};
 use dram_locker::sim::{
-    find, AttackSpec, BfaHammerAttack, Budget, ChannelRouter, DefenseSpec, EngineConfig, Scenario,
-    VictimSpec,
+    find, AttackSpec, Budget, ChannelRouter, DefenseSpec, EngineConfig, Scenario, VictimSpec,
 };
 
 const WEIGHT_BASE: u64 = 0x400;
@@ -100,7 +99,7 @@ fn physical_bfa_corrupts_a_conv_kernel_and_locker_denies_it() {
     let setup = |defended: bool| {
         let mut builder = Scenario::builder()
             .victim(VictimSpec::model(ModelKind::TinyCnn, 7, WEIGHT_BASE))
-            .attack(BfaHammerAttack { batch: 32 })
+            .attack(AttackSpec::BfaHammer { batch: 32 })
             .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
             .eval_batch(32);
         if defended {

@@ -12,7 +12,7 @@
 //!   survives (the report's integrity probe follows the remap);
 //! - DRAM-Locker: aggressor accesses are denied outright.
 
-use dram_locker::sim::{find, Budget, DefenseSpec, HammerAttack, RunReport, Scenario, VictimSpec};
+use dram_locker::sim::{find, AttackSpec, Budget, DefenseSpec, RunReport, Scenario, VictimSpec};
 
 /// The campaign against `defenses`, stacked in order (`None` for an
 /// undefended run).
@@ -20,7 +20,7 @@ fn campaign(defenses: impl IntoIterator<Item = DefenseSpec>) -> RunReport {
     let mut builder = Scenario::builder()
         .label("defense-matrix")
         .victim(VictimSpec::row(20, 0xA5))
-        .attack(HammerAttack::bit(77))
+        .attack(AttackSpec::Hammer { bit: 77 })
         .budget(Budget { max_activations: 4_000, check_interval: 8, iterations: 1 });
     for defense in defenses {
         builder = builder.defense(defense);

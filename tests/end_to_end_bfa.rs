@@ -5,14 +5,14 @@
 //! with and without DRAM-Locker.
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
 
 const WEIGHT_BASE: u64 = 0x400;
 
 fn setup(seed: u64, defended: bool) -> ScenarioRun {
     let mut builder = Scenario::builder()
         .victim(VictimSpec::model(ModelKind::Tiny, seed, WEIGHT_BASE))
-        .attack(BfaHammerAttack { batch: 48 })
+        .attack(AttackSpec::BfaHammer { batch: 48 })
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .eval_batch(32);
     if defended {

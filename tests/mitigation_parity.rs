@@ -11,7 +11,7 @@ use dram_locker::attacks::hammer::{HammerConfig, HammerDriver};
 use dram_locker::defenses::{CounterDefenseHook, RowTracker};
 use dram_locker::dram::RowId;
 use dram_locker::memctrl::{MemCtrlConfig, MemRequest, MemoryController};
-use dram_locker::sim::{Budget, HammerAttack, Scenario, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, Scenario, VictimSpec};
 
 /// A tracker that records every activation it is shown into a shared
 /// log the test reads back.
@@ -72,7 +72,7 @@ proptest! {
         let (tracker, scenario_log) = SpyTracker::new(threshold);
         let mut run = Scenario::builder()
             .victim(VictimSpec::row(victim_row, fill))
-            .attack(HammerAttack::bit(bit))
+            .attack(AttackSpec::Hammer { bit })
             .budget(Budget { max_activations: budget, check_interval: 8, iterations: 1 })
             .build()
             .expect("scenario builds");

@@ -3,7 +3,7 @@
 //! the ROADMAP's multi-tenant workload.
 
 use dram_locker::dnn::models::{self, ModelKind};
-use dram_locker::sim::{BfaHammerAttack, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, ScenarioRun, VictimSpec};
 
 const TENANT_A_BASE: u64 = 0x400; // rows 16.. of the tiny geometry
 const TENANT_B_BASE: u64 = 0x800; // rows 32.., same subarray, well apart
@@ -13,7 +13,7 @@ fn two_tenant_run(defended: bool) -> ScenarioRun {
         .label(if defended { "multi-tenant defended" } else { "multi-tenant undefended" })
         .victim(VictimSpec::model(ModelKind::Tiny, 41, TENANT_A_BASE))
         .victim(VictimSpec::model(ModelKind::Tiny, 43, TENANT_B_BASE))
-        .attack(BfaHammerAttack { batch: 32 })
+        .attack(AttackSpec::BfaHammer { batch: 32 })
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .target_victim(0);
     if defended {

@@ -31,6 +31,8 @@ fn sweep_every_scenario_matches_its_expectation() {
             .run()
             .unwrap_or_else(|e| panic!("{} failed to run: {e}", entry.name));
         assert_eq!(report.scenario, entry.name);
+        let attack = entry.spec.attack.as_ref().map_or("", |attack| attack.token());
+        assert_eq!(report.attack, attack, "{} reports its attack's spec token", entry.name);
         match entry.expected {
             Expected::Harmed => {
                 assert!(report.harmed(), "{} should harm the victim: {report:?}", entry.name);
