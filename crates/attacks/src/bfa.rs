@@ -8,15 +8,19 @@
 //!    `grad · Δw`, where `Δw` is the weight change that bit flip would
 //!    cause right now (sign-bit flips of large-gradient weights
 //!    dominate);
-//! 3. trials the top in-layer candidates with a real forward pass and
-//!    keeps the single flip that maximizes loss across all layers.
+//! 3. trials the top in-layer candidates and keeps the single flip that
+//!    maximizes loss across all layers. A trial resumes the gradient
+//!    pass's own forward at the flipped layer (a
+//!    [`TrialRecord`](dlk_dnn::TrialRecord)): the layers before it
+//!    cannot change, so only the rest of the plan runs, and the loss is
+//!    bit-identical to that of a full forward pass of the flipped
+//!    network.
 //!
 //! The search is *white-box*: per the paper's threat model the attacker
 //! has full knowledge of parameters, bit representation and gradients.
 
 use serde::{Deserialize, Serialize};
 
-use dlk_dnn::layers::softmax_cross_entropy;
 use dlk_dnn::{BitIndex, QuantizedMlp, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
@@ -69,18 +73,19 @@ impl BitSearch {
     }
 
     /// Finds the most damaging single bit flip for the current model
-    /// state on batch `(x, labels)`. Returns `None` only for empty
-    /// models.
+    /// state on batch `(x, labels)`. Returns `None` when no considered
+    /// bit has a positive first-order gain: for an empty model, and when
+    /// the gradients vanish (a collapsed, chance-level victim or an
+    /// all-zero network), so there is nothing to flip.
     pub fn next_flip(
         &mut self,
         model: &QuantizedMlp,
         x: &Tensor,
         labels: &[usize],
     ) -> Option<BitIndex> {
-        let (_, grads) =
-            model.loss_and_grads(x, labels).expect("attack batch shapes are consistent");
+        let (grads, mut record) =
+            model.trial_record(x, labels).expect("attack batch shapes are consistent");
         let mut best: Option<(f32, BitIndex)> = None;
-        let mut probe = model.clone();
         for (layer_index, layer_grads) in grads.iter().enumerate() {
             // Rank candidate bits in this layer by first-order gain.
             let grad = layer_grads.weight.as_slice();
@@ -100,12 +105,9 @@ impl BitSearch {
                 }
             }
             candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            // Trial the top candidates with a real forward pass.
+            // Trial the top candidates from this layer on.
             for &(_, index) in candidates.iter().take(self.config.candidates_per_layer) {
-                probe.flip_bit(index).expect("candidate index is valid");
-                let logits = probe.forward(x).expect("attack batch shapes are consistent");
-                let (loss, _) = softmax_cross_entropy(&logits, labels);
-                probe.flip_bit(index).expect("candidate index is valid");
+                let loss = record.trial(index).expect("candidate index is valid");
                 if best.is_none_or(|(b, _)| loss > b) {
                     best = Some((loss, index));
                 }
@@ -140,7 +142,7 @@ impl BitSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlk_dnn::models;
+    use dlk_dnn::{models, Layer, Linear, Network};
 
     #[test]
     fn bfa_crushes_accuracy_quickly() {
@@ -176,6 +178,71 @@ mod tests {
         let mut search = BitSearch::new(BfaConfig::default());
         let flip = search.next_flip(&victim.model, &x, &y).unwrap();
         assert!(flip.bit >= 6, "expected MSB-range flip, got bit {}", flip.bit);
+    }
+
+    /// The flips and accuracies of eight search iterations, recorded
+    /// from the search that trialled every candidate with a full
+    /// forward pass: resuming each trial at the flipped layer must pick
+    /// the same flips.
+    #[test]
+    fn flip_sequences_are_pinned() {
+        let flip = |layer, weight, bit| Some(BitIndex { layer, weight, bit });
+        let perfbench = BfaConfig { candidates_per_layer: 2, bits_considered: Some([6, 7]) };
+        let cases = [
+            (
+                models::victim_tiny_cnn(11),
+                perfbench,
+                [
+                    (None, 0.96875),
+                    (flip(6, 210, 7), 0.75),
+                    (flip(6, 198, 7), 0.71875),
+                    (flip(6, 211, 7), 0.71875),
+                    (flip(4, 204, 7), 0.6875),
+                    (flip(6, 48, 7), 0.6875),
+                    (flip(4, 206, 7), 0.5),
+                    (flip(3, 122, 7), 0.4375),
+                    (flip(6, 52, 7), 0.375),
+                ],
+            ),
+            (
+                models::victim_tiny(5),
+                BfaConfig::default(),
+                [
+                    (None, 0.875),
+                    (flip(1, 79, 7), 0.71875),
+                    (flip(1, 76, 7), 0.6875),
+                    (flip(1, 90, 7), 0.6875),
+                    (flip(1, 81, 7), 0.6875),
+                    (flip(1, 31, 7), 0.6875),
+                    (flip(1, 28, 7), 0.6875),
+                    (flip(0, 38, 7), 0.6875),
+                    (flip(0, 32, 6), 0.6875),
+                ],
+            ),
+        ];
+        for (victim, config, expected) in cases {
+            let (x, y) = victim.dataset.test_sample(32, 0);
+            let mut model = victim.model.clone();
+            let curve = BitSearch::new(config).run(&mut model, &x, &y, 8);
+            let got: Vec<_> = curve.points.iter().map(|p| (p.flipped, p.accuracy)).collect();
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn vanishing_gradients_leave_nothing_to_flip() {
+        // All-zero weights and biases: every hidden activation and so
+        // every weight gradient is zero, and no bit has a positive gain.
+        let zero = |inputs, outputs| {
+            Layer::Dense(Linear::from_parts(Tensor::zeros(outputs, inputs), vec![0.0; outputs]))
+        };
+        let network = Network::new(vec![zero(8, 24), Layer::Relu, zero(24, 4)]);
+        let model = QuantizedMlp::quantize(&network);
+        let x = Tensor::randn(16, 8, 3);
+        let y: Vec<usize> = (0..16).map(|i| i % 4).collect();
+        let mut search =
+            BitSearch::new(BfaConfig { bits_considered: None, ..BfaConfig::default() });
+        assert_eq!(search.next_flip(&model, &x, &y), None);
     }
 
     #[test]

@@ -106,6 +106,7 @@ const CASES: &[Case] = &[
     case("dnn", "gemm_mflop_per_s", "MFLOP/s", || gemm(false)),
     case("dnn", "gemm_reference_mflop_per_s", "MFLOP/s", || gemm(true)),
     case("dnn", "bfa_next_flip_per_s", "/s", bfa_next_flip),
+    case("dnn", "bfa_next_flip_cnn_per_s", "/s", bfa_next_flip_cnn),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
@@ -534,6 +535,20 @@ fn bfa_next_flip() -> Kernel {
     let victim = models::victim_tiny(1);
     let (x, y) = victim.dataset.test_sample(32, 0);
     let mut search = BitSearch::new(BfaConfig::default());
+    Box::new(move || {
+        black_box(search.next_flip(&victim.model, &x, &y));
+        1
+    })
+}
+
+/// One bit-search step through convs, an average pool and open
+/// residual shortcuts: the Tiny CNN victim under the CNN BFA entries'
+/// search (2 candidates per layer, bits 6–7).
+fn bfa_next_flip_cnn() -> Kernel {
+    let victim = models::victim_tiny_cnn(1);
+    let (x, y) = victim.dataset.test_sample(32, 0);
+    let config = BfaConfig { candidates_per_layer: 2, bits_considered: Some([6, 7]) };
+    let mut search = BitSearch::new(config);
     Box::new(move || {
         black_box(search.next_flip(&victim.model, &x, &y));
         1

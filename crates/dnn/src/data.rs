@@ -5,8 +5,11 @@
 //! datasets with the same class counts: each class is an anisotropic
 //! Gaussian blob around a random unit-norm centroid. This preserves
 //! everything BFA dynamics depend on — a trained, quantized network
-//! whose accuracy collapses to chance under targeted weight corruption
-//! (see DESIGN.md §3).
+//! whose accuracy collapses to chance under targeted weight corruption.
+//! The convolutional victims get the image counterpart,
+//! [`SyntheticDataset::images`]: smoothed random patterns on a small
+//! single-channel grid (1×8×8 for the CIFAR stand-ins), so class
+//! evidence has the spatial structure convolution and pooling exploit.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

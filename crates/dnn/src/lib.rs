@@ -15,10 +15,13 @@
 //! - [`quant`]: symmetric 8-bit quantization and the
 //!   [`QuantNetwork`] inference network (historical alias
 //!   [`QuantizedMlp`]) with per-bit weight access — the attack
-//!   surface of BFA, for dense *and* conv kernels;
+//!   surface of BFA, for dense *and* conv kernels — and the
+//!   [`TrialRecord`] that trials a single flip from its layer on;
 //! - [`data`]: deterministic synthetic classification datasets
-//!   standing in for CIFAR-10 / CIFAR-100 (see DESIGN.md §3 for the
-//!   substitution argument);
+//!   standing in for CIFAR-10 / CIFAR-100, which are unavailable
+//!   offline: seeded Gaussian-cluster vectors (MLP victims) and
+//!   smoothed-pattern 1×8×8 images (CNN victims) with the same class
+//!   counts;
 //! - [`train`]: SGD training over any [`Trainable`] model;
 //! - [`models`]: the paper's evaluation networks — MLP stand-ins plus
 //!   real ResNet-20-shaped and VGG-11-shaped CNNs on the quantized
@@ -62,7 +65,7 @@ pub use crate::layers::Linear;
 pub use crate::model::Mlp;
 pub use crate::network::{Layer, LayerGrads, Network};
 pub use crate::quant::{
-    BitIndex, QuantConv2d, QuantLayer, QuantLinear, QuantNetwork, QuantizedMlp,
+    BitIndex, QuantConv2d, QuantLayer, QuantLinear, QuantNetwork, QuantizedMlp, TrialRecord,
 };
 pub use crate::storage::WeightLayout;
 pub use crate::tensor::Tensor;

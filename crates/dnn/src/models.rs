@@ -17,7 +17,10 @@
 //!   kernels quantize, deploy to DRAM rows and are attacked bit-by-bit
 //!   through exactly the same [`BitIndex`] machinery as dense weights.
 //!
-//! DESIGN.md §3 records the dataset substitution.
+//! Real CIFAR-10/100 is unavailable offline, so every victim trains on
+//! a deterministic synthetic stand-in from [`crate::data`] with the
+//! same class count (10 or 100): Gaussian-cluster feature vectors for
+//! the MLPs, smoothed-pattern 1×8×8 images for the CNNs.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -70,7 +73,7 @@ fn res_block(layers: &mut Vec<Layer>, c: usize, h: usize, w: usize, seed: u64) {
 /// The ResNet-20-shaped CNN for 1×8×8 CIFAR-10-like images: conv stem,
 /// three stages of three residual blocks (widths 4/8/12) with
 /// average-pool downsampling between stages, dense classifier — 22
-/// weighted layers, ~13.8k quantized weights.
+/// weighted layers, 13,764 quantized weights.
 pub fn resnet20_cnn(seed: u64) -> Network {
     let mut layers = Vec::new();
     layers.push(conv3(1, 4, 8, 8, seed));
@@ -97,7 +100,7 @@ pub fn resnet20_cnn(seed: u64) -> Network {
 /// The VGG-11-shaped CNN for 1×8×8 CIFAR-100-like images: eight 3×3
 /// convs (widths 4/8/16/16/24/24/24/24) with max-pool halvings after
 /// the first two, and a three-layer dense head — 11 weighted layers,
-/// ~38k quantized weights.
+/// 39,428 quantized weights.
 pub fn vgg11_cnn(seed: u64) -> Network {
     let mut layers = vec![conv3(1, 4, 8, 8, seed), Layer::Relu];
     layers.push(Layer::MaxPool(Pool2d::halve(4, 8, 8)));
@@ -377,6 +380,7 @@ mod tests {
         // Stem + 9 residual blocks × 2 convs + 2 transition convs +
         // dense head — ResNet-20's ~20 weighted layers.
         assert_eq!(r.weighted_count(), 22);
+        assert_eq!(r.total_weights(), 13_764);
         assert_eq!(r.num_classes(), 10);
         assert_eq!(r.in_features(), 64);
         let skips = r.layers().iter().filter(|l| matches!(l, Layer::SkipAdd)).count();
@@ -384,6 +388,7 @@ mod tests {
 
         let v = vgg11_cnn(0);
         assert_eq!(v.weighted_count(), 11, "VGG-11: 8 convs + 3 dense");
+        assert_eq!(v.total_weights(), 39_428);
         assert_eq!(v.num_classes(), 100);
         // VGG's signature vs ResNet's: fewer, fatter layers.
         assert!(v.total_weights() > r.total_weights());

@@ -99,7 +99,7 @@ pub struct Network {
 }
 
 /// Per-layer forward state kept for the backward pass.
-enum Cache {
+pub(crate) enum Cache {
     /// The layer's input activation (weighted layers).
     Input(Tensor),
     /// ReLU sign mask.
@@ -108,6 +108,27 @@ enum Cache {
     Switches(Vec<usize>),
     /// Nothing needed.
     None,
+}
+
+/// What [`Network::run`] keeps of each layer it executes.
+pub(crate) enum Tape<'t> {
+    /// Nothing: inference, and every resumed trial.
+    Off,
+    /// Each layer's state for the backward pass.
+    Backward(&'t mut Vec<Cache>),
+    /// The backward state, plus a copy of the residual shortcuts open
+    /// at each weighted layer: what a trial needs to resume there.
+    Record(&'t mut Vec<Cache>, &'t mut Vec<Vec<Tensor>>),
+}
+
+/// A point a forward pass can resume from: a weighted layer's plan
+/// position, the activation entering it and the residual shortcuts
+/// open there (innermost last).
+#[derive(Debug)]
+pub(crate) struct Resume {
+    pub(crate) position: usize,
+    pub(crate) input: Tensor,
+    pub(crate) skips: Vec<Tensor>,
 }
 
 impl Network {
@@ -214,14 +235,24 @@ impl Network {
     /// Returns [`DnnError::ShapeMismatch`] on wrong input width and
     /// [`DnnError::UnbalancedSkip`] for mismatched skip markers.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
-        self.run(x, None)
+        self.run(0, x, &[], Tape::Off)
     }
 
-    /// Forward with optional per-layer caches for backprop.
-    fn run(&self, x: &Tensor, mut caches: Option<&mut Vec<Cache>>) -> Result<Tensor, DnnError> {
+    /// The one executor: runs the plan from position `start` on `x`,
+    /// the activation entering it, with `skips` the residual shortcuts
+    /// open there (innermost last). A forward pass starts at 0 with no
+    /// shortcuts; a bit-search trial resumes at the flipped layer.
+    /// `tape` chooses what is kept of each layer.
+    pub(crate) fn run(
+        &self,
+        start: usize,
+        x: &Tensor,
+        skips: &[Tensor],
+        mut tape: Tape<'_>,
+    ) -> Result<Tensor, DnnError> {
         let mut act = x.clone();
-        let mut skips: Vec<Tensor> = Vec::new();
-        for layer in &self.layers {
+        let mut skips = skips.to_vec();
+        for layer in &self.layers[start..] {
             let cache = match layer {
                 Layer::Dense(l) => {
                     let input = act;
@@ -257,8 +288,15 @@ impl Network {
                     Cache::None
                 }
             };
-            if let Some(caches) = caches.as_deref_mut() {
-                caches.push(cache);
+            match &mut tape {
+                Tape::Off => {}
+                Tape::Backward(caches) => caches.push(cache),
+                Tape::Record(caches, open) => {
+                    if layer.is_weighted() {
+                        open.push(skips.clone());
+                    }
+                    caches.push(cache);
+                }
             }
         }
         if skips.is_empty() {
@@ -281,13 +319,46 @@ impl Network {
         labels: &[usize],
     ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
         let mut caches = Vec::with_capacity(self.layers.len());
-        let logits = self.run(x, Some(&mut caches))?;
-        let (loss, probs) = softmax_cross_entropy(&logits, labels);
+        let logits = self.run(0, x, &[], Tape::Backward(&mut caches))?;
+        self.backward(&logits, labels, &caches)
+    }
+
+    /// [`Network::loss_and_grads`]'s gradients, plus one [`Resume`]
+    /// point per weighted layer, taken from the same forward pass.
+    pub(crate) fn grads_and_resumes(
+        &self,
+        x: &Tensor,
+        labels: &[usize],
+    ) -> Result<(Vec<LayerGrads>, Vec<Resume>), DnnError> {
+        let mut caches = Vec::with_capacity(self.layers.len());
+        let mut open = Vec::with_capacity(self.weighted_count());
+        let logits = self.run(0, x, &[], Tape::Record(&mut caches, &mut open))?;
+        let (_, grads) = self.backward(&logits, labels, &caches)?;
+        let inputs = caches.into_iter().enumerate().filter_map(|(position, cache)| match cache {
+            Cache::Input(input) => Some((position, input)),
+            _ => None,
+        });
+        let resumes = inputs
+            .zip(open)
+            .map(|((position, input), skips)| Resume { position, input, skips })
+            .collect();
+        Ok((grads, resumes))
+    }
+
+    /// The loss of `logits` and the backward pass over the `caches` of
+    /// the forward pass that produced them.
+    fn backward(
+        &self,
+        logits: &Tensor,
+        labels: &[usize],
+        caches: &[Cache],
+    ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
+        let (loss, probs) = softmax_cross_entropy(logits, labels);
         let mut d = cross_entropy_grad(&probs, labels);
 
         let mut grads_rev: Vec<LayerGrads> = Vec::with_capacity(self.weighted_count());
         let mut skip_grads: Vec<Tensor> = Vec::new();
-        for (layer, cache) in self.layers.iter().zip(&caches).rev() {
+        for (layer, cache) in self.layers.iter().zip(caches).rev() {
             match (layer, cache) {
                 (Layer::Dense(l), Cache::Input(input)) => {
                     let (g, d_x) = l.backward(input, &d)?;

@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
-use crate::layers::Linear;
+use crate::layers::{softmax_cross_entropy, Linear};
 use crate::model::{argmax_rows, Mlp};
-use crate::network::{Layer, LayerGrads, Network};
+use crate::network::{Layer, LayerGrads, Network, Resume, Tape};
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
@@ -359,6 +359,23 @@ impl QuantNetwork {
         self.to_float_model().loss_and_grads(x, labels)
     }
 
+    /// [`QuantNetwork::loss_and_grads`]'s gradients, plus a
+    /// [`TrialRecord`] of the same forward pass for trialling single
+    /// bit flips on `(x, labels)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] on inconsistent shapes.
+    pub fn trial_record<'a>(
+        &'a self,
+        x: &Tensor,
+        labels: &'a [usize],
+    ) -> Result<(Vec<LayerGrads>, TrialRecord<'a>), DnnError> {
+        let float = self.to_float_model();
+        let (grads, resumes) = float.grads_and_resumes(x, labels)?;
+        Ok((grads, TrialRecord { model: self, labels, float, resumes }))
+    }
+
     /// The weighted layer at [`BitIndex::layer`] position `index`.
     fn weighted(&self, index: usize) -> Option<&QuantLinear> {
         self.layers.iter().filter(|l| l.is_weighted()).nth(index)?.matrix()
@@ -471,6 +488,53 @@ impl QuantNetwork {
         }
         let base: usize = weighted[..layer].iter().map(|l| l.num_weights()).sum();
         Some(base + weight)
+    }
+}
+
+/// One gradient pass's forward, kept so that the loss with any single
+/// bit flipped costs only the layers from the flipped one on. Built by
+/// [`QuantNetwork::trial_record`].
+///
+/// A flip in weighted layer `L` cannot change what the layers before
+/// `L` compute, so a trial starts the plan at `L` from the recorded
+/// input activation and open residual shortcuts. The flipped weight is
+/// dequantized exactly as [`QuantNetwork::forward`] would dequantize it
+/// after [`QuantNetwork::flip_bit`], and the same operations then run
+/// on the same inputs in the same order, so a trial's loss is
+/// bit-identical to that of flipping, running a full forward pass and
+/// taking [`softmax_cross_entropy`].
+#[derive(Debug)]
+pub struct TrialRecord<'a> {
+    model: &'a QuantNetwork,
+    labels: &'a [usize],
+    /// The dequantized network, patched for the length of one trial.
+    float: Network,
+    /// One resume point per weighted layer.
+    resumes: Vec<Resume>,
+}
+
+impl TrialRecord<'_> {
+    /// The mean softmax cross-entropy loss on the recorded batch with
+    /// `index` flipped. The record is unchanged afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::BadWeightIndex`] for out-of-range indices.
+    pub fn trial(&mut self, index: BitIndex) -> Result<f32, DnnError> {
+        let bad = || DnnError::BadWeightIndex { layer: index.layer, index: index.weight };
+        let matrix = self.model.weighted(index.layer).ok_or_else(bad)?;
+        let byte = matrix.weight_byte(index.weight).ok_or_else(bad)?;
+        let mut value = (byte ^ (1 << (index.bit & 7))) as i8 as f32 * matrix.scale();
+        let resume = &self.resumes[index.layer];
+        let swap = |float: &mut Network, value: &mut f32| {
+            let layer = &mut float.layers_mut()[resume.position];
+            let weights = layer.weight_mut().expect("resume points are weighted");
+            std::mem::swap(&mut weights.as_mut_slice()[index.weight], value);
+        };
+        swap(&mut self.float, &mut value);
+        let logits = self.float.run(resume.position, &resume.input, &resume.skips, Tape::Off);
+        swap(&mut self.float, &mut value);
+        Ok(softmax_cross_entropy(&logits?, self.labels).0)
     }
 }
 
@@ -633,6 +697,49 @@ mod tests {
         assert_eq!(quantized.weight_bytes()[offset], after);
         let delta = quantized.flip_delta(bit).unwrap();
         assert!(delta.abs() > quantized.flip_delta(BitIndex { bit: 0, ..bit }).unwrap().abs());
+    }
+
+    #[test]
+    fn trials_match_a_full_forward_of_the_flipped_network() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        use crate::models;
+
+        // (network, resume points with open residual shortcuts)
+        let cases = [
+            (Network::from(&models::tiny_mlp(1)), 0),
+            (models::tiny_cnn(2), 4),
+            (models::resnet20_cnn(3), 18),
+        ];
+        for (seed, (network, open_skips)) in (1u64..).zip(cases) {
+            let model = QuantNetwork::quantize(&network);
+            let x = Tensor::randn(8, network.in_features(), seed);
+            let labels: Vec<usize> = (0..8).map(|i| i % network.num_classes()).collect();
+            let (_, mut record) = model.trial_record(&x, &labels).unwrap();
+            assert_eq!(record.resumes.iter().filter(|r| !r.skips.is_empty()).count(), open_skips);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut trials = Vec::new();
+            for (layer, weighted) in model.weighted_layers().iter().enumerate() {
+                for _ in 0..4 {
+                    let weight = rng.random_range(0..weighted.num_weights());
+                    let index = BitIndex { layer, weight, bit: rng.random_range(0..8u8) };
+                    let mut flipped = model.clone();
+                    flipped.flip_bit(index).unwrap();
+                    let full = softmax_cross_entropy(&flipped.forward(&x).unwrap(), &labels).0;
+                    let loss = record.trial(index).unwrap();
+                    assert_eq!(loss.to_bits(), full.to_bits(), "{index:?}");
+                    trials.push((index, loss));
+                }
+            }
+            // Repeated from the last layer back, each trial runs through
+            // every weight an earlier repeat patched: the same bits show
+            // each patch was restored.
+            for &(index, loss) in trials.iter().rev() {
+                assert_eq!(record.trial(index).unwrap().to_bits(), loss.to_bits(), "{index:?}");
+            }
+            assert_eq!(model, QuantNetwork::quantize(&network));
+        }
     }
 
     #[test]
