@@ -16,11 +16,12 @@
 //! Layers: `dram` (command issue, RowClone, SWAP), `memctrl` (direct
 //! and queued servicing, scheduling, page walks), `locker` (µISA
 //! decode, lock-table probes), `defenses` (tracker updates, weight
-//! repair), `engine` (sharded trace replay), `dnn` (GEMM, bit search),
-//! `sim` (whole scenarios), `sweep` (the work-stealing runner and its
-//! bare queue) and `figures` (regenerating each paper table and
-//! figure at test fidelity, plus the §IV-D Monte-Carlo kernel);
-//! paper-scale figures print from `examples/paper_figures.rs`.
+//! repair), `engine` (sharded trace replay), `dnn` (GEMM, bit search,
+//! the CNN gradient pass), `sim` (whole scenarios), `sweep` (the
+//! work-stealing runner and its bare queue) and `figures`
+//! (regenerating each paper table and figure at test fidelity, plus
+//! the §IV-D Monte-Carlo kernel); paper-scale figures print from
+//! `examples/paper_figures.rs`.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -29,7 +30,7 @@ use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_bench::harness::{self, Case, Kernel, Ratio};
 use dlk_defenses::training::transforms::WeightReconstruction;
 use dlk_defenses::{CounterPerRow, Graphene, Hydra, RowTracker, Twice};
-use dlk_dnn::{models, Tensor, WeightLayout};
+use dlk_dnn::{models, SyntheticDataset, Tensor, WeightLayout};
 use dlk_dram::{DramCommand, DramConfig, DramDevice, RowAddr, RowId};
 use dlk_engine::{EngineConfig, ShardedEngine, Trace, TraceReplay, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
@@ -107,6 +108,7 @@ const CASES: &[Case] = &[
     case("dnn", "gemm_reference_mflop_per_s", "MFLOP/s", || gemm(true)),
     case("dnn", "bfa_next_flip_per_s", "/s", bfa_next_flip),
     case("dnn", "bfa_next_flip_cnn_per_s", "/s", bfa_next_flip_cnn),
+    case("dnn", "cnn_grad_pass_per_s", "/s", cnn_grad_pass),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
@@ -511,10 +513,10 @@ fn device_cycles() -> String {
     out
 }
 
-// ---- dnn: GEMM, bit search ----
+// ---- dnn: GEMM, bit search, gradient pass ----
 
-/// The im2col shape of the CNN victim: activations (rows of patches)
-/// times a transposed weight matrix.
+/// A dense layer's forward product: 64 activation rows times a
+/// transposed `(32, 128)` weight matrix.
 fn gemm(reference: bool) -> Kernel {
     let (m, k, n) = (64, 128, 32);
     let a = Tensor::randn(m, k, 11);
@@ -551,6 +553,20 @@ fn bfa_next_flip_cnn() -> Kernel {
     let mut search = BitSearch::new(config);
     Box::new(move || {
         black_box(search.next_flip(&victim.model, &x, &y));
+        1
+    })
+}
+
+/// One gradient pass of the untrained ResNet-20 CNN on a 32-image
+/// batch: the per-batch cost of victim training and of each BFA
+/// iteration's gradient pass.
+fn cnn_grad_pass() -> Kernel {
+    let model = models::resnet20_cnn(1);
+    let data = SyntheticDataset::cifar10_images(1);
+    let x = Tensor::from_vec(32, data.dim, data.train_x.as_slice()[..32 * data.dim].to_vec());
+    let labels = data.train_y[..32].to_vec();
+    Box::new(move || {
+        black_box(model.loss_and_grads(black_box(&x), &labels).expect("shapes"));
         1
     })
 }

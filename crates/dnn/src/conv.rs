@@ -7,18 +7,23 @@
 //! validates its input width and produces the next layer's width.
 //!
 //! The forward path uses im2col: every receptive field is unrolled
-//! into a row of a patch matrix, turning the convolution into one
-//! matrix product against the `(out_c, in_c·k·k)` kernel matrix. That
-//! matrix is quantized, deployed to DRAM and attacked bit-by-bit
-//! exactly like a fully-connected weight matrix — which is what lets
-//! BFA walk conv kernels through the same [`BitIndex`] machinery.
+//! into a column of the channel-major patch matrix `(in_c·k·k,
+//! batch·out_h·out_w)`, turning the convolution into one product of
+//! the `(out_c, in_c·k·k)` kernel matrix times it. The wide
+//! `batch·out_h·out_w` side is the one the GEMM kernel unrolls, even
+//! for a convolution with four output channels. The kernel matrix is
+//! quantized, deployed to DRAM and attacked bit-by-bit exactly like a
+//! fully-connected weight matrix — which is what lets BFA walk conv
+//! kernels through the same [`BitIndex`] machinery.
 //!
 //! [`BitIndex`]: crate::quant::BitIndex
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::DnnError;
-use crate::tensor::Tensor;
+use crate::tensor::{gemm_acc, Tensor};
 
 /// Spatial specification of a 2-D convolution with square kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,6 +69,24 @@ impl ConvSpec {
     /// matrix's inner dimension.
     pub fn patch_len(&self) -> usize {
         self.in_c * self.k * self.k
+    }
+
+    /// Along one axis, the output positions whose input coordinate
+    /// `o·stride + tap − pad` lies inside `0..in_len`, and the first
+    /// one's input coordinate; `None` where kernel offset `tap` reads
+    /// only padding.
+    fn span(&self, tap: usize, out_len: usize, in_len: usize) -> Option<(Range<usize>, usize)> {
+        let lo = self.pad.saturating_sub(tap).div_ceil(self.stride);
+        let hi = (in_len + self.pad).saturating_sub(tap).div_ceil(self.stride).min(out_len);
+        (lo < hi).then(|| (lo..hi, lo * self.stride + tap - self.pad))
+    }
+
+    /// The flat in-image index tap `(c, ky, kx)` reads at output
+    /// `(oy, ox)`, or `None` in the padding.
+    fn input_index(&self, c: usize, oy: usize, ox: usize, ky: usize, kx: usize) -> Option<usize> {
+        let iy = (oy * self.stride + ky).checked_sub(self.pad).filter(|&iy| iy < self.in_h)?;
+        let ix = (ox * self.stride + kx).checked_sub(self.pad).filter(|&ix| ix < self.in_w)?;
+        Some((c * self.in_h + iy) * self.in_w + ix)
     }
 }
 
@@ -156,35 +179,29 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Unrolls every receptive field of `x` into a patch-matrix row:
-    /// `(batch·out_h·out_w, in_c·k·k)`, zero-filled where the kernel
-    /// overhangs the padding border.
+    /// Unrolls every receptive field of `x` into a column of the patch
+    /// matrix `(in_c·k·k, batch·out_h·out_w)`. Row `(c·k + ky)·k + kx`
+    /// holds kernel tap `(c, ky, kx)`'s input pixel at every output
+    /// position, zero where the tap overhangs the padding border; its
+    /// valid spans are copied one output row at a time.
     fn im2col(&self, x: &Tensor) -> Tensor {
         let s = &self.spec;
-        let (oh, ow, plen) = (s.out_h(), s.out_w(), s.patch_len());
-        let mut cols = Tensor::zeros(x.rows() * oh * ow, plen);
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let n = x.rows() * oh * ow;
+        let mut cols = Tensor::zeros(s.patch_len(), n);
         let data = cols.as_mut_slice();
-        for b in 0..x.rows() {
-            let image = x.row(b);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let base = ((b * oh + oy) * ow + ox) * plen;
-                    for c in 0..s.in_c {
-                        for ky in 0..s.k {
-                            let iy = oy * s.stride + ky;
-                            if iy < s.pad || iy >= s.in_h + s.pad {
-                                continue;
-                            }
-                            let iy = iy - s.pad;
-                            for kx in 0..s.k {
-                                let ix = ox * s.stride + kx;
-                                if ix < s.pad || ix >= s.in_w + s.pad {
-                                    continue;
-                                }
-                                let ix = ix - s.pad;
-                                data[base + (c * s.k + ky) * s.k + kx] =
-                                    image[(c * s.in_h + iy) * s.in_w + ix];
-                            }
+        for c in 0..s.in_c {
+            for ky in 0..s.k {
+                let Some((ys, _)) = s.span(ky, oh, s.in_h) else { continue };
+                for kx in 0..s.k {
+                    let Some((xs, first)) = s.span(kx, ow, s.in_w) else { continue };
+                    let tap = ((c * s.k + ky) * s.k + kx) * n;
+                    for b in 0..x.rows() {
+                        let plane = &x.row(b)[c * s.in_h * s.in_w..];
+                        for oy in ys.clone() {
+                            let src = &plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
+                            let dst = &mut data[tap + (b * oh + oy) * ow..][xs.clone()];
+                            gather(dst, src, s.stride);
                         }
                     }
                 }
@@ -193,33 +210,30 @@ impl Conv2d {
         cols
     }
 
-    /// Scatter-adds patch-matrix gradients back onto the input image —
-    /// the exact adjoint of [`Conv2d::im2col`].
+    /// Scatter-adds patch-matrix gradients `(in_c·k·k,
+    /// batch·out_h·out_w)` back onto the input image — the exact
+    /// adjoint of [`Conv2d::im2col`]. Taps are visited in descending
+    /// `(ky, kx)`, so each input pixel sums its contributions in
+    /// ascending output position.
     fn col2im(&self, d_cols: &Tensor, batch: usize) -> Tensor {
         let s = &self.spec;
-        let (oh, ow, plen) = (s.out_h(), s.out_w(), s.patch_len());
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let plane_len = s.in_h * s.in_w;
         let mut d_x = Tensor::zeros(batch, s.in_features());
         let out = d_x.as_mut_slice();
-        for b in 0..batch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = d_cols.row((b * oh + oy) * ow + ox);
-                    debug_assert_eq!(row.len(), plen);
-                    for c in 0..s.in_c {
-                        for ky in 0..s.k {
-                            let iy = oy * s.stride + ky;
-                            if iy < s.pad || iy >= s.in_h + s.pad {
-                                continue;
-                            }
-                            let iy = iy - s.pad;
-                            for kx in 0..s.k {
-                                let ix = ox * s.stride + kx;
-                                if ix < s.pad || ix >= s.in_w + s.pad {
-                                    continue;
-                                }
-                                let ix = ix - s.pad;
-                                out[b * s.in_features() + (c * s.in_h + iy) * s.in_w + ix] +=
-                                    row[(c * s.k + ky) * s.k + kx];
+        for c in 0..s.in_c {
+            for ky in (0..s.k).rev() {
+                let Some((ys, _)) = s.span(ky, oh, s.in_h) else { continue };
+                for kx in (0..s.k).rev() {
+                    let Some((xs, first)) = s.span(kx, ow, s.in_w) else { continue };
+                    let row = d_cols.row((c * s.k + ky) * s.k + kx);
+                    for b in 0..batch {
+                        let plane = &mut out[b * s.in_features() + c * plane_len..][..plane_len];
+                        for oy in ys.clone() {
+                            let dst = &mut plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
+                            let src = &row[(b * oh + oy) * ow..][xs.clone()];
+                            for (d, &g) in dst.iter_mut().step_by(s.stride).zip(src) {
+                                *d += g;
                             }
                         }
                     }
@@ -229,8 +243,13 @@ impl Conv2d {
         d_x
     }
 
-    /// Forward pass via im2col: `x (batch, in_c·in_h·in_w)` →
-    /// `(batch, out_c·out_h·out_w)`, channel-major.
+    /// Forward pass: `x (batch, in_c·in_h·in_w)` →
+    /// `(batch, out_c·out_h·out_w)`, channel-major. One GEMM of the
+    /// kernel matrix times the patch matrix, whose wide
+    /// `batch·out_h·out_w` dimension is the one the kernel unrolls.
+    /// Each output sums its products in ascending patch index from
+    /// `+0.0`, then adds the bias; the kernel's zero-skip elides only
+    /// `±0` products of zero weights.
     ///
     /// # Errors
     ///
@@ -238,17 +257,20 @@ impl Conv2d {
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
         self.check_input(x)?;
         let s = &self.spec;
-        let (oh, ow) = (s.out_h(), s.out_w());
+        let area = s.out_h() * s.out_w();
+        let n = x.rows() * area;
         let cols = self.im2col(x);
-        // (batch·oh·ow, out_c)
-        let y = cols.matmul_transpose(&self.weight)?;
+        // (out_c, batch·oh·ow)
+        let mut y = vec![0.0; s.out_c * n];
+        gemm_acc(&mut y, self.weight.as_slice(), cols.as_slice(), s.out_c, s.patch_len(), n);
         let mut out = Tensor::zeros(x.rows(), s.out_features());
         let data = out.as_mut_slice();
         for b in 0..x.rows() {
-            for p in 0..oh * ow {
-                let src = y.row(b * oh * ow + p);
-                for (c, &v) in src.iter().enumerate() {
-                    data[b * s.out_features() + c * oh * ow + p] = v + self.bias[c];
+            for (c, &bias) in self.bias.iter().enumerate() {
+                let src = &y[c * n + b * area..][..area];
+                let dst = &mut data[(b * s.out_c + c) * area..][..area];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o = v + bias;
                 }
             }
         }
@@ -256,7 +278,9 @@ impl Conv2d {
     }
 
     /// Reference forward pass with naive nested loops — the oracle the
-    /// im2col path is tested against.
+    /// patch-matrix path is tested against. Each output sums
+    /// `kernel · pixel` over its receptive field in ascending patch
+    /// index from `0.0`, then adds the bias: the fast path's order.
     ///
     /// # Errors
     ///
@@ -272,25 +296,18 @@ impl Conv2d {
                 let kernel = self.weight.row(oc);
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut acc = self.bias[oc];
+                        let mut acc = 0.0;
                         for c in 0..s.in_c {
                             for ky in 0..s.k {
                                 for kx in 0..s.k {
-                                    let iy = (oy * s.stride + ky) as i64 - s.pad as i64;
-                                    let ix = (ox * s.stride + kx) as i64 - s.pad as i64;
-                                    if iy < 0
-                                        || ix < 0
-                                        || iy >= s.in_h as i64
-                                        || ix >= s.in_w as i64
-                                    {
+                                    let Some(pixel) = s.input_index(c, oy, ox, ky, kx) else {
                                         continue;
-                                    }
-                                    acc += kernel[(c * s.k + ky) * s.k + kx]
-                                        * image[(c * s.in_h + iy as usize) * s.in_w + ix as usize];
+                                    };
+                                    acc += kernel[(c * s.k + ky) * s.k + kx] * image[pixel];
                                 }
                             }
                         }
-                        out.set(b, (oc * oh + oy) * ow + ox, acc);
+                        out.set(b, (oc * oh + oy) * ow + ox, acc + self.bias[oc]);
                     }
                 }
             }
@@ -301,13 +318,17 @@ impl Conv2d {
     /// Backward pass. Given the forward input `x` and upstream gradient
     /// `d_out (batch, out_c·out_h·out_w)`, returns `(grads, d_x)`.
     ///
+    /// The upstream gradient stays channel-major as `d_y (out_c,
+    /// batch·out_h·out_w)`, so the weight gradient and the patch-matrix
+    /// gradient are one GEMM each; `col2im` folds the latter back onto
+    /// the image.
+    ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] on inconsistent shapes.
     pub fn backward(&self, x: &Tensor, d_out: &Tensor) -> Result<(ConvGrads, Tensor), DnnError> {
         self.check_input(x)?;
         let s = &self.spec;
-        let (oh, ow) = (s.out_h(), s.out_w());
         if d_out.shape() != (x.rows(), s.out_features()) {
             return Err(DnnError::ShapeMismatch {
                 op: "conv2d backward",
@@ -315,27 +336,42 @@ impl Conv2d {
                 rhs: (x.rows(), s.out_features()),
             });
         }
-        // Fold the channel-major output gradient back into patch-row
-        // order (batch·oh·ow, out_c).
-        let mut d_y = Tensor::zeros(x.rows() * oh * ow, s.out_c);
+        let (plen, area) = (s.patch_len(), s.out_h() * s.out_w());
+        let n = x.rows() * area;
+        let mut d_y = vec![0.0f32; s.out_c * n];
         let mut d_bias = vec![0.0f32; s.out_c];
         for b in 0..x.rows() {
-            let grad = d_out.row(b);
-            for c in 0..s.out_c {
-                for p in 0..oh * ow {
-                    let v = grad[c * oh * ow + p];
-                    d_y.set(b * oh * ow + p, c, v);
-                    d_bias[c] += v;
+            for (c, db) in d_bias.iter_mut().enumerate() {
+                let src = &d_out.row(b)[c * area..][..area];
+                d_y[c * n + b * area..][..area].copy_from_slice(src);
+                for &v in src {
+                    *db += v;
                 }
             }
         }
-        let cols = self.im2col(x);
-        // dW = d_yᵀ × cols  (out_c, in_c·k·k)
-        let d_weight = d_y.transpose_matmul(&cols)?;
-        // d_cols = d_y × W  (batch·oh·ow, in_c·k·k)
-        let d_cols = d_y.matmul(&self.weight)?;
+        // dW = d_y · patchesᵀ  (out_c, in_c·k·k)
+        let patches_t = self.im2col(x).transposed();
+        let mut d_weight = Tensor::zeros(s.out_c, plen);
+        gemm_acc(d_weight.as_mut_slice(), &d_y, patches_t.as_slice(), s.out_c, n, plen);
+        // d_cols = Wᵀ · d_y  (in_c·k·k, batch·oh·ow)
+        let weight_t = self.weight.transposed();
+        let mut d_cols = Tensor::zeros(plen, n);
+        gemm_acc(d_cols.as_mut_slice(), weight_t.as_slice(), &d_y, plen, s.out_c, n);
         let d_x = self.col2im(&d_cols, x.rows());
         Ok((ConvGrads { weight: d_weight, bias: d_bias }, d_x))
+    }
+}
+
+/// Copies every `stride`-th element of `src` into `dst`: one output
+/// row's valid span of a patch-matrix row. Stride 1, every conv of
+/// the CNN victims, is one `memcpy`.
+fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&src[..dst.len()]);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = v;
+        }
     }
 }
 
@@ -531,25 +567,136 @@ mod tests {
         ConvSpec { in_c: 2, in_h: 5, in_w: 4, out_c: 3, k: 3, stride: 1, pad: 1 }
     }
 
-    #[test]
-    fn im2col_forward_matches_naive_reference() {
-        for spec in [
+    /// Padded, strided, overhanging and 1×1-image convs, one whose
+    /// outer taps read only padding, and the ResNet-20 CNN's 4→4 8×8
+    /// and 8→12 4×4 shapes.
+    fn oracle_specs() -> [ConvSpec; 7] {
+        [
+            ConvSpec { in_c: 1, in_h: 3, in_w: 1, out_c: 2, k: 5, stride: 1, pad: 2 },
             spec_3x3(),
             ConvSpec { in_c: 1, in_h: 6, in_w: 6, out_c: 2, k: 3, stride: 2, pad: 0 },
             ConvSpec { in_c: 3, in_h: 4, in_w: 4, out_c: 4, k: 2, stride: 2, pad: 1 },
             ConvSpec { in_c: 2, in_h: 1, in_w: 1, out_c: 2, k: 3, stride: 1, pad: 1 },
-        ] {
-            let mut conv = Conv2d::new(spec, 11);
-            for (i, b) in conv.bias_mut().iter_mut().enumerate() {
-                *b = 0.1 * i as f32 - 0.05;
+            ConvSpec { in_c: 4, in_h: 8, in_w: 8, out_c: 4, k: 3, stride: 1, pad: 1 },
+            ConvSpec { in_c: 8, in_h: 4, in_w: 4, out_c: 12, k: 3, stride: 1, pad: 1 },
+        ]
+    }
+
+    /// A conv with a nonzero bias on each channel.
+    fn biased_conv(spec: ConvSpec) -> Conv2d {
+        let mut conv = Conv2d::new(spec, 11);
+        for (i, b) in conv.bias_mut().iter_mut().enumerate() {
+            *b = 0.1 * i as f32 - 0.05;
+        }
+        conv
+    }
+
+    /// A ReLU'd input batch, zero-rich like a hidden activation.
+    fn relu_input(spec: &ConvSpec) -> Tensor {
+        let mut x = Tensor::randn(3, spec.in_features(), 12);
+        x.relu_inplace();
+        x
+    }
+
+    fn assert_bits_eq(fast: &[f32], naive: &[f32], what: &str, spec: &ConvSpec) {
+        assert_eq!(fast.len(), naive.len(), "{what} length in {spec:?}");
+        for (i, (a, b)) in fast.iter().zip(naive).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: fast {a} vs naive {b} in {spec:?}");
+        }
+    }
+
+    /// Reference backward pass with naive nested loops, summing in the
+    /// fast path's order, each sum from `0.0`:
+    /// - `d_bias[oc]` over `(b, p)` ascending;
+    /// - `dW[oc][tap]` over `(b, oy, ox)` ascending;
+    /// - `d_x` per pixel over the outputs `(oy, ox)` that read it,
+    ///   ascending, each term summed over `out_c` first.
+    fn backward_naive(conv: &Conv2d, x: &Tensor, d_out: &Tensor) -> (ConvGrads, Tensor) {
+        let s = conv.spec();
+        let (oh, ow, area) = (s.out_h(), s.out_w(), s.out_h() * s.out_w());
+        let mut d_bias = vec![0.0f32; s.out_c];
+        for b in 0..x.rows() {
+            for (oc, db) in d_bias.iter_mut().enumerate() {
+                for p in 0..area {
+                    *db += d_out.get(b, oc * area + p);
+                }
             }
-            let x = Tensor::randn(3, spec.in_features(), 12);
+        }
+        let mut d_weight = Tensor::zeros(s.out_c, s.patch_len());
+        let mut d_x = Tensor::zeros(x.rows(), s.in_features());
+        for oc in 0..s.out_c {
+            for c in 0..s.in_c {
+                for ky in 0..s.k {
+                    for kx in 0..s.k {
+                        let mut acc = 0.0;
+                        for b in 0..x.rows() {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    if let Some(pixel) = s.input_index(c, oy, ox, ky, kx) {
+                                        acc += d_out.get(b, (oc * oh + oy) * ow + ox)
+                                            * x.get(b, pixel);
+                                    }
+                                }
+                            }
+                        }
+                        d_weight.set(oc, (c * s.k + ky) * s.k + kx, acc);
+                    }
+                }
+            }
+        }
+        for b in 0..x.rows() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for c in 0..s.in_c {
+                        for ky in 0..s.k {
+                            for kx in 0..s.k {
+                                let Some(pixel) = s.input_index(c, oy, ox, ky, kx) else {
+                                    continue;
+                                };
+                                let tap = (c * s.k + ky) * s.k + kx;
+                                let mut term = 0.0;
+                                for oc in 0..s.out_c {
+                                    term += d_out.get(b, (oc * oh + oy) * ow + ox)
+                                        * conv.weight().get(oc, tap);
+                                }
+                                d_x.set(b, pixel, d_x.get(b, pixel) + term);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (ConvGrads { weight: d_weight, bias: d_bias }, d_x)
+    }
+
+    #[test]
+    fn im2col_forward_matches_naive_reference() {
+        for spec in oracle_specs() {
+            let conv = biased_conv(spec);
+            let x = relu_input(&spec);
             let fast = conv.forward(&x).unwrap();
             let naive = conv.forward_naive(&x).unwrap();
             assert_eq!(fast.shape(), naive.shape());
-            for (a, b) in fast.as_slice().iter().zip(naive.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "im2col {a} vs naive {b} in {spec:?}");
+            assert_bits_eq(fast.as_slice(), naive.as_slice(), "output", &spec);
+        }
+    }
+
+    #[test]
+    fn backward_matches_naive_reference_bit_for_bit() {
+        for spec in oracle_specs() {
+            let conv = biased_conv(spec);
+            let x = relu_input(&spec);
+            let mut d_out = Tensor::randn(x.rows(), spec.out_features(), 13);
+            for (i, g) in d_out.as_mut_slice().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *g = 0.0;
+                }
             }
+            let (grads, d_x) = conv.backward(&x, &d_out).unwrap();
+            let (want, want_d_x) = backward_naive(&conv, &x, &d_out);
+            assert_bits_eq(grads.weight.as_slice(), want.weight.as_slice(), "dW", &spec);
+            assert_bits_eq(&grads.bias, &want.bias, "d_bias", &spec);
+            assert_bits_eq(d_x.as_slice(), want_d_x.as_slice(), "d_x", &spec);
         }
     }
 

@@ -136,13 +136,17 @@ impl Tensor {
 
     /// The explicit transpose `(cols, rows)` — the bridge that lets
     /// every matrix-product variant run through the one blocked GEMM
-    /// kernel.
+    /// kernel. Copies tile by tile, so the strided side of a large
+    /// transpose, such as a conv's patch matrix, stays in cache.
     pub fn transposed(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (j, &value) in row.iter().enumerate() {
-                out.data[j * self.rows + i] = value;
+        for i0 in (0..self.rows).step_by(TRANSPOSE_TILE) {
+            for j0 in (0..self.cols).step_by(TRANSPOSE_TILE) {
+                for i in i0..(i0 + TRANSPOSE_TILE).min(self.rows) {
+                    for j in j0..(j0 + TRANSPOSE_TILE).min(self.cols) {
+                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
+                    }
+                }
             }
         }
         out
@@ -168,10 +172,10 @@ impl Tensor {
     }
 
     /// `self (m,k) × otherᵀ (n,k) -> (m,n)` — the forward-pass product
-    /// behind every dense layer and the im2col convolution. Runs the
-    /// same blocked kernel as [`Tensor::matmul`] over the materialized
-    /// transpose: the row-blocked, unrolled accumulation vectorizes,
-    /// where the old per-output scalar dot product was bound by the
+    /// behind every dense layer. Runs the same blocked kernel as
+    /// [`Tensor::matmul`] over the materialized transpose: the
+    /// row-blocked, unrolled accumulation vectorizes, where the old
+    /// per-output scalar dot product was bound by the
     /// floating-point add latency chain.
     ///
     /// # Errors
@@ -330,6 +334,10 @@ impl Tensor {
     }
 }
 
+/// Tile side of [`Tensor::transposed`]: a 32×32 `f32` tile is 4 KiB
+/// read and 4 KiB written, both resident in L1.
+const TRANSPOSE_TILE: usize = 32;
+
 /// `k`-block width of the shared GEMM kernel: a 256-element slice of a
 /// `b` row is 1 KiB, so one block of `b` rows stays resident in L1/L2
 /// while the `i` loop streams over it.
@@ -340,7 +348,8 @@ const GEMM_KC: usize = 256;
 const GEMM_JU: usize = 8;
 
 /// The one blocked GEMM kernel behind [`Tensor::matmul`],
-/// [`Tensor::matmul_transpose`] and [`Tensor::transpose_matmul`]:
+/// [`Tensor::matmul_transpose`], [`Tensor::transpose_matmul`] and
+/// every [`Conv2d`](crate::conv::Conv2d) product:
 /// `out (m,n) += a (m,k) × b (k,n)`, all row-major.
 ///
 /// Bit-exact with the pre-refactor scalar loops: each output element
@@ -348,7 +357,7 @@ const GEMM_JU: usize = 8;
 /// visited in order, and within a block `k` ascends), and the
 /// zero-skip only elides `±0.0` contributions, which cannot change an
 /// accumulator that starts at `+0.0` for finite inputs.
-fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -478,6 +487,19 @@ mod tests {
         let t = a.transposed();
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(t.transposed(), a);
+    }
+
+    #[test]
+    fn transposed_spans_partial_tiles() {
+        let a = Tensor::randn(37, 70, 5);
+        let t = a.transposed();
+        assert_eq!(t.shape(), (70, 37));
+        for i in 0..37 {
+            for j in 0..70 {
+                assert_eq!(t.get(j, i).to_bits(), a.get(i, j).to_bits());
+            }
+        }
         assert_eq!(t.transposed(), a);
     }
 

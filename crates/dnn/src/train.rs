@@ -117,16 +117,18 @@ impl Trainer {
     ///
     /// Batches are taken in a fixed round-robin order (the dataset
     /// generator already interleaves classes), keeping training fully
-    /// deterministic.
+    /// deterministic. A dataset without training rows runs no epoch
+    /// and leaves `model` unchanged.
     pub fn fit<M: Trainable>(&self, model: &mut M, dataset: &SyntheticDataset) -> TrainReport {
         let n = dataset.train_x.rows();
         let dim = dataset.dim;
-        let batch = self.config.batch_size.max(1).min(n);
+        let epochs = if n == 0 { 0 } else { self.config.epochs };
+        let batch = self.config.batch_size.clamp(1, n.max(1));
         let mut lr = self.config.lr;
         let mut final_loss = f32::NAN;
         // Interleave classes within batches by striding.
         let stride = (n / batch).max(1);
-        for _ in 0..self.config.epochs {
+        for _ in 0..epochs {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for start in 0..stride {
@@ -152,7 +154,7 @@ impl Trainer {
             .expect("train shapes are consistent");
         let test_accuracy =
             model.accuracy(&dataset.test_x, &dataset.test_y).expect("test shapes are consistent");
-        TrainReport { final_loss, train_accuracy, test_accuracy, epochs: self.config.epochs }
+        TrainReport { final_loss, train_accuracy, test_accuracy, epochs }
     }
 }
 
@@ -182,6 +184,19 @@ mod tests {
             model
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn empty_training_set_runs_no_step() {
+        let dataset = SyntheticDataset::images(4, 6, 6, 0, 2, 5.0, 1);
+        assert_eq!(dataset.train_x.rows(), 0);
+        let mut model = crate::models::tiny_cnn(1);
+        let before = model.clone();
+        let report = Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
+        assert_eq!(model, before);
+        assert_eq!(report.epochs, 0);
+        assert!(report.final_loss.is_nan());
+        assert_eq!(report.train_accuracy, 0.0);
     }
 
     #[test]
