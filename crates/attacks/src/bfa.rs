@@ -21,7 +21,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use dlk_dnn::{BitIndex, QuantizedMlp, Tensor};
+use dlk_dnn::quant::flip_delta;
+use dlk_dnn::{BitIndex, QuantLayer, QuantizedMlp, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
 
@@ -30,8 +31,9 @@ use crate::outcome::{AttackCurve, AttackPoint};
 pub struct BfaConfig {
     /// Candidate bits trialled per layer per iteration.
     pub candidates_per_layer: usize,
-    /// Restrict the search to the most significant bits (`None` =
-    /// all 8). The published attack converges fastest on bits 6–7.
+    /// Restrict the search to the inclusive bit range `[lo, hi]`, i.e.
+    /// bits `lo..=hi` (`None` = all 8). The published attack converges
+    /// fastest on bits 6–7, `Some([6, 7])`.
     pub bits_considered: Option<[u8; 2]>,
 }
 
@@ -85,20 +87,19 @@ impl BitSearch {
     ) -> Option<BitIndex> {
         let (grads, mut record) =
             model.trial_record(x, labels).expect("attack batch shapes are consistent");
+        let [lo, hi] = self.config.bits_considered.unwrap_or([0, 7]);
         let mut best: Option<(f32, BitIndex)> = None;
-        for (layer_index, layer_grads) in grads.iter().enumerate() {
+        let weighted = model.layers().iter().filter_map(QuantLayer::matrix);
+        for (layer_index, (layer_grads, matrix)) in grads.iter().zip(weighted).enumerate() {
             // Rank candidate bits in this layer by first-order gain.
-            let grad = layer_grads.weight.as_slice();
+            let scale = matrix.scale();
             let mut candidates: Vec<(f32, BitIndex)> = Vec::new();
-            let bits: Vec<u8> = match self.config.bits_considered {
-                Some([a, b]) => vec![a, b],
-                None => (0..8).collect(),
-            };
-            for (weight_index, &g) in grad.iter().enumerate() {
-                for &bit in &bits {
+            for (weight_index, (&g, &q)) in
+                layer_grads.weight.iter().zip(matrix.qweights()).enumerate()
+            {
+                for bit in lo..=hi {
                     let index = BitIndex { layer: layer_index, weight: weight_index, bit };
-                    let delta = model.flip_delta(index).expect("index enumerated from model shape");
-                    let gain = g * delta;
+                    let gain = g * flip_delta(q as u8, bit, scale);
                     if gain > 0.0 {
                         candidates.push((gain, index));
                     }
@@ -227,6 +228,23 @@ mod tests {
             let got: Vec<_> = curve.points.iter().map(|p| (p.flipped, p.accuracy)).collect();
             assert_eq!(got, expected);
         }
+    }
+
+    /// `bits=lo,hi` is the inclusive range `lo..=hi`, as `dlk check`
+    /// reads it: `[0, 7]` ranks every bit, the same search as `None`,
+    /// and `[5, 7]` ranks bit 6 too.
+    #[test]
+    fn bit_range_is_inclusive() {
+        let victim = models::victim_tiny(5);
+        let (x, y) = victim.dataset.test_sample(32, 0);
+        let flips = |bits_considered| {
+            let config = BfaConfig { candidates_per_layer: 5, bits_considered };
+            let curve = BitSearch::new(config).run(&mut victim.model.clone(), &x, &y, 8);
+            curve.points.iter().filter_map(|p| p.flipped).collect::<Vec<_>>()
+        };
+        assert_eq!(flips(Some([0, 7])), flips(None));
+        let middle = flips(Some([5, 7]));
+        assert!(middle.iter().any(|f| f.bit == 6), "{middle:?}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_bench::harness::{self, Case, Kernel, Ratio};
 use dlk_defenses::training::transforms::WeightReconstruction;
 use dlk_defenses::{CounterPerRow, Graphene, Hydra, RowTracker, Twice};
-use dlk_dnn::{models, SyntheticDataset, Tensor, WeightLayout};
+use dlk_dnn::{models, Network, SyntheticDataset, Tensor, WeightLayout};
 use dlk_dram::{DramCommand, DramConfig, DramDevice, RowAddr, RowId};
 use dlk_engine::{EngineConfig, ShardedEngine, Trace, TraceReplay, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
@@ -109,6 +109,7 @@ const CASES: &[Case] = &[
     case("dnn", "bfa_next_flip_per_s", "/s", bfa_next_flip),
     case("dnn", "bfa_next_flip_cnn_per_s", "/s", bfa_next_flip_cnn),
     case("dnn", "cnn_grad_pass_per_s", "/s", cnn_grad_pass),
+    case("dnn", "cnn_forward_per_s", "/s", cnn_forward),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
@@ -561,14 +562,30 @@ fn bfa_next_flip_cnn() -> Kernel {
 /// batch: the per-batch cost of victim training and of each BFA
 /// iteration's gradient pass.
 fn cnn_grad_pass() -> Kernel {
-    let model = models::resnet20_cnn(1);
-    let data = SyntheticDataset::cifar10_images(1);
-    let x = Tensor::from_vec(32, data.dim, data.train_x.as_slice()[..32 * data.dim].to_vec());
-    let labels = data.train_y[..32].to_vec();
+    let (model, x, labels) = resnet20_batch();
     Box::new(move || {
         black_box(model.loss_and_grads(black_box(&x), &labels).expect("shapes"));
         1
     })
+}
+
+/// One forward pass of the untrained ResNet-20 CNN on the same batch:
+/// the unit of work of a bit-search trial, which runs the rest of this
+/// pass from the flipped layer on.
+fn cnn_forward() -> Kernel {
+    let (model, x, _) = resnet20_batch();
+    Box::new(move || {
+        black_box(model.forward(black_box(&x)).expect("shapes"));
+        1
+    })
+}
+
+/// The untrained ResNet-20 CNN and the first 32 training images and
+/// labels of its dataset.
+fn resnet20_batch() -> (Network, Tensor, Vec<usize>) {
+    let data = SyntheticDataset::cifar10_images(1);
+    let x = Tensor::from_vec(32, data.dim, data.train_x.as_slice()[..32 * data.dim].to_vec());
+    (models::resnet20_cnn(1), x, data.train_y[..32].to_vec())
 }
 
 // ---- sim: whole scenarios ----

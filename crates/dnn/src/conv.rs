@@ -182,12 +182,20 @@ impl Conv2d {
     /// Unrolls every receptive field of `x` into a column of the patch
     /// matrix `(in_c·k·k, batch·out_h·out_w)`. Row `(c·k + ky)·k + kx`
     /// holds kernel tap `(c, ky, kx)`'s input pixel at every output
-    /// position, zero where the tap overhangs the padding border; its
-    /// valid spans are copied one output row at a time.
+    /// position, zero where the tap overhangs the padding border.
+    ///
+    /// A stride-1 conv whose output is as wide as its input (every
+    /// "same" conv, so every conv of the model zoo) reads a tap's valid
+    /// rows of one image as one contiguous run of the input plane, and
+    /// writes them as one run of the patch row: the run is copied once,
+    /// and the `out_w − |valid columns|` entries that wrap from one
+    /// row's end to the next row's start are zeroed again. Any other
+    /// geometry copies its valid spans one output row at a time.
     fn im2col(&self, x: &Tensor) -> Tensor {
         let s = &self.spec;
         let (oh, ow) = (s.out_h(), s.out_w());
         let n = x.rows() * oh * ow;
+        let merged = s.stride == 1 && ow == s.in_w;
         let mut cols = Tensor::zeros(s.patch_len(), n);
         let data = cols.as_mut_slice();
         for c in 0..s.in_c {
@@ -198,10 +206,21 @@ impl Conv2d {
                     let tap = ((c * s.k + ky) * s.k + kx) * n;
                     for b in 0..x.rows() {
                         let plane = &x.row(b)[c * s.in_h * s.in_w..];
-                        for oy in ys.clone() {
-                            let src = &plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
-                            let dst = &mut data[tap + (b * oh + oy) * ow..][xs.clone()];
-                            gather(dst, src, s.stride);
+                        let image = &mut data[tap + b * oh * ow..][..oh * ow];
+                        if merged {
+                            let width = xs.len();
+                            let run = &mut image[ys.start * ow + xs.start..];
+                            let run = &mut run[..(ys.len() - 1) * ow + width];
+                            let src = &plane[(ys.start + ky - s.pad) * s.in_w + first..];
+                            run.copy_from_slice(&src[..run.len()]);
+                            for wrapped in run[width..].chunks_exact_mut(ow) {
+                                wrapped[..ow - width].fill(0.0);
+                            }
+                        } else {
+                            for oy in ys.clone() {
+                                let src = &plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
+                                gather(&mut image[oy * ow..][xs.clone()], src, s.stride);
+                            }
                         }
                     }
                 }
@@ -363,8 +382,8 @@ impl Conv2d {
 }
 
 /// Copies every `stride`-th element of `src` into `dst`: one output
-/// row's valid span of a patch-matrix row. Stride 1, every conv of
-/// the CNN victims, is one `memcpy`.
+/// row's valid span of a patch-matrix row, for the geometries whose
+/// rows `im2col` cannot merge. Stride 1 is one `memcpy`.
 fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
     if stride == 1 {
         dst.copy_from_slice(&src[..dst.len()]);
@@ -569,8 +588,12 @@ mod tests {
 
     /// Padded, strided, overhanging and 1×1-image convs, one whose
     /// outer taps read only padding, and the ResNet-20 CNN's 4→4 8×8
-    /// and 8→12 4×4 shapes.
-    fn oracle_specs() -> [ConvSpec; 7] {
+    /// and 8→12 4×4 shapes. `im2col` copies a tap's rows as one merged
+    /// run for the stride-1 "same" convs, among them two non-square
+    /// ones (5×4, and 3×6 with two wrapped entries per row at the outer
+    /// taps), and row by row for the strided convs and the stride-1
+    /// 5×6 conv whose output is narrower than its input.
+    fn oracle_specs() -> [ConvSpec; 9] {
         [
             ConvSpec { in_c: 1, in_h: 3, in_w: 1, out_c: 2, k: 5, stride: 1, pad: 2 },
             spec_3x3(),
@@ -579,6 +602,8 @@ mod tests {
             ConvSpec { in_c: 2, in_h: 1, in_w: 1, out_c: 2, k: 3, stride: 1, pad: 1 },
             ConvSpec { in_c: 4, in_h: 8, in_w: 8, out_c: 4, k: 3, stride: 1, pad: 1 },
             ConvSpec { in_c: 8, in_h: 4, in_w: 4, out_c: 12, k: 3, stride: 1, pad: 1 },
+            ConvSpec { in_c: 2, in_h: 5, in_w: 6, out_c: 3, k: 3, stride: 1, pad: 0 },
+            ConvSpec { in_c: 2, in_h: 3, in_w: 6, out_c: 3, k: 5, stride: 1, pad: 2 },
         ]
     }
 

@@ -187,10 +187,15 @@ pub fn cross_entropy_grad(probs: &Tensor, labels: &[usize]) -> Tensor {
 
 /// ReLU forward that remembers the mask for backward.
 pub fn relu_forward(x: &Tensor) -> (Tensor, Vec<bool>) {
-    let mask: Vec<bool> = x.as_slice().iter().map(|&v| v > 0.0).collect();
+    let mask = relu_mask(x);
     let mut y = x.clone();
     y.relu_inplace();
     (y, mask)
+}
+
+/// ReLU's backward mask: whether each input element was `> 0`.
+pub(crate) fn relu_mask(x: &Tensor) -> Vec<bool> {
+    x.as_slice().iter().map(|&v| v > 0.0).collect()
 }
 
 /// ReLU backward: zero gradient where the forward input was ≤ 0.
@@ -202,9 +207,7 @@ pub fn relu_backward(d_out: &Tensor, mask: &[bool]) -> Tensor {
     assert_eq!(mask.len(), d_out.len(), "mask/grad size mismatch");
     let mut d_x = d_out.clone();
     for (value, &keep) in d_x.as_mut_slice().iter_mut().zip(mask) {
-        if !keep {
-            *value = 0.0;
-        }
+        *value = if keep { *value } else { 0.0 };
     }
     d_x
 }

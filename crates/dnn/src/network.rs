@@ -26,9 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::conv::{Conv2d, Pool2d};
 use crate::error::DnnError;
-use crate::layers::{
-    cross_entropy_grad, relu_backward, relu_forward, softmax_cross_entropy, Linear,
-};
+use crate::layers::{cross_entropy_grad, relu_backward, relu_mask, softmax_cross_entropy, Linear};
 use crate::model::{argmax_rows, Mlp};
 use crate::tensor::Tensor;
 
@@ -265,9 +263,13 @@ impl Network {
                     Cache::Input(input)
                 }
                 Layer::Relu => {
-                    let (y, mask) = relu_forward(&act);
-                    act = y;
-                    Cache::Mask(mask)
+                    // Inference drops the mask, so only a tape builds it.
+                    let cache = match tape {
+                        Tape::Off => Cache::None,
+                        Tape::Backward(_) | Tape::Record(..) => Cache::Mask(relu_mask(&act)),
+                    };
+                    act.relu_inplace();
+                    cache
                 }
                 Layer::MaxPool(p) => {
                     let (y, switches) = p.forward_max(&act)?;

@@ -428,9 +428,7 @@ impl QuantNetwork {
         let byte = layer
             .weight_byte(index.weight)
             .ok_or(DnnError::BadWeightIndex { layer: index.layer, index: index.weight })?;
-        let before = byte as i8 as f32;
-        let after = (byte ^ (1 << (index.bit & 7))) as i8 as f32;
-        Ok((after - before) * layer.scale())
+        Ok(flip_delta(byte, index.bit, layer.scale()))
     }
 
     /// Concatenated raw weight bytes of all weighted layers (two's
@@ -491,6 +489,16 @@ impl QuantNetwork {
     }
 }
 
+/// The change in effective weight value that flipping `bit` of the
+/// stored weight byte `byte` causes in a layer quantized at `scale`
+/// (signed, in float weight units): [`QuantNetwork::flip_delta`] for a
+/// byte already read.
+pub fn flip_delta(byte: u8, bit: u8, scale: f32) -> f32 {
+    let before = byte as i8 as f32;
+    let after = (byte ^ (1 << (bit & 7))) as i8 as f32;
+    (after - before) * scale
+}
+
 /// One gradient pass's forward, kept so that the loss with any single
 /// bit flipped costs only the layers from the flipped one on. Built by
 /// [`QuantNetwork::trial_record`].
@@ -525,15 +533,16 @@ impl TrialRecord<'_> {
         let matrix = self.model.weighted(index.layer).ok_or_else(bad)?;
         let byte = matrix.weight_byte(index.weight).ok_or_else(bad)?;
         let mut value = (byte ^ (1 << (index.bit & 7))) as i8 as f32 * matrix.scale();
-        let resume = &self.resumes[index.layer];
-        let swap = |float: &mut Network, value: &mut f32| {
-            let layer = &mut float.layers_mut()[resume.position];
-            let weights = layer.weight_mut().expect("resume points are weighted");
-            std::mem::swap(&mut weights.as_mut_slice()[index.weight], value);
+        let resume = self.resumes.get(index.layer).ok_or_else(bad)?;
+        let mut swap = |float: &mut Network| {
+            let weights = float.layers_mut().get_mut(resume.position)?.weight_mut()?;
+            let slot = weights.as_mut_slice().get_mut(index.weight)?;
+            std::mem::swap(slot, &mut value);
+            Some(())
         };
-        swap(&mut self.float, &mut value);
+        swap(&mut self.float).ok_or_else(bad)?;
         let logits = self.float.run(resume.position, &resume.input, &resume.skips, Tape::Off);
-        swap(&mut self.float, &mut value);
+        swap(&mut self.float).ok_or_else(bad)?;
         Ok(softmax_cross_entropy(&logits?, self.labels).0)
     }
 }

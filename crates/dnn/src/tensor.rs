@@ -324,12 +324,13 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
-    /// In-place ReLU.
+    /// In-place ReLU: every negative element becomes `+0.0`; `-0.0`
+    /// and NaN pass through unchanged. Written as a select rather than
+    /// a branch, so it vectorizes and does not mispredict on the random
+    /// signs of an activation.
     pub fn relu_inplace(&mut self) {
         for value in &mut self.data {
-            if *value < 0.0 {
-                *value = 0.0;
-            }
+            *value = if *value < 0.0 { 0.0 } else { *value };
         }
     }
 }
@@ -344,8 +345,12 @@ const TRANSPOSE_TILE: usize = 32;
 const GEMM_KC: usize = 256;
 
 /// `j`-unroll width: eight independent output accumulators per step,
-/// wide enough for LLVM to keep the inner loop in vector registers.
+/// one AVX register (two SSE registers) of `f32`.
 const GEMM_JU: usize = 8;
+
+/// `k` steps fused per pass over an output row: each 8-float output
+/// chunk is loaded once and stored once per four products.
+const GEMM_KU: usize = 4;
 
 /// The one blocked GEMM kernel behind [`Tensor::matmul`],
 /// [`Tensor::matmul_transpose`], [`Tensor::transpose_matmul`] and
@@ -353,36 +358,126 @@ const GEMM_JU: usize = 8;
 /// `out (m,n) += a (m,k) × b (k,n)`, all row-major.
 ///
 /// Bit-exact with the pre-refactor scalar loops: each output element
-/// accumulates its products in ascending-`k` order (the `k` blocks are
-/// visited in order, and within a block `k` ascends), and the
-/// zero-skip only elides `±0.0` contributions, which cannot change an
-/// accumulator that starts at `+0.0` for finite inputs.
+/// accumulates its products in ascending-`k` order, one rounded
+/// multiply and one rounded add per product. The `k` blocks are
+/// visited in order; within a block, `k` is taken four at a time, and
+/// each output chunk adds its four products one by one in ascending
+/// `k` before it is stored, so holding the chunk in registers across
+/// the group changes no sum. A group holding a zero `a` falls back to
+/// one step per `k`, so the zero-skip elides exactly the `±0.0`
+/// contributions it always did (they cannot change an accumulator that
+/// starts at `+0.0` for finite inputs), and the `k % 4` tail runs the
+/// same single steps.
+///
+/// The body is compiled twice: as is, and inside a function with AVX2
+/// enabled, which this one calls when the CPU reports AVX2 at run time.
+/// Only `avx2` is enabled, never `fma`: a fused multiply-add rounds
+/// once where the scalar loop rounds twice, which would move every sum.
 pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_acc_avx2` enables only `avx2`, which the CPU
+        // running this call was just checked to support.
+        unsafe { gemm_acc_avx2(out, a, b, m, k, n) };
+        return;
+    }
+    gemm_acc_body(out, a, b, m, k, n);
+}
+
+/// [`gemm_acc_body`] compiled with AVX2 (and so 8-wide vectors).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_acc_avx2(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    gemm_acc_body(out, a, b, m, k, n);
+}
+
+/// [`gemm_acc`]'s one hand-written body. `#[inline(always)]`, like
+/// its helpers, so that each caller compiles it with its own target
+/// features.
+#[inline(always)]
+fn gemm_acc_body(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     for k0 in (0..k).step_by(GEMM_KC) {
         let kb = GEMM_KC.min(k - k0);
+        let b_block = &b[k0 * n..(k0 + kb) * n];
         for i in 0..m {
             let a_row = &a[i * k + k0..i * k + k0 + kb];
             let out_row = &mut out[i * n..(i + 1) * n];
-            for (dk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[(k0 + dk) * n..(k0 + dk + 1) * n];
-                let mut out_chunks = out_row.chunks_exact_mut(GEMM_JU);
-                let mut b_chunks = b_row.chunks_exact(GEMM_JU);
-                for (oc, bc) in out_chunks.by_ref().zip(b_chunks.by_ref()) {
-                    for u in 0..GEMM_JU {
-                        oc[u] += av * bc[u];
+            let mut groups = a_row.chunks_exact(GEMM_KU);
+            for (g, group) in groups.by_ref().enumerate() {
+                let b_rows = &b_block[g * GEMM_KU * n..(g + 1) * GEMM_KU * n];
+                if group.contains(&0.0) {
+                    for (dk, &av) in group.iter().enumerate() {
+                        axpy(out_row, av, &b_rows[dk * n..(dk + 1) * n]);
                     }
-                }
-                for (o, &bv) in out_chunks.into_remainder().iter_mut().zip(b_chunks.remainder()) {
-                    *o += av * bv;
+                } else {
+                    let (b0, rest) = b_rows.split_at(n);
+                    let (b1, rest) = rest.split_at(n);
+                    let (b2, b3) = rest.split_at(n);
+                    axpy4(out_row, group, [b0, b1, b2, b3]);
                 }
             }
+            let tail = kb - groups.remainder().len();
+            for (dk, &av) in (tail..).zip(groups.remainder()) {
+                axpy(out_row, av, &b_block[dk * n..(dk + 1) * n]);
+            }
         }
+    }
+}
+
+/// `out += av · b_row`, one `k` step; skips `av == ±0.0`.
+#[inline(always)]
+fn axpy(out: &mut [f32], av: f32, b_row: &[f32]) {
+    if av == 0.0 {
+        return;
+    }
+    let mut out_chunks = out.chunks_exact_mut(GEMM_JU);
+    let mut b_chunks = b_row.chunks_exact(GEMM_JU);
+    for (oc, bc) in out_chunks.by_ref().zip(b_chunks.by_ref()) {
+        for u in 0..GEMM_JU {
+            oc[u] += av * bc[u];
+        }
+    }
+    for (o, &bv) in out_chunks.into_remainder().iter_mut().zip(b_chunks.remainder()) {
+        *o += av * bv;
+    }
+}
+
+/// Four `k` steps in one pass: `out += a[0]·b[0] + … + a[3]·b[3]`,
+/// each product added to the output in turn, in ascending `k`.
+#[inline(always)]
+fn axpy4(out: &mut [f32], a: &[f32], b: [&[f32]; GEMM_KU]) {
+    let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
+    let mut out_chunks = out.chunks_exact_mut(GEMM_JU);
+    let mut c0 = b[0].chunks_exact(GEMM_JU);
+    let mut c1 = b[1].chunks_exact(GEMM_JU);
+    let mut c2 = b[2].chunks_exact(GEMM_JU);
+    let mut c3 = b[3].chunks_exact(GEMM_JU);
+    let chunks = out_chunks.by_ref().zip(c0.by_ref()).zip(c1.by_ref());
+    for ((((oc, x0), x1), x2), x3) in chunks.zip(c2.by_ref()).zip(c3.by_ref()) {
+        for u in 0..GEMM_JU {
+            let mut v = oc[u];
+            v += a0 * x0[u];
+            v += a1 * x1[u];
+            v += a2 * x2[u];
+            v += a3 * x3[u];
+            oc[u] = v;
+        }
+    }
+    let tail = out_chunks.into_remainder().iter_mut().zip(c0.remainder()).zip(c1.remainder());
+    for ((((o, &x0), &x1), &x2), &x3) in tail.zip(c2.remainder()).zip(c3.remainder()) {
+        let mut v = *o;
+        v += a0 * x0;
+        v += a1 * x1;
+        v += a2 * x2;
+        v += a3 * x3;
+        *o = v;
     }
 }
 
@@ -561,6 +656,57 @@ mod tests {
         assert_eq!(a.matmul_transpose(&bt).unwrap(), a.matmul_transpose_reference(&bt).unwrap());
         let a2 = a.transposed();
         assert_eq!(a2.transpose_matmul(&b).unwrap(), a2.transpose_matmul_reference(&b).unwrap());
+    }
+
+    /// Both compilations of the kernel body against the scalar oracle,
+    /// bit for bit: the plain one, which a host with AVX2 never
+    /// dispatches to, and whichever `gemm_acc` picks here. On top of
+    /// `equivalence_shapes` (whose `k` ends in remainders of 1 and 3
+    /// after the groups of four), `k` remainders of 2 within one and
+    /// after a second `GEMM_KC` block, a zero-rich `a`, and groups of
+    /// four holding exactly one zero, against an infinite `b` row that
+    /// only the zero-skip keeps out of the sums.
+    #[test]
+    fn plain_and_dispatched_kernels_bit_exact_vs_reference() {
+        let shapes = equivalence_shapes().into_iter().chain([(3, 6, 13), (2, 258, 20)]);
+        let mut cases: Vec<(Tensor, Tensor)> = shapes
+            .enumerate()
+            .map(|(seed, (m, k, n))| {
+                (Tensor::randn(m, k, seed as u64 + 600), Tensor::randn(k, n, seed as u64 + 700))
+            })
+            .collect();
+        let mut sparse = Tensor::randn(6, 41, 80);
+        for (i, v) in sparse.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 != 0 {
+                *v = 0.0;
+            }
+        }
+        cases.push((sparse, Tensor::randn(41, 19, 81)));
+        let mut one_zero = Tensor::randn(3, 10, 82);
+        let mut b = Tensor::randn(10, 12, 83);
+        for i in 0..3 {
+            one_zero.set(i, 2, if i == 1 { -0.0 } else { 0.0 });
+            one_zero.set(i, 5, 0.0);
+        }
+        for j in 0..12 {
+            b.set(2, j, f32::INFINITY);
+            b.set(5, j, f32::NEG_INFINITY);
+        }
+        cases.push((one_zero, b));
+        type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+        let kernels: [(&str, Kernel); 2] = [("plain", gemm_acc_body), ("dispatched", gemm_acc)];
+        for (a, b) in &cases {
+            let (m, k, n) = (a.rows(), a.cols(), b.cols());
+            let want = a.matmul_reference(b).unwrap();
+            assert!(want.as_slice().iter().all(|v| v.is_finite()), "{m}x{k}x{n}");
+            for (name, kernel) in kernels {
+                let mut out = vec![0.0; m * n];
+                kernel(&mut out, a.as_slice(), b.as_slice(), m, k, n);
+                for (i, (got, want)) in out.iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name} {m}x{k}x{n} [{i}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! - **DLK001** — no `unwrap()` / `expect(` / `panic!` in hot-path
 //!   modules (memctrl service path, locker probe/ISA, dram decode,
-//!   dnn gemm and conv) outside `#[cfg(test)]`. The service path
-//!   returns typed errors; a panic there takes down a whole sweep
-//!   worker.
+//!   dnn gemm and conv, and the bit-search trial executor:
+//!   `Network::run` and `TrialRecord::trial`) outside `#[cfg(test)]`.
+//!   The service path returns typed errors; a panic there takes down
+//!   a whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs
 //!   layer is deliberately relaxed-only (monotonic counters, no
 //!   cross-cell invariants); a stray `SeqCst` RMW on the memctrl hot
@@ -44,6 +45,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/dram/src/device.rs",
     "crates/dnn/src/tensor.rs",
     "crates/dnn/src/conv.rs",
+    "crates/dnn/src/network.rs",
+    "crates/dnn/src/quant.rs",
 ];
 
 /// Path fragments marking the relaxed-only obs layer (DLK002).
