@@ -17,11 +17,11 @@
 //! and queued servicing, scheduling, page walks), `locker` (µISA
 //! decode, lock-table probes), `defenses` (tracker updates, weight
 //! repair), `engine` (sharded trace replay), `dnn` (GEMM, bit search,
-//! the CNN gradient pass), `sim` (whole scenarios), `sweep` (the
-//! work-stealing runner and its bare queue) and `figures`
-//! (regenerating each paper table and figure at test fidelity, plus
-//! the §IV-D Monte-Carlo kernel); paper-scale figures print from
-//! `examples/paper_figures.rs`.
+//! the CNN gradient pass and forward, one conv backward), `sim`
+//! (whole scenarios), `sweep` (the work-stealing runner and its bare
+//! queue) and `figures` (regenerating each paper table and figure at
+//! test fidelity, plus the §IV-D Monte-Carlo kernel); paper-scale
+//! figures print from `examples/paper_figures.rs`.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -30,7 +30,7 @@ use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_bench::harness::{self, Case, Kernel, Ratio};
 use dlk_defenses::training::transforms::WeightReconstruction;
 use dlk_defenses::{CounterPerRow, Graphene, Hydra, RowTracker, Twice};
-use dlk_dnn::{models, Network, SyntheticDataset, Tensor, WeightLayout};
+use dlk_dnn::{models, Conv2d, ConvSpec, Network, SyntheticDataset, Tensor, WeightLayout};
 use dlk_dram::{DramCommand, DramConfig, DramDevice, RowAddr, RowId};
 use dlk_engine::{EngineConfig, ShardedEngine, Trace, TraceReplay, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
@@ -110,6 +110,7 @@ const CASES: &[Case] = &[
     case("dnn", "bfa_next_flip_cnn_per_s", "/s", bfa_next_flip_cnn),
     case("dnn", "cnn_grad_pass_per_s", "/s", cnn_grad_pass),
     case("dnn", "cnn_forward_per_s", "/s", cnn_forward),
+    case("dnn", "conv_backward_per_s", "/s", conv_backward),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
@@ -576,6 +577,21 @@ fn cnn_forward() -> Kernel {
     let (model, x, _) = resnet20_batch();
     Box::new(move || {
         black_box(model.forward(black_box(&x)).expect("shapes"));
+        1
+    })
+}
+
+/// One backward pass of the ResNet-20 CNN's 4→4 8×8 conv (six of its
+/// 21 convs) on 32 images: the conv backward's cost, apart from the
+/// forward that `cnn_forward_per_s` pins.
+fn conv_backward() -> Kernel {
+    let spec = ConvSpec { in_c: 4, in_h: 8, in_w: 8, out_c: 4, k: 3, stride: 1, pad: 1 };
+    let conv = Conv2d::new(spec, 1);
+    let mut x = Tensor::randn(32, spec.in_features(), 2);
+    x.relu_inplace();
+    let d_out = Tensor::randn(32, spec.out_features(), 3);
+    Box::new(move || {
+        black_box(conv.backward(black_box(&x), black_box(&d_out)).expect("shapes"));
         1
     })
 }

@@ -16,6 +16,23 @@
 //! fully-connected weight matrix — which is what lets BFA walk conv
 //! kernels through the same [`BitIndex`] machinery.
 //!
+//! The backward pass builds no patch matrix for a stride-1 3×3 conv,
+//! which every conv of the model zoo is. Its weight gradient comes from
+//! a lane kernel: the upstream gradient is transposed per image so the
+//! output channels fill 8-float vector lanes (zero lanes pad `out_c` up
+//! to a multiple of 8), and each input channel's nine taps are nine
+//! eight-lane accumulators kept in registers over a zero-padded copy of
+//! the image. Each weight's gradient still adds its products one at a
+//! time in ascending output position from `+0.0`, and adds `+0.0` where
+//! the GEMM it replaces skipped a zero gradient, which changes no bit.
+//! The kernel has one body, compiled plain and with AVX2 (never FMA)
+//! and picked at run time. Every other geometry multiplies the
+//! gradient by the transposed patch matrix. The input gradient is one
+//! GEMM for every geometry, folded back onto the image in merged runs
+//! for the stride-1 "same" convs. Geometry alone picks each path, and
+//! all of them give the same bits; [`Conv2d::backward`] has the
+//! details.
+//!
 //! [`BitIndex`]: crate::quant::BitIndex
 
 use std::ops::Range;
@@ -168,6 +185,11 @@ impl Conv2d {
         &mut self.bias
     }
 
+    /// The kernel matrix and bias, borrowed together for an update.
+    pub(crate) fn params_mut(&mut self) -> (&mut Tensor, &mut [f32]) {
+        (&mut self.weight, &mut self.bias)
+    }
+
     fn check_input(&self, x: &Tensor) -> Result<(), DnnError> {
         if x.cols() != self.spec.in_features() {
             return Err(DnnError::ShapeMismatch {
@@ -208,14 +230,11 @@ impl Conv2d {
                         let plane = &x.row(b)[c * s.in_h * s.in_w..];
                         let image = &mut data[tap + b * oh * ow..][..oh * ow];
                         if merged {
-                            let width = xs.len();
                             let run = &mut image[ys.start * ow + xs.start..];
-                            let run = &mut run[..(ys.len() - 1) * ow + width];
+                            let run = &mut run[..(ys.len() - 1) * ow + xs.len()];
                             let src = &plane[(ys.start + ky - s.pad) * s.in_w + first..];
                             run.copy_from_slice(&src[..run.len()]);
-                            for wrapped in run[width..].chunks_exact_mut(ow) {
-                                wrapped[..ow - width].fill(0.0);
-                            }
+                            zero_wrapped(run, xs.len(), ow);
                         } else {
                             for oy in ys.clone() {
                                 let src = &plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
@@ -234,25 +253,47 @@ impl Conv2d {
     /// adjoint of [`Conv2d::im2col`]. Taps are visited in descending
     /// `(ky, kx)`, so each input pixel sums its contributions in
     /// ascending output position.
-    fn col2im(&self, d_cols: &Tensor, batch: usize) -> Tensor {
+    ///
+    /// The geometries whose rows `im2col` merges add a tap's valid rows
+    /// of one image as one run of the plane, the run `im2col` copies.
+    /// The run's wrapped entries are first set to `+0.0` in `d_cols`, so
+    /// the pixels they land on add `+0.0`: a sum that starts at `+0.0`
+    /// is never `−0.0`, so this changes no bit. Any other geometry adds
+    /// one output row's valid span at a time.
+    fn col2im(&self, mut d_cols: Tensor, batch: usize) -> Tensor {
         let s = &self.spec;
         let (oh, ow) = (s.out_h(), s.out_w());
+        let n = batch * oh * ow;
+        let merged = s.stride == 1 && ow == s.in_w;
         let plane_len = s.in_h * s.in_w;
         let mut d_x = Tensor::zeros(batch, s.in_features());
         let out = d_x.as_mut_slice();
+        let cols = d_cols.as_mut_slice();
         for c in 0..s.in_c {
             for ky in (0..s.k).rev() {
                 let Some((ys, _)) = s.span(ky, oh, s.in_h) else { continue };
                 for kx in (0..s.k).rev() {
                     let Some((xs, first)) = s.span(kx, ow, s.in_w) else { continue };
-                    let row = d_cols.row((c * s.k + ky) * s.k + kx);
+                    let row = &mut cols[((c * s.k + ky) * s.k + kx) * n..][..n];
                     for b in 0..batch {
                         let plane = &mut out[b * s.in_features() + c * plane_len..][..plane_len];
-                        for oy in ys.clone() {
-                            let dst = &mut plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
-                            let src = &row[(b * oh + oy) * ow..][xs.clone()];
-                            for (d, &g) in dst.iter_mut().step_by(s.stride).zip(src) {
+                        let image = &mut row[b * oh * ow..][..oh * ow];
+                        if merged {
+                            let run = &mut image[ys.start * ow + xs.start..];
+                            let run = &mut run[..(ys.len() - 1) * ow + xs.len()];
+                            zero_wrapped(run, xs.len(), ow);
+                            let dst = &mut plane[(ys.start + ky - s.pad) * s.in_w + first..];
+                            for (d, &g) in dst[..run.len()].iter_mut().zip(run.iter()) {
                                 *d += g;
+                            }
+                        } else {
+                            for oy in ys.clone() {
+                                let dst =
+                                    &mut plane[(oy * s.stride + ky - s.pad) * s.in_w + first..];
+                                let src = &image[oy * ow..][xs.clone()];
+                                for (d, &g) in dst.iter_mut().step_by(s.stride).zip(src) {
+                                    *d += g;
+                                }
                             }
                         }
                     }
@@ -337,10 +378,33 @@ impl Conv2d {
     /// Backward pass. Given the forward input `x` and upstream gradient
     /// `d_out (batch, out_c·out_h·out_w)`, returns `(grads, d_x)`.
     ///
-    /// The upstream gradient stays channel-major as `d_y (out_c,
-    /// batch·out_h·out_w)`, so the weight gradient and the patch-matrix
-    /// gradient are one GEMM each; `col2im` folds the latter back onto
-    /// the image.
+    /// The upstream gradient is copied channel-major into `d_y (out_c,
+    /// batch·out_h·out_w)`. The input gradient is one GEMM, `d_cols =
+    /// Wᵀ · d_y`, folded back onto the image by `col2im`. The weight
+    /// gradient takes one of two paths, chosen by geometry alone:
+    ///
+    /// - a stride-1 3×3 conv of any padding (every conv of the model
+    ///   zoo) runs the lane kernel, which neither builds nor transposes
+    ///   the patch matrix. It transposes only each image's upstream
+    ///   gradient, to `(out_h·out_w, out_c)` with the output channels in
+    ///   8-float vector lanes: one `(out_h·out_w, 8)` block per eight
+    ///   channels, zero lanes padding the last. It reads the input from
+    ///   a zero-padded copy of the image. For each input channel and
+    ///   block, the nine taps are nine eight-lane accumulators held in
+    ///   registers while the kernel walks the positions `(b, oy, ox)` in
+    ///   ascending order;
+    /// - any other geometry multiplies `d_y` by the transposed patch
+    ///   matrix in one `gemm_acc`.
+    ///
+    /// Both paths give the same bits. Each `dW[oc][tap]` adds its
+    /// products `d_y · x` one at a time, in ascending position, from
+    /// `+0.0`. Where the GEMM skips a zero `d_y`, the lane kernel adds
+    /// `+0.0` in its place. The accumulator is never `−0.0`, so that
+    /// addition changes no bit, and an infinite activation met by a zero
+    /// gradient stays out of the sum on both paths. The lane kernel has
+    /// one body, compiled plain and with AVX2 and picked at run time
+    /// like `gemm_acc`'s: only `avx2` is enabled, never `fma`, whose
+    /// single rounding would move every sum.
     ///
     /// # Errors
     ///
@@ -368,16 +432,149 @@ impl Conv2d {
                 }
             }
         }
-        // dW = d_y · patchesᵀ  (out_c, in_c·k·k)
-        let patches_t = self.im2col(x).transposed();
-        let mut d_weight = Tensor::zeros(s.out_c, plen);
-        gemm_acc(d_weight.as_mut_slice(), &d_y, patches_t.as_slice(), s.out_c, n, plen);
+        // dW  (out_c, in_c·k·k)
+        let d_weight = if s.k == 3 && s.stride == 1 {
+            conv3_weight_grad(s, x.as_slice(), d_out.as_slice())
+        } else {
+            self.weight_grad_gemm(x, &d_y)
+        };
         // d_cols = Wᵀ · d_y  (in_c·k·k, batch·oh·ow)
         let weight_t = self.weight.transposed();
         let mut d_cols = Tensor::zeros(plen, n);
         gemm_acc(d_cols.as_mut_slice(), weight_t.as_slice(), &d_y, plen, s.out_c, n);
-        let d_x = self.col2im(&d_cols, x.rows());
-        Ok((ConvGrads { weight: d_weight, bias: d_bias }, d_x))
+        let d_x = self.col2im(d_cols, x.rows());
+        let weight = Tensor::from_vec(s.out_c, plen, d_weight);
+        Ok((ConvGrads { weight, bias: d_bias }, d_x))
+    }
+
+    /// `dW = d_y · patchesᵀ`, `(out_c, in_c·k·k)` flat, for the
+    /// geometries the lane kernel does not take. `d_y` is the upstream
+    /// gradient channel-major, `(out_c, batch·out_h·out_w)`.
+    fn weight_grad_gemm(&self, x: &Tensor, d_y: &[f32]) -> Vec<f32> {
+        let s = &self.spec;
+        let n = x.rows() * s.out_h() * s.out_w();
+        let patches_t = self.im2col(x).transposed();
+        let mut d_weight = vec![0.0; s.out_c * s.patch_len()];
+        gemm_acc(&mut d_weight, d_y, patches_t.as_slice(), s.out_c, n, s.patch_len());
+        d_weight
+    }
+}
+
+/// Output channels per vector of the lane kernel: one AVX register of
+/// `f32`.
+const LANES: usize = 8;
+
+/// Taps of a 3×3 kernel, in kernel-matrix order `ky·3 + kx`.
+const TAPS: usize = 9;
+
+/// The weight gradient `(out_c, in_c·9)` of a stride-1 3×3 conv `s`,
+/// flat, from the input batch `x` and the upstream gradient `d_out`,
+/// both flat `(batch, features)` — the lane kernel of
+/// [`Conv2d::backward`]. Runs [`conv3_weight_grad_body`] with AVX2
+/// when the CPU reports it at run time, as [`gemm_acc`] does.
+fn conv3_weight_grad(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `conv3_weight_grad_avx2` enables only `avx2`, which
+        // the CPU running this call was just checked to support.
+        return unsafe { conv3_weight_grad_avx2(s, x, d_out) };
+    }
+    conv3_weight_grad_body(s, x, d_out)
+}
+
+/// [`conv3_weight_grad_body`] compiled with AVX2 (and so 8-wide
+/// vectors).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv3_weight_grad_avx2(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
+    conv3_weight_grad_body(s, x, d_out)
+}
+
+/// [`conv3_weight_grad`]'s one hand-written body, `#[inline(always)]`
+/// so that each caller compiles it with its own target features.
+///
+/// Per image it transposes the upstream gradient to `(groups, area,
+/// LANES)`, lane `u` of group `g` holding output channel `g·LANES + u`,
+/// and copies the image inside its zero border. Then, for each group
+/// and each input channel, it loads that block's nine tap
+/// accumulators, adds every position's products in ascending `(oy,
+/// ox)` and stores them back, so across images each accumulator runs
+/// in ascending `(b, oy, ox)`.
+#[inline(always)]
+fn conv3_weight_grad_body(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
+    let (oh, ow) = (s.out_h(), s.out_w());
+    let area = oh * ow;
+    let groups = s.out_c.div_ceil(LANES);
+    let (ph, pw) = (s.in_h + 2 * s.pad, s.in_w + 2 * s.pad);
+    // Block `(g·in_c + c)·TAPS + tap` accumulates group `g`'s lanes of
+    // dW's column `(c, tap)`.
+    let mut acc = vec![[0.0f32; LANES]; groups * s.in_c * TAPS];
+    let mut grad = vec![[0.0f32; LANES]; groups * area];
+    let mut padded = vec![0.0f32; s.in_c * ph * pw];
+    let images = x.chunks_exact(s.in_features()).zip(d_out.chunks_exact(s.out_features()));
+    for (image, d_image) in images {
+        for (oc, src) in d_image.chunks_exact(area).enumerate() {
+            let group = &mut grad[oc / LANES * area..][..area];
+            for (lanes, &g) in group.iter_mut().zip(src) {
+                lanes[oc % LANES] = g;
+            }
+        }
+        let planes = padded.chunks_exact_mut(ph * pw).zip(image.chunks_exact(s.in_h * s.in_w));
+        for (dst, src) in planes {
+            let rows = dst[s.pad * pw..].chunks_exact_mut(pw).zip(src.chunks_exact(s.in_w));
+            for (row, src_row) in rows {
+                row[s.pad..][..s.in_w].copy_from_slice(src_row);
+            }
+        }
+        for (acc_g, grad_g) in acc.chunks_exact_mut(s.in_c * TAPS).zip(grad.chunks_exact(area)) {
+            for (acc_c, plane) in acc_g.chunks_exact_mut(TAPS).zip(padded.chunks_exact(ph * pw)) {
+                let mut taps = [[0.0f32; LANES]; TAPS];
+                taps.copy_from_slice(acc_c);
+                for oy in 0..oh {
+                    // Output row `oy` reads padded rows `oy..oy + 3`,
+                    // each `ow + 2` wide.
+                    let [r0, r1, r2] = [0, 1, 2].map(|ky| &plane[(oy + ky) * pw..][..ow + 2]);
+                    let grad_row = &grad_g[oy * ow..][..ow];
+                    for ox in 0..ow {
+                        let gv = grad_row[ox];
+                        #[rustfmt::skip]
+                        let xs = [
+                            r0[ox], r0[ox + 1], r0[ox + 2],
+                            r1[ox], r1[ox + 1], r1[ox + 2],
+                            r2[ox], r2[ox + 1], r2[ox + 2],
+                        ];
+                        for (tap, &xv) in taps.iter_mut().zip(&xs) {
+                            for u in 0..LANES {
+                                tap[u] += if gv[u] == 0.0 { 0.0 } else { gv[u] * xv };
+                            }
+                        }
+                    }
+                }
+                acc_c.copy_from_slice(&taps);
+            }
+        }
+    }
+    let plen = s.in_c * TAPS;
+    let mut d_weight = vec![0.0f32; s.out_c * plen];
+    for (oc, row) in d_weight.chunks_exact_mut(plen).enumerate() {
+        let block = &acc[oc / LANES * plen..][..plen];
+        for (w, tap) in row.iter_mut().zip(block) {
+            *w = tap[oc % LANES];
+        }
+    }
+    d_weight
+}
+
+/// Sets to `+0.0` the entries of a merged run (see [`Conv2d::im2col`])
+/// that wrap from one output row's end to the next row's start: the
+/// `ow − width` entries after each row's `width` valid ones.
+fn zero_wrapped(run: &mut [f32], width: usize, ow: usize) {
+    for wrapped in run[width..].chunks_exact_mut(ow) {
+        wrapped[..ow - width].fill(0.0);
     }
 }
 
@@ -464,8 +661,12 @@ impl Pool2d {
             for c in 0..self.channels {
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // The window's first element wins when none
+                        // beats −∞ (all −∞ or NaN), so the gradient
+                        // still lands inside the window.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_index = 0;
+                        let mut best_index =
+                            (c * self.in_h + oy * self.stride) * self.in_w + ox * self.stride;
                         for ky in 0..self.k {
                             for kx in 0..self.k {
                                 let iy = oy * self.stride + ky;
@@ -592,8 +793,11 @@ mod tests {
     /// run for the stride-1 "same" convs, among them two non-square
     /// ones (5×4, and 3×6 with two wrapped entries per row at the outer
     /// taps), and row by row for the strided convs and the stride-1
-    /// 5×6 conv whose output is narrower than its input.
-    fn oracle_specs() -> [ConvSpec; 9] {
+    /// 5×6 and 4×5 convs whose output is narrower than their input.
+    /// Every stride-1 3×3 conv takes its weight gradient from the lane
+    /// kernel: the 12-channel conv fills two lane groups, and the
+    /// 17-channel unpadded one three, the last with one live lane.
+    fn oracle_specs() -> [ConvSpec; 10] {
         [
             ConvSpec { in_c: 1, in_h: 3, in_w: 1, out_c: 2, k: 5, stride: 1, pad: 2 },
             spec_3x3(),
@@ -604,6 +808,7 @@ mod tests {
             ConvSpec { in_c: 8, in_h: 4, in_w: 4, out_c: 12, k: 3, stride: 1, pad: 1 },
             ConvSpec { in_c: 2, in_h: 5, in_w: 6, out_c: 3, k: 3, stride: 1, pad: 0 },
             ConvSpec { in_c: 2, in_h: 3, in_w: 6, out_c: 3, k: 5, stride: 1, pad: 2 },
+            ConvSpec { in_c: 2, in_h: 4, in_w: 5, out_c: 17, k: 3, stride: 1, pad: 0 },
         ]
     }
 
@@ -725,6 +930,68 @@ mod tests {
         }
     }
 
+    /// The GEMM-form weight gradient `d_y · im2col(x)ᵀ`: what every
+    /// geometry the lane kernel does not take still runs, and, unlike
+    /// `backward_naive`, a reference that skips a zero `d_y`.
+    fn weight_grad_gemm_form(conv: &Conv2d, x: &Tensor, d_out: &Tensor) -> Vec<f32> {
+        let s = conv.spec();
+        let area = s.out_h() * s.out_w();
+        let n = x.rows() * area;
+        let mut d_y = vec![0.0; s.out_c * n];
+        for b in 0..x.rows() {
+            for c in 0..s.out_c {
+                d_y[c * n + b * area..][..area].copy_from_slice(&d_out.row(b)[c * area..][..area]);
+            }
+        }
+        conv.weight_grad_gemm(x, &d_y)
+    }
+
+    /// Both compilations of the lane kernel against the GEMM form, bit
+    /// for bit: the plain one, which a host with AVX2 never dispatches
+    /// to, and whichever `conv3_weight_grad` picks here. `out_c` 3, 8,
+    /// 12 and 17 leave lane remainders of 3, 0, 4 and 1, over pads 0, 1
+    /// and 2. Image 1 holds a `+∞` activation whose every reading
+    /// position has an all-zero gradient column: the GEMM skips those
+    /// products and the lane kernel adds `+0.0` for them, so `dW` stays
+    /// finite where the naive oracle's `0 · ∞` would be NaN.
+    #[test]
+    fn lane_kernel_matches_gemm_form_bit_for_bit() {
+        type Kernel = fn(&ConvSpec, &[f32], &[f32]) -> Vec<f32>;
+        let kernels: [(&str, Kernel); 2] =
+            [("plain", conv3_weight_grad_body), ("dispatched", conv3_weight_grad)];
+        for out_c in [3, 8, 12, 17] {
+            for pad in [0, 1, 2] {
+                let spec = ConvSpec { in_c: 3, in_h: 5, in_w: 6, out_c, k: 3, stride: 1, pad };
+                let (oh, ow) = (spec.out_h(), spec.out_w());
+                let conv = biased_conv(spec);
+                let mut x = relu_input(&spec);
+                let mut d_out = Tensor::randn(x.rows(), spec.out_features(), 13);
+                for (i, g) in d_out.as_mut_slice().iter_mut().enumerate() {
+                    if i % 3 == 0 {
+                        *g = 0.0;
+                    }
+                }
+                let pixel = (2 * spec.in_h + 2) * spec.in_w + 3;
+                x.set(1, pixel, f32::INFINITY);
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    let reads =
+                        (0..9).any(|t| spec.input_index(2, oy, ox, t / 3, t % 3) == Some(pixel));
+                    if reads {
+                        for oc in 0..out_c {
+                            d_out.set(1, (oc * oh + oy) * ow + ox, 0.0);
+                        }
+                    }
+                }
+                let want = weight_grad_gemm_form(&conv, &x, &d_out);
+                assert!(want.iter().all(|w| w.is_finite()), "{spec:?}");
+                for (name, kernel) in kernels {
+                    let got = kernel(&spec, x.as_slice(), d_out.as_slice());
+                    assert_bits_eq(&got, &want, name, &spec);
+                }
+            }
+        }
+    }
+
     #[test]
     fn conv_shapes_and_wrong_input_rejected() {
         let spec = spec_3x3();
@@ -807,6 +1074,29 @@ mod tests {
         assert_eq!(d.get(0, 12), 3.0); // the 2.0
         assert_eq!(d.get(0, 10), 4.0); // the 9.0
         assert_eq!(d.as_slice().iter().sum::<f32>(), 10.0);
+    }
+
+    /// A window where no value beats `−∞` (all `−∞`, or all NaN) picks
+    /// its own first element, so its gradient stays inside the window
+    /// instead of landing on pixel 0 of channel 0.
+    #[test]
+    fn max_pool_routes_all_nan_and_all_neg_infinity_windows_inside_them() {
+        let pool = Pool2d::halve(2, 2, 4);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        #[rustfmt::skip]
+        let x = Tensor::from_rows(&[&[
+            1.0, 2.0,  ninf, ninf,
+            3.0, 4.0,  ninf, ninf,
+            nan, nan,  5.0, 6.0,
+            nan, nan,  7.0, 8.0,
+        ]]);
+        let (y, switches) = pool.forward_max(&x).unwrap();
+        assert_eq!(y.as_slice(), &[4.0, ninf, ninf, 8.0]);
+        assert_eq!(switches, [5, 2, 8, 15]);
+        let d = pool.backward_max(&Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]), &switches);
+        let mut want = [0.0; 16];
+        (want[5], want[2], want[8], want[15]) = (1.0, 2.0, 3.0, 4.0);
+        assert_eq!(d.as_slice(), &want);
     }
 
     #[test]

@@ -36,6 +36,12 @@ pub enum DnnError {
     /// A network's `SkipStart`/`SkipAdd` residual markers are not
     /// properly paired.
     UnbalancedSkip,
+    /// The backward pass met a forward-pass cache recorded for a
+    /// different kind of layer.
+    TapeMismatch {
+        /// Plan position of the layer.
+        position: usize,
+    },
 }
 
 impl fmt::Display for DnnError {
@@ -53,6 +59,9 @@ impl fmt::Display for DnnError {
             }
             DnnError::UnbalancedSkip => {
                 write!(f, "unbalanced SkipStart/SkipAdd residual markers")
+            }
+            DnnError::TapeMismatch { position } => {
+                write!(f, "backward cache at plan position {position} does not match its layer")
             }
         }
     }

@@ -80,6 +80,11 @@ impl Linear {
         &mut self.bias
     }
 
+    /// The weight matrix and bias, borrowed together for an update.
+    pub(crate) fn params_mut(&mut self) -> (&mut Tensor, &mut [f32]) {
+        (&mut self.weight, &mut self.bias)
+    }
+
     /// Forward pass: `x (batch, in) -> (batch, out)`.
     ///
     /// # Errors

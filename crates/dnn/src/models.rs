@@ -420,6 +420,34 @@ mod tests {
         assert!(victim.model.to_mlp().is_none());
     }
 
+    /// FNV-1a over a victim's deployed weight image, then the bits of
+    /// its clean accuracy.
+    fn victim_digest(victim: &Victim) -> u64 {
+        let accuracy = victim.clean_accuracy.to_bits().to_le_bytes();
+        victim
+            .model
+            .weight_bytes()
+            .iter()
+            .chain(&accuracy)
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Training is deterministic per seed and every kernel keeps its
+    /// float order, so a trained conv victim is a fixed bit pattern: a
+    /// kernel change that moves one rounding anywhere in training moves
+    /// these digests.
+    #[test]
+    fn trained_conv_victims_are_pinned_bit_for_bit() {
+        let got = [victim_tiny_cnn(11), victim_resnet20_cnn(42)].map(|v| victim_digest(&v));
+        assert_eq!(
+            got,
+            [0x913e_8796_ac89_5581, 0x1111_bb70_b3b7_494f],
+            "tiny-cnn 11, resnet20-cnn 42: {got:x?}"
+        );
+    }
+
     #[test]
     fn cnn_forward_is_deterministic_per_seed() {
         let a = tiny_cnn(3);

@@ -78,6 +78,15 @@ impl Layer {
             _ => None,
         }
     }
+
+    /// The weight matrix and bias together, for weighted layers.
+    fn params_mut(&mut self) -> Option<(&mut Tensor, &mut [f32])> {
+        match self {
+            Layer::Dense(l) => Some(l.params_mut()),
+            Layer::Conv(c) => Some(c.params_mut()),
+            _ => None,
+        }
+    }
 }
 
 /// Gradients of one weighted layer, flat: `weight[i]` is dL/dw for the
@@ -360,7 +369,7 @@ impl Network {
 
         let mut grads_rev: Vec<LayerGrads> = Vec::with_capacity(self.weighted_count());
         let mut skip_grads: Vec<Tensor> = Vec::new();
-        for (layer, cache) in self.layers.iter().zip(caches).rev() {
+        for (position, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
             match (layer, cache) {
                 (Layer::Dense(l), Cache::Input(input)) => {
                     let (g, d_x) = l.backward(input, &d)?;
@@ -386,7 +395,7 @@ impl Network {
                     let skip = skip_grads.pop().ok_or(DnnError::UnbalancedSkip)?;
                     d.add_assign(&skip)?;
                 }
-                _ => unreachable!("cache kind always matches its layer"),
+                _ => return Err(DnnError::TapeMismatch { position }),
             }
         }
         grads_rev.reverse();
@@ -400,26 +409,13 @@ impl Network {
     /// Same as [`Network::loss_and_grads`].
     pub fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError> {
         let (loss, grads) = self.loss_and_grads(x, labels)?;
-        let weighted = self.layers.iter_mut().filter(|l| l.is_weighted());
-        for (layer, grad) in weighted.zip(&grads) {
-            match layer {
-                Layer::Dense(l) => {
-                    for (w, g) in l.weight_mut().as_mut_slice().iter_mut().zip(&grad.weight) {
-                        *w -= lr * g;
-                    }
-                    for (b, g) in l.bias_mut().iter_mut().zip(&grad.bias) {
-                        *b -= lr * g;
-                    }
-                }
-                Layer::Conv(c) => {
-                    for (w, g) in c.weight_mut().as_mut_slice().iter_mut().zip(&grad.weight) {
-                        *w -= lr * g;
-                    }
-                    for (b, g) in c.bias_mut().iter_mut().zip(&grad.bias) {
-                        *b -= lr * g;
-                    }
-                }
-                _ => unreachable!("filtered to weighted layers"),
+        let params = self.layers.iter_mut().filter_map(Layer::params_mut);
+        for ((weight, bias), grad) in params.zip(&grads) {
+            for (w, g) in weight.as_mut_slice().iter_mut().zip(&grad.weight) {
+                *w -= lr * g;
+            }
+            for (b, g) in bias.iter_mut().zip(&grad.bias) {
+                *b -= lr * g;
             }
         }
         Ok(loss)
@@ -539,6 +535,15 @@ mod tests {
         assert!(matches!(orphan.forward(&x), Err(DnnError::UnbalancedSkip)));
         let orphan = Network::new(vec![Layer::SkipAdd]);
         assert!(matches!(orphan.loss_and_grads(&x, &[0]), Err(DnnError::UnbalancedSkip)));
+    }
+
+    #[test]
+    fn backward_rejects_a_cache_of_the_wrong_kind() {
+        let net = Network::new(vec![Layer::Relu, Layer::Relu]);
+        let logits = Tensor::zeros(1, 2);
+        let caches = [Cache::None, Cache::Mask(vec![true; 2])];
+        let err = net.backward(&logits, &[0], &caches).unwrap_err();
+        assert_eq!(err, DnnError::TapeMismatch { position: 0 });
     }
 
     #[test]

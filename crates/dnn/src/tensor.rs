@@ -136,8 +136,10 @@ impl Tensor {
 
     /// The explicit transpose `(cols, rows)` — the bridge that lets
     /// every matrix-product variant run through the one blocked GEMM
-    /// kernel. Copies tile by tile, so the strided side of a large
-    /// transpose, such as a conv's patch matrix, stays in cache.
+    /// kernel: dense-layer weights and gradients, conv kernel matrices,
+    /// and the patch matrix of a conv the backward lane kernel does not
+    /// take. Copies tile by tile, so the strided side of a large
+    /// transpose stays in cache.
     pub fn transposed(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
         for i0 in (0..self.rows).step_by(TRANSPOSE_TILE) {
@@ -354,7 +356,8 @@ const GEMM_KU: usize = 4;
 
 /// The one blocked GEMM kernel behind [`Tensor::matmul`],
 /// [`Tensor::matmul_transpose`], [`Tensor::transpose_matmul`] and
-/// every [`Conv2d`](crate::conv::Conv2d) product:
+/// every [`Conv2d`](crate::conv::Conv2d) product but the weight
+/// gradient its lane kernel computes:
 /// `out (m,n) += a (m,k) × b (k,n)`, all row-major.
 ///
 /// Bit-exact with the pre-refactor scalar loops: each output element

@@ -19,8 +19,8 @@ use dlk_obs::json::{escape, number, BuildInfo, Document};
 /// goldens all name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleCode {
-    /// No `unwrap()` / `expect(` / `panic!` in hot-path modules
-    /// outside `#[cfg(test)]`.
+    /// No `unwrap()` / `expect(` / `panic!` / `unreachable!` / `todo!`
+    /// / `unimplemented!` in hot-path modules outside `#[cfg(test)]`.
     Dlk001,
     /// Atomic-ordering policy: only `Ordering::Relaxed` in
     /// `crates/obs` (the lock-free layer's deliberate policy).
@@ -79,7 +79,9 @@ impl RuleCode {
     /// One-line rule summary (the README rule table's text).
     pub fn summary(self) -> &'static str {
         match self {
-            RuleCode::Dlk001 => "no unwrap()/expect(/panic! in hot-path modules outside tests",
+            RuleCode::Dlk001 => {
+                "no unwrap()/expect(/panicking macro in hot-path modules outside tests"
+            }
             RuleCode::Dlk002 => "only Ordering::Relaxed in crates/obs (lock-free layer policy)",
             RuleCode::Dlk003 => "no wall clock, sleeps or non-seeded RNGs in deterministic crates",
             RuleCode::Dlk004 => "every spec-enum variant present in both codec directions",

@@ -4,12 +4,13 @@
 //! each file ([`crate::lexer`]) and enforces the repo invariants as
 //! token-pattern rules:
 //!
-//! - **DLK001** — no `unwrap()` / `expect(` / `panic!` in hot-path
+//! - **DLK001** — no `unwrap()` / `expect(` or panicking macro
+//!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`) in hot-path
 //!   modules (memctrl service path, locker probe/ISA, dram decode,
-//!   dnn gemm and conv, and the bit-search trial executor:
-//!   `Network::run` and `TrialRecord::trial`) outside `#[cfg(test)]`.
-//!   The service path returns typed errors; a panic there takes down
-//!   a whole sweep worker.
+//!   dnn gemm and conv, and the training and bit-search executor:
+//!   `Network::run`/`backward`/`train_step` and `TrialRecord::trial`)
+//!   outside `#[cfg(test)]`. The service path returns typed errors; a
+//!   panic there takes down a whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs
 //!   layer is deliberately relaxed-only (monotonic counters, no
 //!   cross-cell invariants); a stray `SeqCst` RMW on the memctrl hot
@@ -48,6 +49,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/dnn/src/network.rs",
     "crates/dnn/src/quant.rs",
 ];
+
+/// The panicking macros DLK001 rejects on the hot path.
+const PANICKING_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Path fragments marking the relaxed-only obs layer (DLK002).
 const OBS_PATHS: &[&str] = &["crates/obs/src/"];
@@ -190,7 +194,8 @@ pub fn lint_lexed(files: &[(String, LexedFile)]) -> Report {
     report
 }
 
-/// DLK001: `. unwrap ( )`, `. expect (`, `panic !` outside tests.
+/// DLK001: `. unwrap ( )`, `. expect (` and every
+/// [`PANICKING_MACROS`] `name !` outside tests.
 fn rule_dlk001(
     path: &str,
     tokens: &[Token],
@@ -207,12 +212,13 @@ fn rule_dlk001(
                 && token.is_ident(name)
                 && tokens.get(at + 1).is_some_and(|t| t.is_punct('('))
         };
+        let bang = tokens.get(at + 1).is_some_and(|t| t.is_punct('!'));
         let what = if call("unwrap") {
-            "unwrap()"
+            "unwrap()".to_string()
         } else if call("expect") {
-            "expect()"
-        } else if token.is_ident("panic") && tokens.get(at + 1).is_some_and(|t| t.is_punct('!')) {
-            "panic!"
+            "expect()".to_string()
+        } else if let Some(name) = PANICKING_MACROS.iter().find(|m| bang && token.is_ident(m)) {
+            format!("{name}!")
         } else {
             continue;
         };
@@ -482,6 +488,33 @@ mod tests {
         assert_eq!(codes(&hot), ["DLK001"]);
         let cold = lint_one("crates/cli/src/lib.rs", source);
         assert!(cold.diagnostics.is_empty());
+    }
+
+    /// `source` at `path` has exactly one finding, a DLK001 naming `what`.
+    fn assert_one_dlk001(path: &str, source: &str, what: &str) {
+        let report = lint_one(path, source);
+        assert_eq!(codes(&report), ["DLK001"]);
+        assert!(report.diagnostics[0].message.starts_with(what), "{:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn dlk001_flags_unreachable() {
+        let source = "fn f() { match x { _ => unreachable!(\"x\") } }";
+        assert_one_dlk001("crates/dnn/src/network.rs", source, "unreachable!");
+    }
+
+    #[test]
+    fn dlk001_flags_todo() {
+        assert_one_dlk001("crates/dnn/src/conv.rs", "fn f() -> u8 { todo!() }", "todo!");
+    }
+
+    #[test]
+    fn dlk001_flags_unimplemented() {
+        let source = "fn f() { unimplemented!() }";
+        assert_one_dlk001("crates/dram/src/device.rs", source, "unimplemented!");
+        // A plain identifier of the same name is not the macro.
+        let ident = "fn f() { let todo = unreachable(); }";
+        assert!(lint_one("crates/dram/src/device.rs", ident).diagnostics.is_empty());
     }
 
     #[test]
