@@ -32,7 +32,7 @@ use dlk_defenses::training::transforms::WeightReconstruction;
 use dlk_defenses::{CounterPerRow, Graphene, Hydra, RowTracker, Twice};
 use dlk_dnn::{models, Conv2d, ConvSpec, Network, SyntheticDataset, Tensor, WeightLayout};
 use dlk_dram::{DramCommand, DramConfig, DramDevice, RowAddr, RowId};
-use dlk_engine::{EngineConfig, ShardedEngine, Trace, TraceReplay, Workload};
+use dlk_engine::{EngineConfig, ShardedEngine, Trace, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
 use dlk_locker::{CompiledProgram, Instruction, LockTable, LockTarget};
 use dlk_memctrl::{
@@ -466,7 +466,7 @@ fn replay_cycles(channels: usize, trace: &Trace) -> u64 {
     let mut engine =
         ShardedEngine::new(EngineConfig::sharded(channels), MemCtrlConfig::tiny_for_tests())
             .expect("engine builds");
-    engine.replay(TraceReplay::new(trace)).expect("replay runs");
+    engine.replay(trace).expect("replay runs");
     engine.snapshot().cycles
 }
 

@@ -101,8 +101,18 @@ pub enum CommandKind {
 }
 
 impl CommandKind {
-    /// All command kinds.
-    pub const ALL: [CommandKind; 6] = [
+    /// Number of command kinds — the length of per-kind count arrays.
+    pub const COUNT: usize = 6;
+
+    /// Dense index into per-kind count arrays, in [`CommandKind::ALL`]
+    /// order.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// All command kinds, in [`CommandKind::index`] order.
+    pub const ALL: [CommandKind; CommandKind::COUNT] = [
         CommandKind::Act,
         CommandKind::Pre,
         CommandKind::Rd,
@@ -147,6 +157,13 @@ mod tests {
         assert_eq!(DramCommand::Wr { bank: 0, col: 0 }.kind(), CommandKind::Wr);
         assert_eq!(DramCommand::Ref.kind(), CommandKind::Ref);
         assert_eq!(DramCommand::Aap { src: row, dst: row }.kind(), CommandKind::Aap);
+    }
+
+    #[test]
+    fn index_follows_all_order() {
+        for (at, kind) in CommandKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), at, "{kind:?}");
+        }
     }
 
     #[test]

@@ -298,6 +298,22 @@ impl DramDevice {
         }
     }
 
+    /// Checks that `len` bytes at `col` of `addr` lie inside the
+    /// geometry — before a timed access issues any command, so a
+    /// rejected access leaves the clock, statistics and hammer counts
+    /// untouched.
+    fn validate_access(&self, addr: RowAddr, col: usize, len: usize) -> Result<(), DramError> {
+        self.validate_row(addr)?;
+        let row_bytes = self.config.geometry.row_bytes;
+        if col >= row_bytes {
+            Err(DramError::InvalidColumn { col, row_bytes })
+        } else if len > row_bytes - col {
+            Err(DramError::InvalidColumn { col: col.saturating_add(len), row_bytes })
+        } else {
+            Ok(())
+        }
+    }
+
     /// A timed read access: activates the row if needed (closing any
     /// other open row first), then reads `len` bytes at `col`.
     ///
@@ -305,13 +321,15 @@ impl DramDevice {
     ///
     /// # Errors
     ///
-    /// Returns an error for out-of-range addresses.
+    /// Returns an error for out-of-range addresses or a span past the
+    /// row's end; no command is issued then.
     pub fn access_read(
         &mut self,
         addr: RowAddr,
         col: usize,
         len: usize,
     ) -> Result<(Vec<u8>, u64), DramError> {
+        self.validate_access(addr, col, len)?;
         let begin = self.clock;
         self.open_row_for(addr)?;
         self.issue(DramCommand::Rd { bank: addr.bank, col })?;
@@ -324,13 +342,15 @@ impl DramDevice {
     ///
     /// # Errors
     ///
-    /// Returns an error for out-of-range addresses.
+    /// Returns an error for out-of-range addresses or a span past the
+    /// row's end; no command is issued then.
     pub fn access_write(
         &mut self,
         addr: RowAddr,
         col: usize,
         bytes: &[u8],
     ) -> Result<u64, DramError> {
+        self.validate_access(addr, col, bytes.len())?;
         let begin = self.clock;
         self.open_row_for(addr)?;
         self.issue(DramCommand::Wr { bank: addr.bank, col })?;
@@ -340,7 +360,6 @@ impl DramDevice {
     }
 
     fn open_row_for(&mut self, addr: RowAddr) -> Result<(), DramError> {
-        self.validate_row(addr)?;
         match self.banks[addr.bank as usize].open_row() {
             Some(open) if open == addr => {
                 self.stats.row_buffer_hits += 1;
@@ -510,6 +529,37 @@ mod tests {
         assert_eq!(dram.stats().row_buffer_misses, 1);
         assert_eq!(dram.stats().row_buffer_hits, 1);
         assert!(dram.now() > 0);
+    }
+
+    /// Everything a rejected access must leave untouched.
+    fn observable(dram: &DramDevice, row: RowAddr) -> (u64, DramStats, u64) {
+        (dram.now(), dram.stats().clone(), dram.activation_count(dram.geometry().row_id(row)))
+    }
+
+    #[test]
+    fn past_the_end_accesses_issue_nothing() {
+        let mut dram = device();
+        let row = RowAddr::new(0, 0, 1);
+        dram.access_write(RowAddr::new(0, 0, 2), 0, &[1]).unwrap();
+        let before = observable(&dram, row);
+        let row_bytes = dram.geometry().row_bytes;
+        let too_far = DramError::InvalidColumn { col: 68, row_bytes };
+        assert_eq!(dram.access_read(row, 8, 60), Err(too_far.clone()));
+        assert_eq!(observable(&dram, row), before);
+        assert_eq!(dram.access_write(row, 8, &[0; 60]), Err(too_far));
+        assert_eq!(observable(&dram, row), before);
+        let past_row = DramError::InvalidColumn { col: row_bytes, row_bytes };
+        assert_eq!(dram.access_write(row, row_bytes, &[]), Err(past_row));
+        assert_eq!(observable(&dram, row), before);
+    }
+
+    #[test]
+    fn huge_access_lengths_are_errors_not_panics() {
+        let mut dram = device();
+        let row = RowAddr::new(0, 0, 1);
+        assert!(dram.access_read(row, 1, usize::MAX).is_err());
+        assert!(dram.access_write(row, usize::MAX, &[1]).is_err());
+        assert_eq!(observable(&dram, row), observable(&device(), row));
     }
 
     #[test]

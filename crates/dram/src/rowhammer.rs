@@ -70,6 +70,12 @@ pub struct DisturbanceEvent {
     pub crossing: u64,
 }
 
+/// Victim offsets of a threshold crossing, in event order: distance 1.
+const NEIGHBOR_OFFSETS: &[i64] = &[-1, 1];
+
+/// Victim offsets of a Half-Double crossing: distance 1, then 2.
+const HALF_DOUBLE_OFFSETS: &[i64] = &[-1, 1, -2, 2];
+
 /// Per-row activation tracking and disturbance generation.
 ///
 /// The hot-path state (`counts`, `victim_flips`) is kept in dense
@@ -163,13 +169,14 @@ impl HammerTracker {
         }
         let crossing = *count / self.config.trh;
         let mut events = Vec::new();
-        let mut offsets: Vec<i64> = vec![-1, 1];
-        if self.config.half_double_factor > 0
+        let offsets = if self.config.half_double_factor > 0
             && crossing.is_multiple_of(self.config.half_double_factor)
         {
-            offsets.extend([-2, 2]);
-        }
-        for offset in offsets {
+            HALF_DOUBLE_OFFSETS
+        } else {
+            NEIGHBOR_OFFSETS
+        };
+        for &offset in offsets {
             let Some(victim) = row.neighbor(offset, geometry) else { continue };
             for _ in 0..self.config.flips_per_event {
                 let bit = self.next_flip_bit(victim, geometry);

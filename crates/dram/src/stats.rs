@@ -1,7 +1,6 @@
 //! Command statistics and energy accounting.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 use crate::command::CommandKind;
 
@@ -122,8 +121,8 @@ impl EnergyModel {
 /// Aggregate statistics of a [`DramDevice`](crate::DramDevice).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DramStats {
-    /// Commands issued, bucketed by kind.
-    pub commands: BTreeMap<CommandKind, u64>,
+    /// Commands issued, indexed by [`CommandKind::index`].
+    pub commands: [u64; CommandKind::COUNT],
     /// Total energy consumed, picojoules.
     pub energy_pj: f64,
     /// Total cycles elapsed on the device clock.
@@ -146,13 +145,13 @@ impl DramStats {
 
     /// Records one command of `kind`.
     pub fn record(&mut self, kind: CommandKind, energy_pj: f64) {
-        *self.commands.entry(kind).or_insert(0) += 1;
+        self.commands[kind.index()] += 1;
         self.energy_pj += energy_pj;
     }
 
     /// Count of commands of a given kind.
     pub fn count(&self, kind: CommandKind) -> u64 {
-        self.commands.get(&kind).copied().unwrap_or(0)
+        self.commands[kind.index()]
     }
 
     /// Total activations including the two implicit ACTs of each AAP.
@@ -162,8 +161,8 @@ impl DramStats {
 
     /// Merges another statistics record into this one.
     pub fn merge(&mut self, other: &DramStats) {
-        for (kind, n) in &other.commands {
-            *self.commands.entry(*kind).or_insert(0) += n;
+        for (n, other) in self.commands.iter_mut().zip(other.commands) {
+            *n += other;
         }
         self.energy_pj += other.energy_pj;
         self.cycles = self.cycles.max(other.cycles);

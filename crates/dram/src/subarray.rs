@@ -2,24 +2,28 @@
 //!
 //! A subarray owns its rows' contents. Rows are allocated lazily (an
 //! untouched row reads as all-zero) so that large geometries stay cheap
-//! to simulate. Bit indexing is little-endian within each byte: bit `i`
-//! of the row lives in byte `i / 8`, bit position `i % 8`.
+//! to simulate: each row is a slot of a dense vector indexed by row
+//! number, which grows to the highest row written and materializes a
+//! row on its first write. Row numbers therefore must lie inside the
+//! subarray; [`DramDevice`](crate::DramDevice) validates every row
+//! before it reaches here. Bit indexing is little-endian within each
+//! byte: bit `i` of the row lives in byte `i / 8`, bit position `i % 8`.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::DramError;
 
 /// Functional storage for one subarray's rows.
 #[derive(Debug, Clone, Default)]
 pub struct Subarray {
-    rows: HashMap<u32, Vec<u8>>,
+    rows: Vec<Option<Vec<u8>>>,
     row_bytes: usize,
 }
 
 impl Subarray {
     /// Creates an empty subarray whose rows hold `row_bytes` bytes.
     pub fn new(row_bytes: usize) -> Self {
-        Self { rows: HashMap::new(), row_bytes }
+        Self { rows: Vec::new(), row_bytes }
     }
 
     /// Row size in bytes.
@@ -29,17 +33,38 @@ impl Subarray {
 
     /// Number of rows that have been materialized (written at least once).
     pub fn materialized_rows(&self) -> usize {
-        self.rows.len()
+        self.rows.iter().flatten().count()
     }
 
     /// Reads a full row. Untouched rows read as zeros.
     pub fn read(&self, row: u32) -> Vec<u8> {
-        self.rows.get(&row).cloned().unwrap_or_else(|| vec![0; self.row_bytes])
+        self.peek(row).map_or_else(|| vec![0; self.row_bytes], <[u8]>::to_vec)
     }
 
     /// Returns a reference to the row's bytes if it has been materialized.
     pub fn peek(&self, row: u32) -> Option<&[u8]> {
-        self.rows.get(&row).map(Vec::as_slice)
+        self.rows.get(row as usize)?.as_deref()
+    }
+
+    /// The row's bytes, materialized (zeroed) on first use.
+    fn row_mut(&mut self, row: u32) -> &mut Vec<u8> {
+        let slot = row as usize;
+        if slot >= self.rows.len() {
+            self.rows.resize_with(slot + 1, || None);
+        }
+        let row_bytes = self.row_bytes;
+        self.rows[slot].get_or_insert_with(|| vec![0; row_bytes])
+    }
+
+    /// The byte range `len` bytes at `col` cover, if it fits in a row.
+    fn span(&self, col: usize, len: usize) -> Result<Range<usize>, DramError> {
+        match col.checked_add(len) {
+            Some(end) if end <= self.row_bytes => Ok(col..end),
+            _ => Err(DramError::InvalidColumn {
+                col: col.saturating_add(len),
+                row_bytes: self.row_bytes,
+            }),
+        }
     }
 
     /// Overwrites a full row.
@@ -52,7 +77,7 @@ impl Subarray {
         if data.len() != self.row_bytes {
             return Err(DramError::DataSizeMismatch { got: data.len(), expected: self.row_bytes });
         }
-        self.rows.insert(row, data.to_vec());
+        self.row_mut(row).copy_from_slice(data);
         Ok(())
     }
 
@@ -62,11 +87,9 @@ impl Subarray {
     ///
     /// Returns [`DramError::InvalidColumn`] if the range exceeds the row.
     pub fn read_bytes(&self, row: u32, col: usize, len: usize) -> Result<Vec<u8>, DramError> {
-        if col + len > self.row_bytes {
-            return Err(DramError::InvalidColumn { col: col + len, row_bytes: self.row_bytes });
-        }
-        Ok(match self.rows.get(&row) {
-            Some(data) => data[col..col + len].to_vec(),
+        let span = self.span(col, len)?;
+        Ok(match self.peek(row) {
+            Some(data) => data[span].to_vec(),
             None => vec![0; len],
         })
     }
@@ -77,14 +100,8 @@ impl Subarray {
     ///
     /// Returns [`DramError::InvalidColumn`] if the range exceeds the row.
     pub fn write_bytes(&mut self, row: u32, col: usize, bytes: &[u8]) -> Result<(), DramError> {
-        if col + bytes.len() > self.row_bytes {
-            return Err(DramError::InvalidColumn {
-                col: col + bytes.len(),
-                row_bytes: self.row_bytes,
-            });
-        }
-        let row_data = self.rows.entry(row).or_insert_with(|| vec![0; self.row_bytes]);
-        row_data[col..col + bytes.len()].copy_from_slice(bytes);
+        let span = self.span(col, bytes.len())?;
+        self.row_mut(row)[span].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -98,7 +115,7 @@ impl Subarray {
         if bit >= self.row_bytes * 8 {
             return Err(DramError::InvalidColumn { col: bit / 8, row_bytes: self.row_bytes });
         }
-        let row_data = self.rows.entry(row).or_insert_with(|| vec![0; self.row_bytes]);
+        let row_data = self.row_mut(row);
         let byte = bit / 8;
         let mask = 1u8 << (bit % 8);
         row_data[byte] ^= mask;
@@ -110,14 +127,14 @@ impl Subarray {
         if bit >= self.row_bytes * 8 {
             return Err(DramError::InvalidColumn { col: bit / 8, row_bytes: self.row_bytes });
         }
-        Ok(self.rows.get(&row).map(|data| data[bit / 8] & (1 << (bit % 8)) != 0).unwrap_or(false))
+        Ok(self.peek(row).is_some_and(|data| data[bit / 8] & (1 << (bit % 8)) != 0))
     }
 
     /// Copies row `src` over row `dst` (the functional effect of a
     /// RowClone AAP within this subarray).
     pub fn copy_row(&mut self, src: u32, dst: u32) {
         let data = self.read(src);
-        self.rows.insert(dst, data);
+        *self.row_mut(dst) = data;
     }
 
     /// Swaps the contents of two rows (three copies through a buffer in
@@ -125,8 +142,8 @@ impl Subarray {
     pub fn swap_rows(&mut self, a: u32, b: u32) {
         let da = self.read(a);
         let db = self.read(b);
-        self.rows.insert(a, db);
-        self.rows.insert(b, da);
+        *self.row_mut(a) = db;
+        *self.row_mut(b) = da;
     }
 }
 
@@ -169,6 +186,25 @@ mod tests {
         assert_eq!(sa.read_bytes(1, 0, 4).unwrap(), vec![0; 4]);
         assert!(sa.read_bytes(1, 15, 2).is_err());
         assert!(sa.write_bytes(1, 15, &[0, 0]).is_err());
+    }
+
+    #[test]
+    fn huge_spans_are_errors_not_wraps() {
+        let mut sa = subarray();
+        let err = DramError::InvalidColumn { col: usize::MAX, row_bytes: 16 };
+        assert_eq!(sa.read_bytes(0, 1, usize::MAX), Err(err.clone()));
+        assert_eq!(sa.write_bytes(0, usize::MAX, &[1]), Err(err));
+        assert_eq!(sa.materialized_rows(), 0);
+    }
+
+    #[test]
+    fn rows_materialize_sparsely() {
+        let mut sa = subarray();
+        sa.write_bytes(40, 0, &[1]).unwrap();
+        assert_eq!(sa.materialized_rows(), 1);
+        assert_eq!(sa.peek(39), None);
+        assert_eq!(sa.read_bytes(41, 0, 2).unwrap(), vec![0, 0]);
+        assert_eq!(sa.peek(40).unwrap()[0], 1);
     }
 
     #[test]

@@ -3,45 +3,24 @@
 use std::sync::Arc;
 
 use dlk_dram::DramStats;
-use dlk_memctrl::{CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController};
+use dlk_memctrl::{
+    CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController,
+    SchedulingPolicy, Trace,
+};
 use dlk_obs::{Counter, Histogram, Registry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::replay::ReplaySource;
 use crate::route::ChannelRouter;
 use crate::shard::ChannelShard;
 
-/// Completions drained from every shard, kept per channel so the merge
-/// order is explicit.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DrainOutcome {
-    /// Each channel's completions in its own scheduling order, indexed
-    /// by channel id.
-    pub per_channel: Vec<Vec<CompletedRequest>>,
-}
-
-impl DrainOutcome {
-    /// All completions concatenated in channel-id order — the
-    /// deterministic merged view.
-    pub fn merged(&self) -> Vec<CompletedRequest> {
-        self.per_channel.iter().flatten().cloned().collect()
-    }
-
-    /// Total completions across channels.
-    pub fn len(&self) -> usize {
-        self.per_channel.iter().map(Vec::len).sum()
-    }
-
-    /// `true` when no shard completed anything.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Completions the defense denied, across channels.
-    pub fn denied(&self) -> u64 {
-        self.per_channel.iter().flatten().filter(|done| done.denied).count() as u64
-    }
+/// What a [`ShardedEngine::replay`] did, summed over shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplayCounts {
+    /// Ops completed, served or denied.
+    pub requests: u64,
+    /// Ops denied, by OS page protection or by the defense.
+    pub denied: u64,
 }
 
 /// A deterministic, mergeable snapshot of the whole engine's state —
@@ -66,22 +45,23 @@ pub struct EngineSnapshot {
     pub bit_flips: u64,
 }
 
-/// Engine-level observability handles: wall time per shard drain and
+/// Engine-level observability handles: wall time per shard replay and
 /// per merge. The engine always owns a bundle (private by default) so
-/// the drain path records unconditionally; [`ShardedEngine::observe`]
-/// swaps in registry-backed handles. The drain path is not hot —
-/// a handful of samples per run — so shared atomics are fine here,
-/// unlike the controller's per-request `CtrlMetrics`, which records
-/// locally and exports deltas.
+/// [`ShardedEngine::replay`] records unconditionally;
+/// [`ShardedEngine::observe`] swaps in registry-backed handles. These
+/// record a handful of samples per replay, so shared atomics are fine
+/// here, unlike the controller's per-request `CtrlMetrics`, which
+/// records locally and exports deltas.
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
-    /// Wall nanoseconds one shard spent draining its queue (one sample
-    /// per shard per drain — the per-channel step-time distribution).
+    /// Wall nanoseconds one shard spent serving its share of a replay
+    /// (one sample per shard per replay — the per-channel step-time
+    /// distribution).
     pub drain_wall_ns: Arc<Histogram>,
-    /// Wall nanoseconds spent assembling the channel-ordered merge of
-    /// a drain's completions.
+    /// Wall nanoseconds spent merging a replay's per-shard counts and
+    /// errors in channel order.
     pub merge_wall_ns: Arc<Histogram>,
-    /// Shard drains performed.
+    /// Shard replays performed.
     pub drains: Arc<Counter>,
 }
 
@@ -117,7 +97,7 @@ impl Default for EngineMetrics {
 ///
 /// Global requests are routed to their home shard, shards are stepped
 /// either serially in channel order or in parallel on scoped threads
-/// (per [`EngineConfig`]), and every observable result — completions,
+/// (per [`EngineConfig`]), and every observable result — counts,
 /// statistics, errors — is merged in channel-id order, so a parallel
 /// run is bit-identical to its serial reference.
 ///
@@ -125,14 +105,14 @@ impl Default for EngineMetrics {
 ///
 /// ```
 /// use dlk_engine::{EngineConfig, ShardedEngine};
-/// use dlk_memctrl::{MemCtrlConfig, MemRequest};
+/// use dlk_memctrl::{MemCtrlConfig, MemRequest, Trace, TraceOp};
 ///
 /// # fn main() -> Result<(), dlk_engine::EngineError> {
 /// let mut engine = ShardedEngine::new(EngineConfig::sharded(2), MemCtrlConfig::tiny_for_tests())?;
-/// engine.submit(MemRequest::write(0, vec![42]));
-/// engine.submit(MemRequest::read(0, 1));
-/// let outcome = engine.run_to_completion()?;
-/// assert_eq!(outcome.merged()[1].data.as_deref(), Some(&[42u8][..]));
+/// let trace: Trace = [TraceOp::Write { addr: 0, payload: vec![42] }].into_iter().collect();
+/// assert_eq!(engine.replay(&trace)?.requests, 1);
+/// let done = engine.service(MemRequest::read(0, 1))?;
+/// assert_eq!(done.data.as_deref(), Some(&[42u8][..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -157,15 +137,19 @@ impl ShardedEngine {
     }
 
     /// Creates an engine from per-channel controllers (differently
-    /// configured hooks are fine; geometry and mapping must match).
-    /// The router is derived from channel 0's mapper.
+    /// configured hooks are fine; geometry and mapping must match, and
+    /// every controller must schedule FCFS). The router is derived
+    /// from channel 0's mapper.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoChannels`] for a zero channel count and
+    /// Returns [`EngineError::NoChannels`] for a zero channel count,
     /// [`EngineError::GeometryMismatch`] when a controller's geometry
     /// or mapping scheme differs from channel 0's (the router's
-    /// interleave math would silently misroute otherwise).
+    /// interleave math would silently misroute otherwise), and
+    /// [`EngineError::NotFcfs`] for a controller with another
+    /// scheduling policy ([`ShardedEngine::replay`] serves in trace
+    /// order, which is FCFS order).
     pub fn with_controllers(
         config: EngineConfig,
         mut make: impl FnMut(usize) -> MemoryController,
@@ -179,13 +163,18 @@ impl ShardedEngine {
         if let Some(shard) = shards.iter().find(|shard| shard.controller().mapper() != reference) {
             return Err(EngineError::GeometryMismatch { channel: shard.channel() });
         }
+        if let Some(shard) =
+            shards.iter().find(|shard| shard.controller().policy() != SchedulingPolicy::Fcfs)
+        {
+            return Err(EngineError::NotFcfs { channel: shard.channel() });
+        }
         let router = ChannelRouter::new(config.channels, shards[0].controller().mapper());
         Ok(Self { config, router, shards, metrics: EngineMetrics::unregistered(), obs: None })
     }
 
     /// Wires the engine into a shared observability registry: engine
-    /// drain/merge timings register under `engine.*`, and from now on
-    /// every drain exports each shard controller's locally recorded
+    /// replay/merge timings register under `engine.*`, and from now on
+    /// every replay exports each shard controller's locally recorded
     /// metrics into the shared `memctrl.*` names (deltas only, so
     /// per-channel activity aggregates into a single fleet-wide view
     /// without touching the controllers' hot path). Controller metrics
@@ -199,9 +188,9 @@ impl ShardedEngine {
     /// Folds every shard controller's locally recorded metrics into
     /// the observed registry under `memctrl.*`. Delta-based — safe to
     /// call at any boundary, and a no-op when [`Self::observe`] was
-    /// never called. [`Self::run_to_completion`] calls this after each
-    /// drain, so callers stepping controllers directly (per-request
-    /// drivers) are the only ones who need it explicitly.
+    /// never called. [`Self::replay`] calls this after each replay, so
+    /// callers stepping controllers directly (per-request drivers) are
+    /// the only ones who need it explicitly.
     pub fn export_obs(&mut self) {
         if let Some(registry) = self.obs.clone() {
             for shard in &mut self.shards {
@@ -263,106 +252,74 @@ impl ShardedEngine {
         &mut self.shards[0]
     }
 
-    /// Total queued requests across shards.
-    pub fn pending(&self) -> usize {
-        self.shards.iter().map(ChannelShard::pending).sum()
-    }
-
-    /// Routes a global request to its home shard's queue and returns
-    /// the channel it landed on.
-    pub fn submit(&mut self, request: MemRequest) -> usize {
-        let (channel, request) = self.route(request);
-        self.shards[channel].submit(request);
-        channel
-    }
-
-    /// Routes and serves one global request immediately, bypassing the
-    /// queues.
+    /// Routes and serves one global request immediately.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Shard`] tagged with the home channel.
-    pub fn service(&mut self, request: MemRequest) -> Result<CompletedRequest, EngineError> {
-        let (channel, request) = self.route(request);
+    pub fn service(&mut self, mut request: MemRequest) -> Result<CompletedRequest, EngineError> {
+        let (channel, local) = self.router.to_local(request.addr);
+        request.addr = local;
         self.shards[channel].service(request)
     }
 
-    fn route(&self, mut request: MemRequest) -> (usize, MemRequest) {
-        let (channel, local) = self.router.to_local(request.addr);
-        request.addr = local;
-        (channel, request)
-    }
-
-    /// Drains every shard's queue — on scoped threads when the
+    /// Replays a global-address trace: every shard serves the ops
+    /// routed to it, in trace order — on scoped threads when the
     /// configuration says `parallel`, in channel order otherwise. Both
-    /// modes drain *all* shards and report the lowest failing channel,
+    /// modes serve *all* shards and report the lowest failing channel,
     /// so results (and errors) are independent of the stepping mode.
     ///
     /// # Errors
     ///
-    /// Returns the first failing channel's error (by channel id).
-    pub fn run_to_completion(&mut self) -> Result<DrainOutcome, EngineError> {
-        let metrics = &self.metrics;
-        let drain_timed = |shard: &mut ChannelShard| {
+    /// Returns the first failing channel's error (by channel id); a
+    /// failing shard stops at its failing op.
+    pub fn replay(&mut self, trace: &Trace) -> Result<ReplayCounts, EngineError> {
+        let (metrics, router) = (&self.metrics, &self.router);
+        let first_id = MemRequest::reserve_ids(trace.len());
+        let replay_timed = |shard: &mut ChannelShard| {
             let span = metrics.drain_wall_ns.span();
-            let result = shard.drain();
+            let result = shard.replay(trace, first_id, router);
             span.finish();
             metrics.drains.inc();
             result
         };
-        let results: Vec<Result<Vec<CompletedRequest>, EngineError>> =
+        let results: Vec<Result<ReplayCounts, EngineError>> =
             if self.config.parallel && self.shards.len() > 1 {
-                let drain_timed = &drain_timed;
+                let replay_timed = &replay_timed;
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = self
                         .shards
                         .iter_mut()
-                        .map(|shard| scope.spawn(move || drain_timed(shard)))
+                        .map(|shard| scope.spawn(move || replay_timed(shard)))
                         .collect();
-                    // Joining in spawn order keeps the result vector in
+                    // Joining in spawn order keeps the results in
                     // channel order regardless of completion order.
                     handles
                         .into_iter()
+                        // dlk-lint: allow(DLK001): a shard panics only on a bug, as serial mode would.
                         .map(|handle| handle.join().expect("shard thread panicked"))
                         .collect()
                 })
             } else {
-                self.shards.iter_mut().map(drain_timed).collect()
+                self.shards.iter_mut().map(replay_timed).collect()
             };
         let merge_span = self.metrics.merge_wall_ns.span();
-        let mut outcome = DrainOutcome { per_channel: Vec::with_capacity(results.len()) };
+        let mut total = ReplayCounts::default();
         let mut first_error = None;
         for result in results {
             match result {
-                Ok(completions) => outcome.per_channel.push(completions),
+                Ok(counts) => {
+                    total.requests += counts.requests;
+                    total.denied += counts.denied;
+                }
                 Err(err) => {
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    }
-                    outcome.per_channel.push(Vec::new());
+                    first_error.get_or_insert(err);
                 }
             }
         }
         merge_span.finish();
         self.export_obs();
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(outcome),
-        }
-    }
-
-    /// Feeds a replay source through the router (global addresses) and
-    /// drains all shards. Routing is a cheap serial pass; execution
-    /// follows the configured stepping mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing channel's error (by channel id).
-    pub fn replay(&mut self, mut source: impl ReplaySource) -> Result<DrainOutcome, EngineError> {
-        while let Some(request) = source.next_request() {
-            self.submit(request);
-        }
-        self.run_to_completion()
+        first_error.map_or(Ok(total), Err)
     }
 
     /// A deterministic snapshot of statistics, costs and flip outcomes,
@@ -393,11 +350,19 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::TraceReplay;
-    use dlk_memctrl::Trace;
+    use dlk_memctrl::TraceOp;
 
     fn tiny_engine(config: EngineConfig) -> ShardedEngine {
         ShardedEngine::new(config, MemCtrlConfig::tiny_for_tests()).unwrap()
+    }
+
+    /// One write of `row + 1` at byte 3 of each of the first `rows`
+    /// global rows.
+    fn row_writes(engine: &ShardedEngine, rows: u64) -> Trace {
+        let row_bytes = engine.primary().controller().geometry().row_bytes as u64;
+        (0..rows)
+            .map(|row| TraceOp::Write { addr: row * row_bytes + 3, payload: vec![row as u8 + 1] })
+            .collect()
     }
 
     #[test]
@@ -424,71 +389,49 @@ mod tests {
     }
 
     #[test]
+    fn non_fcfs_controller_rejected() {
+        let err = ShardedEngine::with_controllers(EngineConfig::sharded(2), |channel| {
+            let mut config = MemCtrlConfig::tiny_for_tests();
+            if channel == 1 {
+                config.policy = SchedulingPolicy::FrFcfs;
+            }
+            MemoryController::new(config)
+        })
+        .unwrap_err();
+        assert_eq!(err, EngineError::NotFcfs { channel: 1 });
+    }
+
+    #[test]
     fn single_channel_engine_matches_bare_controller() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let mut engine = tiny_engine(EngineConfig::serial());
-        for target in [0u64, 64, 130, 7] {
-            ctrl.submit(MemRequest::write(target, vec![target as u8]));
-            engine.submit(MemRequest::write(target, vec![target as u8]));
-            ctrl.submit(MemRequest::read(target, 1));
-            engine.submit(MemRequest::read(target, 1));
+        let mut trace = row_writes(&engine, 4);
+        let reads: Vec<_> =
+            trace.ops().iter().map(|op| TraceOp::Read { addr: op.addr(), len: 1 }).collect();
+        trace.extend(reads);
+        let mut denied = 0;
+        for request in trace.requests() {
+            denied += u64::from(ctrl.service(request).unwrap().denied);
         }
-        let reference: Vec<_> =
-            ctrl.run_to_completion().unwrap().into_iter().map(|c| (c.denied, c.data)).collect();
-        let sharded: Vec<_> = engine
-            .run_to_completion()
-            .unwrap()
-            .merged()
-            .into_iter()
-            .map(|c| (c.denied, c.data))
-            .collect();
-        assert_eq!(reference, sharded);
+        let counts = engine.replay(&trace).unwrap();
+        assert_eq!(counts, ReplayCounts { requests: 8, denied });
         assert_eq!(ctrl.stats(), engine.snapshot().controller);
-        assert_eq!(ctrl.dram().stats().cycles, engine.snapshot().cycles);
+        assert_eq!(ctrl.dram().stats(), engine.primary().controller().dram().stats());
     }
 
     #[test]
     fn routed_write_read_roundtrips_on_every_channel() {
         let mut engine = tiny_engine(EngineConfig::sharded(4));
         let row_bytes = engine.primary().controller().geometry().row_bytes as u64;
+        engine.replay(&row_writes(&engine, 8)).unwrap();
         for row in 0..8u64 {
-            let addr = row * row_bytes + 3;
-            engine.submit(MemRequest::write(addr, vec![row as u8 + 1]));
-        }
-        engine.run_to_completion().unwrap();
-        for row in 0..8u64 {
-            let addr = row * row_bytes + 3;
-            let done = engine.service(MemRequest::read(addr, 1)).unwrap();
+            let done = engine.service(MemRequest::read(row * row_bytes + 3, 1)).unwrap();
             assert_eq!(done.data.as_deref(), Some(&[row as u8 + 1][..]));
         }
         // Row-interleaving spread the writes over all four shards.
         for shard in engine.shards() {
             assert_eq!(shard.stats().writes, 2, "channel {}", shard.channel());
         }
-    }
-
-    /// Everything observable about a completion except the request id,
-    /// which is allocated from a process-global counter and therefore
-    /// differs between two engine instances replaying the same trace.
-    fn observable(done: &CompletedRequest) -> (u64, bool, bool, u64, Option<Vec<u8>>) {
-        (done.request.addr, done.request.untrusted, done.denied, done.latency, done.data.clone())
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical_to_serial_reference() {
-        let trace = Trace::random_reads(4 * 64 * 64, 1, 400, 99);
-        let run = |config: EngineConfig| {
-            let mut engine = tiny_engine(config);
-            let outcome = engine.replay(TraceReplay::new(&trace)).unwrap();
-            let merged: Vec<_> = outcome.merged().iter().map(observable).collect();
-            (merged, engine.snapshot())
-        };
-        let (serial_outcome, serial_snap) = run(EngineConfig::serial_reference(4));
-        let (parallel_outcome, parallel_snap) = run(EngineConfig::sharded(4));
-        assert_eq!(serial_outcome, parallel_outcome);
-        assert_eq!(serial_snap, parallel_snap);
-        assert!(parallel_snap.controller.served > 0);
-        assert!(parallel_snap.per_channel.iter().all(|s| s.served > 0), "all channels busy");
     }
 
     #[test]
@@ -498,9 +441,11 @@ mod tests {
             let capacity = engine.router().capacity();
             // Unmappable addresses routed to both channels; the error
             // from channel 0 wins in either stepping mode.
-            engine.submit(MemRequest::read(capacity + 64, 1)); // channel 1
-            engine.submit(MemRequest::read(capacity, 1)); // channel 0
-            let err = engine.run_to_completion().unwrap_err();
+            let trace: Trace = [capacity + 64, capacity]
+                .into_iter()
+                .map(|addr| TraceOp::Read { addr, len: 1 })
+                .collect();
+            let err = engine.replay(&trace).unwrap_err();
             assert!(matches!(err, EngineError::Shard { channel: 0, .. }), "{err:?}");
         }
     }
@@ -510,15 +455,11 @@ mod tests {
         let registry = Registry::new();
         let mut engine = tiny_engine(EngineConfig::sharded(4));
         engine.observe(&registry);
-        let row_bytes = engine.primary().controller().geometry().row_bytes as u64;
-        for row in 0..8u64 {
-            engine.submit(MemRequest::write(row * row_bytes, vec![1]));
-        }
-        engine.run_to_completion().unwrap();
+        engine.replay(&row_writes(&engine, 8)).unwrap();
         // All four channels' serves land in the one shared counter.
         assert_eq!(registry.counter("memctrl.served").get(), 8);
         assert_eq!(registry.histogram("memctrl.latency_cycles.write").count(), 8);
-        // One drain per shard, one merge for the run.
+        // One sample per shard, one merge for the replay.
         assert_eq!(registry.counter("engine.drains").get(), 4);
         assert_eq!(registry.histogram("engine.drain_wall_ns").count(), 4);
         assert_eq!(registry.histogram("engine.merge_wall_ns").count(), 1);
@@ -535,13 +476,15 @@ mod tests {
         for channel in 0..2 {
             engine.shard_mut(channel).controller_mut().os_protect_range(0, 2 * row_bytes);
         }
-        for row in 0..8u64 {
-            engine.submit(MemRequest::write(row * row_bytes + 5, vec![row as u8]));
-            engine.submit(MemRequest::read(row * row_bytes + 5, 1).untrusted());
-        }
-        engine.run_to_completion().unwrap();
+        let writes = row_writes(&engine, 8);
+        let mut reads: Trace =
+            writes.ops().iter().map(|op| TraceOp::Read { addr: op.addr(), len: 1 }).collect();
+        reads.untrusted = true;
+        engine.replay(&writes).unwrap();
+        let counts = engine.replay(&reads).unwrap();
 
         let stats = engine.snapshot().controller;
+        assert_eq!(counts.denied, stats.os_faults);
         let counter = |name: &str| registry.counter(&format!("memctrl.{name}")).get();
         assert_eq!(
             (stats.served, stats.denied, stats.redirected, stats.os_faults),
@@ -555,8 +498,7 @@ mod tests {
     #[test]
     fn empty_replay_snapshot_is_all_zero() {
         let mut engine = tiny_engine(EngineConfig::sharded(2));
-        let outcome = engine.replay(TraceReplay::new(&Trace::new())).unwrap();
-        assert!(outcome.is_empty());
+        assert_eq!(engine.replay(&Trace::new()).unwrap(), ReplayCounts::default());
         let snapshot = engine.snapshot();
         assert_eq!(snapshot.controller.mean_latency(), 0.0);
         assert_eq!(snapshot.controller.denial_rate(), 0.0);

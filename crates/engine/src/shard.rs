@@ -1,14 +1,15 @@
 //! One channel's execution shard.
 
-use dlk_memctrl::{CompletedRequest, ControllerStats, MemRequest, MemoryController};
+use dlk_memctrl::{CompletedRequest, ControllerStats, MemRequest, MemoryController, Trace};
 
+use crate::engine::ReplayCounts;
 use crate::error::EngineError;
+use crate::route::ChannelRouter;
 
 /// A self-contained execution unit for one DRAM channel: its own
-/// [`MemoryController`] (device, mapper, queue) with the channel's
-/// slice of the defense state mounted as the controller hook — for
-/// DRAM-Locker, the lock-table entries of the victims homed on this
-/// channel.
+/// [`MemoryController`] (device, mapper) with the channel's slice of
+/// the defense state mounted as the controller hook — for DRAM-Locker,
+/// the lock-table entries of the victims homed on this channel.
 ///
 /// Shards share nothing, which is what lets the engine step them on
 /// scoped threads and still merge results deterministically.
@@ -40,19 +41,9 @@ impl ChannelShard {
         &mut self.ctrl
     }
 
-    /// Number of queued requests on this shard.
-    pub fn pending(&self) -> usize {
-        self.ctrl.pending()
-    }
-
     /// This shard's controller statistics.
     pub fn stats(&self) -> ControllerStats {
         self.ctrl.stats()
-    }
-
-    /// Enqueues a shard-local request.
-    pub fn submit(&mut self, request: MemRequest) {
-        self.ctrl.submit(request);
     }
 
     /// Serves one shard-local request immediately.
@@ -66,40 +57,64 @@ impl ChannelShard {
             .map_err(|source| EngineError::Shard { channel: self.channel, source })
     }
 
-    /// Serves every queued request in scheduling order — the unit of
-    /// work one engine step thread performs.
+    /// Serves, in trace order, every op of the global-address `trace`
+    /// that `router` homes on this shard — the unit of work one engine
+    /// thread performs. The op at position `i` is request
+    /// `first_id + i`; ops homed elsewhere are skipped without being
+    /// built into requests.
     ///
     /// # Errors
     ///
-    /// Stops at the first failing request, tagged with this channel.
-    pub fn drain(&mut self) -> Result<Vec<CompletedRequest>, EngineError> {
-        self.ctrl
-            .run_to_completion()
-            .map_err(|source| EngineError::Shard { channel: self.channel, source })
+    /// Stops at the first failing op, tagged with this channel.
+    pub(crate) fn replay(
+        &mut self,
+        trace: &Trace,
+        first_id: u64,
+        router: &ChannelRouter,
+    ) -> Result<ReplayCounts, EngineError> {
+        let mut counts = ReplayCounts::default();
+        for (op, id) in trace.ops().iter().zip(first_id..) {
+            let (channel, local) = router.to_local(op.addr());
+            if channel == self.channel {
+                let done = self.service(op.request(id, local, trace.untrusted))?;
+                counts.requests += 1;
+                counts.denied += u64::from(done.denied);
+            }
+        }
+        Ok(counts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlk_memctrl::MemCtrlConfig;
+    use dlk_memctrl::{MemCtrlConfig, TraceOp};
+
+    fn shard(channel: usize) -> ChannelShard {
+        ChannelShard::new(channel, MemoryController::new(MemCtrlConfig::tiny_for_tests()))
+    }
 
     #[test]
-    fn shard_drains_its_own_queue() {
-        let mut shard =
-            ChannelShard::new(3, MemoryController::new(MemCtrlConfig::tiny_for_tests()));
-        shard.submit(MemRequest::write(0, vec![7]));
-        shard.submit(MemRequest::read(0, 1));
-        assert_eq!(shard.pending(), 2);
-        let done = shard.drain().unwrap();
-        assert_eq!(done[1].data.as_deref(), Some(&[7u8][..]));
-        assert_eq!(shard.stats().served, 2);
+    fn shard_replays_only_its_own_ops() {
+        let mut shard = shard(1);
+        let router = ChannelRouter::new(2, shard.controller().mapper());
+        let row_bytes = shard.controller().geometry().row_bytes as u64;
+        let mut trace = Trace::new();
+        for row in 0..4 {
+            trace.push(TraceOp::Write { addr: row * row_bytes + 3, payload: vec![row as u8] });
+        }
+        let counts = shard.replay(&trace, 0, &router).unwrap();
+        // Global rows 1 and 3 are channel 1's local rows 0 and 1.
+        assert_eq!(counts, ReplayCounts { requests: 2, denied: 0 });
+        let read = |shard: &mut ChannelShard, addr| {
+            shard.service(MemRequest::read(addr, 1)).unwrap().data.unwrap()[0]
+        };
+        assert_eq!((read(&mut shard, 3), read(&mut shard, row_bytes + 3)), (1, 3));
     }
 
     #[test]
     fn shard_errors_carry_the_channel_id() {
-        let mut shard =
-            ChannelShard::new(5, MemoryController::new(MemCtrlConfig::tiny_for_tests()));
+        let mut shard = shard(5);
         let capacity = shard.controller().mapper().capacity();
         let err = shard.service(MemRequest::read(capacity, 1)).unwrap_err();
         assert!(matches!(err, EngineError::Shard { channel: 5, .. }));

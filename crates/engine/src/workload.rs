@@ -134,14 +134,7 @@ mod tests {
     #[test]
     fn strided_advances_by_stride() {
         let trace = Workload::Strided { base: 0, stride: 64, len: 2, count: 3 }.trace();
-        let addrs: Vec<u64> = trace
-            .ops()
-            .iter()
-            .map(|op| match op {
-                TraceOp::Read { addr, .. } => *addr,
-                TraceOp::Write { addr, .. } => *addr,
-            })
-            .collect();
+        let addrs: Vec<u64> = trace.ops().iter().map(TraceOp::addr).collect();
         assert_eq!(addrs, vec![0, 64, 128]);
     }
 
@@ -175,14 +168,7 @@ mod tests {
             Workload::Sequential { base: 0, len: 1, count: 2 },
             Workload::Sequential { base: 1000, len: 1, count: 2 },
         ]);
-        let addrs: Vec<u64> = mix
-            .ops()
-            .iter()
-            .map(|op| match op {
-                TraceOp::Read { addr, .. } => *addr,
-                TraceOp::Write { addr, .. } => *addr,
-            })
-            .collect();
+        let addrs: Vec<u64> = mix.ops().iter().map(TraceOp::addr).collect();
         assert_eq!(addrs, vec![0, 1000, 1, 1001]);
     }
 }

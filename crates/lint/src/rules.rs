@@ -6,11 +6,14 @@
 //!
 //! - **DLK001** — no `unwrap()` / `expect(` or panicking macro
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`) in hot-path
-//!   modules (memctrl service path, locker probe/ISA, dram decode,
-//!   dnn gemm and conv, and the training and bit-search executor:
-//!   `Network::run`/`backward`/`train_step` and `TrialRecord::trial`)
-//!   outside `#[cfg(test)]`. The service path returns typed errors; a
-//!   panic there takes down a whole sweep worker.
+//!   modules outside `#[cfg(test)]`. They cover the whole request path
+//!   (engine replay, memctrl mapping, scheduling and service, the
+//!   locker's per-request check, lock-table probe and µISA, and the
+//!   dram device, banks, hammer tracker, stats and row storage), plus
+//!   dnn gemm and conv and the training and bit-search executor
+//!   (`Network::run`/`backward`/`train_step` and `TrialRecord::trial`).
+//!   The service path returns typed errors; a panic there takes down a
+//!   whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs
 //!   layer is deliberately relaxed-only (monotonic counters, no
 //!   cross-cell invariants); a stray `SeqCst` RMW on the memctrl hot
@@ -40,10 +43,17 @@ use crate::lexer::{self, in_regions, test_regions, Comment, LexedFile, Token};
 /// suffix so a fixture tree mimicking the layout hits the same rules.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/memctrl/src/controller.rs",
+    "crates/memctrl/src/mapping.rs",
     "crates/memctrl/src/scheduler.rs",
+    "crates/locker/src/locker.rs",
     "crates/locker/src/locktable.rs",
     "crates/locker/src/isa.rs",
+    "crates/dram/src/bank.rs",
     "crates/dram/src/device.rs",
+    "crates/dram/src/rowhammer.rs",
+    "crates/dram/src/stats.rs",
+    "crates/dram/src/subarray.rs",
+    "crates/engine/src/engine.rs",
     "crates/dnn/src/tensor.rs",
     "crates/dnn/src/conv.rs",
     "crates/dnn/src/network.rs",
@@ -495,6 +505,21 @@ mod tests {
         let report = lint_one(path, source);
         assert_eq!(codes(&report), ["DLK001"]);
         assert!(report.diagnostics[0].message.starts_with(what), "{:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn dlk001_covers_the_whole_request_path() {
+        for path in [
+            "crates/dram/src/bank.rs",
+            "crates/dram/src/rowhammer.rs",
+            "crates/dram/src/stats.rs",
+            "crates/dram/src/subarray.rs",
+            "crates/memctrl/src/mapping.rs",
+            "crates/locker/src/locker.rs",
+            "crates/engine/src/engine.rs",
+        ] {
+            assert_one_dlk001(path, "fn f() { x.expect(\"y\"); }", "expect()");
+        }
     }
 
     #[test]

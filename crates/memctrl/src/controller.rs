@@ -265,6 +265,11 @@ impl MemoryController {
         self.metrics.export_into(registry, prefix);
     }
 
+    /// The queue's scheduling policy.
+    pub fn policy(&self) -> SchedulingPolicy {
+        self.queue.policy()
+    }
+
     /// Number of queued requests.
     pub fn pending(&self) -> usize {
         self.queue.len()

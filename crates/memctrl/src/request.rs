@@ -96,6 +96,15 @@ impl MemRequest {
         }
     }
 
+    /// Reserves `count` consecutive request ids and returns the first.
+    /// A batch of requests built on several threads — the ops of a
+    /// replayed trace, numbered by position — takes its ids from one
+    /// reservation instead of contending on the shared counter per
+    /// request.
+    pub fn reserve_ids(count: usize) -> u64 {
+        NEXT_ID.fetch_add(count as u64, Ordering::Relaxed)
+    }
+
     /// Marks the request as attacker-issued.
     pub fn untrusted(mut self) -> Self {
         self.untrusted = true;
@@ -122,6 +131,13 @@ mod tests {
         let a = MemRequest::read(0, 1);
         let b = MemRequest::read(0, 1);
         assert!(b.id > a.id);
+    }
+
+    #[test]
+    fn reserved_ids_are_never_reissued() {
+        let first = MemRequest::reserve_ids(3);
+        assert!(MemRequest::read(0, 1).id >= first + 3);
+        assert!(MemRequest::reserve_ids(0) >= first + 3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Request traces: generation and replay.
+//! Request traces: generation and the trace-file codec.
 //!
 //! Traces model the workloads that drive the evaluation — a victim's
 //! DNN weight reads, background traffic, and attacker hammer loops. A
@@ -10,9 +10,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{CompletedRequest, MemoryController};
 use crate::error::MemCtrlError;
-use crate::request::MemRequest;
+use crate::request::{MemRequest, RequestKind};
 
 /// One operation in a trace.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,16 +33,23 @@ pub enum TraceOp {
 }
 
 impl TraceOp {
-    fn to_request(&self, untrusted: bool) -> MemRequest {
-        let req = match self {
-            TraceOp::Read { addr, len } => MemRequest::read(*addr, *len),
-            TraceOp::Write { addr, payload } => MemRequest::write(*addr, payload.clone()),
-        };
-        if untrusted {
-            req.untrusted()
-        } else {
-            req
+    /// The physical byte address the op names.
+    pub fn addr(&self) -> u64 {
+        match *self {
+            TraceOp::Read { addr, .. } | TraceOp::Write { addr, .. } => addr,
         }
+    }
+
+    /// The request this op issues as request `id` (taken from a
+    /// [`MemRequest::reserve_ids`] block) at `addr` — its own address,
+    /// or the shard-local one a router translated it to — marked
+    /// attacker-issued when `untrusted`.
+    pub fn request(&self, id: u64, addr: u64, untrusted: bool) -> MemRequest {
+        let (kind, len, payload) = match self {
+            TraceOp::Read { len, .. } => (RequestKind::Read, *len, Vec::new()),
+            TraceOp::Write { payload, .. } => (RequestKind::Write, payload.len(), payload.clone()),
+        };
+        MemRequest { id, kind, addr, len, payload, untrusted }
     }
 }
 
@@ -119,27 +125,11 @@ impl Trace {
         Self { ops, untrusted: true }
     }
 
-    /// Replays the trace through a controller, returning completions.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first request the controller rejects.
-    pub fn replay(
-        &self,
-        controller: &mut MemoryController,
-    ) -> Result<Vec<CompletedRequest>, MemCtrlError> {
-        let mut done = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            done.push(controller.service(op.to_request(self.untrusted))?);
-        }
-        Ok(done)
-    }
-
     /// The requests this trace issues, in order, with the trace's trust
-    /// level applied — the routing-friendly form consumed by the
-    /// sharded execution engine.
+    /// level applied and ids numbered by position from one reservation.
     pub fn requests(&self) -> impl Iterator<Item = MemRequest> + '_ {
-        self.ops.iter().map(|op| op.to_request(self.untrusted))
+        let first = MemRequest::reserve_ids(self.len());
+        self.ops.iter().zip(first..).map(|(op, id)| op.request(id, op.addr(), self.untrusted))
     }
 
     /// Serializes the trace to the workspace's line-based trace-file
@@ -295,7 +285,7 @@ impl FromIterator<TraceOp> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::MemCtrlConfig;
+    use crate::controller::{CompletedRequest, MemCtrlConfig, MemoryController};
 
     #[test]
     fn sequential_reads_layout() {
@@ -319,13 +309,18 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Serves every request of `trace` on `ctrl`, in order.
+    fn serve_all(ctrl: &mut MemoryController, trace: &Trace) -> Vec<CompletedRequest> {
+        trace.requests().map(|request| ctrl.service(request).unwrap()).collect()
+    }
+
     #[test]
     fn hammer_pair_forces_activations() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let row_bytes = ctrl.geometry().row_bytes as u64;
         // Two rows in the same bank/subarray (BankSequential mapping).
         let trace = Trace::hammer_pair(10 * row_bytes, 12 * row_bytes, 50);
-        let done = trace.replay(&mut ctrl).unwrap();
+        let done = serve_all(&mut ctrl, &trace);
         assert_eq!(done.len(), 100);
         // Every access after the first misses the row buffer.
         assert_eq!(ctrl.dram().stats().row_buffer_misses, 100);
@@ -333,13 +328,30 @@ mod tests {
     }
 
     #[test]
-    fn replay_roundtrips_data() {
+    fn requests_roundtrip_data() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let mut trace = Trace::new();
         trace.push(TraceOp::Write { addr: 5, payload: vec![1, 2] });
         trace.push(TraceOp::Read { addr: 5, len: 2 });
-        let done = trace.replay(&mut ctrl).unwrap();
+        let done = serve_all(&mut ctrl, &trace);
         assert_eq!(done[1].data.as_deref(), Some(&[1u8, 2][..]));
+    }
+
+    #[test]
+    fn requests_are_numbered_by_position() {
+        let mut trace = Trace::sequential_reads(0, 8, 4, 3);
+        trace.push(TraceOp::Write { addr: 0x80, payload: vec![7, 8] });
+        let requests: Vec<MemRequest> = trace.requests().collect();
+        let first = requests[0].id;
+        assert!(requests.iter().zip(first..).all(|(request, id)| request.id == id));
+        let write = &requests[3];
+        assert_eq!(
+            (write.kind, write.addr, write.len, write.untrusted),
+            (RequestKind::Write, 0x80, 2, false)
+        );
+        assert_eq!(write.payload, vec![7, 8]);
+        let moved = trace.ops()[3].request(9, 0x10, true);
+        assert_eq!((moved.id, moved.addr, moved.untrusted), (9, 0x10, true));
     }
 
     #[test]

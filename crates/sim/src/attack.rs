@@ -18,7 +18,7 @@ use dlk_attacks::RandomAttack;
 use dlk_dnn::models::{self, Victim};
 use dlk_dnn::{BitIndex, QuantizedMlp, Tensor, WeightLayout};
 use dlk_dram::RowAddr;
-use dlk_engine::{ShardedEngine, Trace, TraceReplay, Workload};
+use dlk_engine::{ShardedEngine, Trace, Workload};
 use dlk_memctrl::{MemRequest, MemoryController};
 
 use crate::error::SimError;
@@ -278,10 +278,10 @@ fn hammer(env: &mut RunEnv<'_>, row: RowAddr, bit: usize) -> Result<AttackOutcom
 /// addresses, the router fans them out across every channel shard, and
 /// shards execute in parallel when the scenario's engine config says so.
 fn replay(env: &mut RunEnv<'_>, trace: &Trace) -> Result<AttackOutcome, SimError> {
-    let outcome = env.engine.replay(TraceReplay::new(trace))?;
+    let counts = env.engine.replay(trace)?;
     Ok(AttackOutcome {
-        requests: outcome.len() as u64,
-        denied: outcome.denied(),
+        requests: counts.requests,
+        denied: counts.denied,
         ..AttackOutcome::default()
     })
 }

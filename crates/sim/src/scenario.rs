@@ -405,7 +405,7 @@ impl ScenarioRun {
     }
 
     /// Connects the run to a metrics registry: the engine's per-channel
-    /// drain/merge timings, the controllers' per-kind service latencies
+    /// replay/merge timings, the controllers' per-kind service latencies
     /// and denial/fault counters, and (at the end of each run) any
     /// mounted DRAM-Locker's lock-table lookup/hit counters all report
     /// into `registry`. Idempotent per run: counter exports are deltas.
@@ -510,7 +510,7 @@ impl ScenarioRun {
 
         if let Some(registry) = self.obs.clone() {
             // Hammer attacks drive controllers per-request and never
-            // pass through `run_to_completion`, so flush the shards'
+            // pass through `ShardedEngine::replay`, so flush the shards'
             // locally recorded controller metrics here too.
             self.engine.export_obs();
             self.export_defense_obs(&registry);
@@ -711,9 +711,9 @@ mod tests {
         assert!(registry.counter("memctrl.denied").get() > 0);
         assert!(registry.counter("memctrl.served").get() > 0);
         assert!(registry.histogram("memctrl.latency_cycles.read").count() > 0);
-        // The engine's drain metrics registered (a hammer campaign
+        // The engine's replay metrics registered (a hammer campaign
         // drives the controllers per-request, so the count stays 0 —
-        // workload drains through `run_to_completion` would bump it).
+        // a trace through `ShardedEngine::replay` would bump it).
         assert!(registry.get("engine.drains").is_some());
         // The locker's interior lock-table counters were exported.
         assert!(registry.counter("locker.locktable.lookups").get() > 0);
