@@ -435,16 +435,30 @@ mod tests {
     }
 
     /// Training is deterministic per seed and every kernel keeps its
-    /// float order, so a trained conv victim is a fixed bit pattern: a
+    /// float order, so a trained victim is a fixed bit pattern: a
     /// kernel change that moves one rounding anywhere in training moves
-    /// these digests.
+    /// these digests. Pinned: the conv victims, Table II's fast (tiny 7)
+    /// and full (resnet20 7) victims and the catalog's tiny 42.
     #[test]
-    fn trained_conv_victims_are_pinned_bit_for_bit() {
-        let got = [victim_tiny_cnn(11), victim_resnet20_cnn(42)].map(|v| victim_digest(&v));
+    fn trained_victims_are_pinned_bit_for_bit() {
+        let got = [
+            victim_tiny_cnn(11),
+            victim_resnet20_cnn(42),
+            victim_tiny(7),
+            victim_tiny(42),
+            victim_resnet20_cifar10(7),
+        ]
+        .map(|v| victim_digest(&v));
         assert_eq!(
             got,
-            [0x913e_8796_ac89_5581, 0x1111_bb70_b3b7_494f],
-            "tiny-cnn 11, resnet20-cnn 42: {got:x?}"
+            [
+                0x913e_8796_ac89_5581,
+                0x1111_bb70_b3b7_494f,
+                0x45f3_cc3b_b941_51d8,
+                0x59b1_3370_08f8_5e35,
+                0xb8fa_995e_b108_77d1,
+            ],
+            "tiny-cnn 11, resnet20-cnn 42, tiny 7, tiny 42, resnet20 7: {got:x?}"
         );
     }
 

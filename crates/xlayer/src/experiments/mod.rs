@@ -18,8 +18,8 @@
 //!
 //! The model-backed experiments take a [`Fidelity`]: `Fast` shrinks
 //! models and budgets for CI, tests and the layered bench; `Full`
-//! reproduces the paper-scale run of `examples/paper_figures.rs` and
-//! EXPERIMENTS.md.
+//! reproduces the paper-scale run. [`render`] runs them all into the
+//! text `examples/paper_figures.rs` prints.
 
 pub mod ablation;
 pub mod defense_grid;
@@ -38,6 +38,8 @@ pub mod table2;
 
 pub use dl_model::{DlLatencyModel, DlSecurityModel};
 
+use dlk_sim::SimError;
+
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
@@ -46,4 +48,48 @@ pub enum Fidelity {
     /// Paper-scale models and budgets — minutes, for `paper_figures`.
     #[default]
     Full,
+}
+
+/// Runs every experiment at `fidelity` and renders them in paper
+/// order: the text `examples/paper_figures.rs` prints, ending with the
+/// scenario catalog and the [`defense_grid`] CSV.
+///
+/// # Errors
+///
+/// Propagates the first failing scenario of the simulator-backed
+/// experiments ([`pta`], [`overhead_inference`], [`ablation`],
+/// [`defense_grid`]).
+pub fn render(fidelity: Fidelity) -> Result<String, SimError> {
+    let mut out = format!("running all paper experiments at {fidelity:?} fidelity\n\n");
+    let mut put = |text: String| {
+        out.push_str(&text);
+        out.push('\n');
+    };
+    put(fig1b::run().to_string());
+    put(mc_variation::run(fidelity).to_string());
+    put(table1::run().to_string());
+    put(fig1a::run(fidelity).render());
+    put(fig7a::run(fidelity).render());
+    put(fig7b::run().to_string());
+    for panel in fig8::run(fidelity) {
+        put(panel.render());
+    }
+    put(table2::run(fidelity).to_string());
+    put(pta::run()?.to_string());
+    put(overhead_inference::run()?.to_string());
+    put(ablation::run()?.to_string());
+    put(generations::run().to_string());
+    put("scenario catalog (run any with sim::find(name); every entry is a spec file):".into());
+    for entry in dlk_sim::catalog() {
+        put(format!("  {:<28} {:<20} {}", entry.name, entry.artifact, entry.description));
+    }
+    // The channel × defense grid through the parallel sweep runner —
+    // the CSV is the figure data CI surfaces in the job log.
+    let grid = defense_grid::run()?;
+    put("\nsweep: hammer campaign over {1,2,4 channels} x {none, dram-locker}".into());
+    put(grid.to_string());
+    put("-- begin defense_grid.csv --".into());
+    out.push_str(&grid.to_csv());
+    out.push_str("-- end defense_grid.csv --\ndone — compare against EXPERIMENTS.md\n");
+    Ok(out)
 }
