@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use dlk_dnn::quant::flip_delta;
-use dlk_dnn::{BitIndex, QuantLayer, QuantizedMlp, Tensor};
+use dlk_dnn::{BitIndex, QuantLayer, QuantNetwork, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
 
@@ -81,7 +81,7 @@ impl BitSearch {
     /// all-zero network), so there is nothing to flip.
     pub fn next_flip(
         &mut self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         x: &Tensor,
         labels: &[usize],
     ) -> Option<BitIndex> {
@@ -122,7 +122,7 @@ impl BitSearch {
     /// held-out set `(eval_x, eval_y)` while searching on `(x, labels)`.
     pub fn run(
         &mut self,
-        model: &mut QuantizedMlp,
+        model: &mut QuantNetwork,
         x: &Tensor,
         labels: &[usize],
         iterations: usize,
@@ -255,7 +255,7 @@ mod tests {
             Layer::Dense(Linear::from_parts(Tensor::zeros(outputs, inputs), vec![0.0; outputs]))
         };
         let network = Network::new(vec![zero(8, 24), Layer::Relu, zero(24, 4)]);
-        let model = QuantizedMlp::quantize(&network);
+        let model = QuantNetwork::quantize(&network);
         let x = Tensor::randn(16, 8, 3);
         let y: Vec<usize> = (0..16).map(|i| i % 4).collect();
         let mut search =

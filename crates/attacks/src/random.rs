@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use dlk_dnn::{BitIndex, QuantizedMlp, Tensor};
+use dlk_dnn::{BitIndex, QuantNetwork, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
 
@@ -38,7 +38,7 @@ impl RandomAttack {
     }
 
     /// Picks a uniformly random weight bit of the model.
-    pub fn next_flip(&mut self, model: &QuantizedMlp) -> BitIndex {
+    pub fn next_flip(&mut self, model: &QuantNetwork) -> BitIndex {
         let offset = self.rng.random_range(0..model.total_weights());
         let (layer, weight) = model.locate_byte(offset).expect("offset drawn below total_weights");
         BitIndex { layer, weight, bit: self.rng.random_range(0..8u8) }
@@ -47,7 +47,7 @@ impl RandomAttack {
     /// Flips `iterations` random bits, recording the accuracy curve.
     pub fn run(
         &mut self,
-        model: &mut QuantizedMlp,
+        model: &mut QuantNetwork,
         x: &Tensor,
         labels: &[usize],
         iterations: usize,

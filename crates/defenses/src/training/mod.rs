@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_dnn::models::Victim;
-use dlk_dnn::{QuantizedMlp, Tensor};
+use dlk_dnn::{QuantNetwork, Tensor};
 
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,7 +45,7 @@ pub struct TableTwoEntry {
 /// Runs BFA on `model` until accuracy falls to `target_acc` or `budget`
 /// flips are spent. Returns `(final_accuracy, flips_used)`.
 pub fn run_bfa_until(
-    model: &mut QuantizedMlp,
+    model: &mut QuantNetwork,
     x: &Tensor,
     labels: &[usize],
     target_acc: f64,

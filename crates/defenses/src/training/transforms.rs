@@ -2,7 +2,7 @@
 //! reconstruction.
 
 use dlk_dnn::models::Victim;
-use dlk_dnn::quant::QuantizedMlp;
+use dlk_dnn::quant::QuantNetwork;
 
 use dlk_attacks::bfa::{BfaConfig, BitSearch};
 
@@ -31,7 +31,7 @@ impl Default for PiecewiseClustering {
 impl PiecewiseClustering {
     /// Applies the clustering transform to a float model and
     /// re-quantizes.
-    pub fn apply(&self, victim: &Victim) -> QuantizedMlp {
+    pub fn apply(&self, victim: &Victim) -> QuantNetwork {
         let mut float_model = victim.model.to_float_model();
         for layer in float_model.layers_mut() {
             let Some(weight) = layer.weight_mut() else { continue };
@@ -43,7 +43,7 @@ impl PiecewiseClustering {
                 *w = w.clamp(-clip, clip);
             }
         }
-        QuantizedMlp::quantize(&float_model)
+        QuantNetwork::quantize(&float_model)
     }
 
     /// Evaluates the Table II row.
@@ -83,7 +83,7 @@ impl WeightReconstruction {
     /// Records a per-output-row `(mean, std)` envelope of quantized
     /// values for every layer (rows give a much tighter statistical
     /// fingerprint than whole layers).
-    pub fn envelope(model: &QuantizedMlp) -> Vec<Vec<(f32, f32)>> {
+    pub fn envelope(model: &QuantNetwork) -> Vec<Vec<(f32, f32)>> {
         model
             .weighted_layers()
             .iter()
@@ -105,7 +105,7 @@ impl WeightReconstruction {
     }
 
     /// Repairs outliers in place; returns how many weights were fixed.
-    pub fn repair(&self, model: &mut QuantizedMlp, envelope: &[Vec<(f32, f32)>]) -> usize {
+    pub fn repair(&self, model: &mut QuantNetwork, envelope: &[Vec<(f32, f32)>]) -> usize {
         let mut repaired = 0;
         for (layer_index, layer) in model.weighted_layers_mut().into_iter().enumerate() {
             let layer = layer.matrix_mut().expect("weighted layers carry a matrix");
@@ -189,7 +189,7 @@ mod tests {
         defense.repair(&mut model, &envelope);
         // Pick a small weight: its MSB flip lands far outside the row
         // envelope and must be repaired.
-        let byte_at = |model: &dlk_dnn::QuantizedMlp, i: usize| {
+        let byte_at = |model: &dlk_dnn::QuantNetwork, i: usize| {
             model.weighted_layers()[0].matrix().unwrap().weight_byte(i).unwrap() as i8
         };
         let weight = (0..model.weighted_layers()[0].num_weights())

@@ -121,28 +121,6 @@ impl Linear {
         let d_x = d_out.matmul(&self.weight)?;
         Ok((LinearGrads { weight: d_weight, bias: d_bias }, d_x))
     }
-
-    /// SGD update: `p -= lr * grad`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] if grads have wrong shapes.
-    pub fn apply_grads(&mut self, grads: &LinearGrads, lr: f32) -> Result<(), DnnError> {
-        if grads.weight.shape() != self.weight.shape() {
-            return Err(DnnError::ShapeMismatch {
-                op: "apply_grads",
-                lhs: self.weight.shape(),
-                rhs: grads.weight.shape(),
-            });
-        }
-        for (w, g) in self.weight.as_mut_slice().iter_mut().zip(grads.weight.as_slice()) {
-            *w -= lr * g;
-        }
-        for (b, g) in self.bias.iter_mut().zip(&grads.bias) {
-            *b -= lr * g;
-        }
-        Ok(())
-    }
 }
 
 /// Softmax cross-entropy over logits.
@@ -188,14 +166,6 @@ pub fn cross_entropy_grad(probs: &Tensor, labels: &[usize]) -> Tensor {
     }
     grad.scale(1.0 / batch);
     grad
-}
-
-/// ReLU forward that remembers the mask for backward.
-pub fn relu_forward(x: &Tensor) -> (Tensor, Vec<bool>) {
-    let mask = relu_mask(x);
-    let mut y = x.clone();
-    y.relu_inplace();
-    (y, mask)
 }
 
 /// ReLU's backward mask: whether each input element was `> 0`.
@@ -304,19 +274,11 @@ mod tests {
 
     #[test]
     fn relu_mask_roundtrip() {
-        let x = Tensor::from_rows(&[&[-1.0, 2.0, 0.0]]);
-        let (y, mask) = relu_forward(&x);
-        assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0]);
+        let mut x = Tensor::from_rows(&[&[-1.0, 2.0, 0.0]]);
+        let mask = relu_mask(&x);
+        x.relu_inplace();
+        assert_eq!(x.as_slice(), &[0.0, 2.0, 0.0]);
         let d = relu_backward(&Tensor::from_rows(&[&[5.0, 5.0, 5.0]]), &mask);
         assert_eq!(d.as_slice(), &[0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn sgd_update_moves_against_gradient() {
-        let mut layer = Linear::from_parts(Tensor::zeros(1, 1), vec![0.0]);
-        let grads = LinearGrads { weight: Tensor::from_rows(&[&[2.0]]), bias: vec![1.0] };
-        layer.apply_grads(&grads, 0.5).unwrap();
-        assert_eq!(layer.weight().get(0, 0), -1.0);
-        assert_eq!(layer.bias()[0], -0.5);
     }
 }

@@ -1,12 +1,11 @@
 //! The paper's evaluation networks.
 //!
 //! The paper uses ResNet-20 on CIFAR-10 and VGG-11 on CIFAR-100. Two
-//! families of stand-ins are provided, both trained to high accuracy
+//! families of stand-ins are provided, all of them [`Network`]s trained
 //! and 8-bit quantized exactly as in the paper's pipeline:
 //!
-//! - MLP stand-ins (`resnet20_like`, `vgg11_like`): the original
-//!   dense-only substrate, still used by the training-time defense
-//!   baselines (Table II) whose transforms are MLP-specific;
+//! - MLP stand-ins (`resnet20_like`, `vgg11_like`): dense networks
+//!   that the full-fidelity Fig. 1(a), Fig. 8 and Table II run on;
 //! - convolutional stand-ins (`resnet20_cnn`, `vgg11_cnn`,
 //!   `tiny_cnn`): real conv/pool/residual topologies on the
 //!   [`Network`] substrate — scaled to 1×8×8 synthetic images so
@@ -28,28 +27,27 @@ use std::sync::{Mutex, OnceLock};
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::data::SyntheticDataset;
 use crate::layers::Linear;
-use crate::model::Mlp;
 use crate::network::{Layer, Network};
-use crate::quant::{BitIndex, QuantizedMlp};
+use crate::quant::{BitIndex, QuantNetwork};
 use crate::storage::WeightLayout;
 use crate::tensor::Tensor;
-use crate::train::{TrainConfig, Trainable, Trainer};
+use crate::train::{TrainConfig, Trainer};
 
-/// A deep-narrow network for the CIFAR-10-like dataset
+/// A deep-narrow MLP for the CIFAR-10-like dataset
 /// (32 → 64 → 64 → 64 → 48 → 10).
-pub fn resnet20_like(seed: u64) -> Mlp {
-    Mlp::new(&[32, 64, 64, 64, 48, 10], seed)
+pub fn resnet20_like(seed: u64) -> Network {
+    Network::mlp(&[32, 64, 64, 64, 48, 10], seed)
 }
 
-/// A wide network with a large head for the CIFAR-100-like dataset
+/// A wide MLP with a large head for the CIFAR-100-like dataset
 /// (64 → 128 → 128 → 100).
-pub fn vgg11_like(seed: u64) -> Mlp {
-    Mlp::new(&[64, 128, 128, 100], seed)
+pub fn vgg11_like(seed: u64) -> Network {
+    Network::mlp(&[64, 128, 128, 100], seed)
 }
 
 /// A tiny MLP for unit tests (8 → 24 → 4).
-pub fn tiny_mlp(seed: u64) -> Mlp {
-    Mlp::new(&[8, 24, 4], seed)
+pub fn tiny_mlp(seed: u64) -> Network {
+    Network::mlp(&[8, 24, 4], seed)
 }
 
 /// A 3×3/stride-1/pad-1 convolution at the given feature-map size.
@@ -175,29 +173,40 @@ impl ModelKind {
         ModelKind::Vgg11Cnn,
     ];
 
-    /// Trains (or fetches the memoized copy of) this kind's victim for
-    /// `seed`.
-    pub fn victim(self, seed: u64) -> Victim {
+    /// The one statement of each kind: its spec-file token,
+    /// architecture, dataset and training schedule `(epochs, lr)`.
+    fn spec(self) -> KindSpec {
+        use SyntheticDataset as D;
         match self {
-            ModelKind::Tiny => victim_tiny(seed),
-            ModelKind::TinyCnn => victim_tiny_cnn(seed),
-            ModelKind::Resnet20 => victim_resnet20_cifar10(seed),
-            ModelKind::Vgg11 => victim_vgg11_cifar100(seed),
-            ModelKind::Resnet20Cnn => victim_resnet20_cnn(seed),
-            ModelKind::Vgg11Cnn => victim_vgg11_cnn(seed),
+            ModelKind::Tiny => ("tiny", tiny_mlp, D::tiny_for_tests, (12, 0.3)),
+            ModelKind::TinyCnn => ("tiny-cnn", tiny_cnn, D::tiny_images_for_tests, (30, 0.05)),
+            ModelKind::Resnet20 => ("resnet20", resnet20_like, D::cifar10_like, (40, 0.3)),
+            ModelKind::Vgg11 => ("vgg11", vgg11_like, D::cifar100_like, (50, 0.3)),
+            ModelKind::Resnet20Cnn => ("resnet20-cnn", resnet20_cnn, D::cifar10_images, (20, 0.12)),
+            ModelKind::Vgg11Cnn => ("vgg11-cnn", vgg11_cnn, D::cifar100_images, (30, 0.15)),
         }
+    }
+
+    /// Trains and quantizes this kind's victim for `seed`, or fetches
+    /// the memoized copy: training is deterministic per seed, and
+    /// sweeps and spec-built scenarios request the same victim
+    /// repeatedly.
+    pub fn victim(self, seed: u64) -> Victim {
+        static CACHE: OnceLock<Mutex<HashMap<(ModelKind, u64), Victim>>> = OnceLock::new();
+        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+        if let Some(victim) = cache.lock().expect("victim cache lock").get(&(self, seed)) {
+            return victim.clone();
+        }
+        let (_, build, dataset, (epochs, lr)) = self.spec();
+        let victim = build_victim(build(seed), dataset(seed), epochs, lr);
+        cache.lock().expect("victim cache lock").insert((self, seed), victim.clone());
+        victim
     }
 
     /// The stable spec-file token for this kind.
     pub fn token(self) -> &'static str {
-        match self {
-            ModelKind::Tiny => "tiny",
-            ModelKind::TinyCnn => "tiny-cnn",
-            ModelKind::Resnet20 => "resnet20",
-            ModelKind::Vgg11 => "vgg11",
-            ModelKind::Resnet20Cnn => "resnet20-cnn",
-            ModelKind::Vgg11Cnn => "vgg11-cnn",
-        }
+        let (token, ..) = self.spec();
+        token
     }
 
     /// Parses a [`token`](ModelKind::token) back into a kind.
@@ -206,80 +215,60 @@ impl ModelKind {
     }
 
     /// Number of weighted layers (dense + conv) in this kind's
-    /// architecture — available *without* training the victim, so
-    /// static analyzers can sanity-check layer-indexed attack
-    /// parameters before a run. Pinned to the constructors (see the
-    /// `weighted_layers_match_constructed_networks` test).
+    /// architecture, counted on an untrained instance — available
+    /// *without* training the victim, so static analyzers can
+    /// sanity-check layer-indexed attack parameters before a run.
     pub fn weighted_layers(self) -> usize {
-        match self {
-            ModelKind::Tiny => 2,
-            ModelKind::TinyCnn => 7,
-            ModelKind::Resnet20 => 5,
-            ModelKind::Vgg11 => 3,
-            ModelKind::Resnet20Cnn => 22,
-            ModelKind::Vgg11Cnn => 11,
-        }
+        let (_, build, ..) = self.spec();
+        build(0).weighted_count()
     }
 }
+
+/// What [`ModelKind::spec`] states about a kind: token, architecture,
+/// dataset and `(epochs, lr)`.
+type KindSpec = (&'static str, fn(u64) -> Network, fn(u64) -> SyntheticDataset, (usize, f32));
 
 /// A trained-and-quantized victim: model, dataset and clean accuracy.
 #[derive(Debug, Clone)]
 pub struct Victim {
     /// The quantized inference network deployed to DRAM.
-    pub model: QuantizedMlp,
+    pub model: QuantNetwork,
     /// Its dataset.
     pub dataset: SyntheticDataset,
     /// Test accuracy before any attack.
     pub clean_accuracy: f64,
 }
 
-/// Trains and quantizes the ResNet-20-like victim on CIFAR-10-like
-/// (memoized per seed).
+/// The ResNet-20-like MLP victim on CIFAR-10-like ([`ModelKind::Resnet20`]).
 pub fn victim_resnet20_cifar10(seed: u64) -> Victim {
-    cached_victim("resnet20", seed, || {
-        build_victim(resnet20_like(seed), SyntheticDataset::cifar10_like(seed), 40, 0.3)
-    })
+    ModelKind::Resnet20.victim(seed)
 }
 
-/// Trains and quantizes the VGG-11-like victim on CIFAR-100-like
-/// (memoized per seed).
+/// The VGG-11-like MLP victim on CIFAR-100-like ([`ModelKind::Vgg11`]).
 pub fn victim_vgg11_cifar100(seed: u64) -> Victim {
-    cached_victim("vgg11", seed, || {
-        build_victim(vgg11_like(seed), SyntheticDataset::cifar100_like(seed), 50, 0.3)
-    })
+    ModelKind::Vgg11.victim(seed)
 }
 
-/// Trains and quantizes a tiny victim for tests (memoized per seed:
-/// sweeps and spec-built scenarios request the same victim repeatedly).
+/// The tiny MLP victim for tests ([`ModelKind::Tiny`]).
 pub fn victim_tiny(seed: u64) -> Victim {
-    cached_victim("tiny", seed, || {
-        build_victim(tiny_mlp(seed), SyntheticDataset::tiny_for_tests(seed), 12, 0.3)
-    })
+    ModelKind::Tiny.victim(seed)
 }
 
-/// Trains and quantizes the ResNet-20-shaped CNN victim on CIFAR-10
-/// image stand-ins. Memoized per seed: CNN training is the expensive
-/// step of a scenario, and sweeps build the same victim repeatedly.
+/// The ResNet-20-shaped CNN victim on CIFAR-10 image stand-ins
+/// ([`ModelKind::Resnet20Cnn`]).
 pub fn victim_resnet20_cnn(seed: u64) -> Victim {
-    cached_victim("resnet20-cnn", seed, || {
-        build_victim(resnet20_cnn(seed), SyntheticDataset::cifar10_images(seed), 20, 0.12)
-    })
+    ModelKind::Resnet20Cnn.victim(seed)
 }
 
-/// Trains and quantizes the VGG-11-shaped CNN victim on CIFAR-100
-/// image stand-ins (memoized per seed).
+/// The VGG-11-shaped CNN victim on CIFAR-100 image stand-ins
+/// ([`ModelKind::Vgg11Cnn`]).
 pub fn victim_vgg11_cnn(seed: u64) -> Victim {
-    cached_victim("vgg11-cnn", seed, || {
-        build_victim(vgg11_cnn(seed), SyntheticDataset::cifar100_images(seed), 30, 0.15)
-    })
+    ModelKind::Vgg11Cnn.victim(seed)
 }
 
-/// Trains and quantizes the miniature residual CNN for tests
-/// (memoized per seed).
+/// The miniature residual CNN victim for tests ([`ModelKind::TinyCnn`]).
 pub fn victim_tiny_cnn(seed: u64) -> Victim {
-    cached_victim("tiny-cnn", seed, || {
-        build_victim(tiny_cnn(seed), SyntheticDataset::tiny_images_for_tests(seed), 30, 0.05)
-    })
+    ModelKind::TinyCnn.victim(seed)
 }
 
 /// The most damaging MSB flip among weights in the *first DRAM row* of
@@ -294,7 +283,7 @@ pub fn victim_tiny_cnn(seed: u64) -> Victim {
 /// row holds the first conv kernels, so the search walks conv-kernel
 /// bits through the same flat indexing.
 pub fn best_edge_target(
-    model: &QuantizedMlp,
+    model: &QuantNetwork,
     layout: &WeightLayout,
     x: &Tensor,
     y: &[usize],
@@ -316,36 +305,19 @@ pub fn best_edge_target(
     best.map(|(_, index)| index)
 }
 
-fn build_victim<M>(mut model: M, dataset: SyntheticDataset, epochs: usize, lr: f32) -> Victim
-where
-    M: Trainable,
-    for<'a> &'a M: Into<Network>,
-{
+fn build_victim(mut model: Network, dataset: SyntheticDataset, epochs: usize, lr: f32) -> Victim {
     let config = TrainConfig { epochs, lr, ..TrainConfig::default() };
     Trainer::new(config).fit(&mut model, &dataset);
-    let quantized = QuantizedMlp::quantize(&model);
+    let quantized = QuantNetwork::quantize(&model);
     let clean_accuracy =
         quantized.accuracy(&dataset.test_x, &dataset.test_y).expect("victim shapes are consistent");
     Victim { model: quantized, dataset, clean_accuracy }
 }
 
-/// Returns the cached victim for `(kind, seed)`, training it on first
-/// use. Victims are deterministic per seed, so caching is observable
-/// only as saved time.
-fn cached_victim(kind: &'static str, seed: u64, build: impl FnOnce() -> Victim) -> Victim {
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, u64), Victim>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(victim) = cache.lock().expect("victim cache lock").get(&(kind, seed)) {
-        return victim.clone();
-    }
-    let victim = build();
-    cache.lock().expect("victim cache lock").insert((kind, seed), victim.clone());
-    victim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::QuantLayer;
 
     #[test]
     fn tiny_victim_trains_well() {
@@ -363,15 +335,15 @@ mod tests {
 
     #[test]
     fn architectures_have_expected_shapes() {
-        assert_eq!(resnet20_like(0).num_layers(), 5);
+        assert_eq!(resnet20_like(0).weighted_count(), 5);
         assert_eq!(resnet20_like(0).num_classes(), 10);
         assert_eq!(vgg11_like(0).num_classes(), 100);
         // Deep-narrow vs wide: resnet-like has more layers, vgg-like
         // more parameters per layer on average.
         let r = resnet20_like(0);
         let v = vgg11_like(0);
-        assert!(r.num_layers() > v.num_layers());
-        assert!(v.total_weights() / v.num_layers() > r.total_weights() / r.num_layers());
+        assert!(r.weighted_count() > v.weighted_count());
+        assert!(v.total_weights() / v.weighted_count() > r.total_weights() / r.weighted_count());
     }
 
     #[test]
@@ -400,16 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_layers_match_constructed_networks() {
-        assert_eq!(ModelKind::Tiny.weighted_layers(), tiny_mlp(0).num_layers());
-        assert_eq!(ModelKind::Resnet20.weighted_layers(), resnet20_like(0).num_layers());
-        assert_eq!(ModelKind::Vgg11.weighted_layers(), vgg11_like(0).num_layers());
-        assert_eq!(ModelKind::TinyCnn.weighted_layers(), tiny_cnn(0).weighted_count());
-        assert_eq!(ModelKind::Resnet20Cnn.weighted_layers(), resnet20_cnn(0).weighted_count());
-        assert_eq!(ModelKind::Vgg11Cnn.weighted_layers(), vgg11_cnn(0).weighted_count());
-    }
-
-    #[test]
     fn tiny_cnn_victim_trains_well_and_is_cached() {
         let victim = victim_tiny_cnn(11);
         assert!(victim.clean_accuracy > 0.7, "clean accuracy {}", victim.clean_accuracy);
@@ -417,7 +379,7 @@ mod tests {
         let again = victim_tiny_cnn(11);
         assert_eq!(victim.model, again.model);
         // The quantized model is a real CNN, not an MLP.
-        assert!(victim.model.to_mlp().is_none());
+        assert!(victim.model.layers().iter().any(|l| matches!(l, QuantLayer::Conv(_))));
     }
 
     /// FNV-1a over a victim's deployed weight image, then the bits of

@@ -1,5 +1,5 @@
-//! The general sequential network: a flat [`Layer`] list that subsumes
-//! [`Mlp`] and adds convolutions, pooling and residual skips.
+//! The one model type: a sequential network over a flat [`Layer`]
+//! list — dense layers, convolutions, pooling and residual skips.
 //!
 //! A [`Network`] executes its layers in order over the workspace's 2-D
 //! [`Tensor`] (each batch row one flattened feature map). Residual
@@ -12,14 +12,14 @@
 //!
 //! ```
 //! use dlk_dnn::network::{Layer, Network};
-//! use dlk_dnn::{Mlp, Tensor};
+//! use dlk_dnn::Tensor;
 //!
-//! // Every MLP is a Network.
-//! let mlp = Mlp::new(&[4, 8, 2], 7);
-//! let net = Network::from(&mlp);
+//! // An MLP is Dense layers with ReLU between.
+//! let net = Network::mlp(&[4, 8, 2], 7);
+//! assert!(matches!(net.layers(), [Layer::Dense(_), Layer::Relu, Layer::Dense(_)]));
 //! let x = Tensor::randn(3, 4, 9);
-//! assert_eq!(net.forward(&x).unwrap(), mlp.forward(&x).unwrap());
-//! assert_eq!(net.weighted_count(), mlp.num_layers());
+//! assert_eq!(net.forward(&x).unwrap().shape(), (3, 2));
+//! assert_eq!(net.weighted_count(), 2);
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -27,7 +27,6 @@ use serde::{Deserialize, Serialize};
 use crate::conv::{Conv2d, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{cross_entropy_grad, relu_backward, relu_mask, softmax_cross_entropy, Linear};
-use crate::model::{argmax_rows, Mlp};
 use crate::tensor::Tensor;
 
 /// One step of a [`Network`]'s execution plan.
@@ -144,20 +143,22 @@ impl Network {
         Self { layers }
     }
 
-    /// Builds the MLP topology `sizes` (Dense layers with ReLU
-    /// between) — the [`Mlp`] constructor expressed as a [`Network`].
+    /// Builds the MLP topology `sizes`, e.g. `&[in, h1, out]`: Dense
+    /// layers with ReLU between, dense layer `i` seeded `seed + i`.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
     pub fn mlp(sizes: &[usize], seed: u64) -> Self {
-        Self::from(&Mlp::new(sizes, seed))
-    }
-
-    /// Appends a layer (builder style).
-    pub fn push(mut self, layer: Layer) -> Self {
-        self.layers.push(layer);
-        self
+        assert!(sizes.len() >= 2, "need at least input and output sizes");
+        let mut layers = Vec::with_capacity(2 * sizes.len() - 3);
+        for (i, w) in sizes.windows(2).enumerate() {
+            if i > 0 {
+                layers.push(Layer::Relu);
+            }
+            layers.push(Layer::Dense(Linear::new(w[0], w[1], seed.wrapping_add(i as u64))));
+        }
+        Self { layers }
     }
 
     /// The layer list.
@@ -209,30 +210,6 @@ impl Network {
                 _ => None,
             })
             .unwrap_or(0)
-    }
-
-    /// Reconstructs an [`Mlp`] when the plan is exactly the MLP shape
-    /// `Dense (Relu Dense)*` — the inverse of [`Network::from`].
-    pub fn as_mlp(&self) -> Option<Mlp> {
-        let mut dense = Vec::new();
-        for (index, layer) in self.layers.iter().enumerate() {
-            match layer {
-                Layer::Dense(l) if index % 2 == 0 => dense.push(l.clone()),
-                Layer::Relu if index % 2 == 1 => {}
-                _ => return None,
-            }
-        }
-        if dense.is_empty() || self.layers.len().is_multiple_of(2) {
-            return None;
-        }
-        let sizes: Vec<usize> = std::iter::once(dense[0].in_features())
-            .chain(dense.iter().map(Linear::out_features))
-            .collect();
-        let mut mlp = Mlp::new(&sizes, 0);
-        for (dst, src) in mlp.layers_mut().iter_mut().zip(dense) {
-            *dst = src;
-        }
-        Some(mlp)
     }
 
     /// Forward pass to logits.
@@ -402,15 +379,31 @@ impl Network {
         Ok((loss, grads_rev))
     }
 
-    /// One SGD step on a batch; returns the pre-update loss.
+    /// One SGD update, `p -= lr * grad`, of every weighted layer's
+    /// weights and bias from `grads` in [`Network::loss_and_grads`]
+    /// order.
     ///
     /// # Errors
     ///
-    /// Same as [`Network::loss_and_grads`].
-    pub fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError> {
-        let (loss, grads) = self.loss_and_grads(x, labels)?;
-        let params = self.layers.iter_mut().filter_map(Layer::params_mut);
-        for ((weight, bias), grad) in params.zip(&grads) {
+    /// Returns [`DnnError::ShapeMismatch`] (weighted layers, weights)
+    /// and changes nothing unless `grads` holds one gradient of the
+    /// layer's size per weighted layer.
+    pub fn apply_grads(&mut self, grads: &[LayerGrads], lr: f32) -> Result<(), DnnError> {
+        let mismatch = DnnError::ShapeMismatch {
+            op: "apply_grads",
+            lhs: (self.weighted_count(), self.total_weights()),
+            rhs: (grads.len(), grads.iter().map(|g| g.weight.len()).sum()),
+        };
+        let params: Vec<_> = self.layers.iter_mut().filter_map(Layer::params_mut).collect();
+        let fits = params.len() == grads.len()
+            && params
+                .iter()
+                .zip(grads)
+                .all(|((w, b), g)| w.len() == g.weight.len() && b.len() == g.bias.len());
+        if !fits {
+            return Err(mismatch);
+        }
+        for ((weight, bias), grad) in params.into_iter().zip(grads) {
             for (w, g) in weight.as_mut_slice().iter_mut().zip(&grad.weight) {
                 *w -= lr * g;
             }
@@ -418,7 +411,7 @@ impl Network {
                 *b -= lr * g;
             }
         }
-        Ok(loss)
+        Ok(())
     }
 
     /// Predicted class per input row.
@@ -442,24 +435,21 @@ impl Network {
     }
 }
 
-impl From<&Mlp> for Network {
-    /// Every MLP is a network: Dense layers with ReLU between.
-    fn from(mlp: &Mlp) -> Self {
-        let mut layers = Vec::with_capacity(mlp.num_layers() * 2 - 1);
-        for (index, linear) in mlp.layers().iter().enumerate() {
-            if index > 0 {
-                layers.push(Layer::Relu);
+/// Row-wise argmax; ties go to the lowest index.
+pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    (0..logits.rows())
+        .map(|row| {
+            let mut best = 0;
+            let mut best_value = f32::NEG_INFINITY;
+            for (index, &value) in logits.row(row).iter().enumerate() {
+                if value > best_value {
+                    best_value = value;
+                    best = index;
+                }
             }
-            layers.push(Layer::Dense(linear.clone()));
-        }
-        Self { layers }
-    }
-}
-
-impl From<&Network> for Network {
-    fn from(net: &Network) -> Self {
-        net.clone()
-    }
+            best
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -485,35 +475,83 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn network_subsumes_mlp_exactly() {
-        let mlp = Mlp::new(&[5, 9, 4, 3], 3);
-        let net = Network::from(&mlp);
-        let x = Tensor::randn(6, 5, 4);
-        let labels = vec![0, 1, 2, 0, 1, 2];
-        assert_eq!(net.forward(&x).unwrap(), mlp.forward(&x).unwrap());
-        assert_eq!(net.total_weights(), mlp.total_weights());
-        assert_eq!(net.in_features(), mlp.in_features());
-        assert_eq!(net.num_classes(), mlp.num_classes());
-        // Gradients agree layer for layer.
-        let (net_loss, net_grads) = net.loss_and_grads(&x, &labels).unwrap();
-        let (mlp_loss, mlp_grads) = mlp.loss_and_grads(&x, &labels).unwrap();
-        assert_eq!(net_loss, mlp_loss);
-        assert_eq!(net_grads.len(), mlp_grads.len());
-        for (ng, mg) in net_grads.iter().zip(&mlp_grads) {
-            assert_eq!(ng.weight, mg.weight.as_slice());
-            assert_eq!(ng.bias, mg.bias);
-        }
-        // And the round trip back to an Mlp is lossless.
-        assert_eq!(net.as_mlp().unwrap(), mlp);
+    /// One SGD step on a batch; returns the pre-update loss.
+    fn train_step(net: &mut Network, x: &Tensor, labels: &[usize], lr: f32) -> f32 {
+        let (loss, grads) = net.loss_and_grads(x, labels).unwrap();
+        net.apply_grads(&grads, lr).unwrap();
+        loss
     }
 
     #[test]
-    fn as_mlp_rejects_non_mlp_plans() {
-        assert!(tiny_residual_cnn(1).as_mlp().is_none());
-        assert!(Network::new(vec![Layer::Relu]).as_mlp().is_none());
-        let trailing_relu = Network::mlp(&[3, 2], 0).push(Layer::Relu);
-        assert!(trailing_relu.as_mlp().is_none());
+    fn mlp_shape_and_sizes() {
+        let net = Network::mlp(&[4, 8, 3], 1);
+        assert_eq!(net.layers().len(), 3);
+        assert_eq!(net.forward(&Tensor::zeros(5, 4)).unwrap().shape(), (5, 3));
+        assert_eq!(net.num_classes(), 3);
+        assert_eq!(net.in_features(), 4);
+        assert_eq!(net.total_weights(), 4 * 8 + 8 * 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least")]
+    fn mlp_needs_two_sizes() {
+        let _ = Network::mlp(&[4], 0);
+    }
+
+    #[test]
+    fn mlp_gradient_check_in_every_layer() {
+        let net = Network::mlp(&[3, 5, 4, 2], 33);
+        let x = Tensor::randn(4, 3, 34);
+        let labels = vec![0, 1, 0, 1];
+        let (_, grads) = net.loss_and_grads(&x, &labels).unwrap();
+        assert_eq!(grads.len(), 3);
+        let loss_at =
+            |probe: &Network| softmax_cross_entropy(&probe.forward(&x).unwrap(), &labels).0;
+        let mut probe = net.clone();
+        let eps = 1e-3f32;
+        // Weight (0, 0) of each dense layer, at plan positions 0, 2, 4.
+        for (layer_grads, position) in grads.iter().zip([0, 2, 4]) {
+            let orig = probe.layers()[position].weight().unwrap().get(0, 0);
+            probe.layers_mut()[position].weight_mut().unwrap().set(0, 0, orig + eps);
+            let up = loss_at(&probe);
+            probe.layers_mut()[position].weight_mut().unwrap().set(0, 0, orig - eps);
+            let down = loss_at(&probe);
+            probe.layers_mut()[position].weight_mut().unwrap().set(0, 0, orig);
+            let numeric = (up - down) / (2.0 * eps);
+            let analytic = layer_grads.weight[0];
+            assert!(
+                (numeric - analytic).abs() < 2e-2,
+                "position {position}: numeric {numeric} vs analytic {analytic}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_grads_moves_against_the_gradient() {
+        let dense = Linear::from_parts(Tensor::zeros(1, 1), vec![0.0]);
+        let mut net = Network::new(vec![Layer::Relu, Layer::Dense(dense)]);
+        let grads = [LayerGrads { weight: vec![2.0], bias: vec![1.0] }];
+        net.apply_grads(&grads, 0.5).unwrap();
+        let Layer::Dense(dense) = &net.layers()[1] else { panic!("dense layer moved") };
+        assert_eq!(dense.weight().get(0, 0), -1.0);
+        assert_eq!(dense.bias()[0], -0.5);
+    }
+
+    #[test]
+    fn apply_grads_rejects_mis_sized_grads_and_changes_nothing() {
+        let mut net = Network::mlp(&[2, 3, 2], 4);
+        let before = net.clone();
+        let grads = vec![LayerGrads { weight: vec![1.0; 6], bias: vec![1.0; 3] }];
+        assert!(matches!(net.apply_grads(&grads, 0.1), Err(DnnError::ShapeMismatch { .. })));
+        let short = [grads[0].clone(), LayerGrads { weight: vec![1.0; 5], bias: vec![1.0; 2] }];
+        assert!(matches!(net.apply_grads(&short, 0.1), Err(DnnError::ShapeMismatch { .. })));
+        assert_eq!(net, before);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_low_index() {
+        let logits = Tensor::from_rows(&[&[1.0, 1.0, 0.0]]);
+        assert_eq!(argmax_rows(&logits), vec![0]);
     }
 
     #[test]
@@ -602,10 +640,10 @@ mod tests {
             labels.push(class);
         }
         let x = Tensor::from_vec(24, 16, xs);
-        let first = net.train_step(&x, &labels, 0.05).unwrap();
+        let first = train_step(&mut net, &x, &labels, 0.05);
         let mut last = first;
         for _ in 0..60 {
-            last = net.train_step(&x, &labels, 0.05).unwrap();
+            last = train_step(&mut net, &x, &labels, 0.05);
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
         assert!(net.accuracy(&x, &labels).unwrap() > 0.9);

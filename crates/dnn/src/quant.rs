@@ -11,16 +11,15 @@
 //! [`QuantLayer`] plan whose weighted entries (dense matrices and conv
 //! kernel matrices) are the attack surface. [`BitIndex::layer`]
 //! indexes the *weighted* layers in execution order, so an MLP's
-//! indices are unchanged from the original all-dense substrate and a
-//! CNN's conv kernels are addressed the same way.
+//! indices are its dense layers' positions and a CNN's conv kernels
+//! are addressed the same way.
 
 use serde::{Deserialize, Serialize};
 
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{softmax_cross_entropy, Linear};
-use crate::model::{argmax_rows, Mlp};
-use crate::network::{Layer, LayerGrads, Network, Resume, Tape};
+use crate::network::{argmax_rows, Layer, LayerGrads, Network, Resume, Tape};
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
@@ -247,10 +246,10 @@ impl QuantLayer {
 /// # Example
 ///
 /// ```
-/// use dlk_dnn::{Mlp, QuantizedMlp, BitIndex};
+/// use dlk_dnn::{BitIndex, Network, QuantNetwork};
 ///
-/// let model = Mlp::new(&[4, 8, 2], 3);
-/// let mut quantized = QuantizedMlp::quantize(&model);
+/// let model = Network::mlp(&[4, 8, 2], 3);
+/// let mut quantized = QuantNetwork::quantize(&model);
 /// let bit = BitIndex { layer: 0, weight: 0, bit: 7 };
 /// let before = quantized.bit(bit).unwrap();
 /// quantized.flip_bit(bit).unwrap();
@@ -261,17 +260,10 @@ pub struct QuantNetwork {
     layers: Vec<QuantLayer>,
 }
 
-/// The historical name of the quantized network, kept because every
-/// call site grew up on the all-dense substrate. A `QuantizedMlp` can
-/// hold convolutions and residual skips since the CNN subsystem landed.
-pub type QuantizedMlp = QuantNetwork;
-
 impl QuantNetwork {
-    /// Quantizes every layer of a float model ([`Mlp`] or [`Network`],
-    /// by reference).
-    pub fn quantize(model: impl Into<Network>) -> Self {
-        let network: Network = model.into();
-        Self { layers: network.layers().iter().map(QuantLayer::quantize).collect() }
+    /// Quantizes every layer of a float network.
+    pub fn quantize(model: &Network) -> Self {
+        Self { layers: model.layers().iter().map(QuantLayer::quantize).collect() }
     }
 
     /// The full execution plan, including structure layers.
@@ -314,12 +306,6 @@ impl QuantNetwork {
     /// corrupted) quantized weights.
     pub fn to_float_model(&self) -> Network {
         Network::new(self.layers.iter().map(QuantLayer::dequantize).collect())
-    }
-
-    /// Reconstructs an [`Mlp`] when the plan is the all-dense MLP
-    /// shape; `None` for CNNs.
-    pub fn to_mlp(&self) -> Option<Mlp> {
-        self.to_float_model().as_mlp()
     }
 
     /// Forward pass to logits (dequantized execution).
@@ -550,10 +536,9 @@ impl TrialRecord<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
 
-    fn model() -> Mlp {
-        Mlp::new(&[4, 6, 3], 17)
+    fn model() -> Network {
+        Network::mlp(&[4, 6, 3], 17)
     }
 
     fn cnn() -> Network {
@@ -572,10 +557,10 @@ mod tests {
     #[test]
     fn quantization_error_is_bounded() {
         let float_model = model();
-        let quantized = QuantizedMlp::quantize(&float_model);
-        for (fl, ql) in float_model.layers().iter().zip(quantized.weighted_layers()) {
+        let quantized = QuantNetwork::quantize(&float_model);
+        for (fl, ql) in float_model.weighted_layers().into_iter().zip(quantized.weighted_layers()) {
             let deq = ql.matrix().unwrap().dequantize();
-            for (a, b) in fl.weight().as_slice().iter().zip(deq.weight().as_slice()) {
+            for (a, b) in fl.weight().unwrap().as_slice().iter().zip(deq.weight().as_slice()) {
                 assert!((a - b).abs() <= ql.scale() / 2.0 + 1e-6);
             }
         }
@@ -584,7 +569,7 @@ mod tests {
     #[test]
     fn quantized_accuracy_close_to_float() {
         let float_model = model();
-        let quantized = QuantizedMlp::quantize(&float_model);
+        let quantized = QuantNetwork::quantize(&float_model);
         let x = Tensor::randn(32, 4, 3);
         let float_logits = float_model.forward(&x).unwrap();
         let quant_logits = quantized.forward(&x).unwrap();
@@ -598,7 +583,7 @@ mod tests {
 
     #[test]
     fn bit_flip_roundtrip() {
-        let mut quantized = QuantizedMlp::quantize(&model());
+        let mut quantized = QuantNetwork::quantize(&model());
         let bit = BitIndex { layer: 1, weight: 5, bit: 3 };
         let before = quantized.bit(bit).unwrap();
         let after = quantized.flip_bit(bit).unwrap();
@@ -609,7 +594,7 @@ mod tests {
 
     #[test]
     fn msb_flip_moves_weight_most() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let lsb = quantized.flip_delta(BitIndex { layer: 0, weight: 0, bit: 0 }).unwrap().abs();
         let msb = quantized.flip_delta(BitIndex { layer: 0, weight: 0, bit: 7 }).unwrap().abs();
         assert!(msb > lsb * 100.0, "msb {msb} vs lsb {lsb}");
@@ -617,14 +602,14 @@ mod tests {
 
     #[test]
     fn out_of_range_bit_rejected() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         assert!(quantized.bit(BitIndex { layer: 9, weight: 0, bit: 0 }).is_err());
         assert!(quantized.bit(BitIndex { layer: 0, weight: 1 << 20, bit: 0 }).is_err());
     }
 
     #[test]
     fn weight_bytes_roundtrip() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let bytes = quantized.weight_bytes();
         assert_eq!(bytes.len(), quantized.total_weights());
         let mut other = quantized.clone();
@@ -639,7 +624,7 @@ mod tests {
 
     #[test]
     fn locate_byte_is_inverse_of_byte_offset() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         for offset in [0usize, 5, 23, quantized.total_weights() - 1] {
             let (layer, weight) = quantized.locate_byte(offset).unwrap();
             assert_eq!(quantized.byte_offset(layer, weight), Some(offset));
@@ -649,7 +634,7 @@ mod tests {
 
     #[test]
     fn to_float_model_matches_forward() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let float_model = quantized.to_float_model();
         let x = Tensor::randn(4, 4, 8);
         let a = quantized.forward(&x).unwrap();
@@ -661,19 +646,15 @@ mod tests {
 
     #[test]
     fn mlp_bit_indices_are_unchanged_by_the_generalization() {
-        // The historical contract: for an MLP, BitIndex.layer is the
-        // linear-layer position, despite the interleaved ReLUs in the
-        // flat plan.
-        let quantized = QuantizedMlp::quantize(&model());
+        // For an MLP, BitIndex.layer is the dense-layer position,
+        // despite the interleaved ReLUs in the flat plan.
+        let quantized = QuantNetwork::quantize(&model());
         assert_eq!(quantized.layers().len(), 3); // Dense Relu Dense
         assert_eq!(quantized.weighted_count(), 2);
         assert_eq!(quantized.locate_byte(0), Some((0, 0)));
         assert_eq!(quantized.locate_byte(4 * 6), Some((1, 0)));
-        // The dequantized network still round-trips as an MLP, and
-        // re-quantizing it is a fixed point.
-        let mlp = quantized.to_mlp().unwrap();
-        assert_eq!(mlp.num_layers(), 2);
-        assert_eq!(QuantizedMlp::quantize(&mlp), quantized);
+        // Re-quantizing the dequantized network is a fixed point.
+        assert_eq!(QuantNetwork::quantize(&quantized.to_float_model()), quantized);
     }
 
     #[test]
@@ -682,7 +663,7 @@ mod tests {
         let quantized = QuantNetwork::quantize(&network);
         assert_eq!(quantized.weighted_count(), 3);
         assert_eq!(quantized.total_weights(), network.total_weights());
-        assert!(quantized.to_mlp().is_none());
+        assert!(quantized.layers().iter().any(|l| matches!(l, QuantLayer::Conv(_))));
         // Quantized forward tracks the float network closely.
         let x = Tensor::randn(8, 16, 9);
         let fl = network.forward(&x).unwrap();
@@ -694,7 +675,7 @@ mod tests {
 
     #[test]
     fn conv_kernel_bits_are_flippable() {
-        let mut quantized = QuantNetwork::quantize(cnn());
+        let mut quantized = QuantNetwork::quantize(&cnn());
         // Weighted layer 1 is the residual conv: flip its first MSB.
         let bit = BitIndex { layer: 1, weight: 0, bit: 7 };
         let before = quantized.weighted_layers()[1].matrix().unwrap().weight_byte(0).unwrap();
@@ -716,11 +697,8 @@ mod tests {
         use crate::models;
 
         // (network, resume points with open residual shortcuts)
-        let cases = [
-            (Network::from(&models::tiny_mlp(1)), 0),
-            (models::tiny_cnn(2), 4),
-            (models::resnet20_cnn(3), 18),
-        ];
+        let cases =
+            [(models::tiny_mlp(1), 0), (models::tiny_cnn(2), 4), (models::resnet20_cnn(3), 18)];
         for (seed, (network, open_skips)) in (1u64..).zip(cases) {
             let model = QuantNetwork::quantize(&network);
             let x = Tensor::randn(8, network.in_features(), seed);
@@ -753,7 +731,7 @@ mod tests {
 
     #[test]
     fn cnn_grads_align_with_bit_indices() {
-        let quantized = QuantNetwork::quantize(cnn());
+        let quantized = QuantNetwork::quantize(&cnn());
         let x = Tensor::randn(6, 16, 10);
         let labels = vec![0, 1, 2, 0, 1, 2];
         let (_, grads) = quantized.loss_and_grads(&x, &labels).unwrap();

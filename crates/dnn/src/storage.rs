@@ -1,6 +1,6 @@
 //! The DRAM weight layout.
 //!
-//! Deploys a [`QuantizedMlp`]'s weight bytes into DRAM rows at a base
+//! Deploys a [`QuantNetwork`]'s weight bytes into DRAM rows at a base
 //! physical address and reads them back. This closes the loop that
 //! makes the attacks *physical*: a RowHammer disturbance in a weight
 //! row is an actual bit flip in the byte image that the next
@@ -18,7 +18,7 @@ use dlk_dram::{DramDevice, RowAddr};
 use dlk_memctrl::{AddressMapper, Trace, TraceOp};
 
 use crate::error::DnnError;
-use crate::quant::{BitIndex, QuantizedMlp};
+use crate::quant::{BitIndex, QuantNetwork};
 
 /// Maps a quantized model's weights onto DRAM rows.
 ///
@@ -27,12 +27,12 @@ use crate::quant::{BitIndex, QuantizedMlp};
 /// ```
 /// use dlk_dram::{DramConfig, DramDevice};
 /// use dlk_memctrl::{AddressMapper, MappingScheme};
-/// use dlk_dnn::{models, QuantizedMlp, WeightLayout};
+/// use dlk_dnn::{models, QuantNetwork, WeightLayout};
 ///
 /// # fn main() -> Result<(), dlk_dnn::DnnError> {
 /// let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
 /// let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
-/// let model = QuantizedMlp::quantize(&models::tiny_mlp(1));
+/// let model = QuantNetwork::quantize(&models::tiny_mlp(1));
 /// let layout = WeightLayout::new(0x0, mapper);
 /// layout.deploy(&model, &mut dram)?;
 /// let mut reloaded = model.clone();
@@ -64,14 +64,14 @@ impl WeightLayout {
     }
 
     /// Bytes the model occupies.
-    pub fn required_bytes(&self, model: &QuantizedMlp) -> u64 {
+    pub fn required_bytes(&self, model: &QuantNetwork) -> u64 {
         model.total_weights() as u64
     }
 
     /// Physical byte address of a weight.
     pub fn weight_phys_addr(
         &self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         layer: usize,
         weight: usize,
     ) -> Option<u64> {
@@ -86,7 +86,7 @@ impl WeightLayout {
     /// a DRAM error if the image exceeds capacity.
     pub fn bit_location(
         &self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         index: BitIndex,
     ) -> Result<(RowAddr, usize), DnnError> {
         let phys = self
@@ -106,7 +106,7 @@ impl WeightLayout {
     /// Same as [`WeightLayout::bit_location`].
     pub fn weight_row(
         &self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         layer: usize,
         weight: usize,
     ) -> Result<RowAddr, DnnError> {
@@ -118,7 +118,7 @@ impl WeightLayout {
     /// # Errors
     ///
     /// Returns an error if the image exceeds DRAM capacity.
-    pub fn rows_spanned(&self, model: &QuantizedMlp) -> Result<Vec<RowAddr>, DnnError> {
+    pub fn rows_spanned(&self, model: &QuantNetwork) -> Result<Vec<RowAddr>, DnnError> {
         let bytes = self.required_bytes(model);
         let row_bytes = self.mapper.geometry().row_bytes as u64;
         let mut rows = Vec::new();
@@ -137,7 +137,7 @@ impl WeightLayout {
 
     /// The physical byte range `[start, end)` of the weight image —
     /// what the victim registers with the protection plan.
-    pub fn phys_range(&self, model: &QuantizedMlp) -> (u64, u64) {
+    pub fn phys_range(&self, model: &QuantNetwork) -> (u64, u64) {
         (self.base_phys, self.base_phys + self.required_bytes(model))
     }
 
@@ -153,7 +153,7 @@ impl WeightLayout {
     /// Returns an error if the image exceeds DRAM capacity.
     pub fn fetch_trace(
         &self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         batches: usize,
         chunk: usize,
     ) -> Result<Trace, DnnError> {
@@ -183,7 +183,7 @@ impl WeightLayout {
     /// # Errors
     ///
     /// Returns an error if the image exceeds DRAM capacity.
-    pub fn deploy(&self, model: &QuantizedMlp, dram: &mut DramDevice) -> Result<(), DnnError> {
+    pub fn deploy(&self, model: &QuantNetwork, dram: &mut DramDevice) -> Result<(), DnnError> {
         let bytes = model.weight_bytes();
         let row_bytes = self.mapper.geometry().row_bytes;
         let mut offset = 0usize;
@@ -208,7 +208,7 @@ impl WeightLayout {
     /// # Errors
     ///
     /// Returns an error if the image exceeds DRAM capacity.
-    pub fn load(&self, model: &mut QuantizedMlp, dram: &DramDevice) -> Result<(), DnnError> {
+    pub fn load(&self, model: &mut QuantNetwork, dram: &DramDevice) -> Result<(), DnnError> {
         let total = model.total_weights();
         let row_bytes = self.mapper.geometry().row_bytes;
         let mut bytes = Vec::with_capacity(total);
@@ -233,10 +233,10 @@ mod tests {
     use dlk_dram::DramConfig;
     use dlk_memctrl::MappingScheme;
 
-    fn setup() -> (DramDevice, WeightLayout, QuantizedMlp) {
+    fn setup() -> (DramDevice, WeightLayout, QuantNetwork) {
         let dram = DramDevice::new(DramConfig::tiny_for_tests());
         let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
-        let model = QuantizedMlp::quantize(&models::tiny_mlp(9));
+        let model = QuantNetwork::quantize(&models::tiny_mlp(9));
         (dram, WeightLayout::new(128, mapper), model)
     }
 
@@ -302,8 +302,11 @@ mod tests {
         // kernel bit in DRAM → dequantize sees exactly that change.
         let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
         let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
-        let model = QuantizedMlp::quantize(models::tiny_cnn(7));
-        assert!(model.to_mlp().is_none(), "victim must be a real CNN");
+        let model = QuantNetwork::quantize(&models::tiny_cnn(7));
+        assert!(
+            model.layers().iter().any(|l| matches!(l, crate::quant::QuantLayer::Conv(_))),
+            "victim must be a real CNN"
+        );
         let layout = WeightLayout::new(64, mapper);
         layout.deploy(&model, &mut dram).unwrap();
 

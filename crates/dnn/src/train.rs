@@ -3,48 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::data::SyntheticDataset;
-use crate::error::DnnError;
-use crate::model::Mlp;
 use crate::network::Network;
 use crate::tensor::Tensor;
-
-/// A model the SGD [`Trainer`] can fit: anything with a batched
-/// train step and an accuracy probe ([`Mlp`] and [`Network`]).
-pub trait Trainable {
-    /// One SGD step on a batch; returns the pre-update loss.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] on inconsistent shapes.
-    fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError>;
-
-    /// Classification accuracy on `(x, labels)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
-    fn accuracy(&self, x: &Tensor, labels: &[usize]) -> Result<f64, DnnError>;
-}
-
-impl Trainable for Mlp {
-    fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError> {
-        Mlp::train_step(self, x, labels, lr)
-    }
-
-    fn accuracy(&self, x: &Tensor, labels: &[usize]) -> Result<f64, DnnError> {
-        Mlp::accuracy(self, x, labels)
-    }
-}
-
-impl Trainable for Network {
-    fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError> {
-        Network::train_step(self, x, labels, lr)
-    }
-
-    fn accuracy(&self, x: &Tensor, labels: &[usize]) -> Result<f64, DnnError> {
-        Network::accuracy(self, x, labels)
-    }
-}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,10 +50,10 @@ pub struct TrainReport {
 /// # Example
 ///
 /// ```
-/// use dlk_dnn::{Mlp, SyntheticDataset, TrainConfig, Trainer};
+/// use dlk_dnn::{Network, SyntheticDataset, TrainConfig, Trainer};
 ///
 /// let dataset = SyntheticDataset::tiny_for_tests(1);
-/// let mut model = Mlp::new(&[8, 24, 4], 1);
+/// let mut model = Network::mlp(&[8, 24, 4], 1);
 /// let report = Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
 /// assert!(report.test_accuracy > dataset.chance_accuracy());
 /// ```
@@ -119,7 +79,7 @@ impl Trainer {
     /// generator already interleaves classes), keeping training fully
     /// deterministic. A dataset without training rows runs no epoch
     /// and leaves `model` unchanged.
-    pub fn fit<M: Trainable>(&self, model: &mut M, dataset: &SyntheticDataset) -> TrainReport {
+    pub fn fit(&self, model: &mut Network, dataset: &SyntheticDataset) -> TrainReport {
         let n = dataset.train_x.rows();
         let dim = dataset.dim;
         let epochs = if n == 0 { 0 } else { self.config.epochs };
@@ -140,9 +100,10 @@ impl Trainer {
                     ys.push(dataset.train_y[index]);
                 }
                 let x = Tensor::from_vec(batch, dim, xs);
-                let loss = model
-                    .train_step(&x, &ys, lr)
+                let (loss, grads) = model
+                    .loss_and_grads(&x, &ys)
                     .expect("training shapes are consistent by construction");
+                model.apply_grads(&grads, lr).expect("gradients match their network");
                 epoch_loss += loss;
                 batches += 1;
             }
@@ -165,7 +126,7 @@ mod tests {
     #[test]
     fn training_beats_chance_substantially() {
         let dataset = SyntheticDataset::tiny_for_tests(7);
-        let mut model = Mlp::new(&[8, 24, 4], 7);
+        let mut model = Network::mlp(&[8, 24, 4], 7);
         let report = Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
         assert!(
             report.test_accuracy > 0.7,
@@ -179,7 +140,7 @@ mod tests {
     fn training_is_deterministic() {
         let dataset = SyntheticDataset::tiny_for_tests(3);
         let run = || {
-            let mut model = Mlp::new(&[8, 16, 4], 3);
+            let mut model = Network::mlp(&[8, 16, 4], 3);
             Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
             model
         };
@@ -202,7 +163,7 @@ mod tests {
     #[test]
     fn report_reflects_epochs() {
         let dataset = SyntheticDataset::tiny_for_tests(1);
-        let mut model = Mlp::new(&[8, 8, 4], 1);
+        let mut model = Network::mlp(&[8, 8, 4], 1);
         let config = TrainConfig { epochs: 3, ..TrainConfig::fast_for_tests() };
         let report = Trainer::new(config).fit(&mut model, &dataset);
         assert_eq!(report.epochs, 3);

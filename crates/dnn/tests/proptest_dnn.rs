@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use dlk_dnn::layers::{cross_entropy_grad, softmax_cross_entropy};
-use dlk_dnn::{models, Mlp, QuantizedMlp, Tensor};
+use dlk_dnn::{models, Network, QuantNetwork, Tensor};
 
 proptest! {
     /// Softmax rows are probability distributions for any logits.
@@ -74,8 +74,8 @@ proptest! {
     #[test]
     fn quantization_idempotent(seed in 0u64..64) {
         let model = models::tiny_mlp(seed);
-        let q1 = QuantizedMlp::quantize(&model);
-        let q2 = QuantizedMlp::quantize(q1.to_float_model());
+        let q1 = QuantNetwork::quantize(&model);
+        let q2 = QuantNetwork::quantize(&q1.to_float_model());
         for (a, b) in q1.weighted_layers().iter().zip(q2.weighted_layers()) {
             prop_assert_eq!(a.matrix().unwrap().qweights(), b.matrix().unwrap().qweights());
         }
@@ -84,7 +84,7 @@ proptest! {
     /// Accuracy is always in [0, 1] and invariant to batch duplication.
     #[test]
     fn accuracy_bounds_and_duplication(seed in 0u64..16) {
-        let model = Mlp::new(&[4, 6, 3], seed);
+        let model = Network::mlp(&[4, 6, 3], seed);
         let x = Tensor::randn(5, 4, seed + 100);
         let labels = vec![0usize, 1, 2, 0, 1];
         let acc = model.accuracy(&x, &labels).unwrap();
@@ -104,12 +104,12 @@ proptest! {
     #[test]
     fn flip_delta_is_exact(offset in 0usize..288, bit in 0u8..8) {
         let model = models::tiny_mlp(9);
-        let mut quantized = QuantizedMlp::quantize(&model);
+        let mut quantized = QuantNetwork::quantize(&model);
         let Some((layer, weight)) = quantized.locate_byte(offset) else {
             return Ok(());
         };
         let index = dlk_dnn::BitIndex { layer, weight, bit };
-        let weight_of = |q: &QuantizedMlp| {
+        let weight_of = |q: &QuantNetwork| {
             q.weighted_layers()[layer].matrix().unwrap().dequantize().weight().as_slice()[weight]
         };
         let before = weight_of(&quantized);

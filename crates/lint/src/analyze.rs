@@ -404,6 +404,20 @@ mod tests {
     }
 
     #[test]
+    fn dlk104_names_the_layer_count_when_bfa_has_no_candidates() {
+        for (kind, count) in [("tiny", "tiny has 2"), ("resnet20-cnn", "resnet20-cnn has 22")] {
+            let text = format!(
+                "label zero\nvictim model home=0 protect=1 kind={kind} seed=42 base=0x400\n\
+                 attack progressive-bfa rate=1 seed=1 candidates=0 bits=6,7\n"
+            );
+            let report = analyze_text("a.dlk", &text).unwrap();
+            assert_eq!(codes(&report), ["DLK104"]);
+            let message = &report.diagnostics[0].message;
+            assert!(message.contains(&format!("{count} weighted layers")), "{message}");
+        }
+    }
+
+    #[test]
     fn dlk104_fires_exactly_where_the_run_rejects_the_pairing() {
         // Every attack kind against a raw row span, a contiguous model
         // and a paged model, on a 64-activation budget.

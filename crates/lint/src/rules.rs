@@ -11,7 +11,7 @@
 //!   locker's per-request check, lock-table probe and µISA, and the
 //!   dram device, banks, hammer tracker, stats and row storage), plus
 //!   dnn gemm and conv and the training and bit-search executor
-//!   (`Network::run`/`backward`/`train_step` and `TrialRecord::trial`).
+//!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::trial`).
 //!   The service path returns typed errors; a panic there takes down a
 //!   whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs

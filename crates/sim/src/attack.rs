@@ -16,7 +16,7 @@ use dlk_attacks::hammer::{HammerConfig, HammerDriver};
 use dlk_attacks::pta::{PtaAttack, PtaConfig};
 use dlk_attacks::RandomAttack;
 use dlk_dnn::models::{self, Victim};
-use dlk_dnn::{BitIndex, QuantizedMlp, Tensor, WeightLayout};
+use dlk_dnn::{BitIndex, QuantNetwork, Tensor, WeightLayout};
 use dlk_dram::RowAddr;
 use dlk_engine::{ShardedEngine, Trace, Workload};
 use dlk_memctrl::{MemRequest, MemoryController};
@@ -296,7 +296,7 @@ fn replay(env: &mut RunEnv<'_>, trace: &Trace) -> Result<AttackOutcome, SimError
 fn flip_campaign(
     env: &mut RunEnv<'_>,
     mut lands: impl FnMut() -> bool,
-    mut select: impl FnMut(&QuantizedMlp, &Tensor, &[usize]) -> Option<BitIndex>,
+    mut select: impl FnMut(&QuantNetwork, &Tensor, &[usize]) -> Option<BitIndex>,
 ) -> Result<AttackOutcome, SimError> {
     let (victim, layout) = env.model()?;
     let (x, y) = victim.dataset.test_sample(env.eval_batch, 0);

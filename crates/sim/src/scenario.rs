@@ -53,7 +53,7 @@
 //! # }
 //! ```
 
-use dlk_dnn::QuantizedMlp;
+use dlk_dnn::QuantNetwork;
 use dlk_engine::{EngineConfig, ShardedEngine};
 use dlk_locker::DramLocker;
 use dlk_memctrl::{DefenseHook, MemoryController};
@@ -384,7 +384,7 @@ impl ScenarioRun {
     /// # Errors
     ///
     /// Propagates controller errors; `Ok(None)` for raw-row victims.
-    pub fn reload_model(&mut self, index: usize) -> Result<Option<QuantizedMlp>, SimError> {
+    pub fn reload_model(&mut self, index: usize) -> Result<Option<QuantNetwork>, SimError> {
         let victim = &self.victims[index];
         victim.reload_model(self.engine.shard_mut(self.homes[index]).controller_mut())
     }

@@ -12,7 +12,7 @@
 //! installed, and the physical ranges defenses should guard recorded.
 
 use dlk_dnn::models::{ModelKind, Victim};
-use dlk_dnn::{QuantizedMlp, WeightLayout};
+use dlk_dnn::{QuantNetwork, WeightLayout};
 use dlk_memctrl::{
     MemCtrlError, MemRequest, MemoryController, PageTable, PageTableConfig, VirtAddr,
 };
@@ -249,7 +249,7 @@ impl DeployedVictim {
     pub fn reload_model(
         &self,
         ctrl: &mut MemoryController,
-    ) -> Result<Option<QuantizedMlp>, SimError> {
+    ) -> Result<Option<QuantNetwork>, SimError> {
         let mapper = *ctrl.mapper();
         let row_bytes = mapper.geometry().row_bytes as u64;
         let (victim, bytes) = match &self.kind {
@@ -283,7 +283,7 @@ impl DeployedVictim {
     }
 
     /// Accuracy (percent) of `model` on this victim's held-out sample.
-    pub fn accuracy_pct(&self, model: &QuantizedMlp, eval_batch: usize) -> Option<f64> {
+    pub fn accuracy_pct(&self, model: &QuantNetwork, eval_batch: usize) -> Option<f64> {
         let victim = self.victim()?;
         let (x, y) = victim.dataset.test_sample(eval_batch, 0);
         model.accuracy(&x, &y).ok().map(|a| a * 100.0)

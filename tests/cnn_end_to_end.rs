@@ -6,7 +6,7 @@
 
 use dram_locker::dnn::models;
 use dram_locker::dnn::models::ModelKind;
-use dram_locker::dnn::{QuantizedMlp, WeightLayout};
+use dram_locker::dnn::{QuantLayer, QuantNetwork, WeightLayout};
 use dram_locker::memctrl::{AddressMapper, MemCtrlConfig};
 use dram_locker::sim::{
     find, AttackSpec, Budget, ChannelRouter, DefenseSpec, EngineConfig, Scenario, VictimSpec,
@@ -16,7 +16,7 @@ const WEIGHT_BASE: u64 = 0x400;
 
 /// The victim's shard-local weight-fetch trace lifted onto an
 /// `n`-channel global address space, homed on channel 0.
-fn fetch_trace(model: &QuantizedMlp, channels: usize) -> dram_locker::memctrl::Trace {
+fn fetch_trace(model: &QuantNetwork, channels: usize) -> dram_locker::memctrl::Trace {
     let config = MemCtrlConfig::tiny_for_tests();
     let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
     let layout = WeightLayout::new(WEIGHT_BASE, mapper);
@@ -32,7 +32,8 @@ fn fetch_trace(model: &QuantizedMlp, channels: usize) -> dram_locker::memctrl::T
 fn resnet20_cnn_reports_identical_on_serial_and_sharded_engines() {
     let victim = models::victim_resnet20_cnn(42);
     assert!(victim.clean_accuracy > 0.6, "clean accuracy {}", victim.clean_accuracy);
-    assert!(victim.model.to_mlp().is_none(), "the victim must be a real CNN");
+    let has_conv = victim.model.layers().iter().any(|l| matches!(l, QuantLayer::Conv(_)));
+    assert!(has_conv, "the victim must be a real CNN");
     let run = |engine: EngineConfig| {
         Scenario::builder()
             .label("cnn-sharded-identity")

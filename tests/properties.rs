@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use dram_locker::dnn::{models, QuantizedMlp};
+use dram_locker::dnn::{models, QuantNetwork};
 use dram_locker::dram::{DramConfig, DramDevice, DramGeometry, RowAddr, RowId};
 use dram_locker::locker::{Instruction, LockTable, MicroProgram};
 use dram_locker::memctrl::{AddressMapper, MappingScheme};
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn double_bit_flip_is_identity(offset in 0usize..288, bit in 0u8..8) {
         let model = models::tiny_mlp(5);
-        let mut quantized = QuantizedMlp::quantize(&model);
+        let mut quantized = QuantNetwork::quantize(&model);
         let reference = quantized.clone();
         let Some((layer, weight)) = quantized.locate_byte(offset) else {
             return Ok(());
@@ -115,10 +115,10 @@ proptest! {
     #[test]
     fn quantization_error_bounded(seed in 0u64..32) {
         let model = models::tiny_mlp(seed);
-        let quantized = QuantizedMlp::quantize(&model);
-        for (fl, ql) in model.layers().iter().zip(quantized.weighted_layers()) {
+        let quantized = QuantNetwork::quantize(&model);
+        for (fl, ql) in model.weighted_layers().into_iter().zip(quantized.weighted_layers()) {
             let deq = ql.matrix().unwrap().dequantize();
-            for (a, b) in fl.weight().as_slice().iter().zip(deq.weight().as_slice()) {
+            for (a, b) in fl.weight().unwrap().as_slice().iter().zip(deq.weight().as_slice()) {
                 prop_assert!((a - b).abs() <= ql.scale() / 2.0 + 1e-6);
             }
         }
