@@ -18,10 +18,10 @@
 //! decode, lock-table probes), `defenses` (tracker updates, weight
 //! repair), `engine` (sharded trace replay), `dnn` (GEMM, bit search,
 //! the CNN gradient pass and forward, one conv backward), `sim`
-//! (whole scenarios), `sweep` (the work-stealing runner and its bare
-//! queue) and `figures` (regenerating each paper table and figure at
-//! test fidelity, plus the §IV-D Monte-Carlo kernel); paper-scale
-//! figures print from `examples/paper_figures.rs`.
+//! (whole scenarios and the spec codec), `sweep` (the work-stealing
+//! runner and its bare queue) and `figures` (regenerating each paper
+//! table and figure at test fidelity, plus the §IV-D Monte-Carlo
+//! kernel); paper-scale figures print from `examples/paper_figures.rs`.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -37,7 +37,7 @@ use dlk_locker::locktable::reference::ScanLockTable;
 use dlk_locker::{CompiledProgram, Instruction, LockTable, LockTarget};
 use dlk_memctrl::{
     AddressMapper, MappingScheme, MemCtrlConfig, MemRequest, MemoryController, PageTable,
-    PageTableConfig, SchedulingPolicy, VirtAddr,
+    PageTableConfig, SchedulingPolicy, TraceOp, VirtAddr,
 };
 use dlk_sim::sweep::{SweepGrid, SweepRunner};
 use dlk_sim::{
@@ -113,6 +113,8 @@ const CASES: &[Case] = &[
     case("dnn", "conv_backward_per_s", "/s", conv_backward),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
+    case("sim", "spec_list_parse_kspec_per_s", "k/s", spec_list_parse),
+    case("sim", "trace_spec_roundtrip_kop_per_s", "k/s", trace_spec_roundtrip),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
     case("sweep", "replay_jobs_parallel_per_s", "/s", || sweep_grid(SweepRunner::parallel())),
     case("sweep", "queue_kjobs_per_s", "k/s", queue_noop),
@@ -604,7 +606,7 @@ fn resnet20_batch() -> (Network, Tensor, Vec<usize>) {
     (models::resnet20_cnn(1), x, data.train_y[..32].to_vec())
 }
 
-// ---- sim: whole scenarios ----
+// ---- sim: whole scenarios and the spec codec ----
 
 /// Fig. 8's defended hammer attempt through the scenario pipeline.
 fn denied_hammer_campaign() -> Kernel {
@@ -628,6 +630,44 @@ fn ablation_relock100() -> Kernel {
     Box::new(|| {
         black_box(ablation::victim_workload(100, LockTarget::AdjacentRows).expect("workload runs"));
         1
+    })
+}
+
+/// `list_from_text` over every catalog dump, repeated under unique
+/// labels to about 1,000 specs.
+fn spec_list_parse() -> Kernel {
+    let catalog = dlk_sim::catalog();
+    let mut text = String::new();
+    for round in 0..1_000usize.div_ceil(catalog.len()) {
+        for entry in &catalog {
+            let label = format!("{}/{round}", entry.name);
+            text.push_str(&ScenarioSpec { label, ..entry.spec.clone() }.to_text());
+        }
+    }
+    Box::new(move || ScenarioSpec::list_from_text(&text).expect("catalog list parses").len() as u64)
+}
+
+/// A 60k-op recorded trace embedded in a spec, through `to_text` and
+/// back: a streaming read, a pointer chase and 8-byte writes,
+/// interleaved op by op.
+fn trace_spec_roundtrip() -> Kernel {
+    const SPAN: u64 = 256 * 64;
+    let writes = (0..20_000u64).map(|i| TraceOp::Write {
+        addr: i * 72 % SPAN,
+        payload: i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes().to_vec(),
+    });
+    let mut trace = Trace::interleave(&[
+        Workload::Sequential { base: 0, len: 8, count: 20_000 }.trace(),
+        Workload::PointerChase { base: 0, span: SPAN, len: 8, count: 20_000, seed: 3 }.trace(),
+        writes.collect(),
+    ]);
+    trace.untrusted = true;
+    let ops = trace.len() as u64;
+    let spec =
+        ScenarioSpec { attack: Some(AttackSpec::trace(trace)), ..ScenarioSpec::new("trace") };
+    Box::new(move || {
+        black_box(ScenarioSpec::from_text(&spec.to_text()).expect("trace spec parses"));
+        ops
     })
 }
 

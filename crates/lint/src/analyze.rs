@@ -361,6 +361,18 @@ mod tests {
         let expected =
             text.lines().count() - text.lines().rev().position(|l| l == "label same").unwrap();
         assert_eq!(report.diagnostics[0].line, expected);
+
+        // A label used three times: one finding per repeat, anchored
+        // in the second and third chunks.
+        let text = ScenarioSpec::new("same").to_text().repeat(3);
+        let report = analyze_text("list.dlk", &text).unwrap();
+        assert_eq!(codes(&report), ["DLK102", "DLK102"]);
+        let label_lines: Vec<usize> = (text.lines().enumerate())
+            .filter(|(_, line)| *line == "label same")
+            .map(|(index, _)| index + 1)
+            .collect();
+        let lines: Vec<usize> = report.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(lines, label_lines[1..]);
     }
 
     #[test]

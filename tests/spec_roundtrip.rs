@@ -263,6 +263,94 @@ fn golden_file_pins_the_text_format() {
     assert_eq!(ScenarioSpec::from_text(GOLDEN_TEXT).unwrap(), golden_spec());
 }
 
+/// The golden recorded trace: attacker-issued, with reads (hex and
+/// zero addresses, a multi-digit length), a multi-byte write and an
+/// empty-payload write.
+fn golden_trace() -> Trace {
+    let mut trace = Trace::new();
+    trace.untrusted = true;
+    trace.push(TraceOp::Read { addr: 0x1000, len: 4 });
+    trace.push(TraceOp::Read { addr: 0, len: 64 });
+    trace.push(TraceOp::Write { addr: 0x2040, payload: vec![0x0a, 0x0b, 0xff, 0x00] });
+    trace.push(TraceOp::Write { addr: 0x80, payload: Vec::new() });
+    trace.push(TraceOp::Read { addr: 0xdead_beef_0040, len: 4096 });
+    trace
+}
+
+/// The golden trace embedded in a spec.
+fn golden_trace_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        label: "golden-trace".to_owned(),
+        engine: EngineConfig::sharded(2),
+        victims: vec![(VictimSpec::row(20, 0xA5), 0)],
+        attack: Some(AttackSpec::trace(golden_trace())),
+        defenses: vec![DefenseSpec::graphene(64, 8)],
+        ..ScenarioSpec::default()
+    }
+}
+
+/// The exact text `golden_trace()` serializes to as a trace file.
+const GOLDEN_TRACE_FILE: &str = "\
+# dlk-trace v1 untrusted=1
+R 0x1000 4
+R 0x0 64
+W 0x2040 0a0bff00
+W 0x80 -
+R 0xdeadbeef0040 4096
+";
+
+/// The exact text `golden_trace_spec()` serializes to: each `op`
+/// record is one trace-file record.
+const GOLDEN_TRACE_TEXT: &str = "\
+# dlk-scenario v1
+label golden-trace
+geometry tiny
+engine sharded(2)
+budget activations=20000 check=8 iterations=10
+eval-batch 64
+target 0
+victim rows home=0 protect=0 first=20 count=1 fill=0xa5
+attack replay-trace untrusted=1
+op R 0x1000 4
+op R 0x0 64
+op W 0x2040 0a0bff00
+op W 0x80 -
+op R 0xdeadbeef0040 4096
+defense graphene capacity=64 threshold=8
+";
+
+#[test]
+fn golden_trace_texts_pin_the_record_format() {
+    assert_eq!(golden_trace().to_text(), GOLDEN_TRACE_FILE);
+    assert_eq!(Trace::from_text(GOLDEN_TRACE_FILE).unwrap(), golden_trace());
+    assert_eq!(golden_trace_spec().to_text(), GOLDEN_TRACE_TEXT);
+    assert_eq!(ScenarioSpec::from_text(GOLDEN_TRACE_TEXT).unwrap(), golden_trace_spec());
+}
+
+/// A spec list parses to exactly the specs and start lines its chunks
+/// parse to one at a time: every catalog dump, concatenated three
+/// times under unique labels.
+#[test]
+fn spec_lists_parse_exactly_like_their_chunks() {
+    let mut text = String::new();
+    let mut expected = Vec::new();
+    let mut next_line = 1;
+    for round in 0..3 {
+        for entry in dram_locker::sim::catalog() {
+            let spec = ScenarioSpec { label: format!("{}/{round}", entry.name), ..entry.spec };
+            let chunk = spec.to_text();
+            // Every chunk after the first starts at its `label` record,
+            // one line below its `# dlk-scenario v1` header.
+            let start = if expected.is_empty() { next_line } else { next_line + 1 };
+            expected.push((start, ScenarioSpec::from_text(&chunk).unwrap()));
+            next_line += chunk.lines().count();
+            text.push_str(&chunk);
+        }
+    }
+    assert_eq!(expected.len(), 3 * dram_locker::sim::catalog().len());
+    assert_eq!(ScenarioSpec::list_from_text_with_lines(&text).unwrap(), expected);
+}
+
 /// `Scenario::from_spec` (including after a codec round-trip) must
 /// reproduce the builder path's `RunReport` bit for bit on the
 /// representative catalog entries: MLP BFA, CNN BFA, 2-channel replay.
