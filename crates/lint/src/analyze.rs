@@ -10,6 +10,8 @@
 //! `<catalog:NAME>` pseudo-file for catalog entries, which have no
 //! file).
 
+use std::collections::HashSet;
+
 use dlk_sim::{AttackSpec, ScenarioSpec, SimError, VictimSpec};
 
 use crate::diag::{Diagnostic, Report, RuleCode, Severity};
@@ -268,9 +270,9 @@ pub fn analyze_text(file: &str, text: &str) -> Result<Report, SimError> {
 
     // DLK102: labels must be unique within a list file (a duplicate
     // silently shadows a sweep row in results keyed by label).
+    let mut seen = HashSet::with_capacity(specs.len());
     for (at, (_, spec)) in specs.iter().enumerate() {
-        let earlier = specs[..at].iter().any(|(_, other)| other.label == spec.label);
-        if earlier {
+        if !seen.insert(spec.label.as_str()) {
             let spans = ChunkSpans { lines: &lines, from: specs[at].0, to: chunk_ends[at] };
             let (line, col) = spans.span(Record::Label);
             report.push(Diagnostic::error(

@@ -6,6 +6,8 @@
 //! access conflicts in the row buffer and forces an ACT, the classic
 //! double-sided-free hammer pattern.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -51,9 +53,72 @@ impl TraceOp {
         };
         MemRequest { id, kind, addr, len, payload, untrusted }
     }
+
+    /// Appends the op's trace-file record, without a line break:
+    /// `R <addr> <len>` or `W <addr> <payload>`, the address in `0x`
+    /// hex, the length in decimal and the payload as two lowercase hex
+    /// digits per byte (`-` when empty, so the record keeps three
+    /// fields). [`Trace::to_text`] writes one per line, and so does a
+    /// spec file's `op` record.
+    pub fn write_record(&self, out: &mut String) {
+        match self {
+            TraceOp::Read { addr, len } => {
+                out.push_str("R 0x");
+                push_digits(out, *addr, 16);
+                out.push(' ');
+                push_digits(out, *len as u64, 10);
+            }
+            TraceOp::Write { addr, payload } => {
+                out.push_str("W 0x");
+                push_digits(out, *addr, 16);
+                out.push(' ');
+                if payload.is_empty() {
+                    out.push('-');
+                }
+                for byte in payload {
+                    out.push(char::from(HEX_DIGITS[usize::from(byte >> 4)]));
+                    out.push(char::from(HEX_DIGITS[usize::from(byte & 0xf)]));
+                }
+            }
+        }
+    }
+
+    /// Parses one record in the form [`write_record`](Self::write_record)
+    /// writes. The address may also be decimal, the payload's hex
+    /// digits uppercase, and fields may be split by any whitespace.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong with the record.
+    pub fn parse_record(record: &str) -> Result<Self, String> {
+        let mut fields = record.split_whitespace();
+        let kind = fields.next().ok_or("empty record")?;
+        if kind != "R" && kind != "W" {
+            return Err(format!("unknown record kind '{kind}', expected R or W"));
+        }
+        let addr = fields.next().ok_or("missing address field")?;
+        let addr = parse_u64(addr).ok_or("address is not a number")?;
+        let op = if kind == "R" {
+            let len = fields.next().ok_or("missing read length")?;
+            let len = len.parse().map_err(|_| "read length is not a number")?;
+            TraceOp::Read { addr, len }
+        } else {
+            let hex = fields.next().ok_or("missing write payload")?;
+            let payload = parse_hex(hex).ok_or("payload is not even-length hex")?;
+            TraceOp::Write { addr, payload }
+        };
+        if fields.next().is_some() {
+            return Err("trailing fields".to_owned());
+        }
+        Ok(op)
+    }
 }
 
 /// A sequence of memory operations.
+///
+/// The ops sit behind an [`Arc`]: a clone shares them, and
+/// [`push`](Trace::push) or [`extend`](Extend::extend) on a shared
+/// trace first copies them out for the trace being changed.
 ///
 /// # Example
 ///
@@ -64,7 +129,7 @@ impl TraceOp {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
-    ops: Vec<TraceOp>,
+    ops: Arc<Vec<TraceOp>>,
     /// Whether replayed requests are marked attacker-issued.
     pub untrusted: bool,
 }
@@ -92,25 +157,22 @@ impl Trace {
 
     /// Appends an operation.
     pub fn push(&mut self, op: TraceOp) {
-        self.ops.push(op);
+        Arc::make_mut(&mut self.ops).push(op);
     }
 
     /// `count` reads of `len` bytes each, starting at `base`, advancing
     /// by `stride` bytes.
     pub fn sequential_reads(base: u64, stride: u64, len: usize, count: usize) -> Self {
-        let ops =
-            (0..count).map(|i| TraceOp::Read { addr: base + i as u64 * stride, len }).collect();
-        Self { ops, untrusted: false }
+        (0..count).map(|i| TraceOp::Read { addr: base + i as u64 * stride, len }).collect()
     }
 
     /// `count` uniformly random reads of `len` bytes inside
     /// `[0, capacity - len]`, deterministic for a given `seed`.
     pub fn random_reads(capacity: u64, len: usize, count: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let ops = (0..count)
+        (0..count)
             .map(|_| TraceOp::Read { addr: rng.random_range(0..capacity - len as u64), len })
-            .collect();
-        Self { ops, untrusted: false }
+            .collect()
     }
 
     /// A hammer loop: `iterations` alternating 1-byte reads of two
@@ -122,7 +184,7 @@ impl Trace {
             ops.push(TraceOp::Read { addr: addr_a, len: 1 });
             ops.push(TraceOp::Read { addr: addr_b, len: 1 });
         }
-        Self { ops, untrusted: true }
+        Self { ops: Arc::new(ops), untrusted: true }
     }
 
     /// The requests this trace issues, in order, with the trace's trust
@@ -143,43 +205,25 @@ impl Trace {
     /// ```
     pub fn to_text(&self) -> String {
         let mut out = format!("# dlk-trace v1 untrusted={}\n", u8::from(self.untrusted));
-        for op in &self.ops {
-            match op {
-                TraceOp::Read { addr, len } => {
-                    out.push_str(&format!("R {addr:#x} {len}\n"));
-                }
-                TraceOp::Write { addr, payload } => {
-                    out.push_str(&format!("W {addr:#x} "));
-                    if payload.is_empty() {
-                        // Explicit marker so the record keeps three
-                        // fields and round-trips.
-                        out.push('-');
-                    }
-                    for byte in payload {
-                        out.push_str(&format!("{byte:02x}"));
-                    }
-                    out.push('\n');
-                }
-            }
+        for op in self.ops() {
+            op.write_record(&mut out);
+            out.push('\n');
         }
         out
     }
 
     /// Parses a trace from the format produced by [`Trace::to_text`].
     /// Blank lines and `#` comments are skipped (the header comment is
-    /// recognized for the `untrusted` flag).
+    /// recognized for the `untrusted` flag); every other line is one
+    /// [`TraceOp::parse_record`] record.
     ///
     /// # Errors
     ///
     /// Returns [`MemCtrlError::TraceParse`] with the offending line.
     pub fn from_text(text: &str) -> Result<Self, MemCtrlError> {
-        let parse_error = |line: usize, reason: &str| MemCtrlError::TraceParse {
-            line,
-            reason: reason.to_owned(),
-        };
-        let mut trace = Trace::new();
+        let mut ops = Vec::new();
+        let mut untrusted = false;
         for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
             let record = raw.trim();
             if record.is_empty() {
                 continue;
@@ -190,41 +234,15 @@ impl Trace {
                 let mut header = comment.split_whitespace();
                 if header.next() == Some("dlk-trace") && header.any(|field| field == "untrusted=1")
                 {
-                    trace.untrusted = true;
+                    untrusted = true;
                 }
                 continue;
             }
-            let mut fields = record.split_whitespace();
-            let kind = fields.next().expect("non-empty record has a first field");
-            let addr_field =
-                fields.next().ok_or_else(|| parse_error(line, "missing address field"))?;
-            let addr = parse_u64(addr_field)
-                .ok_or_else(|| parse_error(line, "address is not a number"))?;
-            match kind {
-                "R" => {
-                    let len_field =
-                        fields.next().ok_or_else(|| parse_error(line, "missing read length"))?;
-                    let len = len_field
-                        .parse::<usize>()
-                        .map_err(|_| parse_error(line, "read length is not a number"))?;
-                    trace.push(TraceOp::Read { addr, len });
-                }
-                "W" => {
-                    let hex =
-                        fields.next().ok_or_else(|| parse_error(line, "missing write payload"))?;
-                    let payload = parse_hex(hex)
-                        .ok_or_else(|| parse_error(line, "payload is not even-length hex"))?;
-                    trace.push(TraceOp::Write { addr, payload });
-                }
-                other => {
-                    return Err(parse_error(line, &format!("unknown record kind '{other}'")));
-                }
-            }
-            if fields.next().is_some() {
-                return Err(parse_error(line, "trailing fields"));
-            }
+            let op = TraceOp::parse_record(record)
+                .map_err(|reason| MemCtrlError::TraceParse { line: index + 1, reason })?;
+            ops.push(op);
         }
-        Ok(trace)
+        Ok(Self { ops: Arc::new(ops), untrusted })
     }
 
     /// Round-robin interleave of several tenants' traces into one
@@ -243,7 +261,27 @@ impl Trace {
             }
             cursor += 1;
         }
-        Self { ops, untrusted: tenants.iter().any(|t| t.untrusted) }
+        Self { ops: Arc::new(ops), untrusted: tenants.iter().any(|t| t.untrusted) }
+    }
+}
+
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `value` in `radix` (10 or 16), without leading zeros.
+fn push_digits(out: &mut String, mut value: u64, radix: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = HEX_DIGITS[(value % radix) as usize];
+        value /= radix;
+        if value == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
     }
 }
 
@@ -261,24 +299,33 @@ fn parse_hex(hex: &str) -> Option<Vec<u8>> {
     // Work on bytes: fixed-offset `&str` slicing would panic on
     // multi-byte UTF-8 in a corrupted trace file.
     let digit = |byte: u8| (byte as char).to_digit(16).map(|d| d as u8);
-    hex.as_bytes()
-        .chunks(2)
-        .map(|pair| match *pair {
-            [hi, lo] => Some(digit(hi)? << 4 | digit(lo)?),
-            _ => None, // odd-length payload
-        })
-        .collect()
+    let mut payload = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.as_bytes().chunks(2) {
+        match *pair {
+            [hi, lo] => payload.push(digit(hi)? << 4 | digit(lo)?),
+            _ => return None, // odd-length payload
+        }
+    }
+    Some(payload)
 }
 
 impl Extend<TraceOp> for Trace {
     fn extend<T: IntoIterator<Item = TraceOp>>(&mut self, iter: T) {
-        self.ops.extend(iter);
+        Arc::make_mut(&mut self.ops).extend(iter);
     }
 }
 
+/// A trusted trace of the collected ops.
 impl FromIterator<TraceOp> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceOp>>(iter: T) -> Self {
-        Self { ops: iter.into_iter().collect(), untrusted: false }
+        Self::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+/// A trusted trace of `ops`, without copying them.
+impl From<Vec<TraceOp>> for Trace {
+    fn from(ops: Vec<TraceOp>) -> Self {
+        Self { ops: Arc::new(ops), untrusted: false }
     }
 }
 
@@ -421,6 +468,39 @@ mod tests {
         assert!(!Trace::from_text(text).unwrap().untrusted);
         assert!(!Trace::from_text("# dlk-trace v1 untrusted=10\nR 0x0 1\n").unwrap().untrusted);
         assert!(Trace::from_text("# dlk-trace v1 untrusted=1\nR 0x0 1\n").unwrap().untrusted);
+    }
+
+    #[test]
+    fn records_round_trip_one_op_at_a_time() {
+        for op in [
+            TraceOp::Read { addr: 0, len: 0 },
+            TraceOp::Read { addr: u64::MAX, len: usize::MAX },
+            TraceOp::Write { addr: 0x2040, payload: vec![0x00, 0x0a, 0xff] },
+            TraceOp::Write { addr: 0x40, payload: Vec::new() },
+        ] {
+            let mut record = String::new();
+            op.write_record(&mut record);
+            assert_eq!(TraceOp::parse_record(&record), Ok(op), "{record}");
+        }
+        let mut record = String::new();
+        TraceOp::Read { addr: 0xab, len: 12 }.write_record(&mut record);
+        assert_eq!(record, "R 0xab 12");
+        assert_eq!(
+            TraceOp::parse_record("# dlk-trace v1 untrusted=1"),
+            Err("unknown record kind '#', expected R or W".to_owned())
+        );
+        assert!(TraceOp::parse_record("").is_err());
+    }
+
+    #[test]
+    fn clones_share_their_ops_until_one_is_changed() {
+        let trace = Trace::sequential_reads(0, 8, 4, 3);
+        let mut copy = trace.clone();
+        assert_eq!(copy.ops().as_ptr(), trace.ops().as_ptr());
+        copy.push(TraceOp::Read { addr: 0x80, len: 1 });
+        assert_ne!(copy.ops().as_ptr(), trace.ops().as_ptr());
+        assert_eq!((trace.len(), copy.len()), (3, 4));
+        assert_eq!(copy.ops()[..3], trace.ops()[..]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use dlk_defenses::SwapPolicy;
 use dlk_dnn::models::ModelKind;
 use dlk_engine::{EngineConfig, Workload};
 use dlk_locker::{LockTarget, LockerConfig};
-use dlk_memctrl::{MemCtrlConfig, Trace};
+use dlk_memctrl::{MemCtrlConfig, Trace, TraceOp};
 
 use crate::error::SimError;
 use crate::scenario::Budget;
@@ -426,110 +426,11 @@ impl ScenarioSpec {
     /// number *and* the offending line's content, so front ends (the
     /// `dlk` CLI) can print actionable parse failures.
     pub fn from_text(text: &str) -> Result<Self, SimError> {
-        Self::parse_text(text).map_err(|err| attach_line_text(err, text))
-    }
-
-    fn parse_text(text: &str) -> Result<Self, SimError> {
-        let mut spec = ScenarioSpec::default();
-        // `tenant`/`op` continuation lines attach to the most recent
-        // `attack replay` / `attack replay-trace` record.
-        let mut pending_trace: Option<(usize, bool, String)> = None;
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let record = raw.trim();
-            if record.is_empty() || record.starts_with('#') {
-                continue;
-            }
-            let mut tokens = record.split_whitespace();
-            let key = tokens.next().expect("non-empty record");
-            if key != "op" {
-                // Any other record closes an embedded trace.
-                if let Some((at, untrusted, body)) = pending_trace.take() {
-                    spec.attack = Some(finish_trace(at, untrusted, &body)?);
-                }
-            }
-            match key {
-                "label" => {
-                    // Empty labels are constructible, so they must
-                    // parse back (`label` with no value).
-                    let rest = record.strip_prefix("label").expect("checked").trim();
-                    spec.label = rest.to_owned();
-                }
-                "geometry" => {
-                    let token = one_token(line, &mut tokens)?;
-                    spec.geometry = GeometrySpec::from_token(token)
-                        .ok_or_else(|| parse_error(line, &format!("unknown geometry '{token}'")))?;
-                }
-                "engine" => {
-                    let token = one_token(line, &mut tokens)?;
-                    spec.engine = token.parse().map_err(|e: String| parse_error(line, &e))?;
-                }
-                "budget" => {
-                    let fields = Fields::parse(line, tokens)?;
-                    spec.budget = Budget {
-                        max_activations: fields.num("activations")?,
-                        check_interval: fields.num("check")?,
-                        iterations: fields.num("iterations")?,
-                    };
-                }
-                "eval-batch" => spec.eval_batch = parse_num(line, one_token(line, &mut tokens)?)?,
-                "target" => spec.target = parse_num(line, one_token(line, &mut tokens)?)?,
-                "victim" => {
-                    let kind = one_token(line, &mut tokens)?;
-                    let fields = Fields::parse(line, tokens)?;
-                    spec.victims.push(parse_victim(line, kind, &fields)?);
-                }
-                "attack" => {
-                    let kind = one_token(line, &mut tokens)?;
-                    let fields = Fields::parse(line, tokens)?;
-                    if kind == "replay-trace" {
-                        let untrusted = fields.num::<u8>("untrusted")? != 0;
-                        pending_trace = Some((line, untrusted, String::new()));
-                    } else {
-                        spec.attack = Some(parse_attack(line, kind, &fields)?);
-                    }
-                }
-                "tenant" => {
-                    let kind = one_token(line, &mut tokens)?;
-                    let fields = Fields::parse(line, tokens)?;
-                    let workload = parse_workload(line, kind, &fields)?;
-                    match &mut spec.attack {
-                        Some(AttackSpec::Replay { tenants }) => tenants.push(workload),
-                        _ => {
-                            return Err(parse_error(
-                                line,
-                                "tenant record outside an 'attack replay' block",
-                            ))
-                        }
-                    }
-                }
-                "op" => match &mut pending_trace {
-                    Some((_, _, body)) => {
-                        let rest = record.strip_prefix("op").expect("checked").trim();
-                        body.push_str(rest);
-                        body.push('\n');
-                    }
-                    None => {
-                        return Err(parse_error(
-                            line,
-                            "op record outside an 'attack replay-trace' block",
-                        ))
-                    }
-                },
-                "defense" => {
-                    let kind = one_token(line, &mut tokens)?;
-                    let fields = Fields::parse(line, tokens)?;
-                    spec.defenses.push(parse_defense(line, kind, &fields)?);
-                }
-                other => {
-                    return Err(parse_error(line, &format!("unknown record '{other}'")));
-                }
-            }
+        let mut parser = SpecParser::default();
+        for record in records(text) {
+            parser.feed(&record)?;
         }
-        if let Some((at, untrusted, body)) = pending_trace.take() {
-            spec.attack = Some(finish_trace(at, untrusted, &body)?);
-        }
-        Ok(spec)
+        Ok(parser.finish())
     }
 
     /// Loads one spec from a `.dlk` file on disk.
@@ -547,9 +448,10 @@ impl ScenarioSpec {
     /// formed by concatenating [`to_text`](ScenarioSpec::to_text)
     /// outputs. Every `label` record after the first starts a new spec
     /// (exactly the boundary `to_text` emits first), so `dlk sweep`
-    /// grids and spool files are plain concatenations. Parse errors
-    /// keep whole-file line numbers. Files holding only comments and
-    /// blank lines parse to an empty list.
+    /// grids and spool files are plain concatenations. The list is read
+    /// in one pass, each line once, so parsing stays linear in the
+    /// file. Parse errors keep whole-file line numbers. Files holding
+    /// only comments and blank lines parse to an empty list.
     ///
     /// # Errors
     ///
@@ -567,39 +469,24 @@ impl ScenarioSpec {
     ///
     /// Returns [`SimError::SpecParse`] with the offending line.
     pub fn list_from_text_with_lines(text: &str) -> Result<Vec<(usize, Self)>, SimError> {
-        let mut chunks: Vec<(usize, String)> = Vec::new(); // (0-based start line, body)
-        let mut current = String::new();
-        let mut start = 0usize;
-        let mut has_label = false;
-        let mut has_record = false;
-        for (index, raw) in text.lines().enumerate() {
-            let record = raw.trim();
-            let is_record = !record.is_empty() && !record.starts_with('#');
-            if is_record && record.split_whitespace().next() == Some("label") {
-                if has_label {
-                    chunks.push((start, std::mem::take(&mut current)));
-                    start = index;
-                    has_record = false;
+        let mut specs = Vec::new();
+        let mut parser = SpecParser::default();
+        let (mut start, mut labelled, mut any_record) = (1, false, false);
+        for record in records(text) {
+            if record.key == "label" {
+                if labelled {
+                    specs.push((start, std::mem::take(&mut parser).finish()));
+                    start = record.line;
                 }
-                has_label = true;
+                labelled = true;
             }
-            current.push_str(raw);
-            current.push('\n');
-            has_record |= is_record;
+            parser.feed(&record)?;
+            any_record = true;
         }
-        if has_record {
-            chunks.push((start, current));
+        if any_record {
+            specs.push((start, parser.finish()));
         }
-        chunks
-            .into_iter()
-            .map(|(start, body)| {
-                // Left-pad with the chunk's offset so errors report
-                // whole-file line numbers (the padding lines are blank
-                // and skipped by the parser).
-                let padded = "\n".repeat(start) + &body;
-                Self::from_text(&padded).map(|spec| (start + 1, spec))
-            })
-            .collect()
+        Ok(specs)
     }
 
     /// Loads a spec list (see
@@ -620,15 +507,145 @@ fn read_spec_file(path: &std::path::Path) -> Result<String, SimError> {
         .map_err(|error| SimError::Io { path: path.display().to_string(), error })
 }
 
-/// Fills an empty [`SimError::SpecParse`] `text` field with the
-/// offending line's (trimmed) content from the source being parsed.
-fn attach_line_text(err: SimError, source: &str) -> SimError {
-    match err {
-        SimError::SpecParse { line, text, reason } if text.is_empty() => {
-            let content = source.lines().nth(line.saturating_sub(1)).unwrap_or("").trim();
-            SimError::SpecParse { line, text: content.to_owned(), reason }
+/// One record line of a spec text.
+struct Record<'a> {
+    /// 1-based line number.
+    line: usize,
+    /// The whole record, trimmed.
+    text: &'a str,
+    /// Its first token.
+    key: &'a str,
+    /// Everything after the key, trimmed.
+    rest: &'a str,
+}
+
+/// The records of a spec text: every line that is not blank or a `#`
+/// comment, in order.
+fn records(text: &str) -> impl Iterator<Item = Record<'_>> {
+    text.lines().enumerate().filter_map(|(index, raw)| {
+        let text = raw.trim();
+        if text.is_empty() || text.starts_with('#') {
+            return None;
         }
-        other => other,
+        let (key, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+        Some(Record { line: index + 1, text, key, rest: rest.trim_start() })
+    })
+}
+
+/// The spec being read, record by record.
+#[derive(Default)]
+struct SpecParser {
+    spec: ScenarioSpec,
+    /// The trust flag and ops of an `attack replay-trace` block, which
+    /// its `op` records extend until any other record closes it.
+    trace: Option<(bool, Vec<TraceOp>)>,
+}
+
+impl SpecParser {
+    /// Applies one record. A parse error names and quotes its line:
+    /// every error is the current record's.
+    fn feed(&mut self, record: &Record<'_>) -> Result<(), SimError> {
+        self.apply(record).map_err(|err| match err {
+            SimError::SpecParse { line, reason, .. } => {
+                SimError::SpecParse { line, text: record.text.to_owned(), reason }
+            }
+            other => other,
+        })
+    }
+
+    fn apply(&mut self, record: &Record<'_>) -> Result<(), SimError> {
+        let Record { line, key, rest, .. } = *record;
+        if key != "op" {
+            self.close_trace();
+        }
+        let spec = &mut self.spec;
+        let mut tokens = rest.split_whitespace();
+        match key {
+            // Empty labels are constructible, so they must parse back
+            // (`label` with no value).
+            "label" => spec.label = rest.to_owned(),
+            "geometry" => {
+                let token = one_token(line, &mut tokens)?;
+                spec.geometry = GeometrySpec::from_token(token)
+                    .ok_or_else(|| parse_error(line, &format!("unknown geometry '{token}'")))?;
+            }
+            "engine" => {
+                let token = one_token(line, &mut tokens)?;
+                spec.engine = token.parse().map_err(|e: String| parse_error(line, &e))?;
+            }
+            "budget" => {
+                let fields = Fields::parse(line, tokens)?;
+                spec.budget = Budget {
+                    max_activations: fields.num("activations")?,
+                    check_interval: fields.num("check")?,
+                    iterations: fields.num("iterations")?,
+                };
+            }
+            "eval-batch" => spec.eval_batch = parse_num(line, one_token(line, &mut tokens)?)?,
+            "target" => spec.target = parse_num(line, one_token(line, &mut tokens)?)?,
+            "victim" => {
+                let kind = one_token(line, &mut tokens)?;
+                let fields = Fields::parse(line, tokens)?;
+                spec.victims.push(parse_victim(line, kind, &fields)?);
+            }
+            "attack" => {
+                let kind = one_token(line, &mut tokens)?;
+                let fields = Fields::parse(line, tokens)?;
+                if kind == "replay-trace" {
+                    let untrusted = fields.num::<u8>("untrusted")? != 0;
+                    self.trace = Some((untrusted, Vec::new()));
+                } else {
+                    spec.attack = Some(parse_attack(line, kind, &fields)?);
+                }
+            }
+            "tenant" => {
+                let kind = one_token(line, &mut tokens)?;
+                let fields = Fields::parse(line, tokens)?;
+                let workload = parse_workload(line, kind, &fields)?;
+                match &mut spec.attack {
+                    Some(AttackSpec::Replay { tenants }) => tenants.push(workload),
+                    _ => {
+                        return Err(parse_error(
+                            line,
+                            "tenant record outside an 'attack replay' block",
+                        ))
+                    }
+                }
+            }
+            "op" => {
+                let Some((_, ops)) = &mut self.trace else {
+                    return Err(parse_error(
+                        line,
+                        "op record outside an 'attack replay-trace' block",
+                    ));
+                };
+                // An `op` line holds one trace record; a bare `op`
+                // holds none.
+                if !rest.is_empty() {
+                    let op = TraceOp::parse_record(rest)
+                        .map_err(|e| parse_error(line, &format!("embedded trace: {e}")))?;
+                    ops.push(op);
+                }
+            }
+            "defense" => {
+                let kind = one_token(line, &mut tokens)?;
+                let fields = Fields::parse(line, tokens)?;
+                spec.defenses.push(parse_defense(line, kind, &fields)?);
+            }
+            other => return Err(parse_error(line, &format!("unknown record '{other}'"))),
+        }
+        Ok(())
+    }
+
+    fn close_trace(&mut self) {
+        if let Some((untrusted, ops)) = self.trace.take() {
+            self.spec.attack = Some(finish_trace(untrusted, ops));
+        }
+    }
+
+    fn finish(mut self) -> ScenarioSpec {
+        self.close_trace();
+        self.spec
     }
 }
 
@@ -782,11 +799,11 @@ fn write_attack(out: &mut String, attack: &AttackSpec) {
         }
         AttackSpec::ReplayTrace { trace } => {
             out.push_str(&format!("attack replay-trace untrusted={}\n", u8::from(trace.untrusted)));
-            // Reuse the trace codec, re-keyed line by line (its header
-            // carries only the trust flag, already on the attack line).
-            for line in trace.to_text().lines().skip(1) {
+            // One trace-file record per `op` line; the trust flag, the
+            // trace file's header, rides on the attack line.
+            for op in trace.ops() {
                 out.push_str("op ");
-                out.push_str(line);
+                op.write_record(out);
                 out.push('\n');
             }
         }
@@ -836,11 +853,11 @@ fn parse_attack(line: usize, kind: &str, fields: &Fields<'_>) -> Result<AttackSp
     })
 }
 
-fn finish_trace(line: usize, untrusted: bool, body: &str) -> Result<AttackSpec, SimError> {
-    let text = format!("# dlk-trace v1 untrusted={}\n{body}", u8::from(untrusted));
-    let trace =
-        Trace::from_text(&text).map_err(|e| parse_error(line, &format!("embedded trace: {e}")))?;
-    Ok(AttackSpec::ReplayTrace { trace })
+/// The `attack replay-trace` block's attack, once its `op` records end.
+fn finish_trace(untrusted: bool, ops: Vec<TraceOp>) -> AttackSpec {
+    let mut trace = Trace::from(ops);
+    trace.untrusted = untrusted;
+    AttackSpec::ReplayTrace { trace }
 }
 
 fn write_workload(out: &mut String, workload: &Workload) {

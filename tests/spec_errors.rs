@@ -4,7 +4,8 @@
 //! `dlk run`/`dlk sweep`/`dlk serve` print to operators, so the exact
 //! rendering is part of the CLI contract.
 
-use dram_locker::sim::ScenarioSpec;
+use dram_locker::memctrl::TraceOp;
+use dram_locker::sim::{AttackSpec, ScenarioSpec};
 
 fn parse_err(source: &str) -> String {
     ScenarioSpec::from_text(source).expect_err("spec must be rejected").to_string()
@@ -54,6 +55,55 @@ fn list_parse_errors_keep_whole_file_line_numbers() {
              {expected_line} | attack hammer bit=oops"
         )
     );
+}
+
+/// A recorded-trace block whose second `op` record (line 4) carries an
+/// odd-length payload.
+const BAD_OP_BLOCK: &str = "attack replay-trace untrusted=0\nop R 0x0 1\nop W 0x8 abc\n";
+
+#[test]
+fn embedded_trace_errors_name_and_quote_the_op_line() {
+    let err = parse_err(&format!("label t\n{BAD_OP_BLOCK}"));
+    assert_eq!(
+        err,
+        "spec parse: line 4: embedded trace: payload is not even-length hex\n  4 | op W 0x8 abc"
+    );
+}
+
+#[test]
+fn embedded_trace_errors_keep_whole_file_line_numbers_in_a_list() {
+    let good = dram_locker::sim::catalog()[0].spec.to_text();
+    let bad_line = good.lines().count() + 4;
+    let source = format!("{good}label second\n{BAD_OP_BLOCK}");
+    let err = ScenarioSpec::list_from_text(&source).expect_err("second chunk must fail");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "spec parse: line {bad_line}: embedded trace: payload is not even-length hex\n  \
+             {bad_line} | op W 0x8 abc"
+        )
+    );
+}
+
+#[test]
+fn an_op_line_holds_one_trace_record_and_cannot_set_the_trust_flag() {
+    let err =
+        parse_err("label t\nattack replay-trace untrusted=0\nop # dlk-trace v1 untrusted=1\n");
+    assert_eq!(
+        err,
+        "spec parse: line 3: embedded trace: unknown record kind '#', expected R or W\n  \
+         3 | op # dlk-trace v1 untrusted=1"
+    );
+    // A bare `op` line still holds no record.
+    let spec = ScenarioSpec::from_text("attack replay-trace untrusted=0\nop\nop R 0x0 1\n")
+        .expect("a bare op line parses");
+    match spec.attack {
+        Some(AttackSpec::ReplayTrace { trace }) => {
+            assert_eq!(trace.ops(), [TraceOp::Read { addr: 0, len: 1 }]);
+            assert!(!trace.untrusted);
+        }
+        other => panic!("expected a replay-trace attack, got {other:?}"),
+    }
 }
 
 #[test]
