@@ -13,10 +13,10 @@
 //! cargo bench -p dlk-bench --bench layers   # a baseline and the CI gate's run alike
 //! ```
 //!
-//! Layers: `dram` (command issue, RowClone, SWAP), `memctrl` (direct
-//! and queued servicing, scheduling, page walks), `locker` (µISA
-//! decode, lock-table probes), `defenses` (tracker updates, weight
-//! repair), `engine` (sharded trace replay), `dnn` (GEMM, bit search,
+//! Layers: `dram` (command issue, RowClone, SWAP), `memctrl` (request
+//! servicing, page walks), `locker` (lock-table probes), `defenses`
+//! (tracker updates, weight repair), `engine` (sharded trace replay),
+//! `dnn` (GEMM, bit search,
 //! the CNN gradient pass and forward, one conv backward), `sim`
 //! (whole scenarios and the spec codec), `sweep` (the work-stealing
 //! runner and its bare queue) and `figures` (regenerating each paper
@@ -34,10 +34,10 @@ use dlk_dnn::{models, Conv2d, ConvSpec, Network, SyntheticDataset, Tensor, Weigh
 use dlk_dram::{DramCommand, DramConfig, DramDevice, RowAddr, RowId};
 use dlk_engine::{EngineConfig, ShardedEngine, Trace, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
-use dlk_locker::{CompiledProgram, Instruction, LockTable, LockTarget};
+use dlk_locker::{LockTable, LockTarget};
 use dlk_memctrl::{
     AddressMapper, MappingScheme, MemCtrlConfig, MemRequest, MemoryController, PageTable,
-    PageTableConfig, SchedulingPolicy, TraceOp, VirtAddr,
+    PageTableConfig, TraceOp, VirtAddr,
 };
 use dlk_sim::sweep::{SweepGrid, SweepRunner};
 use dlk_sim::{
@@ -78,14 +78,9 @@ const CASES: &[Case] = &[
     }),
     case("dram", "swap_kswap_per_s", "k/s", swap),
     case("dram", "channel_copy_swap_kswap_per_s", "k/s", channel_copy_swap),
-    case("memctrl", "service_step_kreq_per_s", "k/s", service_step),
     case("memctrl", "service_per_request_kreq_per_s", "k/s", service_direct),
     case("memctrl", "row_hit_read_kreq_per_s", "k/s", row_hit_read),
-    case("memctrl", "schedule_fcfs_kreq_per_s", "k/s", || schedule(SchedulingPolicy::Fcfs)),
-    case("memctrl", "schedule_frfcfs_kreq_per_s", "k/s", || schedule(SchedulingPolicy::FrFcfs)),
     case("memctrl", "page_walk_kwalk_per_s", "k/s", page_walk),
-    case("locker", "decode_minstr_per_s", "M/s", decode),
-    case("locker", "decode_reference_minstr_per_s", "M/s", decode_reference),
     case("locker", "probe_mprobe_per_s", "M/s", probe),
     case("locker", "probe_scan_reference_mprobe_per_s", "M/s", probe_scan_reference),
     case("locker", "lookup_hit_56kb_mprobe_per_s", "M/s", || lookup_56kb(RowId(1234))),
@@ -142,13 +137,6 @@ const CASES: &[Case] = &[
 /// New-vs-reference speedups, per round.
 const RATIOS: &[Ratio] = &[
     ratio("dram", "swap_vs_channel_copy", "swap_kswap_per_s", "channel_copy_swap_kswap_per_s"),
-    ratio(
-        "memctrl",
-        "service_step_vs_direct",
-        "service_step_kreq_per_s",
-        "service_per_request_kreq_per_s",
-    ),
-    ratio("locker", "decode_vs_reference", "decode_minstr_per_s", "decode_reference_minstr_per_s"),
     ratio(
         "locker",
         "probe_vs_scan_reference",
@@ -240,14 +228,14 @@ fn channel_copy_swap() -> Kernel {
     })
 }
 
-// ---- memctrl: servicing, scheduling, page walks ----
+// ---- memctrl: servicing, page walks ----
 
 fn tiny_ctrl() -> MemoryController {
     MemoryController::new(MemCtrlConfig::tiny_for_tests())
 }
 
 /// 256 requests over 128 rows of the tiny geometry, every fourth a
-/// write: the one mix both servicing paths run.
+/// write.
 fn service_mix() -> Vec<MemRequest> {
     let row_bytes = 64u64; // DramGeometry::tiny()
     (0..256)
@@ -262,19 +250,7 @@ fn service_mix() -> Vec<MemRequest> {
         .collect()
 }
 
-/// Queued: `submit` maps and enqueues, `run_to_completion` steps.
-fn service_step() -> Kernel {
-    let (mix, mut ctrl) = (service_mix(), tiny_ctrl());
-    Box::new(move || {
-        for request in &mix {
-            ctrl.submit(request.clone());
-        }
-        black_box(ctrl.run_to_completion().expect("valid"));
-        mix.len() as u64
-    })
-}
-
-/// Direct: `service` maps at service time.
+/// `service`, one request at a time.
 fn service_direct() -> Kernel {
     let (mix, mut ctrl) = (service_mix(), tiny_ctrl());
     Box::new(move || {
@@ -296,22 +272,6 @@ fn row_hit_read() -> Kernel {
     })
 }
 
-/// 64 reads alternating between two rows: FR-FCFS batches the row
-/// hits, FCFS serves them in arrival order.
-fn schedule(policy: SchedulingPolicy) -> Kernel {
-    let mut ctrl =
-        MemoryController::new(MemCtrlConfig { policy, ..MemCtrlConfig::tiny_for_tests() });
-    let row_bytes = ctrl.geometry().row_bytes as u64;
-    Box::new(move || {
-        for index in 0..64u64 {
-            let row = if index % 2 == 0 { 3 } else { 4 };
-            ctrl.submit(MemRequest::read(row * row_bytes + index % 8, 1));
-        }
-        black_box(ctrl.run_to_completion().expect("drain"));
-        64
-    })
-}
-
 /// A walk through the DRAM-resident page table (§V).
 fn page_walk() -> Kernel {
     let mut dram = tiny_dram();
@@ -328,46 +288,7 @@ fn page_walk() -> Kernel {
     })
 }
 
-// ---- locker: µISA decode, lock-table probes ----
-
-/// A canonical word stream: the SWAP-loop shape (copy bursts, a
-/// counted branch, `done`) tiled to 4096 instructions.
-fn word_stream() -> Vec<u16> {
-    const LEN: usize = 4096;
-    let mut words: Vec<u16> = (0..LEN - 1)
-        .map(|i| {
-            let word = match i % 4 {
-                0 => Instruction::Copy { dst: (i % 128) as u8, src: ((i + 1) % 128) as u8 },
-                1 => Instruction::Copy { dst: ((i + 2) % 128) as u8, src: (i % 128) as u8 },
-                2 => Instruction::Bnez { reg: (i % 128) as u8, target: 0 },
-                _ => Instruction::Copy { dst: 3, src: 4 },
-            };
-            word.encode()
-        })
-        .collect();
-    words.push(Instruction::Done.encode());
-    words
-}
-
-/// Table-driven bulk decode into a `CompiledProgram`.
-fn decode() -> Kernel {
-    let words = word_stream();
-    Box::new(move || {
-        black_box(CompiledProgram::from_words(black_box(&words)).expect("canonical stream"));
-        words.len() as u64
-    })
-}
-
-/// The per-word `match` decoder it replaced.
-fn decode_reference() -> Kernel {
-    let words = word_stream();
-    Box::new(move || {
-        let decoded: Result<Vec<Instruction>, _> =
-            black_box(&words).iter().map(|&w| Instruction::decode_reference(w)).collect();
-        black_box(decoded.expect("canonical stream"));
-        words.len() as u64
-    })
-}
+// ---- locker: lock-table probes ----
 
 const PROBES: u64 = 4096;
 

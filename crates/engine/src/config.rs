@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use dlk_memctrl::trace::parse_u64;
+
 /// How many channel shards an engine runs and whether it steps them on
 /// threads.
 ///
@@ -57,7 +59,8 @@ impl std::fmt::Display for EngineConfig {
 }
 
 /// Parses the [`Display`](EngineConfig#impl-Display-for-EngineConfig)
-/// form. The error carries the offending token.
+/// form, the channel count in [`parse_u64`]'s grammar. The error
+/// carries the offending token.
 impl std::str::FromStr for EngineConfig {
     type Err = String;
 
@@ -67,7 +70,8 @@ impl std::str::FromStr for EngineConfig {
             return Ok(Self::serial());
         }
         let channels = |prefix: &str| -> Option<usize> {
-            s.strip_prefix(prefix)?.strip_suffix(')')?.parse().ok().filter(|&n| n > 0)
+            let digits = s.strip_prefix(prefix)?.strip_suffix(')')?;
+            usize::try_from(parse_u64(digits)?).ok().filter(|&n| n > 0)
         };
         if let Some(n) = channels("sharded(") {
             return Ok(Self::sharded(n));
@@ -100,6 +104,9 @@ mod tests {
         assert!("sharded(0)".parse::<EngineConfig>().is_err());
         assert!("sharded(2".parse::<EngineConfig>().is_err());
         assert!("threads(2)".parse::<EngineConfig>().is_err());
+        // The channel count takes the spec files' one number grammar.
+        assert!("sharded(+2)".parse::<EngineConfig>().is_err());
+        assert_eq!("sharded(0x2)".parse::<EngineConfig>(), Ok(EngineConfig::sharded(2)));
     }
 
     #[test]

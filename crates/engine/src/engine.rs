@@ -4,8 +4,7 @@ use std::sync::Arc;
 
 use dlk_dram::DramStats;
 use dlk_memctrl::{
-    CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController,
-    SchedulingPolicy, Trace,
+    CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController, Trace,
 };
 use dlk_obs::{Counter, Histogram, Registry};
 
@@ -137,19 +136,15 @@ impl ShardedEngine {
     }
 
     /// Creates an engine from per-channel controllers (differently
-    /// configured hooks are fine; geometry and mapping must match, and
-    /// every controller must schedule FCFS). The router is derived
-    /// from channel 0's mapper.
+    /// configured hooks are fine; geometry and mapping must match). The
+    /// router is derived from channel 0's mapper.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NoChannels`] for a zero channel count,
+    /// Returns [`EngineError::NoChannels`] for a zero channel count and
     /// [`EngineError::GeometryMismatch`] when a controller's geometry
     /// or mapping scheme differs from channel 0's (the router's
-    /// interleave math would silently misroute otherwise), and
-    /// [`EngineError::NotFcfs`] for a controller with another
-    /// scheduling policy ([`ShardedEngine::replay`] serves in trace
-    /// order, which is FCFS order).
+    /// interleave math would silently misroute otherwise).
     pub fn with_controllers(
         config: EngineConfig,
         mut make: impl FnMut(usize) -> MemoryController,
@@ -162,11 +157,6 @@ impl ShardedEngine {
         let reference = shards[0].controller().mapper();
         if let Some(shard) = shards.iter().find(|shard| shard.controller().mapper() != reference) {
             return Err(EngineError::GeometryMismatch { channel: shard.channel() });
-        }
-        if let Some(shard) =
-            shards.iter().find(|shard| shard.controller().policy() != SchedulingPolicy::Fcfs)
-        {
-            return Err(EngineError::NotFcfs { channel: shard.channel() });
         }
         let router = ChannelRouter::new(config.channels, shards[0].controller().mapper());
         Ok(Self { config, router, shards, metrics: EngineMetrics::unregistered(), obs: None })
@@ -189,8 +179,8 @@ impl ShardedEngine {
     /// the observed registry under `memctrl.*`. Delta-based — safe to
     /// call at any boundary, and a no-op when [`Self::observe`] was
     /// never called. [`Self::replay`] calls this after each replay, so
-    /// callers stepping controllers directly (per-request drivers) are
-    /// the only ones who need it explicitly.
+    /// callers serving requests on controllers directly (per-request
+    /// drivers) are the only ones who need it explicitly.
     pub fn export_obs(&mut self) {
         if let Some(registry) = self.obs.clone() {
             for shard in &mut self.shards {
@@ -386,19 +376,6 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, EngineError::GeometryMismatch { channel: 2 });
-    }
-
-    #[test]
-    fn non_fcfs_controller_rejected() {
-        let err = ShardedEngine::with_controllers(EngineConfig::sharded(2), |channel| {
-            let mut config = MemCtrlConfig::tiny_for_tests();
-            if channel == 1 {
-                config.policy = SchedulingPolicy::FrFcfs;
-            }
-            MemoryController::new(config)
-        })
-        .unwrap_err();
-        assert_eq!(err, EngineError::NotFcfs { channel: 1 });
     }
 
     #[test]

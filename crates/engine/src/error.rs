@@ -24,12 +24,6 @@ pub enum EngineError {
         /// The first non-matching channel.
         channel: usize,
     },
-    /// A shard's controller does not schedule FCFS. The engine serves
-    /// a replay in trace order, which only an FCFS queue would match.
-    NotFcfs {
-        /// The first non-FCFS channel.
-        channel: usize,
-    },
     /// A shard's controller rejected a request. When several shards
     /// fail in one replay, the lowest channel id is reported —
     /// the same one a serial run would report.
@@ -53,9 +47,6 @@ impl fmt::Display for EngineError {
                     f,
                     "channel {channel}'s controller differs in geometry/mapping from channel 0"
                 )
-            }
-            EngineError::NotFcfs { channel } => {
-                write!(f, "channel {channel}'s controller does not schedule FCFS")
             }
             EngineError::Shard { channel, source } => {
                 write!(f, "channel {channel}: {source}")

@@ -10,9 +10,12 @@
 //!
 //! µRegs are 7-bit names resolved through a [`RegFile`] that binds them
 //! to DRAM row addresses (for `AAP`) or scalar counters (for `bnez`).
-//! The [`MicroExecutor`] runs a [`MicroProgram`] against a
-//! [`DramDevice`], issuing one RowClone AAP per copy instruction — this
-//! is exactly how DRAM-Locker's SWAP reaches the DRAM.
+//! The [`MicroExecutor`] interprets a [`MicroProgram`] against a
+//! [`DramDevice`], issuing one RowClone AAP per copy instruction. It is
+//! the reference semantics of the program
+//! [`SwapEngine`](crate::SwapEngine) reports: the engine issues the
+//! SWAP's three copies itself (to inject per-copy errors), and a test
+//! pins it against running [`MicroProgram::swap`] here.
 
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -45,45 +48,6 @@ pub enum Instruction {
     Done,
 }
 
-/// Instruction class of one opcode block — the discriminant column of
-/// the dense decode table, also used as the pre-decoded dispatch tag
-/// of a [`CompiledProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpClass {
-    /// Reserved opcode `00`: always a fault.
-    Reserved = 0,
-    /// `01` — RowClone copy.
-    Copy = 1,
-    /// `10` — branch if counter non-zero.
-    Bnez = 2,
-    /// `11` — terminate.
-    Done = 3,
-}
-
-/// One row of the dense decode table, indexed by the top-2 opcode
-/// bits. Flag columns describe operand validity instead of per-opcode
-/// code paths: `zero_mask` are the word bits that must be clear for a
-/// canonical encoding (`done` takes no operands), `valid` is false
-/// only for the reserved block.
-struct DecodeEntry {
-    class: OpClass,
-    valid: bool,
-    zero_mask: u16,
-}
-
-/// The 4-entry decode table (one aligned block per 2-bit opcode, after
-/// plonky2's power-of-two opcode blocks). `Instruction::decode`, the
-/// bulk disassembler and [`CompiledProgram::from_words`] all key into
-/// this table; the legacy match decoder survives as
-/// [`Instruction::decode_reference`], and an exhaustive-u16 test pins
-/// the two word-for-word.
-const DECODE_TABLE: [DecodeEntry; 4] = [
-    DecodeEntry { class: OpClass::Reserved, valid: false, zero_mask: 0 },
-    DecodeEntry { class: OpClass::Copy, valid: true, zero_mask: 0 },
-    DecodeEntry { class: OpClass::Bnez, valid: true, zero_mask: 0 },
-    DecodeEntry { class: OpClass::Done, valid: true, zero_mask: 0x3FFF },
-];
-
 impl Instruction {
     const OP_COPY: u16 = 0b01;
     const OP_BNEZ: u16 = 0b10;
@@ -102,75 +66,13 @@ impl Instruction {
         }
     }
 
-    /// The table's `valid` column packed into one bit per opcode
-    /// block, so the bulk validity scan needs no table load.
-    const VALID_BITS: u16 = {
-        let mut bits = 0u16;
-        let mut op = 0;
-        while op < DECODE_TABLE.len() {
-            if DECODE_TABLE[op].valid {
-                bits |= 1 << op;
-            }
-            op += 1;
-        }
-        bits
-    };
-
-    /// The one non-trivial `zero_mask` column (`done`'s operand bits),
-    /// lifted out of the table at compile time.
-    const DONE_ZERO_MASK: u16 = DECODE_TABLE[Instruction::OP_DONE as usize].zero_mask;
-
-    /// Whether `word` is a canonical encoding — the branch-free
-    /// validity test of the decode table. Uses the compile-time
-    /// projections of the flag columns (`VALID_BITS`,
-    /// `DONE_ZERO_MASK`) so the check is pure arithmetic and
-    /// the bulk scan in [`CompiledProgram::from_words`] vectorizes;
-    /// the exhaustive-u16 test pins it against the table decoder.
-    #[inline]
-    pub fn word_is_canonical(word: u16) -> bool {
-        let op = word >> 14;
-        ((Self::VALID_BITS >> op) & 1 == 1)
-            & ((op != Self::OP_DONE) | (word & Self::DONE_ZERO_MASK == 0))
-    }
-
-    /// Decodes a 16-bit word through the dense decode table.
+    /// Decodes a 16-bit word.
     ///
     /// # Errors
     ///
     /// Returns [`IsaError::BadOpcode`] for the reserved opcode `00` and
     /// [`IsaError::BadEncoding`] for malformed `done` words.
-    #[inline]
     pub fn decode(word: u16) -> Result<Self, IsaError> {
-        let entry = &DECODE_TABLE[(word >> 14) as usize];
-        if !(entry.valid & (word & entry.zero_mask == 0)) {
-            return Err(Self::classify_fault(word));
-        }
-        let hi = ((word >> 7) & 0x7F) as u8;
-        let lo = (word & 0x7F) as u8;
-        Ok(match entry.class {
-            OpClass::Copy => Instruction::Copy { dst: hi, src: lo },
-            OpClass::Bnez => Instruction::Bnez { reg: hi, target: lo },
-            // `zero_mask` already proved the operand bits clear.
-            _ => Instruction::Done,
-        })
-    }
-
-    /// The exact fault a non-canonical word raises (cold path).
-    #[cold]
-    fn classify_fault(word: u16) -> IsaError {
-        if DECODE_TABLE[(word >> 14) as usize].valid {
-            IsaError::BadEncoding(word)
-        } else {
-            IsaError::BadOpcode(word)
-        }
-    }
-
-    /// The pre-refactor match-based decoder, kept verbatim as the
-    /// oracle for the table-driven [`Instruction::decode`] (tests pin
-    /// the two word-for-word over all 65536 words; the layered bench
-    /// reports the throughput ratio as `locker/decode_vs_reference`).
-    #[doc(hidden)]
-    pub fn decode_reference(word: u16) -> Result<Self, IsaError> {
         let op = word >> 14;
         let hi = ((word >> 7) & 0x7F) as u8;
         let lo = (word & 0x7F) as u8;
@@ -361,187 +263,6 @@ impl MicroProgram {
             words.iter().map(|&w| Instruction::decode(w)).collect::<Result<_, _>>()?;
         Ok(Self { instructions })
     }
-
-    /// Pre-decodes the program into its dense executable form.
-    pub fn compile(&self) -> CompiledProgram {
-        CompiledProgram { ops: self.instructions.iter().map(PackedOp::from_instruction).collect() }
-    }
-}
-
-/// One pre-decoded µOp in dense table form: the 2-bit opcode as the
-/// dispatch tag plus the two 7-bit operand fields, regardless of
-/// class. Decoding a word into this form is branch-free; the explicit
-/// padding byte keeps the struct 4 bytes wide so the bulk decoder's
-/// stores stay lane-aligned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-pub struct PackedOp {
-    /// The opcode bits (1 = copy, 2 = bnez, 3 = done).
-    op: u8,
-    /// High operand field (copy `dst` / bnez `reg`).
-    a: u8,
-    /// Low operand field (copy `src` / bnez `target`).
-    b: u8,
-    /// Always zero.
-    pad: u8,
-}
-
-impl PackedOp {
-    #[inline]
-    fn from_word(word: u16) -> Self {
-        Self {
-            op: (word >> 14) as u8,
-            a: ((word >> 7) & 0x7F) as u8,
-            b: (word & 0x7F) as u8,
-            pad: 0,
-        }
-    }
-
-    fn from_instruction(instruction: &Instruction) -> Self {
-        Self::from_word(instruction.encode())
-    }
-
-    /// The decoded instruction this op packs.
-    pub fn instruction(&self) -> Instruction {
-        match self.op {
-            1 => Instruction::Copy { dst: self.a, src: self.b },
-            2 => Instruction::Bnez { reg: self.a, target: self.b },
-            _ => Instruction::Done,
-        }
-    }
-}
-
-/// A pre-decoded micro-program: the dense form [`MicroExecutor`] runs
-/// without re-decoding. Produced by [`MicroProgram::compile`] or
-/// directly from a word stream by [`CompiledProgram::from_words`],
-/// whose bulk decoder validates every word with the decode table's
-/// flag columns first (a branch-free scan) and then packs operands
-/// unchecked.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CompiledProgram {
-    ops: Vec<PackedOp>,
-}
-
-impl CompiledProgram {
-    /// Bulk-decodes a word stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first decoding error, identical to the error
-    /// [`MicroProgram::disassemble`] reports for the same words.
-    pub fn from_words(words: &[u16]) -> Result<Self, IsaError> {
-        // Accumulate validity over the whole stream instead of
-        // early-exiting: the reduction has no data-dependent branch,
-        // so it vectorizes; the faulting word is located again only on
-        // the cold error path. Kept as a separate pass from the pack
-        // loop — fusing them carries the flag through the collect and
-        // de-vectorizes both.
-        let all_canonical =
-            words.iter().fold(true, |ok, &w| ok & Instruction::word_is_canonical(w));
-        if !all_canonical {
-            // Relocating the fault can't fail (the reduction saw one),
-            // but stay infallible anyway: a never-taken fallthrough to
-            // a generic fault beats an expect() on the service path.
-            let bad = words
-                .iter()
-                .copied()
-                .find(|&w| !Instruction::word_is_canonical(w))
-                .unwrap_or(words.first().copied().unwrap_or(0));
-            return Err(Instruction::classify_fault(bad));
-        }
-        Ok(Self { ops: words.iter().map(|&w| PackedOp::from_word(w)).collect() })
-    }
-
-    /// Number of µOps.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// The packed µOps.
-    pub fn ops(&self) -> &[PackedOp] {
-        &self.ops
-    }
-
-    /// Reconstructs the instruction-level program.
-    pub fn decompile(&self) -> MicroProgram {
-        MicroProgram { instructions: self.ops.iter().map(PackedOp::instruction).collect() }
-    }
-}
-
-/// A cache of pre-decoded programs keyed by their word stream, so
-/// replaying the same micro-program never re-decodes. Backing store of
-/// [`MicroExecutor::run_words`].
-#[derive(Debug, Clone, Default)]
-pub struct ProgramCache {
-    programs: std::collections::HashMap<Vec<u16>, CompiledProgram>,
-    hits: u64,
-    misses: u64,
-    /// `(hits, misses)` already pushed to a registry by
-    /// [`ProgramCache::export_obs`], so repeated exports add deltas
-    /// only.
-    exported: std::cell::Cell<(u64, u64)>,
-}
-
-impl ProgramCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The compiled program for `words`, bulk-decoding at most once
-    /// per distinct word stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first decoding error (never cached — a faulting
-    /// stream faults again).
-    pub fn get_or_compile(&mut self, words: &[u16]) -> Result<&CompiledProgram, IsaError> {
-        if !self.programs.contains_key(words) {
-            self.misses += 1;
-            let compiled = CompiledProgram::from_words(words)?;
-            self.programs.insert(words.to_vec(), compiled);
-        } else {
-            self.hits += 1;
-        }
-        Ok(&self.programs[words])
-    }
-
-    /// Pushes the hit/miss counters into `registry` as
-    /// `<prefix>.hits` / `<prefix>.misses` — the exposition path for
-    /// counters that are otherwise private to the executor. Only the
-    /// delta since the previous export is added, so repeated exports
-    /// never double-count.
-    pub fn export_obs(&self, registry: &dlk_obs::Registry, prefix: &str) {
-        let (prev_hits, prev_misses) = self.exported.get();
-        registry.counter(&format!("{prefix}.hits")).add(self.hits.saturating_sub(prev_hits));
-        registry.counter(&format!("{prefix}.misses")).add(self.misses.saturating_sub(prev_misses));
-        self.exported.set((self.hits, self.misses));
-    }
-
-    /// Replays served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Word streams decoded.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of cached programs.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
 }
 
 /// Executes micro-programs against a DRAM device.
@@ -549,14 +270,11 @@ impl ProgramCache {
 pub struct MicroExecutor {
     /// Maximum µOps executed before aborting (runaway-loop guard).
     pub step_limit: usize,
-    /// Pre-decoded programs keyed by word stream, so
-    /// [`MicroExecutor::run_words`] replay never re-decodes.
-    cache: ProgramCache,
 }
 
 impl Default for MicroExecutor {
     fn default() -> Self {
-        Self { step_limit: 4096, cache: ProgramCache::new() }
+        Self { step_limit: 4096 }
     }
 }
 
@@ -589,96 +307,40 @@ impl MicroExecutor {
         regs: &mut RegFile,
         dram: &mut DramDevice,
     ) -> Result<ExecReport, IsaError> {
-        self.run_compiled(&program.compile(), regs, dram)
-    }
-
-    /// Runs a pre-decoded program — the no-re-decode replay path.
-    /// Behaviour (reports and errors) is identical to
-    /// [`MicroExecutor::run`] on the equivalent [`MicroProgram`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unbound registers, missing `done`, step
-    /// limit overruns or DRAM command failures.
-    pub fn run_compiled(
-        &self,
-        program: &CompiledProgram,
-        regs: &mut RegFile,
-        dram: &mut DramDevice,
-    ) -> Result<ExecReport, IsaError> {
-        Self::exec(self.step_limit, program, regs, dram)
-    }
-
-    fn exec(
-        step_limit: usize,
-        program: &CompiledProgram,
-        regs: &mut RegFile,
-        dram: &mut DramDevice,
-    ) -> Result<ExecReport, IsaError> {
         let begin_cycles = dram.now();
         let mut pc = 0usize;
         let mut report = ExecReport::default();
         loop {
-            if report.steps >= step_limit {
-                return Err(IsaError::StepLimit(step_limit));
+            if report.steps >= self.step_limit {
+                return Err(IsaError::StepLimit(self.step_limit));
             }
-            let Some(op) = program.ops().get(pc) else {
+            let Some(&instruction) = program.instructions().get(pc) else {
                 return Err(IsaError::MissingDone);
             };
             report.steps += 1;
-            match op.op {
-                1 => {
-                    let (dst, src) = (op.a, op.b);
+            match instruction {
+                Instruction::Copy { dst, src } => {
                     let src_row = regs.row(src).ok_or(IsaError::UnboundReg(src))?;
                     let dst_row = regs.row(dst).ok_or(IsaError::UnboundReg(dst))?;
                     dram.row_clone(src_row, dst_row)?;
                     report.copies += 1;
                     pc += 1;
                 }
-                2 => {
-                    let value = regs.counter(op.a);
+                Instruction::Bnez { reg, target } => {
+                    let value = regs.counter(reg);
                     if value != 0 {
-                        regs.set_counter(op.a, value - 1);
-                        pc = op.b as usize;
+                        regs.set_counter(reg, value - 1);
+                        pc = target as usize;
                     } else {
                         pc += 1;
                     }
                 }
-                _ => {
+                Instruction::Done => {
                     report.cycles = dram.now() - begin_cycles;
                     return Ok(report);
                 }
             }
         }
-    }
-
-    /// Decodes-and-runs a word stream, serving repeat streams from the
-    /// executor's [`ProgramCache`] so replay never re-decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first decoding error, or any execution error of
-    /// [`MicroExecutor::run_compiled`].
-    pub fn run_words(
-        &mut self,
-        words: &[u16],
-        regs: &mut RegFile,
-        dram: &mut DramDevice,
-    ) -> Result<ExecReport, IsaError> {
-        let Self { step_limit, cache } = self;
-        let program = cache.get_or_compile(words)?;
-        Self::exec(*step_limit, program, regs, dram)
-    }
-
-    /// The executor's program cache (hit/miss accounting).
-    pub fn cache(&self) -> &ProgramCache {
-        &self.cache
-    }
-
-    /// Surfaces the program cache's hit/miss counters in `registry`
-    /// under `<prefix>.*` (see [`ProgramCache::export_obs`]).
-    pub fn export_obs(&self, registry: &dlk_obs::Registry, prefix: &str) {
-        self.cache.export_obs(registry, prefix);
     }
 }
 
@@ -686,22 +348,6 @@ impl MicroExecutor {
 mod tests {
     use super::*;
     use dlk_dram::DramConfig;
-
-    #[test]
-    fn program_cache_export_obs_adds_deltas_only() {
-        let registry = dlk_obs::Registry::new();
-        let mut cache = ProgramCache::new();
-        let words = MicroProgram::swap(0, 1, 2).assemble();
-        cache.get_or_compile(&words).unwrap(); // miss
-        cache.get_or_compile(&words).unwrap(); // hit
-        cache.export_obs(&registry, "locker.program_cache");
-        assert_eq!(registry.counter("locker.program_cache.hits").get(), 1);
-        assert_eq!(registry.counter("locker.program_cache.misses").get(), 1);
-        cache.get_or_compile(&words).unwrap(); // another hit
-        cache.export_obs(&registry, "locker.program_cache");
-        assert_eq!(registry.counter("locker.program_cache.hits").get(), 2);
-        assert_eq!(registry.counter("locker.program_cache.misses").get(), 1);
-    }
 
     #[test]
     fn encode_decode_roundtrip_all_variants() {
@@ -801,7 +447,7 @@ mod tests {
         let mut prog = MicroProgram::new();
         prog.push(Instruction::Bnez { reg: 0, target: 0 });
         prog.push(Instruction::Done);
-        let executor = MicroExecutor { step_limit: 100, ..MicroExecutor::new() };
+        let executor = MicroExecutor { step_limit: 100 };
         assert_eq!(
             executor.run(&prog, &mut regs, &mut dram).unwrap_err(),
             IsaError::StepLimit(100)
@@ -817,29 +463,19 @@ mod tests {
     }
 
     #[test]
+    fn disassemble_reports_the_first_fault() {
+        let malformed_done = (0b11 << 14) | 1;
+        let words = [Instruction::Done.encode(), 0x0000, malformed_done];
+        assert_eq!(MicroProgram::disassemble(&words), Err(IsaError::BadOpcode(0)));
+        let words = [malformed_done, 0x0000];
+        assert_eq!(MicroProgram::disassemble(&words), Err(IsaError::BadEncoding(malformed_done)));
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(Instruction::Copy { dst: 1, src: 2 }.to_string(), "AAP r1, r2");
         assert_eq!(Instruction::Bnez { reg: 3, target: 0 }.to_string(), "bnez r3, 0");
         assert_eq!(Instruction::Done.to_string(), "done");
-    }
-
-    /// The dense decode table reproduces the legacy match decoder
-    /// word-for-word over the entire 16-bit space, including the exact
-    /// `BadOpcode`/`BadEncoding` faults.
-    #[test]
-    fn table_decoder_matches_reference_exhaustively() {
-        for word in 0..=u16::MAX {
-            let legacy = Instruction::decode_reference(word);
-            assert_eq!(Instruction::decode(word), legacy, "word {word:#06x}");
-            assert_eq!(Instruction::word_is_canonical(word), legacy.is_ok(), "word {word:#06x}");
-            // The bulk decoder agrees on the word in isolation too.
-            match CompiledProgram::from_words(&[word]) {
-                Ok(compiled) => {
-                    assert_eq!(compiled.ops()[0].instruction(), legacy.unwrap());
-                }
-                Err(err) => assert_eq!(Err(err), legacy),
-            }
-        }
     }
 
     /// Encode→decode round-trips over every expressible instruction.
@@ -855,98 +491,6 @@ mod tests {
         for instruction in all {
             let word = instruction.encode();
             assert_eq!(Instruction::decode(word), Ok(instruction));
-            assert_eq!(Instruction::decode_reference(word), Ok(instruction));
-            assert_eq!(PackedOp::from_word(word).instruction(), instruction);
         }
-    }
-
-    /// Bulk decode reports the first faulting word, exactly like the
-    /// per-word disassembler.
-    #[test]
-    fn compiled_from_words_reports_first_fault() {
-        let words = [Instruction::Done.encode(), 0x0000, (0b11 << 14) | 1];
-        assert_eq!(CompiledProgram::from_words(&words), Err(IsaError::BadOpcode(0)));
-        let words = [(0b11 << 14) | 1, 0x0000];
-        assert_eq!(
-            CompiledProgram::from_words(&words),
-            Err(IsaError::BadEncoding((0b11 << 14) | 1))
-        );
-        assert_eq!(
-            MicroProgram::disassemble(&words).unwrap_err(),
-            IsaError::BadEncoding((0b11 << 14) | 1)
-        );
-    }
-
-    /// compile→decompile is the identity, and `from_words` agrees with
-    /// compiling the disassembled program.
-    #[test]
-    fn compile_roundtrip() {
-        let prog = MicroProgram::swap(5, 6, 7);
-        let compiled = prog.compile();
-        assert_eq!(compiled.len(), prog.len());
-        assert_eq!(compiled.decompile(), prog);
-        assert_eq!(CompiledProgram::from_words(&prog.assemble()).unwrap(), compiled);
-    }
-
-    /// The pre-decoded path executes bit-identically to the
-    /// instruction-level path: same DRAM state, report and errors.
-    #[test]
-    fn run_compiled_matches_run() {
-        let config = DramConfig::tiny_for_tests();
-        let build = || {
-            let mut dram = DramDevice::new(config);
-            let a = RowAddr::new(0, 0, 1);
-            let b = RowAddr::new(0, 0, 2);
-            dram.write_row(a, &[0xAA; 64]).unwrap();
-            dram.write_row(b, &[0xBB; 64]).unwrap();
-            let mut regs = RegFile::new();
-            regs.bind_row(0, a);
-            regs.bind_row(1, b);
-            regs.bind_row(2, RowAddr::new(0, 0, 63));
-            regs.set_counter(3, 2);
-            (dram, regs)
-        };
-        let mut prog = MicroProgram::swap(0, 1, 2);
-        let mut looped = MicroProgram::new();
-        looped.push(Instruction::Copy { dst: 1, src: 0 });
-        looped.push(Instruction::Bnez { reg: 3, target: 0 });
-        looped.push(Instruction::Done);
-        for program in [&mut prog, &mut looped] {
-            let executor = MicroExecutor::new();
-            let (mut dram_a, mut regs_a) = build();
-            let (mut dram_b, mut regs_b) = build();
-            let via_run = executor.run(program, &mut regs_a, &mut dram_a).unwrap();
-            let via_compiled =
-                executor.run_compiled(&program.compile(), &mut regs_b, &mut dram_b).unwrap();
-            assert_eq!(via_run, via_compiled);
-            assert_eq!(dram_a.stats(), dram_b.stats());
-            for row in 1..4 {
-                let addr = RowAddr::new(0, 0, row);
-                assert_eq!(dram_a.read_row(addr).unwrap(), dram_b.read_row(addr).unwrap());
-            }
-        }
-    }
-
-    /// Replaying the same word stream decodes once and hits the cache
-    /// afterwards.
-    #[test]
-    fn run_words_caches_decoded_programs() {
-        let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
-        let mut regs = RegFile::new();
-        regs.bind_row(0, RowAddr::new(0, 0, 1));
-        regs.bind_row(1, RowAddr::new(0, 0, 2));
-        regs.bind_row(2, RowAddr::new(0, 0, 63));
-        let words = MicroProgram::swap(0, 1, 2).assemble();
-        let mut executor = MicroExecutor::new();
-        for _ in 0..5 {
-            executor.run_words(&words, &mut regs, &mut dram).unwrap();
-        }
-        assert_eq!(executor.cache().misses(), 1, "decoded exactly once");
-        assert_eq!(executor.cache().hits(), 4);
-        assert_eq!(executor.cache().len(), 1);
-        // A faulting stream is never cached.
-        assert!(executor.run_words(&[0x0000], &mut regs, &mut dram).is_err());
-        assert!(executor.run_words(&[0x0000], &mut regs, &mut dram).is_err());
-        assert_eq!(executor.cache().len(), 1);
     }
 }

@@ -59,10 +59,7 @@ pub mod swap;
 
 pub use crate::config::{LockTarget, LockerConfig};
 pub use crate::error::LockerError;
-pub use crate::isa::{
-    CompiledProgram, Instruction, IsaError, MicroExecutor, MicroProgram, PackedOp, ProgramCache,
-    RegFile,
-};
+pub use crate::isa::{Instruction, IsaError, MicroExecutor, MicroProgram, RegFile};
 pub use crate::locker::DramLocker;
 pub use crate::locktable::LockTable;
 pub use crate::sequence::{Sequence, SequenceEntry};

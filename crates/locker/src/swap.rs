@@ -151,6 +151,7 @@ impl SwapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{MicroExecutor, RegFile};
     use dlk_dram::DramConfig;
 
     fn setup(error_rate: f64) -> (DramDevice, SwapEngine) {
@@ -172,6 +173,40 @@ mod tests {
         assert!(outcome.cycles > 0);
         assert_eq!(dram.read_row(a).unwrap(), vec![0x22; 64]);
         assert_eq!(dram.read_row(b).unwrap(), vec![0x11; 64]);
+    }
+
+    /// The µISA interpreter is the reference for the SWAP the engine
+    /// issues itself: on twin devices, `execute` and running the
+    /// program it reports leave every row, the stats and the clock
+    /// identical.
+    #[test]
+    fn swap_matches_interpreting_its_program() {
+        let (mut dram, mut engine) = setup(0.0);
+        let geometry = *dram.geometry();
+        for row in 0..geometry.rows_per_subarray {
+            dram.write_row(RowAddr::new(1, 1, row), &[row as u8 ^ 0x5A; 64]).unwrap();
+        }
+        let mut twin = dram.clone();
+        let (a, b) = (RowAddr::new(1, 1, 3), RowAddr::new(1, 1, 40));
+        let buffer = SwapEngine::buffer_row(&geometry, 1, 1);
+
+        let outcome = engine.execute(&mut dram, a, b).unwrap();
+        let program = MicroProgram::swap(0, 1, 2);
+        let mut regs = RegFile::new();
+        regs.bind_row(0, a);
+        regs.bind_row(1, b);
+        regs.bind_row(2, buffer);
+        let report = MicroExecutor::new().run(&program, &mut regs, &mut twin).unwrap();
+
+        assert_eq!(outcome.program, program);
+        assert_eq!(outcome.cycles, report.cycles);
+        assert_eq!(dram.stats(), twin.stats());
+        assert_eq!(dram.now(), twin.now());
+        for row in 0..geometry.rows_per_subarray {
+            let row = RowAddr::new(1, 1, row);
+            assert_eq!(dram.read_row(row).unwrap(), twin.read_row(row).unwrap(), "row {row}");
+        }
+        assert_eq!(twin.read_row(a).unwrap(), vec![40 ^ 0x5A; 64], "the rows really swapped");
     }
 
     #[test]

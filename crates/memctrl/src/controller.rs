@@ -1,6 +1,6 @@
 //! The memory controller.
 //!
-//! Accepts [`MemRequest`]s, schedules them, consults the installed
+//! Serves [`MemRequest`]s one at a time, consults the installed
 //! [`DefenseHook`], and drives the [`DramDevice`]. Denied requests are
 //! *skipped*: no DRAM command is issued and only the hook's check
 //! latency is charged — matching the paper's observation that invalid
@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dlk_dram::{DramConfig, DramDevice, DramGeometry, RowAddr};
+use dlk_dram::{DramConfig, DramDevice, DramGeometry};
 use dlk_obs::LocalHistogram;
 
 use crate::error::MemCtrlError;
@@ -16,7 +16,6 @@ use crate::interpose::{DefenseHook, HookAction, NoDefense};
 use crate::mapping::{AddressMapper, MappingScheme};
 use crate::metrics::CtrlMetrics;
 use crate::request::{MemRequest, RequestKind};
-use crate::scheduler::{RequestQueue, SchedulingPolicy};
 
 /// Configuration of a [`MemoryController`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,28 +24,18 @@ pub struct MemCtrlConfig {
     pub dram: DramConfig,
     /// Address interleaving scheme.
     pub scheme: MappingScheme,
-    /// Request scheduling policy.
-    pub policy: SchedulingPolicy,
 }
 
 impl Default for MemCtrlConfig {
     fn default() -> Self {
-        Self {
-            dram: DramConfig::default(),
-            scheme: MappingScheme::BankSequential,
-            policy: SchedulingPolicy::Fcfs,
-        }
+        Self { dram: DramConfig::default(), scheme: MappingScheme::BankSequential }
     }
 }
 
 impl MemCtrlConfig {
     /// Small configuration for unit tests.
     pub fn tiny_for_tests() -> Self {
-        Self {
-            dram: DramConfig::tiny_for_tests(),
-            scheme: MappingScheme::BankSequential,
-            policy: SchedulingPolicy::Fcfs,
-        }
+        Self { dram: DramConfig::tiny_for_tests(), scheme: MappingScheme::BankSequential }
     }
 }
 
@@ -57,7 +46,7 @@ pub struct CompletedRequest {
     pub request: MemRequest,
     /// `true` if the defense denied the access (skipped instruction).
     pub denied: bool,
-    /// Cycles from de-queue to completion, including hook latency.
+    /// Cycles the request took, including the hook's check latency.
     pub latency: u64,
     /// Data returned for reads that were served.
     pub data: Option<Vec<u8>>,
@@ -124,7 +113,7 @@ impl ControllerStats {
     }
 }
 
-/// The memory controller: queue + mapper + defense hook + DRAM device.
+/// The memory controller: mapper + defense hook + DRAM device.
 ///
 /// # Example
 ///
@@ -133,17 +122,15 @@ impl ControllerStats {
 ///
 /// # fn main() -> Result<(), dlk_memctrl::MemCtrlError> {
 /// let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-/// ctrl.submit(MemRequest::write(0, vec![42]));
-/// ctrl.submit(MemRequest::read(0, 1));
-/// let done = ctrl.run_to_completion()?;
-/// assert_eq!(done[1].data.as_deref(), Some(&[42u8][..]));
+/// ctrl.service(MemRequest::write(0, vec![42]))?;
+/// let done = ctrl.service(MemRequest::read(0, 1))?;
+/// assert_eq!(done.data.as_deref(), Some(&[42u8][..]));
 /// # Ok(())
 /// # }
 /// ```
 pub struct MemoryController {
     dram: DramDevice,
     mapper: AddressMapper,
-    queue: RequestQueue,
     hook: Box<dyn DefenseHook>,
     metrics: CtrlMetrics,
     /// Physical byte ranges untrusted processes cannot touch (the OS's
@@ -155,7 +142,6 @@ impl std::fmt::Debug for MemoryController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryController")
             .field("mapper", &self.mapper)
-            .field("pending", &self.queue.len())
             .field("hook", &self.hook.name())
             .field("stats", &self.stats())
             .finish()
@@ -172,14 +158,7 @@ impl MemoryController {
     pub fn with_hook(config: MemCtrlConfig, hook: Box<dyn DefenseHook>) -> Self {
         let dram = DramDevice::new(config.dram);
         let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
-        Self {
-            dram,
-            mapper,
-            queue: RequestQueue::new(config.policy),
-            hook,
-            metrics: CtrlMetrics::new(),
-            os_protected: Vec::new(),
-        }
+        Self { dram, mapper, hook, metrics: CtrlMetrics::new(), os_protected: Vec::new() }
     }
 
     /// Marks the physical byte range `[start, end)` as owned by the
@@ -208,12 +187,6 @@ impl MemoryController {
     /// The installed hook.
     pub fn hook(&self) -> &dyn DefenseHook {
         self.hook.as_ref()
-    }
-
-    /// Mutable access to the installed hook (e.g. to inspect or update
-    /// a DRAM-Locker lock table mid-run).
-    pub fn hook_mut(&mut self) -> &mut dyn DefenseHook {
-        self.hook.as_mut()
     }
 
     /// The DRAM geometry.
@@ -265,76 +238,22 @@ impl MemoryController {
         self.metrics.export_into(registry, prefix);
     }
 
-    /// The queue's scheduling policy.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.queue.policy()
-    }
-
-    /// Number of queued requests.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Enqueues a request. Its address is mapped here, once: FR-FCFS
-    /// matches the row against open row buffers, and
-    /// [`MemoryController::step`] serves at the stored location.
-    pub fn submit(&mut self, request: MemRequest) {
-        // An unmappable request is queued unmapped; its error surfaces
-        // when it is stepped, so the caller sees it.
-        let mapped = self.mapper.to_dram(request.addr).ok();
-        self.queue.push(request, mapped);
-    }
-
-    /// Serves the next scheduled request, if any. The scheduler reads
-    /// the open rows straight off the device, and the location mapped
-    /// at submit is reused, so nothing but read data is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unmappable addresses or row-spanning
-    /// requests; the DRAM device state is unchanged in that case.
-    pub fn step(&mut self) -> Result<Option<CompletedRequest>, MemCtrlError> {
-        let Some((request, mapped)) = self.queue.pop(|bank| self.dram.open_row_of(bank)) else {
-            return Ok(None);
-        };
-        self.serve(request, mapped).map(Some)
-    }
-
-    /// Serves one request immediately, bypassing the queue.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unmappable addresses or row-spanning
-    /// requests.
-    pub fn service(&mut self, request: MemRequest) -> Result<CompletedRequest, MemCtrlError> {
-        self.serve(request, None)
-    }
-
-    /// The one servicing path behind [`MemoryController::service`] and
-    /// [`MemoryController::step`]. The OS page-protection fault comes
-    /// first, before any address validation: an untrusted request into
-    /// a protected range is denied, never an error. The request is then
-    /// located — at `mapped` if `submit` already mapped it, otherwise by
-    /// mapping its address here — and checked against the row boundary
+    /// Serves one request. The OS page-protection fault comes first,
+    /// before any address validation: an untrusted request into a
+    /// protected range is denied, never an error. The request is then
+    /// mapped to its DRAM location and checked against the row boundary
     /// before the hook is consulted and the device accessed.
     ///
     /// # Errors
     ///
     /// Returns an error for unmappable addresses or row-spanning
-    /// requests.
-    fn serve(
-        &mut self,
-        request: MemRequest,
-        mapped: Option<(RowAddr, usize)>,
-    ) -> Result<CompletedRequest, MemCtrlError> {
+    /// requests; the DRAM device state is unchanged in that case.
+    pub fn service(&mut self, request: MemRequest) -> Result<CompletedRequest, MemCtrlError> {
         if self.os_faults(&request) {
             self.metrics.os_faults += 1;
             return Ok(CompletedRequest { request, denied: true, latency: 0, data: None });
         }
-        let (row, col) = match mapped {
-            Some(location) => location,
-            None => self.mapper.to_dram(request.addr)?,
-        };
+        let (row, col) = self.mapper.to_dram(request.addr)?;
         // `col < row_bytes`, so unlike `col + len` this cannot wrap.
         if request.len > self.geometry().row_bytes - col {
             return Err(MemCtrlError::SpansRowBoundary { addr: request.addr, len: request.len });
@@ -372,33 +291,20 @@ impl MemoryController {
         self.metrics.record_latency(request.kind, latency);
         Ok(CompletedRequest { request, denied: false, latency, data })
     }
-
-    /// Serves every queued request in scheduling order.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing request.
-    pub fn run_to_completion(&mut self) -> Result<Vec<CompletedRequest>, MemCtrlError> {
-        let mut done = Vec::with_capacity(self.queue.len());
-        while let Some(completed) = self.step()? {
-            done.push(completed);
-        }
-        Ok(done)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlk_dram::RowAddr;
 
     #[test]
     fn write_then_read_roundtrip() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        ctrl.submit(MemRequest::write(0x10, vec![9, 8, 7]));
-        ctrl.submit(MemRequest::read(0x10, 3));
-        let done = ctrl.run_to_completion().unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[1].data.as_deref(), Some(&[9u8, 8, 7][..]));
+        let written = ctrl.service(MemRequest::write(0x10, vec![9, 8, 7])).unwrap();
+        assert_eq!(written.data, None);
+        let read = ctrl.service(MemRequest::read(0x10, 3)).unwrap();
+        assert_eq!(read.data.as_deref(), Some(&[9u8, 8, 7][..]));
         assert_eq!(ctrl.stats().served, 2);
         assert!(ctrl.stats().mean_latency() > 0.0);
     }
@@ -416,9 +322,7 @@ mod tests {
         // `col + len` would wrap to a small value and pass the check.
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let req = MemRequest::read(1, usize::MAX).untrusted();
-        assert!(matches!(ctrl.service(req.clone()), Err(MemCtrlError::SpansRowBoundary { .. })));
-        ctrl.submit(req);
-        assert!(matches!(ctrl.step(), Err(MemCtrlError::SpansRowBoundary { .. })));
+        assert!(matches!(ctrl.service(req), Err(MemCtrlError::SpansRowBoundary { .. })));
         assert_eq!(ctrl.dram().stats().total_activations(), 0);
     }
 
@@ -440,21 +344,30 @@ mod tests {
     }
 
     #[test]
-    fn queued_os_fault_wins_over_validation() {
+    fn os_fault_wins_over_validation() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let row_bytes = ctrl.geometry().row_bytes as u64;
         ctrl.os_protect_range(0, 2 * row_bytes);
-        ctrl.submit(MemRequest::read(row_bytes - 1, 2).untrusted());
-        assert!(ctrl.step().unwrap().unwrap().denied);
+        // Row-spanning, so trusted it is an error; untrusted into the
+        // protected range it is an OS-fault denial.
+        let spanning = MemRequest::read(row_bytes - 1, 2);
+        assert!(matches!(
+            ctrl.service(spanning.clone()),
+            Err(MemCtrlError::SpansRowBoundary { .. })
+        ));
+        assert!(ctrl.service(spanning.untrusted()).unwrap().denied);
         assert_eq!(ctrl.stats().os_faults, 1);
+        assert_eq!(ctrl.dram().stats().total_activations(), 0);
     }
 
     #[test]
     fn out_of_range_address_rejected() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let capacity = ctrl.mapper().capacity();
-        ctrl.submit(MemRequest::read(capacity, 1));
-        assert!(ctrl.run_to_completion().is_err());
+        assert!(matches!(
+            ctrl.service(MemRequest::read(capacity, 1)),
+            Err(MemCtrlError::AddressOutOfRange { .. })
+        ));
     }
 
     struct DenyAll;
@@ -479,10 +392,9 @@ mod tests {
     fn denied_requests_skip_dram() {
         let mut ctrl =
             MemoryController::with_hook(MemCtrlConfig::tiny_for_tests(), Box::new(DenyAll));
-        ctrl.submit(MemRequest::read(0, 1));
-        let done = ctrl.run_to_completion().unwrap();
-        assert!(done[0].denied);
-        assert_eq!(done[0].latency, 3);
+        let done = ctrl.service(MemRequest::read(0, 1)).unwrap();
+        assert!(done.denied);
+        assert_eq!(done.latency, 3);
         assert_eq!(ctrl.stats().denied, 1);
         assert_eq!(ctrl.stats().served, 0);
         assert_eq!(ctrl.dram().stats().total_activations(), 0);
@@ -508,8 +420,7 @@ mod tests {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let row_bytes = ctrl.geometry().row_bytes as u64;
         // Write 0xEE at row 4, column 0x10.
-        ctrl.submit(MemRequest::write(4 * row_bytes + 0x10, vec![0xEE]));
-        ctrl.run_to_completion().unwrap();
+        ctrl.service(MemRequest::write(4 * row_bytes + 0x10, vec![0xEE])).unwrap();
         ctrl.set_hook(Box::new(RedirectTo(RowAddr::new(0, 0, 4))));
         // Read row 0 column 0x10 — redirected to row 4, same column.
         let done = ctrl.service(MemRequest::read(0x10, 1)).unwrap();
@@ -543,9 +454,8 @@ mod tests {
             Box::new(CountActs(acts.clone())),
         );
         // Same row twice: one activation, one row-buffer hit.
-        ctrl.submit(MemRequest::read(0, 1));
-        ctrl.submit(MemRequest::read(8, 1));
-        ctrl.run_to_completion().unwrap();
+        ctrl.service(MemRequest::read(0, 1)).unwrap();
+        ctrl.service(MemRequest::read(8, 1)).unwrap();
         assert_eq!(acts.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
@@ -571,13 +481,12 @@ mod tests {
         assert_eq!(reads.max(), 3); // DenyAll's check latency
         assert!(writes.max() > 0);
 
-        // `stats()` is a view of the same recorder: after more (queued)
-        // traffic and a second export, it equals the registry.
+        // `stats()` is a view of the same recorder: after more traffic
+        // and a second export, it equals the registry.
         for addr in [136u64, 512] {
-            ctrl.submit(MemRequest::write(addr, vec![2]));
-            ctrl.submit(MemRequest::read(addr, 1));
+            ctrl.service(MemRequest::write(addr, vec![2])).unwrap();
+            ctrl.service(MemRequest::read(addr, 1)).unwrap();
         }
-        ctrl.run_to_completion().unwrap();
         ctrl.export_obs(&registry, "memctrl");
         let stats = ctrl.stats();
         let counter = |name: &str| registry.counter(&format!("memctrl.{name}")).get();

@@ -6,7 +6,6 @@
 //! - [`request`]: read/write memory requests addressed by physical byte
 //!   address;
 //! - [`mapping`]: physical-address-to-DRAM-coordinate mapping schemes;
-//! - [`scheduler`]: FCFS and FR-FCFS request scheduling;
 //! - [`metrics`]: per-kind latency histograms and outcome counters
 //!   ([`CtrlMetrics`]) recorded on the servicing path and exposable
 //!   through a shared `dlk-obs` registry;
@@ -25,10 +24,9 @@
 //!
 //! # fn main() -> Result<(), dlk_memctrl::MemCtrlError> {
 //! let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-//! ctrl.submit(MemRequest::write(0x40, vec![1, 2, 3]));
-//! ctrl.submit(MemRequest::read(0x40, 3));
-//! let done = ctrl.run_to_completion()?;
-//! assert_eq!(done[1].data.as_deref(), Some(&[1u8, 2, 3][..]));
+//! ctrl.service(MemRequest::write(0x40, vec![1, 2, 3]))?;
+//! let done = ctrl.service(MemRequest::read(0x40, 3))?;
+//! assert_eq!(done.data.as_deref(), Some(&[1u8, 2, 3][..]));
 //! # Ok(())
 //! # }
 //! ```
@@ -40,7 +38,6 @@ pub mod mapping;
 pub mod metrics;
 pub mod pagetable;
 pub mod request;
-pub mod scheduler;
 pub mod trace;
 
 pub use crate::controller::{CompletedRequest, ControllerStats, MemCtrlConfig, MemoryController};
@@ -50,5 +47,4 @@ pub use crate::mapping::{AddressMapper, MappingScheme};
 pub use crate::metrics::CtrlMetrics;
 pub use crate::pagetable::{PageTable, PageTableConfig, Pte, VirtAddr};
 pub use crate::request::{MemRequest, RequestKind};
-pub use crate::scheduler::{RequestQueue, SchedulingPolicy};
 pub use crate::trace::{Trace, TraceOp};

@@ -84,8 +84,9 @@ impl TraceOp {
     }
 
     /// Parses one record in the form [`write_record`](Self::write_record)
-    /// writes. The address may also be decimal, the payload's hex
-    /// digits uppercase, and fields may be split by any whitespace.
+    /// writes. Either number may be decimal or `0x` hex (the one
+    /// grammar of [`parse_u64`]), the payload's hex digits uppercase,
+    /// and fields may be split by any whitespace.
     ///
     /// # Errors
     ///
@@ -100,7 +101,9 @@ impl TraceOp {
         let addr = parse_u64(addr).ok_or("address is not a number")?;
         let op = if kind == "R" {
             let len = fields.next().ok_or("missing read length")?;
-            let len = len.parse().map_err(|_| "read length is not a number")?;
+            let len = parse_u64(len)
+                .and_then(|len| usize::try_from(len).ok())
+                .ok_or("read length is not a number")?;
             TraceOp::Read { addr, len }
         } else {
             let hex = fields.next().ok_or("missing write payload")?;
@@ -285,11 +288,20 @@ fn push_digits(out: &mut String, mut value: u64, radix: u64) {
     }
 }
 
-fn parse_u64(field: &str) -> Option<u64> {
-    match field.strip_prefix("0x").or_else(|| field.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => field.parse().ok(),
+/// Parses a number in the one grammar of trace records and spec files:
+/// decimal digits, or `0x` followed by hex digits (either case), and
+/// nothing else — no sign, no `0X`, no whitespace. `None` when `field`
+/// is not in that form or overflows a `u64`.
+pub fn parse_u64(field: &str) -> Option<u64> {
+    let (digits, radix) = match field.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (field, 10),
+    };
+    // `from_str_radix` alone would also take a leading `+`.
+    if !digits.bytes().all(|byte| char::from(byte).is_digit(radix)) {
+        return None;
     }
+    u64::from_str_radix(digits, radix).ok()
 }
 
 fn parse_hex(hex: &str) -> Option<Vec<u8>> {
@@ -490,6 +502,42 @@ mod tests {
             Err("unknown record kind '#', expected R or W".to_owned())
         );
         assert!(TraceOp::parse_record("").is_err());
+    }
+
+    #[test]
+    fn numbers_are_decimal_or_0x_hex_only() {
+        for (field, value) in [
+            ("0", 0),
+            ("007", 7),
+            ("0x0", 0),
+            ("0xff", 255),
+            ("0xFF", 255),
+            ("18446744073709551615", u64::MAX),
+            ("0xffffffffffffffff", u64::MAX),
+        ] {
+            assert_eq!(parse_u64(field), Some(value), "{field}");
+        }
+        for field in [
+            "",
+            "+5",
+            "-5",
+            "0x",
+            "0X5",
+            "0x+10",
+            "0x-1",
+            " 5",
+            "5 ",
+            "5_000",
+            "1e3",
+            "0b101",
+            "ff",
+            "18446744073709551616",
+            "0x10000000000000000",
+        ] {
+            assert_eq!(parse_u64(field), None, "{field:?}");
+        }
+        // The read length takes the same grammar as the address.
+        assert_eq!(TraceOp::parse_record("R 0x10 0x20"), Ok(TraceOp::Read { addr: 16, len: 32 }));
     }
 
     #[test]

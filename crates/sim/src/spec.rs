@@ -35,6 +35,7 @@ use dlk_defenses::SwapPolicy;
 use dlk_dnn::models::ModelKind;
 use dlk_engine::{EngineConfig, Workload};
 use dlk_locker::{LockTarget, LockerConfig};
+use dlk_memctrl::trace::parse_u64;
 use dlk_memctrl::{MemCtrlConfig, Trace, TraceOp};
 
 use crate::error::SimError;
@@ -696,14 +697,10 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Parses a decimal or `0x`-prefixed integer into any unsigned width.
+/// Parses a number in the trace records' grammar ([`parse_u64`]) into
+/// any unsigned width.
 fn parse_num<T: TryFrom<u64>>(line: usize, raw: &str) -> Result<T, SimError> {
-    let value = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    value
+    parse_u64(raw)
         .and_then(|v| T::try_from(v).ok())
         .ok_or_else(|| parse_error(line, &format!("bad number '{raw}'")))
 }

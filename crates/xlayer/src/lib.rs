@@ -8,8 +8,6 @@
 //!   ±0/10/20%);
 //! - [`cacti`]: an analytical SRAM/CAM/DRAM latency-energy-area model
 //!   standing in for CACTI + Design Compiler;
-//! - [`optimizer`]: combines memory statistics with the cost models
-//!   into end-to-end performance parameters;
 //! - [`report`]: the figure curves ([`Series`]); every table is a
 //!   [`dlk_sim::metrics::Table`];
 //! - [`experiments`]: one module per table/figure of the paper —
@@ -29,10 +27,8 @@
 pub mod cacti;
 pub mod circuit;
 pub mod experiments;
-pub mod optimizer;
 pub mod report;
 
 pub use crate::cacti::{ArrayKind, ArrayModel, CactiModel};
 pub use crate::circuit::{MonteCarlo, MonteCarloReport, VariationConfig};
-pub use crate::optimizer::{Optimizer, PerformanceParams};
 pub use crate::report::Series;

@@ -24,6 +24,42 @@ fn bad_number_points_at_the_offending_line() {
 }
 
 #[test]
+fn a_signed_number_is_a_bad_number() {
+    let err = parse_err("# dlk-scenario v1\nlabel x\nattack hammer bit=+5\n");
+    assert_eq!(err, "spec parse: line 3: bad number '+5'\n  3 | attack hammer bit=+5");
+}
+
+#[test]
+fn a_signed_channel_count_is_a_bad_engine_config() {
+    let err = parse_err("label x\nengine sharded(+2)\n");
+    assert_eq!(
+        err,
+        "spec parse: line 2: bad engine config 'sharded(+2)' (serial | sharded(n) | \
+         serial-ref(n))\n  2 | engine sharded(+2)"
+    );
+}
+
+/// An `op` record's numbers take the spec's own grammar: decimal or
+/// `0x` hex, no sign and no `0X`.
+#[test]
+fn op_numbers_take_the_spec_number_grammar() {
+    for addr in ["+16", "0x+10", "0X10"] {
+        let err = parse_err(&format!("label t\nattack replay-trace untrusted=0\nop R {addr} 1\n"));
+        assert_eq!(
+            err,
+            format!(
+                "spec parse: line 3: embedded trace: address is not a number\n  3 | op R {addr} 1"
+            )
+        );
+    }
+    let err = parse_err("label t\nattack replay-trace untrusted=0\nop R 0x0 +1\n");
+    assert_eq!(
+        err,
+        "spec parse: line 3: embedded trace: read length is not a number\n  3 | op R 0x0 +1"
+    );
+}
+
+#[test]
 fn missing_field_is_reported_with_line_context() {
     let err = parse_err("# dlk-scenario v1\nlabel x\nvictim rows home=0\n");
     assert_eq!(err, "spec parse: line 3: missing field 'protect'\n  3 | victim rows home=0");
