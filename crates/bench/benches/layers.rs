@@ -107,11 +107,14 @@ const CASES: &[Case] = &[
     case("dnn", "cnn_forward_per_s", "/s", cnn_forward),
     case("dnn", "conv_backward_per_s", "/s", conv_backward),
     case("sim", "denied_hammer_campaign_per_s", "/s", denied_hammer_campaign),
+    case("sim", "tracker_hammer_campaign_per_s", "/s", tracker_hammer_campaign),
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sim", "spec_list_parse_kspec_per_s", "k/s", spec_list_parse),
     case("sim", "trace_spec_roundtrip_kop_per_s", "k/s", trace_spec_roundtrip),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
     case("sweep", "replay_jobs_parallel_per_s", "/s", || sweep_grid(SweepRunner::parallel())),
+    case("sweep", "hammer_jobs_serial_per_s", "/s", || hammer_grid(SweepRunner::serial())),
+    case("sweep", "hammer_jobs_parallel_per_s", "/s", || hammer_grid(SweepRunner::parallel())),
     case("sweep", "queue_kjobs_per_s", "k/s", queue_noop),
     case("figures", "fig1a_wall_ms", "ms", || regenerate(|| fig1a::run(FAST).render())),
     case("figures", "fig1b_wall_ms", "ms", || regenerate(|| fig1b::run().to_string())),
@@ -152,6 +155,12 @@ const RATIOS: &[Ratio] = &[
         "replay_jobs_parallel_vs_serial",
         "replay_jobs_parallel_per_s",
         "replay_jobs_serial_per_s",
+    ),
+    ratio(
+        "sweep",
+        "hammer_jobs_parallel_vs_serial",
+        "hammer_jobs_parallel_per_s",
+        "hammer_jobs_serial_per_s",
     ),
 ];
 
@@ -545,6 +554,29 @@ fn denied_hammer_campaign() -> Kernel {
     })
 }
 
+/// The shape of most of a sweep's work: a 20,000-activation hammer
+/// campaign that counter-per-row at 8 refreshes before TRH (16), so
+/// the bit never flips and the campaign spends its whole budget.
+fn tracker_hammer_campaign() -> Kernel {
+    let mut run = Scenario::builder()
+        .label("tracker-kernel")
+        .victim(VictimSpec::row(20, 0xA5))
+        .attack(AttackSpec::Hammer { bit: 77 })
+        .defense(DefenseSpec::counter_per_row(8))
+        .budget(TRACKER_CAMPAIGN)
+        .build()
+        .expect("scenario builds");
+    Box::new(move || {
+        black_box(run.run().expect("tracked campaign runs"));
+        1
+    })
+}
+
+/// A tracker-defended campaign's budget: the sweep's 20,000
+/// activations, checked every 8.
+const TRACKER_CAMPAIGN: Budget =
+    Budget { max_activations: 20_000, check_interval: 8, iterations: 1 };
+
 /// The ablation's victim workload at the shortest re-lock interval
 /// (the most SWAP churn).
 fn ablation_relock100() -> Kernel {
@@ -620,6 +652,26 @@ fn sweep_specs() -> Vec<ScenarioSpec> {
 
 fn sweep_grid(runner: SweepRunner) -> Kernel {
     let specs = sweep_specs();
+    Box::new(move || {
+        black_box(runner.run_reports(&specs).expect("sweep runs"));
+        specs.len() as u64
+    })
+}
+
+/// 4 jobs of several milliseconds each: the catalog's hammer campaign
+/// against each counter tracker, at [`TRACKER_CAMPAIGN`]'s budget.
+/// With two workers, two campaigns run at once.
+fn hammer_grid(runner: SweepRunner) -> Kernel {
+    let mut base = dlk_sim::find("hammer-vs-none").expect("catalog entry").spec;
+    base.budget = TRACKER_CAMPAIGN;
+    let specs = SweepGrid::over(base)
+        .defenses([
+            vec![DefenseSpec::graphene(64, 8)],
+            vec![DefenseSpec::hydra(16, 4, 8)],
+            vec![DefenseSpec::twice(8, 64, 1)],
+            vec![DefenseSpec::counter_per_row(8)],
+        ])
+        .expand();
     Box::new(move || {
         black_box(runner.run_reports(&specs).expect("sweep runs"));
         specs.len() as u64
