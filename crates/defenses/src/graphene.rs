@@ -9,12 +9,17 @@
 //! its counter resets. Misra-Gries guarantees no row can reach `N/k`
 //! activations untracked, giving deterministic protection with a tiny
 //! table.
+//!
+//! Which entry a full table gives up is fixed: the lowest count, the
+//! lowest row id among equal counts. A min-heap of lower bounds on the
+//! counts finds it without scanning the table.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dlk_dram::RowId;
 
-use crate::traits::RowTracker;
+use crate::traits::{RowMap, RowTracker};
 
 /// The Graphene tracker.
 ///
@@ -34,7 +39,12 @@ use crate::traits::RowTracker;
 pub struct Graphene {
     capacity: usize,
     threshold: u64,
-    counters: HashMap<RowId, u64>,
+    counters: RowMap<RowId, u64>,
+    /// `(count, row)` lower bounds, lowest first: each tracked row has
+    /// one no greater than its count. An increment leaves its row's
+    /// bound stale, and a stale or untracked bound is fixed or dropped
+    /// when it reaches the top.
+    floor: BinaryHeap<Reverse<(u64, RowId)>>,
     spillover: u64,
 }
 
@@ -42,7 +52,13 @@ impl Graphene {
     /// Creates a tracker with `capacity` table entries and the given
     /// mitigation threshold.
     pub fn new(capacity: usize, threshold: u64) -> Self {
-        Self { capacity, threshold, counters: HashMap::new(), spillover: 0 }
+        Self {
+            capacity,
+            threshold,
+            counters: RowMap::default(),
+            floor: BinaryHeap::new(),
+            spillover: 0,
+        }
     }
 
     /// A configuration following the paper's sizing rule: enough
@@ -67,6 +83,44 @@ impl Graphene {
     pub fn spillover(&self) -> u64 {
         self.spillover
     }
+
+    /// Sets `row`'s count and records it as the row's lower bound. A
+    /// heap grown past twice the table, mostly stale bounds, is
+    /// rebuilt from the table instead.
+    fn set(&mut self, row: RowId, count: u64) {
+        self.counters.insert(row, count);
+        if self.floor.len() > 2 * self.capacity {
+            self.floor = self.counters.iter().map(|(&row, &count)| Reverse((count, row))).collect();
+        } else {
+            self.floor.push(Reverse((count, row)));
+        }
+    }
+
+    /// Removes and returns the lowest entry (lowest count, then lowest
+    /// row id) if its count is below the spillover level.
+    fn reclaim(&mut self) -> Option<RowId> {
+        while let Some(&Reverse((bound, row))) = self.floor.peek() {
+            match self.counters.get(&row) {
+                Some(&count) if count == bound => {
+                    if count >= self.spillover {
+                        return None;
+                    }
+                    self.floor.pop();
+                    self.counters.remove(&row);
+                    return Some(row);
+                }
+                Some(&count) if count > bound => {
+                    self.floor.pop();
+                    self.floor.push(Reverse((count, row)));
+                }
+                // Untracked, or a second bound above a lower one.
+                _ => {
+                    self.floor.pop();
+                }
+            }
+        }
+        None
+    }
 }
 
 impl RowTracker for Graphene {
@@ -75,22 +129,18 @@ impl RowTracker for Graphene {
             *count += 1;
             *count
         } else if self.counters.len() < self.capacity {
-            self.counters.insert(row, self.spillover + 1);
+            self.set(row, self.spillover + 1);
             self.spillover + 1
         } else {
-            // Try to reclaim an entry at the spillover level.
+            // Try to reclaim an entry below the new spillover level.
             self.spillover += 1;
-            let reclaim = self.counters.iter().find(|(_, &c)| c < self.spillover).map(|(&r, _)| r);
-            if let Some(victim) = reclaim {
-                self.counters.remove(&victim);
-                self.counters.insert(row, self.spillover);
-                self.spillover
-            } else {
-                self.spillover
+            if self.reclaim().is_some() {
+                self.set(row, self.spillover);
             }
+            self.spillover
         };
         if count >= self.threshold {
-            self.counters.insert(row, 0);
+            self.set(row, 0);
             true
         } else {
             false
@@ -99,6 +149,7 @@ impl RowTracker for Graphene {
 
     fn reset_window(&mut self) {
         self.counters.clear();
+        self.floor.clear();
         self.spillover = 0;
     }
 
@@ -136,7 +187,7 @@ mod tests {
         // The Misra-Gries guarantee, exercised with many rows and a
         // small table.
         let mut tracker = Graphene::new(4, 20);
-        let mut unmitigated: HashMap<RowId, u64> = HashMap::new();
+        let mut unmitigated: std::collections::HashMap<RowId, u64> = Default::default();
         for round in 0..2000u64 {
             let row = RowId(round % 13);
             let mitigated = tracker.on_activate(row);
@@ -151,6 +202,54 @@ mod tests {
             let bound = tracker.threshold + round / 4 + 1;
             assert!(*entry <= bound, "row {row} reached {entry} (bound {bound})");
         }
+    }
+
+    #[test]
+    fn a_full_table_gives_up_its_lowest_entry() {
+        let mut tracker = Graphene::new(2, 100);
+        for row in [1, 1, 1, 2] {
+            tracker.on_activate(RowId(row));
+        }
+        // Spillover 1: row 2's count (1) is not below it.
+        tracker.on_activate(RowId(3));
+        assert_eq!((tracker.estimate(RowId(2)), tracker.estimate(RowId(3))), (1, 1));
+        // Spillover 2: row 2 is the lowest and below it, so row 4 takes
+        // its entry at the spillover level.
+        tracker.on_activate(RowId(4));
+        assert_eq!(tracker.estimate(RowId(4)), 2);
+        assert_eq!(tracker.estimate(RowId(1)), 3);
+        assert_eq!(tracker.estimate(RowId(2)), tracker.spillover());
+        assert_eq!(tracker.occupancy(), 2);
+    }
+
+    #[test]
+    fn two_tables_fed_one_stream_mitigate_alike() {
+        // A stream over 11 rows keeps a 4-entry table full, so nearly
+        // every miss reclaims: which entry goes must not depend on
+        // the table's hash order.
+        let mut trackers = [Graphene::new(4, 20), Graphene::new(4, 20)];
+        let mut state = 1u64;
+        let mut mitigations = 0;
+        for at in 0..5_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let row = RowId((state >> 33) % 11);
+            let [a, b] = &mut trackers;
+            let mitigated = a.on_activate(row);
+            assert_eq!(mitigated, b.on_activate(row), "activation {at} of {row:?}");
+            mitigations += u64::from(mitigated);
+        }
+        assert_eq!(mitigations, 3_228);
+    }
+
+    #[test]
+    fn stale_bounds_are_rebuilt_not_kept() {
+        let mut tracker = Graphene::new(2, 2);
+        for _ in 0..1_000 {
+            tracker.on_activate(RowId(7));
+        }
+        assert!(tracker.floor.len() <= 2 * 2 + 1, "floor holds {}", tracker.floor.len());
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! are tracked exactly. Mitigation fires when a per-row count reaches
 //! the row threshold.
 
-use std::collections::HashMap;
-
 use dlk_dram::RowId;
 
-use crate::traits::RowTracker;
+use crate::traits::{RowMap, RowTracker};
 
 /// The Hydra tracker.
 ///
@@ -33,8 +31,8 @@ pub struct Hydra {
     group_size: u64,
     group_threshold: u64,
     row_threshold: u64,
-    groups: HashMap<u64, u64>,
-    rows: HashMap<RowId, u64>,
+    groups: RowMap<u64, u64>,
+    rows: RowMap<RowId, u64>,
     split_groups: u64,
 }
 
@@ -47,8 +45,8 @@ impl Hydra {
             group_size,
             group_threshold,
             row_threshold,
-            groups: HashMap::new(),
-            rows: HashMap::new(),
+            groups: RowMap::default(),
+            rows: RowMap::default(),
             split_groups: 0,
         }
     }

@@ -4,12 +4,14 @@
 //!
 //! - [`traits`]: the [`RowTracker`] abstraction for counter-based
 //!   trackers plus [`CounterDefenseHook`], which turns any tracker into
-//!   a memory-controller defense issuing targeted row refreshes (TRR);
-//! - [`graphene`]: Graphene's Misra-Gries heavy-hitter tracker;
+//!   a memory-controller defense issuing targeted row refreshes (TRR).
+//!   Every tracker table is keyed through one fixed hasher, so a
+//!   tracker mitigates alike in every process;
+//! - [`graphene`]: Graphene's Misra-Gries heavy-hitter tracker, whose
+//!   full table gives up its lowest entry;
 //! - [`hydra`]: Hydra's hybrid group-counter + per-row-cache tracker;
 //! - [`twice`]: TWiCE's pruned time-window counter table;
-//! - [`counters`]: the exact counter-per-row tracker and the
-//!   counter-tree tracker;
+//! - [`counters`]: the exact counter-per-row tracker;
 //! - [`rrs`]: Randomized Row-Swap and Secure Row-Swap — swap-based
 //!   mitigations with logical-to-physical row remapping;
 //! - [`shadow`]: SHADOW — intra-subarray row shuffling, the closest
@@ -35,7 +37,7 @@ pub mod training;
 pub mod traits;
 pub mod twice;
 
-pub use crate::counters::{CounterPerRow, CounterTree};
+pub use crate::counters::CounterPerRow;
 pub use crate::graphene::Graphene;
 pub use crate::hydra::Hydra;
 pub use crate::overhead::{table1, MemoryKind, Overhead, OverheadRow};

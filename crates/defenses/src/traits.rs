@@ -8,9 +8,49 @@
 //! [`RowTracker`] captures. [`CounterDefenseHook`] adapts any tracker
 //! into a [`DefenseHook`] so it can be mounted on the controller and
 //! compared head-to-head with DRAM-Locker.
+//!
+//! Every tracker table is a `RowMap`, keyed through the fixed
+//! `RowHasher`: a tracker runs on every activation, and a randomly
+//! keyed hash would cost a SipHash per update and make any order read
+//! from a table differ between processes.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dlk_dram::{DramDevice, RowAddr, RowId};
 use dlk_memctrl::{DefenseHook, HookAction, MemRequest};
+
+/// A fixed multiply-rotate hash of row ids and group indices: one
+/// multiply per key word, and the same table layout in every process.
+/// `std`'s map picks buckets by the low hash bits, so `finish` folds
+/// the product's well-mixed high half into them: ids that differ only
+/// in high bits (rows a power-of-two stride apart, which an attacker's
+/// trace can pick) spread over buckets instead of sharing one. Row ids
+/// are bounded by the geometry, so a table holds at most one entry per
+/// row.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A tracker table: a `HashMap` keyed through [`RowHasher`].
+pub(crate) type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
 
 /// A row-activation tracker with a mitigation threshold.
 ///
@@ -140,6 +180,26 @@ mod tests {
         assert_eq!(hook.mitigations(), 2);
         // After the last mitigation the hammer count was reset.
         assert_eq!(dram.hammer().count(id), 0);
+    }
+
+    #[test]
+    fn row_hash_is_fixed_and_spreads_strided_rows() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |row: RowId| BuildHasherDefault::<RowHasher>::default().hash_one(row);
+        assert_eq!(hash(RowId(1)), 0x517c_c1b7_2722_0a95 ^ 0x517c_c1b7);
+        // Neighbouring rows, and rows 64 or 2^20 apart, fill about as
+        // many of 64 low-bit buckets as 64 random keys would (about 41).
+        let buckets = |stride: u64| {
+            let low: std::collections::BTreeSet<u64> =
+                (0..64).map(|i| hash(RowId(i * stride)) % 64).collect();
+            low.len()
+        };
+        for stride in [1, 64, 1 << 20] {
+            assert!(buckets(stride) >= 36, "stride {stride}: {} buckets", buckets(stride));
+        }
+        let mut bytes = RowHasher::default();
+        0x0102_0304_0506_0708u64.to_le_bytes().as_slice().hash(&mut bytes);
+        assert_ne!(bytes.finish(), 0);
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! no longer reach the threshold in time. Rows that survive long enough
 //! and cross the threshold are mitigated.
 
-use std::collections::HashMap;
-
 use dlk_dram::RowId;
 
-use crate::traits::RowTracker;
+use crate::traits::{RowMap, RowTracker};
 
 /// The TWiCE tracker.
 ///
@@ -33,7 +31,7 @@ pub struct Twice {
     threshold: u64,
     prune_interval: u64,
     prune_rate: u64,
-    counters: HashMap<RowId, u64>,
+    counters: RowMap<RowId, u64>,
     activations_in_interval: u64,
     intervals_elapsed: u64,
     pruned: u64,
@@ -48,7 +46,7 @@ impl Twice {
             threshold,
             prune_interval,
             prune_rate,
-            counters: HashMap::new(),
+            counters: RowMap::default(),
             activations_in_interval: 0,
             intervals_elapsed: 0,
             pruned: 0,

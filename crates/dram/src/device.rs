@@ -16,7 +16,7 @@ use crate::geometry::{DramGeometry, RowAddr, RowId};
 use crate::rowclone::{CloneMode, RowCloneEngine};
 use crate::rowhammer::{DisturbanceEvent, HammerTracker, RowHammerConfig};
 use crate::stats::{DramStats, EnergyModel};
-use crate::subarray::Subarray;
+use crate::subarray::{ReadData, Subarray};
 use crate::timing::TimingParams;
 
 /// Full configuration of a [`DramDevice`].
@@ -198,6 +198,24 @@ impl DramDevice {
     /// or references an address outside the geometry. The device state
     /// is unchanged on error.
     pub fn issue(&mut self, cmd: DramCommand) -> Result<CommandResult, DramError> {
+        let (start_cycle, disturbances) = self.step(cmd)?;
+        Ok(CommandResult {
+            start_cycle,
+            done_cycle: self.clock,
+            energy_pj: self.config.energy.energy_pj(cmd.kind()),
+            disturbances,
+        })
+    }
+
+    /// Runs one command for [`DramDevice::issue`] and the timed
+    /// accesses alike: services a due auto-refresh, executes `cmd`,
+    /// records its kind and energy, applies the disturbances it
+    /// triggers and moves the clock to its completion. Returns the
+    /// cycle the command started at and its disturbances, an empty
+    /// (unallocated) list unless it crossed TRH. Inlined, so each call
+    /// site with a known command keeps only that command's arm.
+    #[inline(always)]
+    fn step(&mut self, cmd: DramCommand) -> Result<(u64, Vec<DisturbanceEvent>), DramError> {
         if self.config.auto_refresh {
             self.service_refresh();
         }
@@ -259,12 +277,11 @@ impl DramDevice {
                 (start, done)
             }
         };
-        let energy = self.config.energy.energy_pj(cmd.kind());
-        self.stats.record(cmd.kind(), energy);
+        self.stats.record(cmd.kind(), self.config.energy.energy_pj(cmd.kind()));
         self.apply_disturbances(&disturbances)?;
         self.clock = done;
         self.stats.cycles = self.clock;
-        Ok(CommandResult { start_cycle: start, done_cycle: done, energy_pj: energy, disturbances })
+        Ok((start, disturbances))
     }
 
     fn apply_disturbances(&mut self, events: &[DisturbanceEvent]) -> Result<(), DramError> {
@@ -315,7 +332,9 @@ impl DramDevice {
     }
 
     /// A timed read access: activates the row if needed (closing any
-    /// other open row first), then reads `len` bytes at `col`.
+    /// other open row first), then reads `len` bytes at `col`. The
+    /// commands run exactly as [`DramDevice::issue`] would run them,
+    /// without building their [`CommandResult`]s.
     ///
     /// Returns the data and the cycles the access took.
     ///
@@ -328,11 +347,11 @@ impl DramDevice {
         addr: RowAddr,
         col: usize,
         len: usize,
-    ) -> Result<(Vec<u8>, u64), DramError> {
+    ) -> Result<(ReadData, u64), DramError> {
         self.validate_access(addr, col, len)?;
         let begin = self.clock;
         self.open_row_for(addr)?;
-        self.issue(DramCommand::Rd { bank: addr.bank, col })?;
+        self.step(DramCommand::Rd { bank: addr.bank, col })?;
         let idx = self.storage_index(addr.bank, addr.subarray);
         let data = self.storage[idx].read_bytes(addr.row, col, len)?;
         Ok((data, self.clock - begin))
@@ -353,7 +372,7 @@ impl DramDevice {
         self.validate_access(addr, col, bytes.len())?;
         let begin = self.clock;
         self.open_row_for(addr)?;
-        self.issue(DramCommand::Wr { bank: addr.bank, col })?;
+        self.step(DramCommand::Wr { bank: addr.bank, col })?;
         let idx = self.storage_index(addr.bank, addr.subarray);
         self.storage[idx].write_bytes(addr.row, col, bytes)?;
         Ok(self.clock - begin)
@@ -366,12 +385,12 @@ impl DramDevice {
             }
             Some(_) => {
                 self.stats.row_buffer_misses += 1;
-                self.issue(DramCommand::Pre(addr.bank))?;
-                self.issue(DramCommand::Act(addr))?;
+                self.step(DramCommand::Pre(addr.bank))?;
+                self.step(DramCommand::Act(addr))?;
             }
             None => {
                 self.stats.row_buffer_misses += 1;
-                self.issue(DramCommand::Act(addr))?;
+                self.step(DramCommand::Act(addr))?;
             }
         }
         Ok(())
@@ -525,7 +544,7 @@ mod tests {
         let addr = RowAddr::new(0, 0, 1);
         dram.access_write(addr, 0, &[1, 2, 3]).unwrap();
         let (data, _) = dram.access_read(addr, 0, 3).unwrap();
-        assert_eq!(data, vec![1, 2, 3]);
+        assert_eq!(*data, [1, 2, 3]);
         assert_eq!(dram.stats().row_buffer_misses, 1);
         assert_eq!(dram.stats().row_buffer_hits, 1);
         assert!(dram.now() > 0);

@@ -8,8 +8,12 @@
 //!   with presets for DDR3/DDR4/LPDDR4;
 //! - [`command`]: the DRAM command set — `ACT`, `PRE`, `RD`, `WR`, `REF`
 //!   plus the back-to-back `AAP` (activate-activate) RowClone command;
-//! - [`bank`] / [`subarray`]: bank state machines and row storage;
-//! - [`device`]: the [`DramDevice`] tying everything together;
+//! - [`bank`] / [`subarray`]: bank state machines and row storage,
+//!   whose timed reads return [`ReadData`] (short reads held inline);
+//! - [`device`]: the [`DramDevice`] tying everything together. Its
+//!   timed accesses run each PRE/ACT/RD/WR through the one per-command
+//!   step that [`DramDevice::issue`] wraps, without building a
+//!   [`CommandResult`] per command;
 //! - [`rowhammer`]: the disturbance engine — per-row activation counters
 //!   within a refresh window; crossing the RowHammer threshold (TRH) flips
 //!   bits in neighbouring victim rows;
@@ -62,4 +66,5 @@ pub use crate::geometry::{BankId, DramGeometry, RowAddr, RowId, SubarrayId};
 pub use crate::rowclone::{CloneMode, RowCloneEngine};
 pub use crate::rowhammer::{DisturbanceEvent, FlipTarget, HammerTracker, RowHammerConfig};
 pub use crate::stats::{DramStats, EnergyModel};
+pub use crate::subarray::ReadData;
 pub use crate::timing::TimingParams;

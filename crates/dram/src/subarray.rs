@@ -8,10 +8,75 @@
 //! subarray; [`DramDevice`](crate::DramDevice) validates every row
 //! before it reaches here. Bit indexing is little-endian within each
 //! byte: bit `i` of the row lives in byte `i / 8`, bit position `i % 8`.
+//! A timed read returns its bytes as a [`ReadData`].
 
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Deref, Range};
 
 use crate::error::DramError;
+
+/// The bytes a read returned, dereferencing to `[u8]`. A read of up to
+/// [`ReadData::INLINE`] bytes (a hammer loop's single byte, a PTE, a
+/// short weight chunk) is held inline, so serving it allocates
+/// nothing; a longer read holds a `Vec`.
+#[derive(Clone)]
+pub struct ReadData(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; ReadData::INLINE] },
+    Heap(Vec<u8>),
+}
+
+impl ReadData {
+    /// The longest read held inline, in bytes.
+    pub const INLINE: usize = 16;
+
+    /// A copy of `bytes`.
+    fn copy_of(bytes: &[u8]) -> Self {
+        if bytes.len() <= Self::INLINE {
+            let mut inline = [0; Self::INLINE];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            Self(Repr::Inline { len: bytes.len() as u8, bytes: inline })
+        } else {
+            Self(Repr::Heap(bytes.to_vec()))
+        }
+    }
+
+    /// `len` zero bytes: what an untouched row reads.
+    fn zeroed(len: usize) -> Self {
+        if len <= Self::INLINE {
+            Self(Repr::Inline { len: len as u8, bytes: [0; Self::INLINE] })
+        } else {
+            Self(Repr::Heap(vec![0; len]))
+        }
+    }
+}
+
+impl Deref for ReadData {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for ReadData {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ReadData {}
+
+impl fmt::Debug for ReadData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Functional storage for one subarray's rows.
 #[derive(Debug, Clone, Default)]
@@ -86,11 +151,11 @@ impl Subarray {
     /// # Errors
     ///
     /// Returns [`DramError::InvalidColumn`] if the range exceeds the row.
-    pub fn read_bytes(&self, row: u32, col: usize, len: usize) -> Result<Vec<u8>, DramError> {
+    pub fn read_bytes(&self, row: u32, col: usize, len: usize) -> Result<ReadData, DramError> {
         let span = self.span(col, len)?;
         Ok(match self.peek(row) {
-            Some(data) => data[span].to_vec(),
-            None => vec![0; len],
+            Some(data) => ReadData::copy_of(&data[span]),
+            None => ReadData::zeroed(len),
         })
     }
 
@@ -182,8 +247,8 @@ mod tests {
     fn partial_read_write() {
         let mut sa = subarray();
         sa.write_bytes(1, 4, &[0xAA, 0xBB]).unwrap();
-        assert_eq!(sa.read_bytes(1, 4, 2).unwrap(), vec![0xAA, 0xBB]);
-        assert_eq!(sa.read_bytes(1, 0, 4).unwrap(), vec![0; 4]);
+        assert_eq!(*sa.read_bytes(1, 4, 2).unwrap(), [0xAA, 0xBB]);
+        assert_eq!(*sa.read_bytes(1, 0, 4).unwrap(), [0; 4]);
         assert!(sa.read_bytes(1, 15, 2).is_err());
         assert!(sa.write_bytes(1, 15, &[0, 0]).is_err());
     }
@@ -203,8 +268,23 @@ mod tests {
         sa.write_bytes(40, 0, &[1]).unwrap();
         assert_eq!(sa.materialized_rows(), 1);
         assert_eq!(sa.peek(39), None);
-        assert_eq!(sa.read_bytes(41, 0, 2).unwrap(), vec![0, 0]);
+        assert_eq!(*sa.read_bytes(41, 0, 2).unwrap(), [0, 0]);
         assert_eq!(sa.peek(40).unwrap()[0], 1);
+    }
+
+    #[test]
+    fn reads_past_the_inline_size_match_short_ones() {
+        let mut sa = Subarray::new(64);
+        let data: Vec<u8> = (1..=64).collect();
+        sa.write(2, &data).unwrap();
+        for len in [0, 1, ReadData::INLINE, ReadData::INLINE + 1, 64] {
+            assert_eq!(*sa.read_bytes(2, 0, len).unwrap(), data[..len], "len {len}");
+            assert_eq!(*sa.read_bytes(3, 0, len).unwrap(), vec![0; len], "untouched, len {len}");
+        }
+        let (short, long) = (sa.read_bytes(2, 4, 3).unwrap(), sa.read_bytes(2, 4, 40).unwrap());
+        assert_eq!(short, short.clone());
+        assert_ne!(short, long);
+        assert_eq!(format!("{short:?}"), "[5, 6, 7]");
     }
 
     #[test]

@@ -265,10 +265,9 @@ impl ShardedEngine {
     /// failing shard stops at its failing op.
     pub fn replay(&mut self, trace: &Trace) -> Result<ReplayCounts, EngineError> {
         let (metrics, router) = (&self.metrics, &self.router);
-        let first_id = MemRequest::reserve_ids(trace.len());
         let replay_timed = |shard: &mut ChannelShard| {
             let span = metrics.drain_wall_ns.span();
-            let result = shard.replay(trace, first_id, router);
+            let result = shard.replay(trace, router);
             span.finish();
             metrics.drains.inc();
             result

@@ -59,8 +59,7 @@ impl ChannelShard {
 
     /// Serves, in trace order, every op of the global-address `trace`
     /// that `router` homes on this shard — the unit of work one engine
-    /// thread performs. The op at position `i` is request
-    /// `first_id + i`; ops homed elsewhere are skipped without being
+    /// thread performs. Ops homed elsewhere are skipped without being
     /// built into requests.
     ///
     /// # Errors
@@ -69,14 +68,13 @@ impl ChannelShard {
     pub(crate) fn replay(
         &mut self,
         trace: &Trace,
-        first_id: u64,
         router: &ChannelRouter,
     ) -> Result<ReplayCounts, EngineError> {
         let mut counts = ReplayCounts::default();
-        for (op, id) in trace.ops().iter().zip(first_id..) {
+        for op in trace.ops() {
             let (channel, local) = router.to_local(op.addr());
             if channel == self.channel {
-                let done = self.service(op.request(id, local, trace.untrusted))?;
+                let done = self.service(op.request(local, trace.untrusted))?;
                 counts.requests += 1;
                 counts.denied += u64::from(done.denied);
             }
@@ -103,7 +101,7 @@ mod tests {
         for row in 0..4 {
             trace.push(TraceOp::Write { addr: row * row_bytes + 3, payload: vec![row as u8] });
         }
-        let counts = shard.replay(&trace, 0, &router).unwrap();
+        let counts = shard.replay(&trace, &router).unwrap();
         // Global rows 1 and 3 are channel 1's local rows 0 and 1.
         assert_eq!(counts, ReplayCounts { requests: 2, denied: 0 });
         let read = |shard: &mut ChannelShard, addr| {

@@ -8,8 +8,9 @@
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`) in hot-path
 //!   modules outside `#[cfg(test)]`. They cover the whole request path
 //!   (engine replay, memctrl mapping and service, the locker's
-//!   per-request check, lock-table probe and µISA, and the dram device,
-//!   banks, hammer tracker, stats and row storage), plus dnn gemm and
+//!   per-request check, lock-table probe and µISA, the dram device,
+//!   banks, hammer tracker, stats and row storage, and the counter
+//!   trackers every activation updates), plus dnn gemm and
 //!   conv and the training and bit-search executor
 //!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::trial`).
 //!   The service path returns typed errors; a panic there takes down a
@@ -52,6 +53,11 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/dram/src/rowhammer.rs",
     "crates/dram/src/stats.rs",
     "crates/dram/src/subarray.rs",
+    "crates/defenses/src/traits.rs",
+    "crates/defenses/src/graphene.rs",
+    "crates/defenses/src/hydra.rs",
+    "crates/defenses/src/twice.rs",
+    "crates/defenses/src/counters.rs",
     "crates/engine/src/engine.rs",
     "crates/dnn/src/tensor.rs",
     "crates/dnn/src/conv.rs",

@@ -19,7 +19,6 @@
 //!   point; compare `dlk-defenses`' counter-based baselines);
 //! - [`isa`]: the 16-bit instruction set of Fig. 5 (`AAP` row copy,
 //!   `bnez`, `done`) plus a micro-program executor;
-//! - [`sequence`]: the instruction Sequence that buffers R/W and µOps;
 //! - [`swap`]: the three-copy SWAP engine with process-variation error
 //!   injection;
 //! - [`locker`]: [`DramLocker`], the
@@ -52,7 +51,6 @@ pub mod error;
 pub mod isa;
 pub mod locker;
 pub mod locktable;
-pub mod sequence;
 pub mod software;
 pub mod stats;
 pub mod swap;
@@ -62,7 +60,6 @@ pub use crate::error::LockerError;
 pub use crate::isa::{Instruction, IsaError, MicroExecutor, MicroProgram, RegFile};
 pub use crate::locker::DramLocker;
 pub use crate::locktable::LockTable;
-pub use crate::sequence::{Sequence, SequenceEntry};
 pub use crate::software::ProtectionPlan;
 pub use crate::stats::LockerStats;
 pub use crate::swap::{SwapEngine, SwapOutcome};

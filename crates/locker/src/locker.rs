@@ -25,7 +25,6 @@ use dlk_memctrl::{DefenseHook, HookAction, MemRequest};
 use crate::config::LockerConfig;
 use crate::error::LockerError;
 use crate::locktable::LockTable;
-use crate::sequence::Sequence;
 use crate::stats::LockerStats;
 use crate::swap::SwapEngine;
 
@@ -59,7 +58,6 @@ pub struct DramLocker {
     geometry: DramGeometry,
     table: LockTable,
     engine: SwapEngine,
-    sequence: Sequence,
     /// Locked home row -> current data location.
     moved: HashMap<RowId, MovedEntry>,
     /// Free-pool rows currently holding moved data.
@@ -75,7 +73,6 @@ impl DramLocker {
         Self {
             table: LockTable::new(config.table_capacity_entries()),
             engine: SwapEngine::new(&config),
-            sequence: Sequence::new(),
             moved: HashMap::new(),
             free_in_use: HashSet::new(),
             relock_queue: VecDeque::new(),
@@ -110,11 +107,6 @@ impl DramLocker {
     /// Runtime statistics.
     pub fn stats(&self) -> &LockerStats {
         &self.stats
-    }
-
-    /// The instruction sequence (skip accounting).
-    pub fn sequence(&self) -> &Sequence {
-        &self.sequence
     }
 
     /// Locks a row.
@@ -188,10 +180,6 @@ impl DramLocker {
             self.stats.swap_failures += 1;
             self.stats.failed_copies += outcome.failed_copies.len() as u64;
         }
-        for instruction in outcome.program.instructions() {
-            self.sequence.push_micro(*instruction);
-            self.sequence.pop();
-        }
         let home_id = self.geometry.row_id(home);
         let free_id = self.geometry.row_id(free);
         self.moved.insert(home_id, MovedEntry { current: free, home });
@@ -241,19 +229,14 @@ impl DefenseHook for DramLocker {
         self.stats.rw_seen += 1;
         self.service_relocks(dram);
         let id = self.geometry.row_id(target);
-        self.sequence.push_rw(id, false);
-
         if !self.table.is_locked(id) {
-            self.sequence.pop();
             return HookAction::Allow;
         }
         if request.untrusted {
             // Attacker access to a locked row: skip the instruction.
-            self.sequence.skip();
             self.stats.denies += 1;
             return HookAction::Deny;
         }
-        self.sequence.pop();
         if let Some(entry) = self.moved.get(&id) {
             // Already unlocked by an earlier SWAP: follow the move.
             self.stats.redirects += 1;
@@ -325,7 +308,6 @@ mod tests {
         let action = locker.before_access(&read_req(true), row, &mut dram);
         assert_eq!(action, HookAction::Deny);
         assert_eq!(locker.stats().denies, 1);
-        assert_eq!(locker.sequence().skipped(), 1);
         // No activation reached the DRAM.
         assert_eq!(dram.stats().total_activations(), 0);
     }

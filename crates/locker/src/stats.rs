@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 pub struct LockerStats {
     /// R/W instructions observed on the request path.
     pub rw_seen: u64,
-    /// Accesses denied because the row was locked.
+    /// Accesses denied because the row was locked: the instructions
+    /// skipped in place, which never reach the DRAM.
     pub denies: u64,
     /// SWAP operations issued (unlock a row's data).
     pub swaps: u64,

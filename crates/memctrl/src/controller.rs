@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dlk_dram::{DramConfig, DramDevice, DramGeometry};
+use dlk_dram::{DramConfig, DramDevice, DramGeometry, ReadData};
 use dlk_obs::LocalHistogram;
 
 use crate::error::MemCtrlError;
@@ -48,8 +48,9 @@ pub struct CompletedRequest {
     pub denied: bool,
     /// Cycles the request took, including the hook's check latency.
     pub latency: u64,
-    /// Data returned for reads that were served.
-    pub data: Option<Vec<u8>>,
+    /// Data returned for reads that were served, held inline up to
+    /// [`ReadData::INLINE`] bytes.
+    pub data: Option<ReadData>,
 }
 
 /// Aggregate controller statistics: a view computed from the

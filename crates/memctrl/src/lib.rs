@@ -4,7 +4,9 @@
 //! [`dlk_dram`] device:
 //!
 //! - [`request`]: read/write memory requests addressed by physical byte
-//!   address;
+//!   address. A request carries no id, and a served read returns its
+//!   bytes as a [`ReadData`](dlk_dram::ReadData), short reads inline,
+//!   so serving a hammer loop's reads allocates nothing;
 //! - [`mapping`]: physical-address-to-DRAM-coordinate mapping schemes;
 //! - [`metrics`]: per-kind latency histograms and outcome counters
 //!   ([`CtrlMetrics`]) recorded on the servicing path and exposable

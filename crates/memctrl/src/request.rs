@@ -2,9 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Kind of memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,21 +38,21 @@ impl RequestKind {
     pub const ALL: [RequestKind; RequestKind::COUNT] = [RequestKind::Read, RequestKind::Write];
 }
 
-/// A memory request addressed by physical byte address.
+/// A memory request addressed by physical byte address. A request
+/// carries no id: the controller serves each one as it arrives, and
+/// its position in a trace or a campaign is what names it.
 ///
 /// # Example
 ///
 /// ```
-/// use dlk_memctrl::MemRequest;
+/// use dlk_memctrl::{MemRequest, RequestKind};
 /// let write = MemRequest::write(0x1000, vec![0xFF; 8]);
 /// let read = MemRequest::read(0x1000, 8);
-/// assert_ne!(write.id, read.id);
+/// assert_eq!((write.kind, write.len), (RequestKind::Write, 8));
 /// assert_eq!(read.len, 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemRequest {
-    /// Unique, monotonically increasing request id.
-    pub id: u64,
     /// Read or write.
     pub kind: RequestKind,
     /// Physical byte address.
@@ -74,35 +71,12 @@ pub struct MemRequest {
 impl MemRequest {
     /// Creates a read request of `len` bytes at `addr`.
     pub fn read(addr: u64, len: usize) -> Self {
-        Self {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            kind: RequestKind::Read,
-            addr,
-            len,
-            payload: Vec::new(),
-            untrusted: false,
-        }
+        Self { kind: RequestKind::Read, addr, len, payload: Vec::new(), untrusted: false }
     }
 
     /// Creates a write request with the given payload.
     pub fn write(addr: u64, payload: Vec<u8>) -> Self {
-        Self {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            kind: RequestKind::Write,
-            addr,
-            len: payload.len(),
-            payload,
-            untrusted: false,
-        }
-    }
-
-    /// Reserves `count` consecutive request ids and returns the first.
-    /// A batch of requests built on several threads — the ops of a
-    /// replayed trace, numbered by position — takes its ids from one
-    /// reservation instead of contending on the shared counter per
-    /// request.
-    pub fn reserve_ids(count: usize) -> u64 {
-        NEXT_ID.fetch_add(count as u64, Ordering::Relaxed)
+        Self { kind: RequestKind::Write, addr, len: payload.len(), payload, untrusted: false }
     }
 
     /// Marks the request as attacker-issued.
@@ -118,27 +92,13 @@ impl fmt::Display for MemRequest {
             RequestKind::Read => "R",
             RequestKind::Write => "W",
         };
-        write!(f, "{kind}#{} {:#x}+{}", self.id, self.addr, self.len)
+        write!(f, "{kind} {:#x}+{}", self.addr, self.len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_unique_and_monotonic() {
-        let a = MemRequest::read(0, 1);
-        let b = MemRequest::read(0, 1);
-        assert!(b.id > a.id);
-    }
-
-    #[test]
-    fn reserved_ids_are_never_reissued() {
-        let first = MemRequest::reserve_ids(3);
-        assert!(MemRequest::read(0, 1).id >= first + 3);
-        assert!(MemRequest::reserve_ids(0) >= first + 3);
-    }
 
     #[test]
     fn write_captures_payload_len() {
@@ -157,7 +117,7 @@ mod tests {
     #[test]
     fn display_shows_kind_and_addr() {
         let req = MemRequest::read(0x40, 8);
-        let text = req.to_string();
-        assert!(text.starts_with('R') && text.contains("0x40"));
+        assert_eq!(req.to_string(), "R 0x40+8");
+        assert_eq!(MemRequest::write(0x80, vec![1, 2]).to_string(), "W 0x80+2");
     }
 }

@@ -42,16 +42,15 @@ impl TraceOp {
         }
     }
 
-    /// The request this op issues as request `id` (taken from a
-    /// [`MemRequest::reserve_ids`] block) at `addr` — its own address,
-    /// or the shard-local one a router translated it to — marked
+    /// The request this op issues at `addr` — its own address, or the
+    /// shard-local one a router translated it to — marked
     /// attacker-issued when `untrusted`.
-    pub fn request(&self, id: u64, addr: u64, untrusted: bool) -> MemRequest {
+    pub fn request(&self, addr: u64, untrusted: bool) -> MemRequest {
         let (kind, len, payload) = match self {
             TraceOp::Read { len, .. } => (RequestKind::Read, *len, Vec::new()),
             TraceOp::Write { payload, .. } => (RequestKind::Write, payload.len(), payload.clone()),
         };
-        MemRequest { id, kind, addr, len, payload, untrusted }
+        MemRequest { kind, addr, len, payload, untrusted }
     }
 
     /// Appends the op's trace-file record, without a line break:
@@ -191,10 +190,9 @@ impl Trace {
     }
 
     /// The requests this trace issues, in order, with the trace's trust
-    /// level applied and ids numbered by position from one reservation.
+    /// level applied.
     pub fn requests(&self) -> impl Iterator<Item = MemRequest> + '_ {
-        let first = MemRequest::reserve_ids(self.len());
-        self.ops.iter().zip(first..).map(|(op, id)| op.request(id, op.addr(), self.untrusted))
+        self.ops.iter().map(|op| op.request(op.addr(), self.untrusted))
     }
 
     /// Serializes the trace to the workspace's line-based trace-file
@@ -397,20 +395,19 @@ mod tests {
     }
 
     #[test]
-    fn requests_are_numbered_by_position() {
+    fn requests_carry_each_ops_fields() {
         let mut trace = Trace::sequential_reads(0, 8, 4, 3);
         trace.push(TraceOp::Write { addr: 0x80, payload: vec![7, 8] });
         let requests: Vec<MemRequest> = trace.requests().collect();
-        let first = requests[0].id;
-        assert!(requests.iter().zip(first..).all(|(request, id)| request.id == id));
+        assert_eq!(requests.len(), 4);
         let write = &requests[3];
         assert_eq!(
             (write.kind, write.addr, write.len, write.untrusted),
             (RequestKind::Write, 0x80, 2, false)
         );
         assert_eq!(write.payload, vec![7, 8]);
-        let moved = trace.ops()[3].request(9, 0x10, true);
-        assert_eq!((moved.id, moved.addr, moved.untrusted), (9, 0x10, true));
+        let moved = trace.ops()[3].request(0x10, true);
+        assert_eq!((moved.addr, moved.untrusted), (0x10, true));
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Reference {
             if failed[channel] {
                 continue;
             }
-            match self.shards[channel].service(op.request(0, local, trace.untrusted)) {
+            match self.shards[channel].service(op.request(local, trace.untrusted)) {
                 Ok(done) => {
                     self.counts.requests += 1;
                     self.counts.denied += u64::from(done.denied);
