@@ -8,13 +8,17 @@
 //!    `grad · Δw`, where `Δw` is the weight change that bit flip would
 //!    cause right now (sign-bit flips of large-gradient weights
 //!    dominate);
-//! 3. trials the top in-layer candidates and keeps the single flip that
-//!    maximizes loss across all layers. A trial resumes the gradient
-//!    pass's own forward at the flipped layer (a
-//!    [`TrialRecord`](dlk_dnn::TrialRecord)): the layers before it
+//! 3. trials every layer's top candidates (one scan per layer keeps
+//!    them) as one batch and keeps the single flip that maximizes loss
+//!    across all layers, the first in (layer, rank) order on a tie. A
+//!    trial resumes the gradient pass's own forward at the flipped layer
+//!    (a [`TrialRecord`](dlk_dnn::TrialRecord)): the layers before it
 //!    cannot change, so only the rest of the plan runs, and the loss is
 //!    bit-identical to that of a full forward pass of the flipped
-//!    network.
+//!    network. The batch's trials are independent, so
+//!    [`TrialRecord::losses`](dlk_dnn::TrialRecord::losses) splits a
+//!    large batch over the host's cores; which worker runs a trial
+//!    changes none of its bits.
 //!
 //! The search is *white-box*: per the paper's threat model the attacker
 //! has full knowledge of parameters, bit representation and gradients.
@@ -85,33 +89,37 @@ impl BitSearch {
         x: &Tensor,
         labels: &[usize],
     ) -> Option<BitIndex> {
-        let (grads, mut record) =
+        let (grads, record) =
             model.trial_record(x, labels).expect("attack batch shapes are consistent");
         let [lo, hi] = self.config.bits_considered.unwrap_or([0, 7]);
-        let mut best: Option<(f32, BitIndex)> = None;
+        let k = self.config.candidates_per_layer;
+        let mut top = Vec::new();
+        let mut candidates = Vec::new();
         let weighted = model.layers().iter().filter_map(QuantLayer::matrix);
         for (layer_index, (layer_grads, matrix)) in grads.iter().zip(weighted).enumerate() {
-            // Rank candidate bits in this layer by first-order gain.
+            // This layer's top candidate bits by first-order gain.
             let scale = matrix.scale();
-            let mut candidates: Vec<(f32, BitIndex)> = Vec::new();
+            top.clear();
             for (weight_index, (&g, &q)) in
                 layer_grads.weight.iter().zip(matrix.qweights()).enumerate()
             {
                 for bit in lo..=hi {
-                    let index = BitIndex { layer: layer_index, weight: weight_index, bit };
                     let gain = g * flip_delta(q as u8, bit, scale);
                     if gain > 0.0 {
-                        candidates.push((gain, index));
+                        let index = BitIndex { layer: layer_index, weight: weight_index, bit };
+                        keep_top(&mut top, k, gain, index);
                     }
                 }
             }
-            candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            // Trial the top candidates from this layer on.
-            for &(_, index) in candidates.iter().take(self.config.candidates_per_layer) {
-                let loss = record.trial(index).expect("candidate index is valid");
-                if best.is_none_or(|(b, _)| loss > b) {
-                    best = Some((loss, index));
-                }
+            candidates.extend(top.iter().map(|&(_, index)| index));
+        }
+        // Trial every layer's candidates in one batch; the first maximum
+        // in (layer, rank) order wins.
+        let losses = record.losses(&candidates).expect("candidate indices are valid");
+        let mut best: Option<(f32, BitIndex)> = None;
+        for (loss, index) in losses.into_iter().zip(candidates) {
+            if best.is_none_or(|(b, _)| loss > b) {
+                best = Some((loss, index));
             }
         }
         best.map(|(_, index)| index)
@@ -137,6 +145,20 @@ impl BitSearch {
             curve.push(AttackPoint { iteration, flips: iteration, accuracy, flipped: Some(flip) });
         }
         curve
+    }
+}
+
+/// Offers `(gain, index)` to `top`, the `k` best candidates offered so
+/// far in descending gain, ties in the order offered: what a stable
+/// sort by descending gain followed by `take(k)` keeps. Gains are never
+/// NaN (only positive gains are offered).
+fn keep_top(top: &mut Vec<(f32, BitIndex)>, k: usize, gain: f32, index: BitIndex) {
+    let at = top.partition_point(|&(kept, _)| kept >= gain);
+    if at < k {
+        if top.len() == k {
+            top.pop();
+        }
+        top.insert(at, (gain, index));
     }
 }
 
@@ -227,6 +249,37 @@ mod tests {
             let curve = BitSearch::new(config).run(&mut model, &x, &y, 8);
             let got: Vec<_> = curve.points.iter().map(|p| (p.flipped, p.accuracy)).collect();
             assert_eq!(got, expected);
+        }
+    }
+
+    /// The one-scan top-k keeps what a stable sort by descending gain
+    /// and `take(k)` keep, in the same order: ties and `+∞` included,
+    /// and lists shorter than `k`.
+    #[test]
+    fn top_k_scan_matches_a_stable_sort() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let values = [0.25, 1.0, 1.0, 3.5, f32::INFINITY];
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..500 {
+            let len = rng.random_range(0..12);
+            let gains: Vec<(f32, BitIndex)> = (0..len)
+                .map(|weight| {
+                    let gain = values[rng.random_range(0..values.len())];
+                    (gain, BitIndex { layer: 0, weight, bit: 7 })
+                })
+                .collect();
+            for k in [1, 2, 5] {
+                let mut sorted = gains.clone();
+                sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+                sorted.truncate(k);
+                let mut top = Vec::new();
+                for &(gain, index) in &gains {
+                    keep_top(&mut top, k, gain, index);
+                }
+                assert_eq!(top, sorted, "k {k}, gains {gains:?}");
+            }
         }
     }
 

@@ -57,7 +57,11 @@ pub struct RowSwapDefense {
     remap: HashMap<RowId, RowAddr>,
     /// Physical row -> logical row (sparse inverse).
     inverse: HashMap<RowId, RowAddr>,
+    /// Physical-row activations since the last swap of the row, in the
+    /// current refresh window.
     counts: HashMap<RowId, u64>,
+    /// The device's refresh-window count `counts` is from.
+    window: u64,
     swaps: u64,
     rng: StdRng,
 }
@@ -71,6 +75,7 @@ impl RowSwapDefense {
             remap: HashMap::new(),
             inverse: HashMap::new(),
             counts: HashMap::new(),
+            window: 0,
             swaps: 0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -158,6 +163,11 @@ impl DefenseHook for RowSwapDefense {
     }
 
     fn on_activate(&mut self, row: RowAddr, dram: &mut DramDevice) {
+        // A refresh window restarts the counts, as it does the device's.
+        if self.window != dram.refresh_windows() {
+            self.window = dram.refresh_windows();
+            self.counts.clear();
+        }
         let id = dram.geometry().row_id(row);
         let count = self.counts.entry(id).or_insert(0);
         *count += 1;

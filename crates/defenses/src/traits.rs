@@ -79,19 +79,23 @@ pub trait RowTracker: Send {
 /// disturbance model this is a [`reset_row`](dlk_dram::HammerTracker::reset_row)
 /// of the aggressor's counter (recharging the victims' cells makes the
 /// accumulated disturbance harmless, which is equivalent to restarting
-/// the aggressor's count).
+/// the aggressor's count). When the device has passed a refresh window
+/// since the last activation, the hook resets the tracker's window
+/// state first, as the device reset its own hammer counts.
 #[derive(Debug)]
 pub struct CounterDefenseHook<T> {
     tracker: T,
     /// Extra latency per request (tracker lookup), cycles.
     pub check_cycles: u64,
     mitigations: u64,
+    /// The device's refresh-window count the tracker's state is from.
+    window: u64,
 }
 
 impl<T: RowTracker> CounterDefenseHook<T> {
     /// Wraps a tracker.
     pub fn new(tracker: T) -> Self {
-        Self { tracker, check_cycles: 1, mitigations: 0 }
+        Self { tracker, check_cycles: 1, mitigations: 0, window: 0 }
     }
 
     /// The wrapped tracker.
@@ -116,6 +120,10 @@ impl<T: RowTracker> DefenseHook for CounterDefenseHook<T> {
     }
 
     fn on_activate(&mut self, row: RowAddr, dram: &mut DramDevice) {
+        if self.window != dram.refresh_windows() {
+            self.window = dram.refresh_windows();
+            self.tracker.reset_window();
+        }
         let id = dram.geometry().row_id(row);
         if self.tracker.on_activate(id) {
             dram.hammer_mut().reset_row(id);
@@ -200,6 +208,46 @@ mod tests {
         let mut bytes = RowHasher::default();
         0x0102_0304_0506_0708u64.to_le_bytes().as_slice().hash(&mut bytes);
         assert_ne!(bytes.finish(), 0);
+    }
+
+    /// With auto-refresh on, counts restart every refresh window, as
+    /// the device's hammer counts do: two rows alternating over many
+    /// windows, each activated fewer times per window than the
+    /// threshold but ten times as often in all, are never mitigated by
+    /// counter-per-row, nor swapped away by RRS or SHADOW.
+    #[test]
+    fn counts_restart_at_each_refresh_window() {
+        use crate::{CounterPerRow, RowSwapDefense, Shadow, SwapPolicy};
+
+        let threshold = 200;
+        let hooks: [Box<dyn DefenseHook>; 3] = [
+            Box::new(CounterDefenseHook::new(CounterPerRow::new(threshold))),
+            Box::new(RowSwapDefense::new(SwapPolicy::Randomized, threshold, 1)),
+            Box::new(Shadow::new(threshold, 1)),
+        ];
+        for mut hook in hooks {
+            let mut config = DramConfig::tiny_for_tests();
+            config.auto_refresh = true;
+            config.timing.trefi = 2_000;
+            config.timing.trefw = 10_000;
+            let mut dram = DramDevice::new(config);
+            let rows = [RowAddr::new(0, 0, 10), RowAddr::new(0, 0, 40)];
+            for _ in 0..10 * threshold {
+                for row in rows {
+                    // Serve a refresh that fell due first: it closes the
+                    // bank.
+                    dram.advance(0);
+                    if dram.open_row_of(0).is_some() {
+                        dram.issue(dlk_dram::DramCommand::Pre(0)).unwrap();
+                    }
+                    dram.issue(dlk_dram::DramCommand::Act(row)).unwrap();
+                    hook.on_activate(row, &mut dram);
+                }
+            }
+            // 27 windows, so ~74 activations of each row per window.
+            assert_eq!(dram.refresh_windows(), 27);
+            assert_eq!(hook.actions(), 0, "{}", hook.name());
+        }
     }
 
     #[test]

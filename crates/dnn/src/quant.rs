@@ -359,7 +359,12 @@ impl QuantNetwork {
     ) -> Result<(Vec<LayerGrads>, TrialRecord<'a>), DnnError> {
         let float = self.to_float_model();
         let (grads, resumes) = float.grads_and_resumes(x, labels)?;
-        Ok((grads, TrialRecord { model: self, labels, float, resumes }))
+        let rows = x.rows() as u64;
+        let macs = resumes
+            .iter()
+            .map(|r| rows * float.layers().iter().skip(r.position).map(macs_per_row).sum::<u64>())
+            .collect();
+        Ok((grads, TrialRecord { model: self, labels, float, resumes, macs }))
     }
 
     /// The weighted layer at [`BitIndex::layer`] position `index`.
@@ -485,6 +490,16 @@ pub fn flip_delta(byte: u8, bit: u8, scale: f32) -> f32 {
     (after - before) * scale
 }
 
+/// Below this many multiply-accumulates (MACs) of trial forward work
+/// per worker, [`TrialRecord::losses`] adds no further worker. On a
+/// 2-vCPU x86-64 host a scoped spawn plus join cost ~40–60 µs (a helper
+/// forced onto every Tiny MLP step moved it from ~110 to ~145 µs), and
+/// the ResNet-20 CNN's trials ran ~3.8 MACs per ns on one core, so a
+/// share of 2^21 MACs (~0.55 ms) pays for its helper about ten times
+/// over. The Tiny MLP's ~61 k-MAC batch stays on the caller's thread;
+/// the Tiny CNN's ~4.6 M and the ResNet-20 CNN's ~117 M are split.
+const MIN_MACS_PER_WORKER: u64 = 1 << 21;
+
 /// One gradient pass's forward, kept so that the loss with any single
 /// bit flipped costs only the layers from the flipped one on. Built by
 /// [`QuantNetwork::trial_record`].
@@ -497,24 +512,70 @@ pub fn flip_delta(byte: u8, bit: u8, scale: f32) -> f32 {
 /// on the same inputs in the same order, so a trial's loss is
 /// bit-identical to that of flipping, running a full forward pass and
 /// taking [`softmax_cross_entropy`].
+///
+/// Trials are independent, so [`TrialRecord::losses`] deals a batch of
+/// them round-robin over `W` workers, where `W` is the least of the
+/// host's available parallelism, the number of trials, and the batch's
+/// multiply-accumulates over `MIN_MACS_PER_WORKER` (2^21), and at
+/// least 1. A trial's MACs are those of every weighted layer from the
+/// flipped one on, for every batch row. The caller's thread runs the
+/// first share and scoped threads run the rest; each worker patches its
+/// own clone of the dequantized network and reads the resume points
+/// shared. No loss depends on `W`.
 #[derive(Debug)]
 pub struct TrialRecord<'a> {
     model: &'a QuantNetwork,
     labels: &'a [usize],
-    /// The dequantized network, patched for the length of one trial.
+    /// The dequantized network each worker clones and patches.
     float: Network,
     /// One resume point per weighted layer.
     resumes: Vec<Resume>,
+    /// Per weighted layer, the MACs of a trial resumed there.
+    macs: Vec<u64>,
 }
 
 impl TrialRecord<'_> {
     /// The mean softmax cross-entropy loss on the recorded batch with
-    /// `index` flipped. The record is unchanged afterwards.
+    /// each of `indices` flipped alone, in input order. The record is
+    /// unchanged afterwards.
     ///
     /// # Errors
     ///
-    /// Returns [`DnnError::BadWeightIndex`] for out-of-range indices.
-    pub fn trial(&mut self, index: BitIndex) -> Result<f32, DnnError> {
+    /// Returns [`DnnError::BadWeightIndex`] for the first out-of-range
+    /// index in input order.
+    pub fn losses(&self, indices: &[BitIndex]) -> Result<Vec<f32>, DnnError> {
+        let macs = indices.iter().filter_map(|index| self.macs.get(index.layer)).sum();
+        self.dealt(indices, workers(indices.len(), macs))
+    }
+
+    /// [`TrialRecord::losses`] dealt round-robin over `workers` (at
+    /// least 1) workers.
+    fn dealt(&self, indices: &[BitIndex], workers: usize) -> Result<Vec<f32>, DnnError> {
+        let share = |first: usize| {
+            let mut float = self.float.clone();
+            let mine = indices.iter().skip(first).step_by(workers);
+            mine.map(|&index| self.trial(&mut float, index)).collect::<Vec<_>>()
+        };
+        let share = &share;
+        let mut shares = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || share(w))).collect();
+            let mut shares = vec![share(0).into_iter()];
+            // A helper's panic goes on unwinding here as it was: DLK001
+            // keeps `unwrap` off this file.
+            for helper in helpers {
+                match helper.join() {
+                    Ok(losses) => shares.push(losses.into_iter()),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            shares
+        });
+        (0..indices.len()).filter_map(|i| shares[i % workers].next()).collect()
+    }
+
+    /// One trial on `float`, a clone of the record's network: patches
+    /// the flipped weight in, resumes at its layer and patches it back.
+    fn trial(&self, float: &mut Network, index: BitIndex) -> Result<f32, DnnError> {
         let bad = || DnnError::BadWeightIndex { layer: index.layer, index: index.weight };
         let matrix = self.model.weighted(index.layer).ok_or_else(bad)?;
         let byte = matrix.weight_byte(index.weight).ok_or_else(bad)?;
@@ -526,11 +587,34 @@ impl TrialRecord<'_> {
             std::mem::swap(slot, &mut value);
             Some(())
         };
-        swap(&mut self.float).ok_or_else(bad)?;
-        let logits = self.float.run(resume.position, &resume.input, &resume.skips, Tape::Off);
-        swap(&mut self.float).ok_or_else(bad)?;
+        swap(float).ok_or_else(bad)?;
+        let logits = float.run(resume.position, &resume.input, &resume.skips, Tape::Off);
+        swap(float).ok_or_else(bad)?;
         Ok(softmax_cross_entropy(&logits?, self.labels).0)
     }
+}
+
+/// Workers for a batch of `trials` trials that together run `macs`
+/// multiply-accumulates (see [`TrialRecord`]). The host's parallelism
+/// (~26 µs to read on Linux, which parses the cgroup CPU quota) is read
+/// only for a batch big enough to split.
+fn workers(trials: usize, macs: u64) -> usize {
+    let by_work = usize::try_from(macs / MIN_MACS_PER_WORKER).unwrap_or(usize::MAX);
+    match trials.min(by_work) {
+        0 | 1 => 1,
+        wanted => wanted.min(std::thread::available_parallelism().map_or(1, usize::from)),
+    }
+}
+
+/// Multiply-accumulates per batch row of one plan layer: a dense
+/// layer's weights once, a conv's kernel matrix once per output
+/// position. Structure layers count none.
+fn macs_per_row(layer: &Layer) -> u64 {
+    let positions = match layer {
+        Layer::Conv(c) => c.spec().out_h() * c.spec().out_w(),
+        _ => 1,
+    };
+    (layer.num_weights() * positions) as u64
 }
 
 #[cfg(test)]
@@ -703,30 +787,92 @@ mod tests {
             let model = QuantNetwork::quantize(&network);
             let x = Tensor::randn(8, network.in_features(), seed);
             let labels: Vec<usize> = (0..8).map(|i| i % network.num_classes()).collect();
-            let (_, mut record) = model.trial_record(&x, &labels).unwrap();
+            let (_, record) = model.trial_record(&x, &labels).unwrap();
             assert_eq!(record.resumes.iter().filter(|r| !r.skips.is_empty()).count(), open_skips);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut trials = Vec::new();
+            let mut draws = Vec::new();
+            let mut full = Vec::new();
             for (layer, weighted) in model.weighted_layers().iter().enumerate() {
                 for _ in 0..4 {
                     let weight = rng.random_range(0..weighted.num_weights());
                     let index = BitIndex { layer, weight, bit: rng.random_range(0..8u8) };
                     let mut flipped = model.clone();
                     flipped.flip_bit(index).unwrap();
-                    let full = softmax_cross_entropy(&flipped.forward(&x).unwrap(), &labels).0;
-                    let loss = record.trial(index).unwrap();
-                    assert_eq!(loss.to_bits(), full.to_bits(), "{index:?}");
-                    trials.push((index, loss));
+                    let loss = softmax_cross_entropy(&flipped.forward(&x).unwrap(), &labels).0;
+                    draws.push(index);
+                    full.push(loss.to_bits());
                 }
             }
-            // Repeated from the last layer back, each trial runs through
-            // every weight an earlier repeat patched: the same bits show
-            // each patch was restored.
-            for &(index, loss) in trials.iter().rev() {
-                assert_eq!(record.trial(index).unwrap().to_bits(), loss.to_bits(), "{index:?}");
+            let bits = |losses: Vec<f32>| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            // All at once, then reversed: each worker's clone runs every
+            // trial through weights its earlier trials patched, so the
+            // same bits show each patch was restored.
+            assert_eq!(bits(record.losses(&draws).unwrap()), full);
+            let reversed: Vec<_> = draws.iter().rev().copied().collect();
+            let full_reversed: Vec<_> = full.iter().rev().copied().collect();
+            assert_eq!(bits(record.losses(&reversed).unwrap()), full_reversed);
+            for (&index, &loss) in draws.iter().zip(&full) {
+                assert_eq!(bits(record.losses(&[index]).unwrap()), [loss], "{index:?}");
+            }
+            assert_eq!(record.losses(&[]).unwrap(), Vec::<f32>::new());
+            // Every worker count deals the same losses, in input order,
+            // including more workers than trials.
+            for workers in 1..=5 {
+                assert_eq!(bits(record.dealt(&draws, workers).unwrap()), full, "{workers}");
+                assert_eq!(bits(record.dealt(&draws[..3], workers).unwrap()), full[..3]);
             }
             assert_eq!(model, QuantNetwork::quantize(&network));
         }
+    }
+
+    #[test]
+    fn a_bad_index_fails_the_batch_with_the_first_one_in_input_order() {
+        let model = QuantNetwork::quantize(&cnn());
+        let x = Tensor::randn(4, 16, 11);
+        let (_, record) = model.trial_record(&x, &[0, 1, 2, 0]).unwrap();
+        let good = BitIndex { layer: 1, weight: 3, bit: 7 };
+        let first = BitIndex { layer: 9, weight: 0, bit: 7 };
+        let second = BitIndex { layer: 0, weight: 1 << 20, bit: 7 };
+        let batch = [good, first, good, second, good];
+        for workers in 1..=4 {
+            let err = record.dealt(&batch, workers).unwrap_err();
+            assert_eq!(err, DnnError::BadWeightIndex { layer: 9, index: 0 }, "{workers}");
+        }
+        assert_eq!(
+            record.losses(&[good, second]),
+            Err(DnnError::BadWeightIndex { layer: 0, index: 1 << 20 })
+        );
+    }
+
+    #[test]
+    fn batch_macs_follow_the_layer_shapes() {
+        use crate::models;
+
+        // Tiny MLP (8→24→4): 192 + 96 MACs per row from layer 0, 96 from
+        // layer 1.
+        let mlp = QuantNetwork::quantize(&models::tiny_mlp(1));
+        let x = Tensor::randn(32, 8, 1);
+        let labels: Vec<usize> = (0..32).map(|i| i % 4).collect();
+        let (_, record) = mlp.trial_record(&x, &labels).unwrap();
+        assert_eq!(record.macs, [32 * 288, 32 * 96]);
+        // The bit search's default five candidates per layer stay on one
+        // worker.
+        let batch = 5 * record.macs.iter().sum::<u64>();
+        assert_eq!(batch, 61_440);
+        assert_eq!(workers(10, batch), 1);
+        // A conv counts its kernel matrix once per output position: the
+        // residual CNN's 1→2 and 2→2 4×4 convs, then its 8→3 head.
+        let cnn = QuantNetwork::quantize(&cnn());
+        let (_, record) = cnn.trial_record(&Tensor::randn(2, 16, 3), &[0, 1]).unwrap();
+        let head = 8 * 3;
+        let (first, second) = (2 * 9 * 16, 2 * 18 * 16);
+        assert_eq!(record.macs, [2 * (first + second + head), 2 * (second + head), 2 * head]);
+        assert_eq!(workers(0, u64::MAX), 1);
+        assert_eq!(workers(1, u64::MAX), 1);
+        assert_eq!(workers(2, 2 * MIN_MACS_PER_WORKER - 1), 1);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(workers(2, 2 * MIN_MACS_PER_WORKER), 2.min(cores));
+        assert_eq!(workers(usize::MAX, u64::MAX), cores);
     }
 
     #[test]

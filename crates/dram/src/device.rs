@@ -101,6 +101,7 @@ pub struct DramDevice {
     clock: u64,
     next_refresh: u64,
     window_end: u64,
+    windows: u64,
 }
 
 impl DramDevice {
@@ -121,6 +122,7 @@ impl DramDevice {
             clock: 0,
             next_refresh: config.timing.trefi,
             window_end: config.timing.trefw,
+            windows: 0,
             config,
         }
     }
@@ -164,6 +166,13 @@ impl DramDevice {
     /// Current device clock in cycles.
     pub fn now(&self) -> u64 {
         self.clock
+    }
+
+    /// Refresh windows (tREFW) that have passed, each resetting the
+    /// hammer counts. A defense that counts activations resets its own
+    /// counts when this changes.
+    pub fn refresh_windows(&self) -> u64 {
+        self.windows
     }
 
     /// Advances the device clock by `cycles` (idle time).
@@ -312,6 +321,7 @@ impl DramDevice {
         while self.clock >= self.window_end {
             self.hammer.reset_window();
             self.window_end += self.config.timing.trefw;
+            self.windows += 1;
         }
     }
 
@@ -681,8 +691,10 @@ mod tests {
         dram.issue(DramCommand::Act(aggressor)).unwrap();
         dram.issue(DramCommand::Pre(0)).unwrap();
         assert_eq!(dram.activation_count(id), 1);
+        assert_eq!(dram.refresh_windows(), 0);
         dram.advance(20_000);
         assert_eq!(dram.activation_count(id), 0, "window reset should clear count");
+        assert_eq!(dram.refresh_windows(), 2);
         assert!(dram.stats().count(CommandKind::Ref) > 0);
     }
 

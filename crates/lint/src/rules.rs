@@ -9,10 +9,11 @@
 //!   modules outside `#[cfg(test)]`. They cover the whole request path
 //!   (engine replay, memctrl mapping and service, the locker's
 //!   per-request check, lock-table probe and µISA, the dram device,
-//!   banks, hammer tracker, stats and row storage, and the counter
-//!   trackers every activation updates), plus dnn gemm and
-//!   conv and the training and bit-search executor
-//!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::trial`).
+//!   banks, hammer tracker, stats and row storage, the counter
+//!   trackers and row-swap defenses every activation updates, and the
+//!   hook chain that stacks them), plus dnn gemm and conv and the
+//!   training and bit-search executor
+//!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::losses`).
 //!   The service path returns typed errors; a panic there takes down a
 //!   whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs
@@ -58,6 +59,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/defenses/src/hydra.rs",
     "crates/defenses/src/twice.rs",
     "crates/defenses/src/counters.rs",
+    "crates/defenses/src/rrs.rs",
+    "crates/defenses/src/shadow.rs",
+    "crates/sim/src/mitigation.rs",
     "crates/engine/src/engine.rs",
     "crates/dnn/src/tensor.rs",
     "crates/dnn/src/conv.rs",

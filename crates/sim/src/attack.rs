@@ -291,8 +291,10 @@ fn replay(env: &mut RunEnv<'_>, trace: &Trace) -> Result<AttackOutcome, SimError
 /// state, realizes it in the DRAM-resident image, and records the
 /// accuracy trajectory. Selection is skipped for non-landing
 /// iterations (the white-box search only pays off when the flip can be
-/// realized). The model is read back functionally: no controller
-/// requests, no hook interaction.
+/// realized), and so is the accuracy pass: with no flip the model and
+/// batch are unchanged, so the point repeats the last accuracy, bit for
+/// bit. The model is read back functionally: no controller requests, no
+/// hook interaction.
 fn flip_campaign(
     env: &mut RunEnv<'_>,
     mut lands: impl FnMut() -> bool,
@@ -303,7 +305,8 @@ fn flip_campaign(
     let mut model = victim.model.clone();
     layout.load(&mut model, env.ctrl().dram())?;
     let mut outcome = AttackOutcome::default();
-    outcome.curve.push((0.0, model.accuracy(&x, &y)? * 100.0));
+    let mut accuracy = model.accuracy(&x, &y)? * 100.0;
+    outcome.curve.push((0.0, accuracy));
     for iteration in 1..=env.budget.iterations {
         if lands() {
             if let Some(flip) = select(&model, &x, &y) {
@@ -313,9 +316,10 @@ fn flip_campaign(
                 outcome.landed_flips += 1;
                 outcome.target_bits.push(flip);
                 outcome.flipped_bits.push(flip);
+                accuracy = model.accuracy(&x, &y)? * 100.0;
             }
         }
-        outcome.curve.push((iteration as f64, model.accuracy(&x, &y)? * 100.0));
+        outcome.curve.push((iteration as f64, accuracy));
     }
     Ok(outcome)
 }
