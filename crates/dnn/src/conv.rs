@@ -40,6 +40,7 @@ use std::ops::Range;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DnnError;
+use crate::network::{stacked, LayerGrads};
 use crate::tensor::{gemm_acc, Tensor};
 
 /// Spatial specification of a 2-D convolution with square kernels.
@@ -406,45 +407,104 @@ impl Conv2d {
     /// like `gemm_acc`'s: only `avx2` is enabled, never `fma`, whose
     /// single rounding would move every sum.
     ///
+    /// The input gradient (`backward_data`, each image from its own
+    /// rows) and the weight and bias gradients (`weight_grads`, summed
+    /// over the batch) are separate crate-private halves, which a
+    /// [`Network`](crate::network::Network) gradient pass split into row
+    /// blocks runs apart: the first per block, the second once over
+    /// every block's rows in order.
+    ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] on inconsistent shapes.
     pub fn backward(&self, x: &Tensor, d_out: &Tensor) -> Result<(ConvGrads, Tensor), DnnError> {
-        self.check_input(x)?;
+        let grads = self.weight_grads(&[(x, d_out)])?;
+        let d_x = self.backward_data(d_out)?;
+        let weight = Tensor::from_vec(self.spec.out_c, self.spec.patch_len(), grads.weight);
+        Ok((ConvGrads { weight, bias: grads.bias }, d_x))
+    }
+
+    /// The input gradient `d_x (batch, in_c·in_h·in_w)` of
+    /// [`Conv2d::backward`]: `col2im(Wᵀ · d_y)`, each image from its own
+    /// rows of `d_out` alone.
+    pub(crate) fn backward_data(&self, d_out: &Tensor) -> Result<Tensor, DnnError> {
         let s = &self.spec;
-        if d_out.shape() != (x.rows(), s.out_features()) {
+        if d_out.cols() != s.out_features() {
             return Err(DnnError::ShapeMismatch {
                 op: "conv2d backward",
                 lhs: d_out.shape(),
-                rhs: (x.rows(), s.out_features()),
+                rhs: (d_out.rows(), s.out_features()),
             });
         }
-        let (plen, area) = (s.patch_len(), s.out_h() * s.out_w());
-        let n = x.rows() * area;
-        let mut d_y = vec![0.0f32; s.out_c * n];
-        let mut d_bias = vec![0.0f32; s.out_c];
-        for b in 0..x.rows() {
-            for (c, db) in d_bias.iter_mut().enumerate() {
-                let src = &d_out.row(b)[c * area..][..area];
-                d_y[c * n + b * area..][..area].copy_from_slice(src);
-                for &v in src {
-                    *db += v;
-                }
-            }
-        }
-        // dW  (out_c, in_c·k·k)
-        let d_weight = if s.k == 3 && s.stride == 1 {
-            conv3_weight_grad(s, x.as_slice(), d_out.as_slice())
-        } else {
-            self.weight_grad_gemm(x, &d_y)
-        };
+        let plen = s.patch_len();
+        let n = d_out.rows() * s.out_h() * s.out_w();
         // d_cols = Wᵀ · d_y  (in_c·k·k, batch·oh·ow)
         let weight_t = self.weight.transposed();
         let mut d_cols = Tensor::zeros(plen, n);
-        gemm_acc(d_cols.as_mut_slice(), weight_t.as_slice(), &d_y, plen, s.out_c, n);
-        let d_x = self.col2im(d_cols, x.rows());
-        let weight = Tensor::from_vec(s.out_c, plen, d_weight);
-        Ok((ConvGrads { weight, bias: d_bias }, d_x))
+        gemm_acc(
+            d_cols.as_mut_slice(),
+            weight_t.as_slice(),
+            &self.channel_major(d_out),
+            plen,
+            s.out_c,
+            n,
+        );
+        Ok(self.col2im(d_cols, d_out.rows()))
+    }
+
+    /// The weight gradient `(out_c, in_c·k·k)` and bias gradient of
+    /// [`Conv2d::backward`] over the batch whose row blocks `parts`
+    /// holds as `(x, d_out)` pairs in row order. Every sum runs over the
+    /// blocks' images in order, so it adds what the stacked batch would
+    /// add, in the same order.
+    pub(crate) fn weight_grads(
+        &self,
+        parts: &[(&Tensor, &Tensor)],
+    ) -> Result<LayerGrads, DnnError> {
+        let s = &self.spec;
+        for &(x, d_out) in parts {
+            self.check_input(x)?;
+            if d_out.shape() != (x.rows(), s.out_features()) {
+                return Err(DnnError::ShapeMismatch {
+                    op: "conv2d backward",
+                    lhs: d_out.shape(),
+                    rhs: (x.rows(), s.out_features()),
+                });
+            }
+        }
+        let area = s.out_h() * s.out_w();
+        let mut bias = vec![0.0f32; s.out_c];
+        for &(_, d_out) in parts {
+            for b in 0..d_out.rows() {
+                for (c, db) in bias.iter_mut().enumerate() {
+                    for &v in &d_out.row(b)[c * area..][..area] {
+                        *db += v;
+                    }
+                }
+            }
+        }
+        let weight = if s.k == 3 && s.stride == 1 {
+            let images = parts.iter().map(|&(x, d_out)| (x.as_slice(), d_out.as_slice()));
+            conv3_weight_grad(s, &images.collect::<Vec<_>>())
+        } else {
+            let (x, d_out) = stacked(parts);
+            self.weight_grad_gemm(&x, &self.channel_major(&d_out))
+        };
+        Ok(LayerGrads { weight, bias })
+    }
+
+    /// The upstream gradient `d_out (batch, out_c·out_h·out_w)` copied
+    /// channel-major, as `d_y (out_c, batch·out_h·out_w)`.
+    fn channel_major(&self, d_out: &Tensor) -> Vec<f32> {
+        let area = self.spec.out_h() * self.spec.out_w();
+        let n = d_out.rows() * area;
+        let mut d_y = vec![0.0f32; self.spec.out_c * n];
+        for b in 0..d_out.rows() {
+            for c in 0..self.spec.out_c {
+                d_y[c * n + b * area..][..area].copy_from_slice(&d_out.row(b)[c * area..][..area]);
+            }
+        }
+        d_y
     }
 
     /// `dW = d_y · patchesᵀ`, `(out_c, in_c·k·k)` flat, for the
@@ -468,18 +528,19 @@ const LANES: usize = 8;
 const TAPS: usize = 9;
 
 /// The weight gradient `(out_c, in_c·9)` of a stride-1 3×3 conv `s`,
-/// flat, from the input batch `x` and the upstream gradient `d_out`,
-/// both flat `(batch, features)` — the lane kernel of
-/// [`Conv2d::backward`]. Runs [`conv3_weight_grad_body`] with AVX2
-/// when the CPU reports it at run time, as [`gemm_acc`] does.
-fn conv3_weight_grad(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
+/// flat, over a batch given as row blocks `(x, d_out)` in row order:
+/// each block's input and upstream gradient, both flat `(rows,
+/// features)` — the lane kernel of [`Conv2d::backward`]. Runs
+/// [`conv3_weight_grad_body`] with AVX2 when the CPU reports it at run
+/// time, as [`gemm_acc`] does.
+fn conv3_weight_grad(s: &ConvSpec, blocks: &[(&[f32], &[f32])]) -> Vec<f32> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `conv3_weight_grad_avx2` enables only `avx2`, which
         // the CPU running this call was just checked to support.
-        return unsafe { conv3_weight_grad_avx2(s, x, d_out) };
+        return unsafe { conv3_weight_grad_avx2(s, blocks) };
     }
-    conv3_weight_grad_body(s, x, d_out)
+    conv3_weight_grad_body(s, blocks)
 }
 
 /// [`conv3_weight_grad_body`] compiled with AVX2 (and so 8-wide
@@ -490,8 +551,8 @@ fn conv3_weight_grad(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn conv3_weight_grad_avx2(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
-    conv3_weight_grad_body(s, x, d_out)
+unsafe fn conv3_weight_grad_avx2(s: &ConvSpec, blocks: &[(&[f32], &[f32])]) -> Vec<f32> {
+    conv3_weight_grad_body(s, blocks)
 }
 
 /// [`conv3_weight_grad`]'s one hand-written body, `#[inline(always)]`
@@ -503,9 +564,10 @@ unsafe fn conv3_weight_grad_avx2(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<
 /// and each input channel, it loads that block's nine tap
 /// accumulators, adds every position's products in ascending `(oy,
 /// ox)` and stores them back, so across images each accumulator runs
-/// in ascending `(b, oy, ox)`.
+/// in ascending `(b, oy, ox)`, `b` running over the blocks' images in
+/// order.
 #[inline(always)]
-fn conv3_weight_grad_body(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
+fn conv3_weight_grad_body(s: &ConvSpec, blocks: &[(&[f32], &[f32])]) -> Vec<f32> {
     let (oh, ow) = (s.out_h(), s.out_w());
     let area = oh * ow;
     let groups = s.out_c.div_ceil(LANES);
@@ -515,7 +577,9 @@ fn conv3_weight_grad_body(s: &ConvSpec, x: &[f32], d_out: &[f32]) -> Vec<f32> {
     let mut acc = vec![[0.0f32; LANES]; groups * s.in_c * TAPS];
     let mut grad = vec![[0.0f32; LANES]; groups * area];
     let mut padded = vec![0.0f32; s.in_c * ph * pw];
-    let images = x.chunks_exact(s.in_features()).zip(d_out.chunks_exact(s.out_features()));
+    let images = blocks.iter().flat_map(|&(x, d_out)| {
+        x.chunks_exact(s.in_features()).zip(d_out.chunks_exact(s.out_features()))
+    });
     for (image, d_image) in images {
         for (oc, src) in d_image.chunks_exact(area).enumerate() {
             let group = &mut grad[oc / LANES * area..][..area];
@@ -956,7 +1020,7 @@ mod tests {
     /// finite where the naive oracle's `0 · ∞` would be NaN.
     #[test]
     fn lane_kernel_matches_gemm_form_bit_for_bit() {
-        type Kernel = fn(&ConvSpec, &[f32], &[f32]) -> Vec<f32>;
+        type Kernel = fn(&ConvSpec, &[(&[f32], &[f32])]) -> Vec<f32>;
         let kernels: [(&str, Kernel); 2] =
             [("plain", conv3_weight_grad_body), ("dispatched", conv3_weight_grad)];
         for out_c in [3, 8, 12, 17] {
@@ -985,7 +1049,7 @@ mod tests {
                 let want = weight_grad_gemm_form(&conv, &x, &d_out);
                 assert!(want.iter().all(|w| w.is_finite()), "{spec:?}");
                 for (name, kernel) in kernels {
-                    let got = kernel(&spec, x.as_slice(), d_out.as_slice());
+                    let got = kernel(&spec, &[(x.as_slice(), d_out.as_slice())]);
                     assert_bits_eq(&got, &want, name, &spec);
                 }
             }

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::DnnError;
+use crate::network::{stacked, LayerGrads};
 use crate::tensor::Tensor;
 
 /// A fully-connected layer `y = x Wᵀ + b` with weights `(out, in)`.
@@ -108,18 +109,34 @@ impl Linear {
     ///
     /// Returns [`DnnError::ShapeMismatch`] on inconsistent shapes.
     pub fn backward(&self, x: &Tensor, d_out: &Tensor) -> Result<(LinearGrads, Tensor), DnnError> {
-        // dW = d_outᵀ × x  (out, in)
-        let d_weight = d_out.transpose_matmul(x)?;
-        // db = column sums of d_out.
-        let mut d_bias = vec![0.0f32; self.out_features()];
+        let grads = self.weight_grads(&[(x, d_out)])?;
+        let d_x = self.backward_data(d_out)?;
+        let weight = Tensor::from_vec(self.out_features(), self.in_features(), grads.weight);
+        Ok((LinearGrads { weight, bias: grads.bias }, d_x))
+    }
+
+    /// The input gradient `d_x = d_out × W (batch, in)`: each row from
+    /// its own row of `d_out` alone.
+    pub(crate) fn backward_data(&self, d_out: &Tensor) -> Result<Tensor, DnnError> {
+        d_out.matmul(&self.weight)
+    }
+
+    /// `dW = d_outᵀ × x (out, in)` and `db`, the column sums of
+    /// `d_out`, over the batch whose row blocks `parts` holds as `(x,
+    /// d_out)` pairs in row order (see [`stacked`]).
+    pub(crate) fn weight_grads(
+        &self,
+        parts: &[(&Tensor, &Tensor)],
+    ) -> Result<LayerGrads, DnnError> {
+        let (x, d_out) = stacked(parts);
+        let weight = d_out.transpose_matmul(&x)?.into_vec();
+        let mut bias = vec![0.0f32; self.out_features()];
         for row in 0..d_out.rows() {
-            for (col, db) in d_bias.iter_mut().enumerate() {
+            for (col, db) in bias.iter_mut().enumerate() {
                 *db += d_out.get(row, col);
             }
         }
-        // dX = d_out × W  (batch, in)
-        let d_x = d_out.matmul(&self.weight)?;
-        Ok((LinearGrads { weight: d_weight, bias: d_bias }, d_x))
+        Ok(LayerGrads { weight, bias })
     }
 }
 

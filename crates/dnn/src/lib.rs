@@ -38,8 +38,8 @@
 //!
 //! let dataset = SyntheticDataset::tiny_for_tests(42);
 //! let mut model = models::tiny_mlp(42);
-//! let report = Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
-//! assert!(report.test_accuracy > 0.6);
+//! Trainer::new(TrainConfig::fast_for_tests()).fit(&mut model, &dataset);
+//! assert!(model.accuracy(&dataset.test_x, &dataset.test_y).unwrap() > 0.6);
 //! let quantized = QuantNetwork::quantize(&model);
 //! assert!(quantized.total_weights() > 0);
 //! ```

@@ -10,6 +10,29 @@
 //! attack surface address every weight as `(weighted-layer, index,
 //! bit)` uniformly across MLPs and CNNs.
 //!
+//! Every batch pass cuts its rows into `W` contiguous blocks and deals
+//! them over `W` workers, the caller's thread and scoped threads, each
+//! taking the next block no worker has taken. `W` is the least of the
+//! host's available parallelism (read once per process), the row count
+//! and the batch's forward multiply-accumulates over
+//! `MIN_MACS_PER_WORKER`, and at least 1; the same rule deals
+//! [`TrialRecord`] trials. A forward pass runs each block alone and
+//! stacks the logits. A gradient pass runs each block's forward and
+//! input-gradient chain alone, takes the loss on the stacked logits,
+//! and then has one worker sum each weighted layer's weight and bias
+//! gradients over every block's rows in order, the layers dealt like
+//! the blocks.
+//!
+//! No bit depends on `W`. Every value a block computes (activations,
+//! masks, pool switches, input gradients) belongs to one row and is
+//! computed from that row alone, by the same kernels in the same order
+//! as in a whole-batch pass: a GEMM sums each output over `k` in
+//! ascending order whatever its width. The only sums across rows, the
+//! loss and the weight and bias gradients, each run on one worker over
+//! the rows in order. A one-worker pass cuts and stacks nothing.
+//!
+//! [`TrialRecord`]: crate::quant::TrialRecord
+//!
 //! ```
 //! use dlk_dnn::network::{Layer, Network};
 //! use dlk_dnn::Tensor;
@@ -21,6 +44,10 @@
 //! assert_eq!(net.forward(&x).unwrap().shape(), (3, 2));
 //! assert_eq!(net.weighted_count(), 2);
 //! ```
+
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +113,32 @@ impl Layer {
             _ => None,
         }
     }
+
+    /// Multiply-accumulates per batch row: a dense layer's weights
+    /// once, a conv's kernel matrix once per output position. Structure
+    /// layers count none.
+    pub(crate) fn macs_per_row(&self) -> u64 {
+        let positions = match self {
+            Layer::Conv(c) => c.spec().out_h() * c.spec().out_w(),
+            _ => 1,
+        };
+        (self.num_weights() * positions) as u64
+    }
+
+    /// A weighted layer's weight and bias gradients over the batch
+    /// whose row blocks `parts` holds (see [`stacked`]); any other
+    /// layer, at plan `position`, has none.
+    fn weight_grads(
+        &self,
+        parts: &[(&Tensor, &Tensor)],
+        position: usize,
+    ) -> Result<LayerGrads, DnnError> {
+        match self {
+            Layer::Dense(l) => l.weight_grads(parts),
+            Layer::Conv(c) => c.weight_grads(parts),
+            _ => Err(DnnError::TapeMismatch { position }),
+        }
+    }
 }
 
 /// Gradients of one weighted layer, flat: `weight[i]` is dL/dw for the
@@ -114,6 +167,16 @@ pub(crate) enum Cache {
     Switches(Vec<usize>),
     /// Nothing needed.
     None,
+}
+
+impl Cache {
+    /// A weighted layer's input, moved out.
+    fn into_input(self) -> Option<Tensor> {
+        match self {
+            Cache::Input(input) => Some(input),
+            _ => None,
+        }
+    }
 }
 
 /// What [`Network::run`] keeps of each layer it executes.
@@ -212,14 +275,39 @@ impl Network {
             .unwrap_or(0)
     }
 
-    /// Forward pass to logits.
+    /// Forward pass to logits, split into row blocks as the module
+    /// documentation describes.
     ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] on wrong input width and
     /// [`DnnError::UnbalancedSkip`] for mismatched skip markers.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
-        self.run(0, x, &[], Tape::Off)
+        self.forward_on(x, self.batch_workers(x.rows()))
+    }
+
+    /// [`Network::forward`] over `workers` row blocks (at least 1; a
+    /// block may be empty).
+    fn forward_on(&self, x: &Tensor, workers: usize) -> Result<Tensor, DnnError> {
+        let blocks = dealt(
+            row_blocks(x, workers),
+            workers,
+            || (),
+            |(), block| self.run(0, block, &[], Tape::Off),
+        );
+        match blocks.into_iter().collect() {
+            Ok(blocks) => Ok(joined(blocks)),
+            // A block's error names the block's shape: report the batch's.
+            Err(_) if workers > 1 => self.forward_on(x, 1),
+            Err(err) => Err(err),
+        }
+    }
+
+    /// Workers for a pass over `rows` batch rows: [`workers`] of the
+    /// rows and their forward multiply-accumulates.
+    fn batch_workers(&self, rows: usize) -> usize {
+        let per_row: u64 = self.layers.iter().map(Layer::macs_per_row).sum();
+        workers(rows, per_row.saturating_mul(rows as u64))
     }
 
     /// The one executor: runs the plan from position `start` on `x`,
@@ -230,11 +318,11 @@ impl Network {
     pub(crate) fn run(
         &self,
         start: usize,
-        x: &Tensor,
+        x: Tensor,
         skips: &[Tensor],
         mut tape: Tape<'_>,
     ) -> Result<Tensor, DnnError> {
-        let mut act = x.clone();
+        let mut act = x;
         let mut skips = skips.to_vec();
         for layer in &self.layers[start..] {
             let cache = match layer {
@@ -295,7 +383,8 @@ impl Network {
     }
 
     /// Forward + backward: the mean softmax cross-entropy loss and one
-    /// [`LayerGrads`] per *weighted* layer, in execution order.
+    /// [`LayerGrads`] per *weighted* layer, in execution order, split
+    /// into row blocks as the module documentation describes.
     ///
     /// # Errors
     ///
@@ -306,9 +395,8 @@ impl Network {
         x: &Tensor,
         labels: &[usize],
     ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let logits = self.run(0, x, &[], Tape::Backward(&mut caches))?;
-        self.backward(&logits, labels, &caches)
+        let (loss, grads, _) = self.gradients(x, labels, self.batch_workers(x.rows()), false)?;
+        Ok((loss, grads))
     }
 
     /// [`Network::loss_and_grads`]'s gradients, plus one [`Resume`]
@@ -318,47 +406,112 @@ impl Network {
         x: &Tensor,
         labels: &[usize],
     ) -> Result<(Vec<LayerGrads>, Vec<Resume>), DnnError> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut open = Vec::with_capacity(self.weighted_count());
-        let logits = self.run(0, x, &[], Tape::Record(&mut caches, &mut open))?;
-        let (_, grads) = self.backward(&logits, labels, &caches)?;
-        let inputs = caches.into_iter().enumerate().filter_map(|(position, cache)| match cache {
-            Cache::Input(input) => Some((position, input)),
-            _ => None,
-        });
-        let resumes = inputs
-            .zip(open)
-            .map(|((position, input), skips)| Resume { position, input, skips })
-            .collect();
+        let (_, grads, resumes) = self.gradients(x, labels, self.batch_workers(x.rows()), true)?;
         Ok((grads, resumes))
     }
 
-    /// The loss of `logits` and the backward pass over the `caches` of
-    /// the forward pass that produced them.
-    fn backward(
+    /// The gradient pass over `workers` row blocks (at least 1; a block
+    /// may be empty): the loss, the gradients and, if `record`, the
+    /// resume points.
+    fn gradients(
         &self,
-        logits: &Tensor,
+        x: &Tensor,
         labels: &[usize],
-        caches: &[Cache],
-    ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
-        let (loss, probs) = softmax_cross_entropy(logits, labels);
-        let mut d = cross_entropy_grad(&probs, labels);
+        workers: usize,
+        record: bool,
+    ) -> Result<(f32, Vec<LayerGrads>, Vec<Resume>), DnnError> {
+        match self.gradients_on(x, labels, workers, record) {
+            // A block's error names the block's shape: report the batch's.
+            Err(_) if workers > 1 => self.gradients_on(x, labels, 1, record),
+            result => result,
+        }
+    }
 
-        let mut grads_rev: Vec<LayerGrads> = Vec::with_capacity(self.weighted_count());
+    /// [`Network::gradients`] without its error rule.
+    fn gradients_on(
+        &self,
+        x: &Tensor,
+        labels: &[usize],
+        workers: usize,
+        record: bool,
+    ) -> Result<(f32, Vec<LayerGrads>, Vec<Resume>), DnnError> {
+        // Each block's forward, keeping what its backward needs.
+        let forwards = dealt(
+            row_blocks(x, workers),
+            workers,
+            || (),
+            |(), block| {
+                let mut caches = Vec::with_capacity(self.layers.len());
+                let mut open = Vec::new();
+                let tape = if record {
+                    Tape::Record(&mut caches, &mut open)
+                } else {
+                    Tape::Backward(&mut caches)
+                };
+                let logits = self.run(0, block, &[], tape)?;
+                Ok::<_, DnnError>((logits, caches, open))
+            },
+        );
+        let (mut logits, mut tapes) = (Vec::with_capacity(workers), Vec::with_capacity(workers));
+        for forward in forwards {
+            let (block_logits, caches, open) = forward?;
+            logits.push(block_logits);
+            tapes.push((caches, open));
+        }
+        // The loss of the whole batch, then each block's input-gradient
+        // chain from its rows of the loss gradient.
+        let (loss, probs) = softmax_cross_entropy(&joined(logits), labels);
+        let d = cross_entropy_grad(&probs, labels);
+        let d = if workers == 1 { vec![d] } else { row_blocks(&d, workers) };
+        let chains = d.into_iter().zip(&tapes).collect();
+        let d_outs =
+            dealt(chains, workers, || (), |(), (d, (caches, _))| self.backward_data(d, caches));
+        let d_outs = d_outs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Each weighted layer's gradients on one worker, over every
+        // block's rows in order.
+        let weighted: Vec<_> =
+            self.layers.iter().enumerate().filter(|(_, l)| l.is_weighted()).enumerate().collect();
+        let grads = dealt(
+            weighted.iter().collect(),
+            workers,
+            || (),
+            |(), &(i, (position, layer))| {
+                let mut parts = Vec::with_capacity(tapes.len());
+                for ((caches, _), block_d_outs) in tapes.iter().zip(&d_outs) {
+                    match (caches.get(position), block_d_outs.get(i)) {
+                        (Some(Cache::Input(input)), Some(d_out)) => parts.push((input, d_out)),
+                        _ => return Err(DnnError::TapeMismatch { position }),
+                    }
+                }
+                layer.weight_grads(&parts, position)
+            },
+        );
+        let grads = grads.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let resumes = if record { Self::resumes(&weighted, tapes) } else { Vec::new() };
+        Ok((loss, grads, resumes))
+    }
+
+    /// One block's input-gradient chain: walks the plan backwards over
+    /// the block's forward `caches` from `d`, the loss gradient of its
+    /// logits, and returns the gradient of each weighted layer's output,
+    /// in execution order. The plan's first layer passes its input
+    /// gradient to nothing, so it computes none.
+    fn backward_data(&self, mut d: Tensor, caches: &[Cache]) -> Result<Vec<Tensor>, DnnError> {
+        let mut d_outs = Vec::with_capacity(self.weighted_count());
         let mut skip_grads: Vec<Tensor> = Vec::new();
         for (position, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
             match (layer, cache) {
-                (Layer::Dense(l), Cache::Input(input)) => {
-                    let (g, d_x) = l.backward(input, &d)?;
-                    grads_rev
-                        .push(LayerGrads { weight: g.weight.as_slice().to_vec(), bias: g.bias });
-                    d = d_x;
+                (Layer::Dense(_) | Layer::Conv(_), Cache::Input(_)) if position == 0 => {
+                    d_outs.push(d);
+                    break;
                 }
-                (Layer::Conv(c), Cache::Input(input)) => {
-                    let (g, d_x) = c.backward(input, &d)?;
-                    grads_rev
-                        .push(LayerGrads { weight: g.weight.as_slice().to_vec(), bias: g.bias });
-                    d = d_x;
+                (Layer::Dense(l), Cache::Input(_)) => {
+                    let d_x = l.backward_data(&d)?;
+                    d_outs.push(std::mem::replace(&mut d, d_x));
+                }
+                (Layer::Conv(c), Cache::Input(_)) => {
+                    let d_x = c.backward_data(&d)?;
+                    d_outs.push(std::mem::replace(&mut d, d_x));
                 }
                 (Layer::Relu, Cache::Mask(mask)) => d = relu_backward(&d, mask),
                 (Layer::MaxPool(p), Cache::Switches(switches)) => {
@@ -375,8 +528,29 @@ impl Network {
                 _ => return Err(DnnError::TapeMismatch { position }),
             }
         }
-        grads_rev.reverse();
-        Ok((loss, grads_rev))
+        d_outs.reverse();
+        Ok(d_outs)
+    }
+
+    /// The resume points of a recorded gradient pass: each weighted
+    /// layer's input and open shortcuts, stacked from the blocks'
+    /// `tapes` (moved, for one block).
+    fn resumes(
+        weighted: &[(usize, (usize, &Layer))],
+        tapes: Vec<(Vec<Cache>, Vec<Vec<Tensor>>)>,
+    ) -> Vec<Resume> {
+        let (mut inputs, mut open) = (Vec::new(), Vec::new());
+        for (caches, block_open) in tapes {
+            inputs.push(caches.into_iter().filter_map(Cache::into_input).collect());
+            open.push(block_open);
+        }
+        let inputs = regroup(inputs).into_iter().map(joined);
+        let open = regroup(open).into_iter().map(|skips| regroup(skips).into_iter().map(joined));
+        let positions = weighted.iter().map(|&(_, (position, _))| position);
+        positions
+            .zip(inputs.zip(open))
+            .map(|(position, (input, skips))| Resume { position, input, skips: skips.collect() })
+            .collect()
     }
 
     /// One SGD update, `p -= lr * grad`, of every weighted layer's
@@ -432,6 +606,146 @@ impl Network {
         let predictions = self.predict(x)?;
         let correct = predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
         Ok(correct as f64 / labels.len().max(1) as f64)
+    }
+}
+
+/// Below this many multiply-accumulates (MACs) of forward work per
+/// worker, [`workers`] adds no further worker. On a 2-vCPU x86-64 host a
+/// scoped spawn plus join cost ~40–60 µs (a helper forced onto every
+/// Tiny MLP bit-search step moved it from ~110 to ~145 µs), and the
+/// ResNet-20 CNN's forward ran ~3.8 MACs per ns on one core, so a share
+/// of 2^21 MACs (~0.55 ms) pays for its helper about ten times over.
+/// Over 32 rows, the Tiny MLP's and the Tiny CNN's batch passes (~9 k
+/// and ~0.6 M MACs) and the Tiny MLP's bit-search trials (~61 k) stay
+/// on the caller's thread; the ResNet-20 CNN's batch passes (~5.7 M)
+/// and the Tiny CNN's and the ResNet-20 CNN's trials (~4.6 M and
+/// ~117 M) are split.
+pub(crate) const MIN_MACS_PER_WORKER: u64 = 1 << 21;
+
+/// Workers for `items` independent pieces of work (batch rows or
+/// bit-search trials) that together run `macs` multiply-accumulates:
+/// the least of the host's available parallelism, `items` and `macs /
+/// MIN_MACS_PER_WORKER`, and at least 1. The host's parallelism (~21 µs
+/// to read on Linux, which parses the cgroup CPU quota) is read once per
+/// process, and only for work big enough to split.
+pub(crate) fn workers(items: usize, macs: u64) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let by_work = usize::try_from(macs / MIN_MACS_PER_WORKER).unwrap_or(usize::MAX);
+    match items.min(by_work) {
+        0 | 1 => 1,
+        wanted => wanted.min(
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
+        ),
+    }
+}
+
+/// Runs `work` on every one of `jobs` over `workers` workers (at most
+/// one per job): the caller's thread and scoped threads each start from
+/// their own `state()` and take the next job no worker has taken, in
+/// job order, until none is left. A worker that starts late or runs
+/// slow, on a busy core, takes fewer jobs instead of holding the others
+/// up. Returns the results in job order. A helper's panic goes on
+/// unwinding on the caller, as it was: DLK001 keeps `unwrap` off this
+/// file.
+pub(crate) fn dealt<J: Send, S, T: Send>(
+    jobs: Vec<J>,
+    workers: usize,
+    state: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, J) -> T + Sync,
+) -> Vec<T> {
+    let count = jobs.len();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    // Nothing panics while the queue is locked, so it is never poisoned.
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let share = || {
+        let mut state = state();
+        let mut done = Vec::new();
+        while let Some((i, job)) = next() {
+            done.push((i, work(&mut state, job)));
+        }
+        done
+    };
+    let share = &share;
+    let shares = match workers.min(count) {
+        0 | 1 => vec![share()],
+        workers => {
+            let running = AtomicUsize::new(workers - 1);
+            std::thread::scope(|scope| {
+                let helper = || {
+                    let _finished = Finished(&running);
+                    share()
+                };
+                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(helper)).collect();
+                let mut shares = vec![share()];
+                // Wait awake, yielding the core, rather than asleep in
+                // `join`: on a virtual machine whose host is busy, a
+                // sleeping core can take milliseconds to wake, and a
+                // batch pass waits here three times.
+                while running.load(Ordering::Acquire) > 0 {
+                    std::thread::yield_now();
+                }
+                for helper in helpers {
+                    match helper.join() {
+                        Ok(done) => shares.push(done),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
+                shares
+            })
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    for (i, result) in shares.into_iter().flatten() {
+        results[i] = Some(result);
+    }
+    results.into_iter().flatten().collect()
+}
+
+/// Counts a [`dealt`] helper out of the caller's wait when its share
+/// returns or unwinds. The join, not the count, publishes the share.
+struct Finished<'a>(&'a AtomicUsize);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// `x`'s rows cut into `workers` contiguous blocks, as even as whole
+/// rows allow.
+fn row_blocks(x: &Tensor, workers: usize) -> Vec<Tensor> {
+    let rows = x.rows();
+    (0..workers).map(|w| x.row_block(rows * w / workers..rows * (w + 1) / workers)).collect()
+}
+
+/// Row blocks stacked back into their batch; one block is moved.
+fn joined(blocks: Vec<Tensor>) -> Tensor {
+    match <[Tensor; 1]>::try_from(blocks) {
+        Ok([only]) => only,
+        Err(blocks) => Tensor::stack(&blocks.iter().collect::<Vec<_>>()),
+    }
+}
+
+/// `lists[b][k]` regrouped as `[k][b]`: one list per row block becomes
+/// one list per item, each in block order.
+fn regroup<T>(lists: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    let mut lists: Vec<_> = lists.into_iter().map(Vec::into_iter).collect();
+    let len = lists.first().map_or(0, ExactSizeIterator::len);
+    (0..len).map(|_| lists.iter_mut().filter_map(Iterator::next).collect()).collect()
+}
+
+/// The `(x, d_out)` batch that row blocks `parts` make up, in row
+/// order: one block borrowed as it is, or every block stacked.
+pub(crate) fn stacked<'a>(
+    parts: &[(&'a Tensor, &'a Tensor)],
+) -> (Cow<'a, Tensor>, Cow<'a, Tensor>) {
+    match parts {
+        [(x, d_out)] => (Cow::Borrowed(*x), Cow::Borrowed(*d_out)),
+        _ => {
+            let xs: Vec<_> = parts.iter().map(|&(x, _)| x).collect();
+            let d_outs: Vec<_> = parts.iter().map(|&(_, d_out)| d_out).collect();
+            (Cow::Owned(Tensor::stack(&xs)), Cow::Owned(Tensor::stack(&d_outs)))
+        }
     }
 }
 
@@ -578,9 +892,8 @@ mod tests {
     #[test]
     fn backward_rejects_a_cache_of_the_wrong_kind() {
         let net = Network::new(vec![Layer::Relu, Layer::Relu]);
-        let logits = Tensor::zeros(1, 2);
         let caches = [Cache::None, Cache::Mask(vec![true; 2])];
-        let err = net.backward(&logits, &[0], &caches).unwrap_err();
+        let err = net.backward_data(Tensor::zeros(1, 2), &caches).unwrap_err();
         assert_eq!(err, DnnError::TapeMismatch { position: 0 });
     }
 
@@ -647,6 +960,101 @@ mod tests {
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
         assert!(net.accuracy(&x, &labels).unwrap() > 0.9);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn grad_bits(grads: &[LayerGrads]) -> Vec<[Vec<u32>; 2]> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        grads.iter().map(|g| [bits(&g.weight), bits(&g.bias)]).collect()
+    }
+
+    fn resume_bits(resumes: &[Resume]) -> Vec<(usize, Vec<u32>, Vec<Vec<u32>>)> {
+        let skips = |r: &Resume| r.skips.iter().map(bits).collect();
+        resumes.iter().map(|r| (r.position, bits(&r.input), skips(r))).collect()
+    }
+
+    /// Every forced worker count gives the one-worker pass's logits,
+    /// loss, gradients and resume points, bit for bit: on the Tiny MLP,
+    /// the Tiny CNN and the ResNet-20 CNN (whose resume points hold open
+    /// shortcuts), over 7 and 33 rows, and with more workers than rows.
+    /// A pass that summed each block's weight gradient and then added
+    /// the blocks would round differently and fail here.
+    #[test]
+    fn every_worker_count_gives_the_one_worker_bits() {
+        use crate::models;
+
+        // (network, resume points with open residual shortcuts)
+        let cases =
+            [(models::tiny_mlp(1), 0), (models::tiny_cnn(2), 4), (models::resnet20_cnn(3), 18)];
+        for (seed, (network, open_skips)) in (1u64..).zip(cases) {
+            for rows in [7, 33] {
+                let mut x = Tensor::randn(rows, network.in_features(), seed + rows as u64);
+                x.relu_inplace();
+                let labels: Vec<usize> = (0..rows).map(|i| i * 7 % network.num_classes()).collect();
+                let logits = bits(&network.forward_on(&x, 1).unwrap());
+                let (loss, grads, resumes) = network.gradients(&x, &labels, 1, true).unwrap();
+                let (grads, resumes) = (grad_bits(&grads), resume_bits(&resumes));
+                assert_eq!(resumes.len(), network.weighted_count());
+                let open = resumes.iter().filter(|(_, _, skips)| !skips.is_empty()).count();
+                assert_eq!(open, open_skips);
+                let counts: &[usize] = if rows == 7 { &[1, 2, 3, 4, 8] } else { &[1, 2, 3, 4] };
+                for &workers in counts {
+                    let what = format!("seed {seed}, {rows} rows, {workers} workers");
+                    assert_eq!(bits(&network.forward_on(&x, workers).unwrap()), logits, "{what}");
+                    for record in [true, false] {
+                        let (l, g, r) = network.gradients(&x, &labels, workers, record).unwrap();
+                        assert_eq!(l.to_bits(), loss.to_bits(), "loss, {what}");
+                        assert_eq!(grad_bits(&g), grads, "gradients, {what}");
+                        let want = if record { resumes.clone() } else { Vec::new() };
+                        assert_eq!(resume_bits(&r), want, "resume points, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A split pass reports an error as the one-worker pass does, with
+    /// the whole batch's shape rather than a block's.
+    #[test]
+    fn a_split_pass_reports_the_whole_batch_error() {
+        let network = crate::models::resnet20_cnn(1);
+        let x = Tensor::zeros(9, network.in_features() + 1);
+        let labels = [0; 9];
+        let want = network.forward_on(&x, 1).unwrap_err();
+        assert!(matches!(want, DnnError::ShapeMismatch { lhs: (9, _), .. }), "{want:?}");
+        for workers in [2, 4] {
+            assert_eq!(network.forward_on(&x, workers).unwrap_err(), want);
+            assert_eq!(network.gradients(&x, &labels, workers, true).unwrap_err(), want);
+        }
+    }
+
+    /// Batch passes split only where two workers' shares of
+    /// `MIN_MACS_PER_WORKER` fit: over 32 rows, not the Tiny MLP or the
+    /// Tiny CNN, but the ResNet-20 CNN.
+    #[test]
+    fn only_wide_batches_are_split() {
+        use crate::models;
+
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(models::tiny_mlp(1).batch_workers(32), 1);
+        assert_eq!(models::tiny_cnn(1).batch_workers(32), 1);
+        let cnn = models::resnet20_cnn(1);
+        let per_row: u64 = cnn.layers().iter().map(Layer::macs_per_row).sum();
+        assert_eq!(per_row, 176_736);
+        assert_eq!(cnn.batch_workers(32), 2.min(cores));
+        assert_eq!(cnn.batch_workers(1), 1);
+        assert_eq!(cnn.batch_workers(0), 1);
+    }
+
+    /// A job's panic reaches the caller, whichever worker ran it, and
+    /// the caller's wait for its helpers ends.
+    #[test]
+    #[should_panic(expected = "job 3")]
+    fn a_panicking_job_unwinds_on_the_caller() {
+        dealt((0..8).collect(), 2, || (), |(), job: usize| assert_ne!(job, 3, "job {job}"));
     }
 
     #[test]

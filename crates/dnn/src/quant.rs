@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{softmax_cross_entropy, Linear};
-use crate::network::{argmax_rows, Layer, LayerGrads, Network, Resume, Tape};
+use crate::network::{argmax_rows, dealt, workers, Layer, LayerGrads, Network, Resume, Tape};
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
@@ -362,7 +362,9 @@ impl QuantNetwork {
         let rows = x.rows() as u64;
         let macs = resumes
             .iter()
-            .map(|r| rows * float.layers().iter().skip(r.position).map(macs_per_row).sum::<u64>())
+            .map(|r| {
+                rows * float.layers().iter().skip(r.position).map(Layer::macs_per_row).sum::<u64>()
+            })
             .collect();
         Ok((grads, TrialRecord { model: self, labels, float, resumes, macs }))
     }
@@ -490,16 +492,6 @@ pub fn flip_delta(byte: u8, bit: u8, scale: f32) -> f32 {
     (after - before) * scale
 }
 
-/// Below this many multiply-accumulates (MACs) of trial forward work
-/// per worker, [`TrialRecord::losses`] adds no further worker. On a
-/// 2-vCPU x86-64 host a scoped spawn plus join cost ~40–60 µs (a helper
-/// forced onto every Tiny MLP step moved it from ~110 to ~145 µs), and
-/// the ResNet-20 CNN's trials ran ~3.8 MACs per ns on one core, so a
-/// share of 2^21 MACs (~0.55 ms) pays for its helper about ten times
-/// over. The Tiny MLP's ~61 k-MAC batch stays on the caller's thread;
-/// the Tiny CNN's ~4.6 M and the ResNet-20 CNN's ~117 M are split.
-const MIN_MACS_PER_WORKER: u64 = 1 << 21;
-
 /// One gradient pass's forward, kept so that the loss with any single
 /// bit flipped costs only the layers from the flipped one on. Built by
 /// [`QuantNetwork::trial_record`].
@@ -514,14 +506,16 @@ const MIN_MACS_PER_WORKER: u64 = 1 << 21;
 /// taking [`softmax_cross_entropy`].
 ///
 /// Trials are independent, so [`TrialRecord::losses`] deals a batch of
-/// them round-robin over `W` workers, where `W` is the least of the
-/// host's available parallelism, the number of trials, and the batch's
-/// multiply-accumulates over `MIN_MACS_PER_WORKER` (2^21), and at
-/// least 1. A trial's MACs are those of every weighted layer from the
-/// flipped one on, for every batch row. The caller's thread runs the
-/// first share and scoped threads run the rest; each worker patches its
-/// own clone of the dequantized network and reads the resume points
-/// shared. No loss depends on `W`.
+/// them over `W` workers by the rule that also splits [`Network`]'s
+/// batch passes (see the [`network`](crate::network) module): `W` is
+/// the least of the host's available parallelism, the number of trials,
+/// and the batch's multiply-accumulates over `MIN_MACS_PER_WORKER`
+/// (2^21), and at least 1. A trial's MACs are those of every weighted
+/// layer from the flipped one on, for every batch row. The caller's
+/// thread and `W − 1` scoped threads each take the next trial no worker
+/// has taken, in input order; each worker patches its own clone of the
+/// dequantized network and reads the resume points shared. A trial runs
+/// its batch on its own worker, unsplit. No loss depends on `W`.
 #[derive(Debug)]
 pub struct TrialRecord<'a> {
     model: &'a QuantNetwork,
@@ -548,29 +542,11 @@ impl TrialRecord<'_> {
         self.dealt(indices, workers(indices.len(), macs))
     }
 
-    /// [`TrialRecord::losses`] dealt round-robin over `workers` (at
-    /// least 1) workers.
+    /// [`TrialRecord::losses`] dealt over `workers` workers (at least
+    /// 1).
     fn dealt(&self, indices: &[BitIndex], workers: usize) -> Result<Vec<f32>, DnnError> {
-        let share = |first: usize| {
-            let mut float = self.float.clone();
-            let mine = indices.iter().skip(first).step_by(workers);
-            mine.map(|&index| self.trial(&mut float, index)).collect::<Vec<_>>()
-        };
-        let share = &share;
-        let mut shares = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || share(w))).collect();
-            let mut shares = vec![share(0).into_iter()];
-            // A helper's panic goes on unwinding here as it was: DLK001
-            // keeps `unwrap` off this file.
-            for helper in helpers {
-                match helper.join() {
-                    Ok(losses) => shares.push(losses.into_iter()),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            shares
-        });
-        (0..indices.len()).filter_map(|i| shares[i % workers].next()).collect()
+        let trial = |float: &mut Network, index| self.trial(float, index);
+        dealt(indices.to_vec(), workers, || self.float.clone(), trial).into_iter().collect()
     }
 
     /// One trial on `float`, a clone of the record's network: patches
@@ -588,33 +564,10 @@ impl TrialRecord<'_> {
             Some(())
         };
         swap(float).ok_or_else(bad)?;
-        let logits = float.run(resume.position, &resume.input, &resume.skips, Tape::Off);
+        let logits = float.run(resume.position, resume.input.clone(), &resume.skips, Tape::Off);
         swap(float).ok_or_else(bad)?;
         Ok(softmax_cross_entropy(&logits?, self.labels).0)
     }
-}
-
-/// Workers for a batch of `trials` trials that together run `macs`
-/// multiply-accumulates (see [`TrialRecord`]). The host's parallelism
-/// (~26 µs to read on Linux, which parses the cgroup CPU quota) is read
-/// only for a batch big enough to split.
-fn workers(trials: usize, macs: u64) -> usize {
-    let by_work = usize::try_from(macs / MIN_MACS_PER_WORKER).unwrap_or(usize::MAX);
-    match trials.min(by_work) {
-        0 | 1 => 1,
-        wanted => wanted.min(std::thread::available_parallelism().map_or(1, usize::from)),
-    }
-}
-
-/// Multiply-accumulates per batch row of one plan layer: a dense
-/// layer's weights once, a conv's kernel matrix once per output
-/// position. Structure layers count none.
-fn macs_per_row(layer: &Layer) -> u64 {
-    let positions = match layer {
-        Layer::Conv(c) => c.spec().out_h() * c.spec().out_w(),
-        _ => 1,
-    };
-    (layer.num_weights() * positions) as u64
 }
 
 #[cfg(test)]
@@ -869,9 +822,9 @@ mod tests {
         assert_eq!(record.macs, [2 * (first + second + head), 2 * (second + head), 2 * head]);
         assert_eq!(workers(0, u64::MAX), 1);
         assert_eq!(workers(1, u64::MAX), 1);
-        assert_eq!(workers(2, 2 * MIN_MACS_PER_WORKER - 1), 1);
+        assert_eq!(workers(2, 2 * crate::network::MIN_MACS_PER_WORKER - 1), 1);
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        assert_eq!(workers(2, 2 * MIN_MACS_PER_WORKER), 2.min(cores));
+        assert_eq!(workers(2, 2 * crate::network::MIN_MACS_PER_WORKER), 2.min(cores));
         assert_eq!(workers(usize::MAX, u64::MAX), cores);
     }
 

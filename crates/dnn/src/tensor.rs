@@ -1,5 +1,7 @@
 //! A minimal 2-D tensor (row-major `f32` matrix).
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -132,6 +134,32 @@ impl Tensor {
     /// One row as a slice.
     pub fn row(&self, row: usize) -> &[f32] {
         &self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
+    /// The flat row-major data, moved out.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
+    /// A copy of the rows in `rows`.
+    pub(crate) fn row_block(&self, rows: Range<usize>) -> Tensor {
+        let data = self.data[rows.start * self.cols..rows.end * self.cols].to_vec();
+        Tensor { rows: rows.len(), cols: self.cols, data }
+    }
+
+    /// `parts`' rows one after another, in order: the inverse of
+    /// cutting a tensor into [`Tensor::row_block`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts differ in width.
+    pub(crate) fn stack(parts: &[&Tensor]) -> Tensor {
+        let cols = parts.first().map_or(0, |part| part.cols);
+        let mut data = Vec::with_capacity(parts.iter().map(|part| part.data.len()).sum());
+        for part in parts {
+            data.extend_from_slice(&part.data);
+        }
+        Tensor::from_vec(parts.iter().map(|part| part.rows).sum(), cols, data)
     }
 
     /// The explicit transpose `(cols, rows)` — the bridge that lets

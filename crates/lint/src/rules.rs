@@ -64,6 +64,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/mitigation.rs",
     "crates/engine/src/engine.rs",
     "crates/dnn/src/tensor.rs",
+    "crates/dnn/src/layers.rs",
     "crates/dnn/src/conv.rs",
     "crates/dnn/src/network.rs",
     "crates/dnn/src/quant.rs",
