@@ -111,6 +111,7 @@ const CASES: &[Case] = &[
     case("sim", "ablation_relock100_per_s", "/s", ablation_relock100),
     case("sim", "spec_list_parse_kspec_per_s", "k/s", spec_list_parse),
     case("sim", "trace_spec_roundtrip_kop_per_s", "k/s", trace_spec_roundtrip),
+    case("sim", "trace_list_parse_kop_per_s", "k/s", trace_list_parse),
     case("sweep", "replay_jobs_serial_per_s", "/s", || sweep_grid(SweepRunner::serial())),
     case("sweep", "replay_jobs_parallel_per_s", "/s", || sweep_grid(SweepRunner::parallel())),
     case("sweep", "hammer_jobs_serial_per_s", "/s", || hammer_grid(SweepRunner::serial())),
@@ -600,10 +601,9 @@ fn spec_list_parse() -> Kernel {
     Box::new(move || ScenarioSpec::list_from_text(&text).expect("catalog list parses").len() as u64)
 }
 
-/// A 60k-op recorded trace embedded in a spec, through `to_text` and
-/// back: a streaming read, a pointer chase and 8-byte writes,
-/// interleaved op by op.
-fn trace_spec_roundtrip() -> Kernel {
+/// A 60k-op recorded trace: a streaming read, a pointer chase seeded
+/// by `seed` and 8-byte writes, interleaved op by op.
+fn recorded_trace(seed: u64) -> Trace {
     const SPAN: u64 = 256 * 64;
     let writes = (0..20_000u64).map(|i| TraceOp::Write {
         addr: i * 72 % SPAN,
@@ -611,15 +611,52 @@ fn trace_spec_roundtrip() -> Kernel {
     });
     let mut trace = Trace::interleave(&[
         Workload::Sequential { base: 0, len: 8, count: 20_000 }.trace(),
-        Workload::PointerChase { base: 0, span: SPAN, len: 8, count: 20_000, seed: 3 }.trace(),
+        Workload::PointerChase { base: 0, span: SPAN, len: 8, count: 20_000, seed }.trace(),
         writes.collect(),
     ]);
     trace.untrusted = true;
+    trace
+}
+
+/// A recorded trace embedded in a spec, through `to_text` and back.
+fn trace_spec_roundtrip() -> Kernel {
+    let trace = recorded_trace(3);
     let ops = trace.len() as u64;
     let spec =
         ScenarioSpec { attack: Some(AttackSpec::trace(trace)), ..ScenarioSpec::new("trace") };
     Box::new(move || {
         black_box(ScenarioSpec::from_text(&spec.to_text()).expect("trace spec parses"));
+        ops
+    })
+}
+
+/// `list_from_text` of a list shaped like a replay evaluation: two
+/// recorded traces, each replayed without and with DRAM-Locker, so
+/// each appears twice. Counts every listed op.
+fn trace_list_parse() -> Kernel {
+    let mut specs = Vec::new();
+    for seed in [3, 4] {
+        let plain = ScenarioSpec {
+            attack: Some(AttackSpec::trace(recorded_trace(seed))),
+            ..ScenarioSpec::new(format!("trace-{seed}"))
+        };
+        let locked = ScenarioSpec {
+            label: format!("trace-{seed}/dram-locker"),
+            defenses: vec![DefenseSpec::locker_adjacent()],
+            ..plain.clone()
+        };
+        specs.extend([plain, locked]);
+    }
+    let ops = specs
+        .iter()
+        .map(|spec| match &spec.attack {
+            Some(AttackSpec::ReplayTrace { trace }) => trace.len() as u64,
+            _ => 0,
+        })
+        .sum();
+    let text: String = specs.iter().map(ScenarioSpec::to_text).collect();
+    Box::new(move || {
+        black_box(ScenarioSpec::list_from_text(&text).expect("trace list parses"));
         ops
     })
 }

@@ -510,6 +510,39 @@ mod tests {
         assert!(analyze_text("a.dlk", &spec.to_text()).unwrap().diagnostics.is_empty());
     }
 
+    /// A spec list whose second spec repeats the first one's `op`
+    /// block, which the parser shares instead of reading: findings
+    /// after the block still anchor at their whole-file lines.
+    #[test]
+    fn findings_after_a_shared_op_block_keep_their_lines() {
+        let trace = dlk_sim::Workload::Sequential { base: 0, len: 8, count: 50 }.trace();
+        let spec = |defenses| ScenarioSpec {
+            attack: Some(AttackSpec::trace(trace.clone())),
+            defenses,
+            ..ScenarioSpec::new("same")
+        };
+        let mut text = spec(vec![]).to_text();
+        text.push_str(
+            &spec(vec![DefenseSpec::graphene(64, 8), DefenseSpec::graphene(128, 16)]).to_text(),
+        );
+        let line_of = |prefix: &str, nth: usize| {
+            text.lines()
+                .enumerate()
+                .filter(|(_, line)| line.starts_with(prefix))
+                .nth(nth)
+                .unwrap()
+                .0
+                + 1
+        };
+        let report = analyze_text("list.dlk", &text).unwrap();
+        let found: Vec<(&str, usize)> =
+            report.diagnostics.iter().map(|d| (d.code.code(), d.line)).collect();
+        assert_eq!(
+            found,
+            [("DLK102", line_of("label same", 1)), ("DLK105", line_of("defense graphene", 1))]
+        );
+    }
+
     #[test]
     fn catalog_entries_analyze_without_a_file() {
         for entry in dlk_sim::catalog() {

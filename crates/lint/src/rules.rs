@@ -7,7 +7,9 @@
 //! - **DLK001** — no `unwrap()` / `expect(` or panicking macro
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`) in hot-path
 //!   modules outside `#[cfg(test)]`. They cover the whole request path
-//!   (engine replay, memctrl mapping and service, the locker's
+//!   (engine replay with each shard's op walk and the router's
+//!   translation, the trace ops every replayed request is built from
+//!   and their record codec, memctrl mapping and service, the locker's
 //!   per-request check, lock-table probe and µISA, the dram device,
 //!   banks, hammer tracker, stats and row storage, the counter
 //!   trackers and row-swap defenses every activation updates, and the
@@ -26,9 +28,10 @@
 //!   defenses), which must stay bit-reproducible across runs and
 //!   thread counts.
 //! - **DLK004** — codec exhaustiveness: every `AttackSpec` /
-//!   `DefenseSpec` / `SpecKind` variant name must appear in both the
-//!   `to_text` and `from_text` codec regions, catching the "added a
-//!   variant, forgot a codec arm" bug class before a golden file can.
+//!   `DefenseSpec` / `SpecKind` / `Workload` / `TraceOp` variant name
+//!   must appear in both the `to_text` and `from_text` codec regions,
+//!   catching the "added a variant, forgot a codec arm" bug class
+//!   before a golden file can.
 //!
 //! `#[cfg(test)]` items are exempt from the token rules, and any
 //! finding can be suppressed for its line (or the line below the
@@ -63,6 +66,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/defenses/src/shadow.rs",
     "crates/sim/src/mitigation.rs",
     "crates/engine/src/engine.rs",
+    "crates/engine/src/shard.rs",
+    "crates/engine/src/route.rs",
+    "crates/memctrl/src/trace.rs",
     "crates/dnn/src/tensor.rs",
     "crates/dnn/src/layers.rs",
     "crates/dnn/src/conv.rs",
@@ -103,9 +109,10 @@ struct CodecRule {
     parsers: &'static [&'static str],
 }
 
-/// The spec codecs under DLK004. `AttackSpec::ReplayTrace` is built by
-/// `finish_trace` (trace lines are folded in after the attack record),
-/// so the parse region spans both functions.
+/// The spec and trace-record codecs under DLK004.
+/// `AttackSpec::ReplayTrace` is built by `finish_trace` (trace lines
+/// are folded in after the attack record), so the parse region spans
+/// both functions.
 const CODEC_RULES: &[CodecRule] = &[
     CodecRule {
         enum_name: "AttackSpec",
@@ -118,6 +125,8 @@ const CODEC_RULES: &[CodecRule] = &[
         parsers: &["parse_defense"],
     },
     CodecRule { enum_name: "SpecKind", writers: &["write_victim"], parsers: &["parse_victim"] },
+    CodecRule { enum_name: "Workload", writers: &["write_workload"], parsers: &["parse_workload"] },
+    CodecRule { enum_name: "TraceOp", writers: &["write_record"], parsers: &["parse_record"] },
 ];
 
 /// Collects every `.rs` file the linter covers, relative to `root`:

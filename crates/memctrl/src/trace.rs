@@ -58,58 +58,80 @@ impl TraceOp {
     /// hex, the length in decimal and the payload as two lowercase hex
     /// digits per byte (`-` when empty, so the record keeps three
     /// fields). [`Trace::to_text`] writes one per line, and so does a
-    /// spec file's `op` record.
+    /// spec file's `op` record. The record is built in one small
+    /// buffer and appended at once (a long payload in a few pieces).
     pub fn write_record(&self, out: &mut String) {
+        let mut buf = [0u8; 64];
+        let (kind, addr) = match *self {
+            TraceOp::Read { addr, .. } => (b'R', addr),
+            TraceOp::Write { addr, .. } => (b'W', addr),
+        };
+        buf[..4].copy_from_slice(&[kind, b' ', b'0', b'x']);
+        let mut end = 4 + put_hex(&mut buf[4..], addr);
+        buf[end] = b' ';
+        end += 1;
         match self {
-            TraceOp::Read { addr, len } => {
-                out.push_str("R 0x");
-                push_digits(out, *addr, 16);
-                out.push(' ');
-                push_digits(out, *len as u64, 10);
-            }
-            TraceOp::Write { addr, payload } => {
-                out.push_str("W 0x");
-                push_digits(out, *addr, 16);
-                out.push(' ');
+            TraceOp::Read { len, .. } => end += put_decimal(&mut buf[end..], *len as u64),
+            TraceOp::Write { payload, .. } => {
                 if payload.is_empty() {
-                    out.push('-');
+                    buf[end] = b'-';
+                    end += 1;
                 }
-                for byte in payload {
-                    out.push(char::from(HEX_DIGITS[usize::from(byte >> 4)]));
-                    out.push(char::from(HEX_DIGITS[usize::from(byte & 0xf)]));
+                for &byte in payload {
+                    if end + 2 > buf.len() {
+                        push_ascii(out, &buf[..end]);
+                        end = 0;
+                    }
+                    buf[end] = HEX_DIGITS[usize::from(byte >> 4)];
+                    buf[end + 1] = HEX_DIGITS[usize::from(byte & 0xf)];
+                    end += 2;
                 }
             }
         }
+        push_ascii(out, &buf[..end]);
     }
 
     /// Parses one record in the form [`write_record`](Self::write_record)
     /// writes. Either number may be decimal or `0x` hex (the one
     /// grammar of [`parse_u64`]), the payload's hex digits uppercase,
-    /// and fields may be split by any whitespace.
+    /// and fields may be split by any whitespace, as
+    /// [`str::split_whitespace`] splits them. One pass over the bytes:
+    /// each field is decoded as it is read.
     ///
     /// # Errors
     ///
     /// Returns what is wrong with the record.
     pub fn parse_record(record: &str) -> Result<Self, String> {
-        let mut fields = record.split_whitespace();
-        let kind = fields.next().ok_or("empty record")?;
-        if kind != "R" && kind != "W" {
-            return Err(format!("unknown record kind '{kind}', expected R or W"));
+        let mut fields = Cursor { text: record, at: 0 };
+        if !fields.next_field() {
+            return Err("empty record".to_owned());
         }
-        let addr = fields.next().ok_or("missing address field")?;
-        let addr = parse_u64(addr).ok_or("address is not a number")?;
-        let op = if kind == "R" {
-            let len = fields.next().ok_or("missing read length")?;
-            let len = parse_u64(len)
+        let read = match fields.field() {
+            "R" => true,
+            "W" => false,
+            kind => return Err(format!("unknown record kind '{kind}', expected R or W")),
+        };
+        if !fields.next_field() {
+            return Err("missing address field".to_owned());
+        }
+        let addr = fields.number().ok_or("address is not a number")?;
+        let op = if read {
+            if !fields.next_field() {
+                return Err("missing read length".to_owned());
+            }
+            let len = fields
+                .number()
                 .and_then(|len| usize::try_from(len).ok())
                 .ok_or("read length is not a number")?;
             TraceOp::Read { addr, len }
         } else {
-            let hex = fields.next().ok_or("missing write payload")?;
-            let payload = parse_hex(hex).ok_or("payload is not even-length hex")?;
+            if !fields.next_field() {
+                return Err("missing write payload".to_owned());
+            }
+            let payload = fields.payload().ok_or("payload is not even-length hex")?;
             TraceOp::Write { addr, payload }
         };
-        if fields.next().is_some() {
+        if fields.next_field() {
             return Err("trailing fields".to_owned());
         }
         Ok(op)
@@ -269,20 +291,116 @@ impl Trace {
 /// Lowercase hex digits, indexed by nibble.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends `value` in `radix` (10 or 16), without leading zeros.
-fn push_digits(out: &mut String, mut value: u64, radix: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = HEX_DIGITS[(value % radix) as usize];
-        value /= radix;
-        if value == 0 {
-            break;
+/// Writes `value` in lowercase hex, without leading zeros, at the start
+/// of `buf`, taking each digit by shift. Returns the digit count.
+fn put_hex(buf: &mut [u8], mut value: u64) -> usize {
+    let digits = (64 - value.leading_zeros() as usize).div_ceil(4).max(1);
+    for digit in buf[..digits].iter_mut().rev() {
+        *digit = HEX_DIGITS[value as usize & 0xf];
+        value >>= 4;
+    }
+    digits
+}
+
+/// Writes `value` in decimal, without leading zeros, at the start of
+/// `buf`. Returns the digit count.
+fn put_decimal(buf: &mut [u8], mut value: u64) -> usize {
+    let digits = value.checked_ilog10().map_or(1, |log| log as usize + 1);
+    for digit in buf[..digits].iter_mut().rev() {
+        *digit = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+    digits
+}
+
+/// Appends `bytes`, which the record writer fills with ASCII only.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    // ASCII is UTF-8, so no byte is ever left out.
+    if let Ok(ascii) = std::str::from_utf8(bytes) {
+        out.push_str(ascii);
+    }
+}
+
+/// A position in a record, read left to right. Fields end at
+/// whitespace as [`str::split_whitespace`] sees it: an ASCII byte is
+/// judged by itself, any other character by decoding it.
+struct Cursor<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte.
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Skips whitespace. Whether a field follows.
+    fn next_field(&mut self) -> bool {
+        while let Some(&byte) = self.text.as_bytes().get(self.at) {
+            if !self.ends_at(self.at) {
+                return true;
+            }
+            self.at += if byte.is_ascii() { 1 } else { self.char_len() };
+        }
+        false
+    }
+
+    /// Whether a field ends at byte `at`: the record's end or
+    /// whitespace (in ASCII, vertical tab too, as
+    /// [`char::is_whitespace`] has it).
+    fn ends_at(&self, at: usize) -> bool {
+        match self.text.as_bytes().get(at) {
+            None => true,
+            Some(&byte) if byte.is_ascii() => matches!(byte, b'\t'..=b'\r' | b' '),
+            Some(_) => self.text[at..].starts_with(char::is_whitespace),
         }
     }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
+
+    /// The UTF-8 length of the character at the cursor.
+    fn char_len(&self) -> usize {
+        self.text[self.at..].chars().next().map_or(1, char::len_utf8)
+    }
+
+    /// The rest of the field at the cursor, whatever it holds.
+    fn field(&mut self) -> &'a str {
+        let start = self.at;
+        while !self.ends_at(self.at) {
+            self.at += self.char_len();
+        }
+        &self.text[start..self.at]
+    }
+
+    /// The field at the cursor as a number in [`parse_u64`]'s grammar.
+    fn number(&mut self) -> Option<u64> {
+        let (value, len) = leading_u64(&self.text.as_bytes()[self.at..])?;
+        self.ends_at(self.at + len).then(|| {
+            self.at += len;
+            value
+        })
+    }
+
+    /// The field at the cursor as a write payload: `-` for none, or two
+    /// hex digits (either case) per byte.
+    fn payload(&mut self) -> Option<Vec<u8>> {
+        let bytes = &self.text.as_bytes()[self.at..];
+        if bytes.first() == Some(&b'-') && self.ends_at(self.at + 1) {
+            self.at += 1;
+            return Some(Vec::new());
+        }
+        // The payload is a record's last field, so the rest of the
+        // record bounds its length.
+        let mut payload = Vec::with_capacity(bytes.len() / 2);
+        let mut len = 0;
+        while let [hi, lo, ..] = bytes[len..] {
+            let (hi, lo) = (nibble(hi), nibble(lo));
+            if (hi | lo) > 0xf {
+                break;
+            }
+            payload.push(hi << 4 | lo);
+            len += 2;
+        }
+        // An odd digit or a non-hex byte leaves the field unfinished.
+        (len > 0 && self.ends_at(self.at + len)).then(|| {
+            self.at += len;
+            payload
+        })
     }
 }
 
@@ -291,32 +409,48 @@ fn push_digits(out: &mut String, mut value: u64, radix: u64) {
 /// nothing else — no sign, no `0X`, no whitespace. `None` when `field`
 /// is not in that form or overflows a `u64`.
 pub fn parse_u64(field: &str) -> Option<u64> {
-    let (digits, radix) = match field.strip_prefix("0x") {
-        Some(hex) => (hex, 16),
-        None => (field, 10),
-    };
-    // `from_str_radix` alone would also take a leading `+`.
-    if !digits.bytes().all(|byte| char::from(byte).is_digit(radix)) {
-        return None;
-    }
-    u64::from_str_radix(digits, radix).ok()
+    leading_u64(field.as_bytes()).and_then(|(value, len)| (len == field.len()).then_some(value))
 }
 
-fn parse_hex(hex: &str) -> Option<Vec<u8>> {
-    if hex == "-" {
-        return Some(Vec::new());
-    }
-    // Work on bytes: fixed-offset `&str` slicing would panic on
-    // multi-byte UTF-8 in a corrupted trace file.
-    let digit = |byte: u8| (byte as char).to_digit(16).map(|d| d as u8);
-    let mut payload = Vec::with_capacity(hex.len() / 2);
-    for pair in hex.as_bytes().chunks(2) {
-        match *pair {
-            [hi, lo] => payload.push(digit(hi)? << 4 | digit(lo)?),
-            _ => return None, // odd-length payload
+/// The number in [`parse_u64`]'s grammar that `bytes` start with, and
+/// its length: one pass, each digit checked and added at once. `None`
+/// when there is no digit or the number overflows a `u64`.
+fn leading_u64(bytes: &[u8]) -> Option<(u64, usize)> {
+    let (digits, prefix, radix) = match bytes {
+        [b'0', b'x', hex @ ..] => (hex, 2, 16),
+        _ => (bytes, 0, 10),
+    };
+    let mut value = 0u64;
+    let mut len = 0;
+    for &byte in digits {
+        let digit = if radix == 16 { nibble(byte) } else { byte.wrapping_sub(b'0') };
+        if u64::from(digit) >= radix {
+            break;
         }
+        value = value.checked_mul(radix)?.checked_add(u64::from(digit))?;
+        len += 1;
     }
-    Some(payload)
+    (len > 0).then_some((value, prefix + len))
+}
+
+/// Each byte's value as a hex digit (either case), or 16 when it is
+/// not one: a table, since random digits defeat branch prediction.
+const NIBBLES: [u8; 256] = {
+    let mut table = [16u8; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        let lower = HEX_DIGITS[digit];
+        table[lower as usize] = digit as u8;
+        table[lower.to_ascii_uppercase() as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
+/// The value of hex digit `byte` (either case); 16 when `byte` is not
+/// one.
+fn nibble(byte: u8) -> u8 {
+    NIBBLES[usize::from(byte)]
 }
 
 impl Extend<TraceOp> for Trace {

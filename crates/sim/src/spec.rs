@@ -427,11 +427,11 @@ impl ScenarioSpec {
     /// number *and* the offending line's content, so front ends (the
     /// `dlk` CLI) can print actionable parse failures.
     pub fn from_text(text: &str) -> Result<Self, SimError> {
-        let mut parser = SpecParser::default();
-        for record in records(text) {
-            parser.feed(&record)?;
+        let mut reader = SpecReader::new(text);
+        while let Some(record) = reader.records.next() {
+            reader.feed(&record)?;
         }
-        Ok(parser.finish())
+        Ok(reader.finish())
     }
 
     /// Loads one spec from a `.dlk` file on disk.
@@ -450,9 +450,12 @@ impl ScenarioSpec {
     /// outputs. Every `label` record after the first starts a new spec
     /// (exactly the boundary `to_text` emits first), so `dlk sweep`
     /// grids and spool files are plain concatenations. The list is read
-    /// in one pass, each line once, so parsing stays linear in the
-    /// file. Parse errors keep whole-file line numbers. Files holding
-    /// only comments and blank lines parse to an empty list.
+    /// in one pass, each line once. An `op` block (the `op` records
+    /// after an `attack replay-trace` record) identical to one already
+    /// read in the list is compared instead of parsed, and its spec
+    /// shares that block's trace: the ops, not the trust flag. Parse
+    /// errors keep whole-file line numbers. Files holding only comments
+    /// and blank lines parse to an empty list.
     ///
     /// # Errors
     ///
@@ -471,21 +474,21 @@ impl ScenarioSpec {
     /// Returns [`SimError::SpecParse`] with the offending line.
     pub fn list_from_text_with_lines(text: &str) -> Result<Vec<(usize, Self)>, SimError> {
         let mut specs = Vec::new();
-        let mut parser = SpecParser::default();
+        let mut reader = SpecReader::new(text);
         let (mut start, mut labelled, mut any_record) = (1, false, false);
-        for record in records(text) {
+        while let Some(record) = reader.records.next() {
             if record.key == "label" {
                 if labelled {
-                    specs.push((start, std::mem::take(&mut parser).finish()));
+                    specs.push((start, reader.finish()));
                     start = record.line;
                 }
                 labelled = true;
             }
-            parser.feed(&record)?;
+            reader.feed(&record)?;
             any_record = true;
         }
         if any_record {
-            specs.push((start, parser.finish()));
+            specs.push((start, reader.finish()));
         }
         Ok(specs)
     }
@@ -512,6 +515,8 @@ fn read_spec_file(path: &std::path::Path) -> Result<String, SimError> {
 struct Record<'a> {
     /// 1-based line number.
     line: usize,
+    /// Byte offset of the line in the text.
+    start: usize,
     /// The whole record, trimmed.
     text: &'a str,
     /// Its first token.
@@ -521,31 +526,125 @@ struct Record<'a> {
 }
 
 /// The records of a spec text: every line that is not blank or a `#`
-/// comment, in order.
-fn records(text: &str) -> impl Iterator<Item = Record<'_>> {
-    text.lines().enumerate().filter_map(|(index, raw)| {
-        let text = raw.trim();
-        if text.is_empty() || text.starts_with('#') {
-            return None;
+/// comment, in order. Lines are framed by bytes, and a line that
+/// starts and ends in printable ASCII is taken as it is, unscanned.
+#[derive(Clone)]
+struct Records<'a> {
+    text: &'a str,
+    /// Byte offset of the next line.
+    at: usize,
+    /// Lines before `at`.
+    lines: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Record<'a>;
+
+    fn next(&mut self) -> Option<Record<'a>> {
+        while self.at < self.text.len() {
+            let start = self.at;
+            let rest = &self.text[start..];
+            let (raw, next) = match rest.bytes().position(|byte| byte == b'\n') {
+                Some(end) => (&rest[..end], start + end + 1),
+                None => (rest, self.text.len()),
+            };
+            self.at = next;
+            self.lines += 1;
+            let text = trim_end(trim_start(raw));
+            if text.is_empty() || text.starts_with('#') {
+                continue;
+            }
+            // `op` records outnumber every other record.
+            let (key, rest) = match text.strip_prefix("op ") {
+                Some(rest) => ("op", rest),
+                None => text.split_once(char::is_whitespace).unwrap_or((text, "")),
+            };
+            return Some(Record { line: self.lines, start, text, key, rest: trim_start(rest) });
         }
-        let (key, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
-        Some(Record { line: index + 1, text, key, rest: rest.trim_start() })
-    })
+        None
+    }
 }
 
-/// The spec being read, record by record.
-#[derive(Default)]
-struct SpecParser {
+impl Records<'_> {
+    /// Whether the text from `record`'s line on starts with `read`'s
+    /// text, and no `op` record follows that text.
+    fn repeats(&self, record: &Record<'_>, read: &ReadBlock<'_>) -> bool {
+        self.text[record.start..].starts_with(read.text) && {
+            let mut after = Records { at: record.start + read.text.len(), ..self.clone() };
+            after.next().is_none_or(|next| next.key != "op")
+        }
+    }
+}
+
+/// [`str::trim_start`], which a leading printable ASCII byte makes a
+/// no-op.
+fn trim_start(text: &str) -> &str {
+    match text.as_bytes().first() {
+        Some(byte) if byte.is_ascii_graphic() => text,
+        _ => text.trim_start(),
+    }
+}
+
+/// [`str::trim_end`], which a trailing printable ASCII byte makes a
+/// no-op.
+fn trim_end(text: &str) -> &str {
+    match text.as_bytes().last() {
+        Some(byte) if byte.is_ascii_graphic() => text,
+        _ => text.trim_end(),
+    }
+}
+
+/// Reads the specs of one text, record by record.
+struct SpecReader<'a> {
+    records: Records<'a>,
+    /// The spec being read.
     spec: ScenarioSpec,
-    /// The trust flag and ops of an `attack replay-trace` block, which
-    /// its `op` records extend until any other record closes it.
-    trace: Option<(bool, Vec<TraceOp>)>,
+    /// The `attack replay-trace` block being read, which its `op`
+    /// records extend until any other record closes it.
+    block: Option<OpBlock>,
+    /// Every `op` block read so far in this text.
+    read: Vec<ReadBlock<'a>>,
 }
 
-impl SpecParser {
+/// An open `attack replay-trace` block.
+struct OpBlock {
+    untrusted: bool,
+    ops: Vec<TraceOp>,
+    /// Where its `op` lines run, once the first is read.
+    span: Option<Span>,
+}
+
+/// The `op` lines of a block: from the start of the first to the end
+/// of the last, line break included.
+struct Span {
+    start: usize,
+    end: usize,
+    first_line: usize,
+    last_line: usize,
+}
+
+/// An `op` block already read: its text and its trace.
+struct ReadBlock<'a> {
+    /// The block's `op` lines, as [`Span`] bounds them.
+    text: &'a str,
+    /// How many lines `text` holds.
+    lines: usize,
+    trace: Trace,
+}
+
+impl<'a> SpecReader<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            records: Records { text, at: 0, lines: 0 },
+            spec: ScenarioSpec::default(),
+            block: None,
+            read: Vec::new(),
+        }
+    }
+
     /// Applies one record. A parse error names and quotes its line:
     /// every error is the current record's.
-    fn feed(&mut self, record: &Record<'_>) -> Result<(), SimError> {
+    fn feed(&mut self, record: &Record<'a>) -> Result<(), SimError> {
         self.apply(record).map_err(|err| match err {
             SimError::SpecParse { line, reason, .. } => {
                 SimError::SpecParse { line, text: record.text.to_owned(), reason }
@@ -554,11 +653,12 @@ impl SpecParser {
         })
     }
 
-    fn apply(&mut self, record: &Record<'_>) -> Result<(), SimError> {
+    fn apply(&mut self, record: &Record<'a>) -> Result<(), SimError> {
         let Record { line, key, rest, .. } = *record;
-        if key != "op" {
-            self.close_trace();
+        if key == "op" {
+            return self.op(record);
         }
+        self.close_block();
         let spec = &mut self.spec;
         let mut tokens = rest.split_whitespace();
         match key {
@@ -594,7 +694,7 @@ impl SpecParser {
                 let fields = Fields::parse(line, tokens)?;
                 if kind == "replay-trace" {
                     let untrusted = fields.num::<u8>("untrusted")? != 0;
-                    self.trace = Some((untrusted, Vec::new()));
+                    self.block = Some(OpBlock { untrusted, ops: Vec::new(), span: None });
                 } else {
                     spec.attack = Some(parse_attack(line, kind, &fields)?);
                 }
@@ -613,21 +713,6 @@ impl SpecParser {
                     }
                 }
             }
-            "op" => {
-                let Some((_, ops)) = &mut self.trace else {
-                    return Err(parse_error(
-                        line,
-                        "op record outside an 'attack replay-trace' block",
-                    ));
-                };
-                // An `op` line holds one trace record; a bare `op`
-                // holds none.
-                if !rest.is_empty() {
-                    let op = TraceOp::parse_record(rest)
-                        .map_err(|e| parse_error(line, &format!("embedded trace: {e}")))?;
-                    ops.push(op);
-                }
-            }
             "defense" => {
                 let kind = one_token(line, &mut tokens)?;
                 let fields = Fields::parse(line, tokens)?;
@@ -638,15 +723,66 @@ impl SpecParser {
         Ok(())
     }
 
-    fn close_trace(&mut self) {
-        if let Some((untrusted, ops)) = self.trace.take() {
-            self.spec.attack = Some(finish_trace(untrusted, ops));
+    /// Reads one `op` record into the open block. The block's first
+    /// record may start a repeat of a block already read: when the text
+    /// from here on starts with that block's text and no `op` record
+    /// follows it, the spec shares that block's trace, and reading
+    /// resumes after it with whole-file line numbers kept.
+    fn op(&mut self, record: &Record<'a>) -> Result<(), SimError> {
+        let Some(block) = &mut self.block else {
+            return Err(parse_error(
+                record.line,
+                "op record outside an 'attack replay-trace' block",
+            ));
+        };
+        if block.span.is_none() {
+            let records = &mut self.records;
+            if let Some(read) = self.read.iter().find(|read| records.repeats(record, read)) {
+                self.spec.attack = Some(finish_trace(read.trace.clone(), block.untrusted));
+                self.block = None;
+                records.at = record.start + read.text.len();
+                records.lines = record.line - 1 + read.lines;
+                return Ok(());
+            }
         }
+        // An `op` line holds one trace record; a bare `op` holds none.
+        if !record.rest.is_empty() {
+            let op = TraceOp::parse_record(record.rest)
+                .map_err(|e| parse_error(record.line, &format!("embedded trace: {e}")))?;
+            block.ops.push(op);
+        }
+        let (end, line) = (self.records.at, record.line);
+        let span = block.span.get_or_insert(Span {
+            start: record.start,
+            end,
+            first_line: line,
+            last_line: line,
+        });
+        (span.end, span.last_line) = (end, line);
+        Ok(())
     }
 
-    fn finish(mut self) -> ScenarioSpec {
-        self.close_trace();
-        self.spec
+    /// Closes the open block, if any, into the spec's attack and keeps
+    /// its text for the blocks after it.
+    fn close_block(&mut self) {
+        let Some(block) = self.block.take() else {
+            return;
+        };
+        let trace = Trace::from(block.ops);
+        if let Some(span) = block.span {
+            self.read.push(ReadBlock {
+                text: &self.records.text[span.start..span.end],
+                lines: span.last_line + 1 - span.first_line,
+                trace: trace.clone(),
+            });
+        }
+        self.spec.attack = Some(finish_trace(trace, block.untrusted));
+    }
+
+    /// The spec read so far; the next record starts a default one.
+    fn finish(&mut self) -> ScenarioSpec {
+        self.close_block();
+        std::mem::take(&mut self.spec)
     }
 }
 
@@ -850,9 +986,9 @@ fn parse_attack(line: usize, kind: &str, fields: &Fields<'_>) -> Result<AttackSp
     })
 }
 
-/// The `attack replay-trace` block's attack, once its `op` records end.
-fn finish_trace(untrusted: bool, ops: Vec<TraceOp>) -> AttackSpec {
-    let mut trace = Trace::from(ops);
+/// The `attack replay-trace` block's attack, once its `op` records end:
+/// their trace, under the block's own trust flag.
+fn finish_trace(mut trace: Trace, untrusted: bool) -> AttackSpec {
     trace.untrusted = untrusted;
     AttackSpec::ReplayTrace { trace }
 }

@@ -364,3 +364,111 @@ fn from_spec_reproduces_builder_reports_for_representative_entries() {
         assert_eq!(via_spec, via_builder, "{name}");
     }
 }
+
+/// A short recorded trace: reads and writes, one with no payload.
+fn short_trace() -> Trace {
+    let mut trace = Trace::new();
+    trace.push(TraceOp::Read { addr: 0x1000, len: 4 });
+    trace.push(TraceOp::Write { addr: 0x2040, payload: vec![0x0a, 0xff] });
+    trace.push(TraceOp::Read { addr: 0x80, len: 8 });
+    trace.push(TraceOp::Write { addr: 0x10, payload: Vec::new() });
+    trace.push(TraceOp::Read { addr: 0xdead_0040, len: 64 });
+    trace
+}
+
+/// `trace` embedded in a spec under `untrusted`, with `defenses`.
+fn trace_spec(
+    label: &str,
+    trace: &Trace,
+    untrusted: bool,
+    defenses: Vec<DefenseSpec>,
+) -> ScenarioSpec {
+    let mut trace = trace.clone();
+    trace.untrusted = untrusted;
+    ScenarioSpec { attack: Some(AttackSpec::trace(trace)), defenses, ..ScenarioSpec::new(label) }
+}
+
+/// The trace of a spec's `attack replay-trace`.
+fn trace_of(spec: &ScenarioSpec) -> &Trace {
+    match &spec.attack {
+        Some(AttackSpec::ReplayTrace { trace }) => trace,
+        other => panic!("{}: expected a replay-trace attack, got {other:?}", spec.label),
+    }
+}
+
+/// One trace in three specs, under different trust flags and defenses,
+/// with a comment and a blank line inside each copy of its `op` block:
+/// the list parses to what each spec parses to alone, and all three
+/// share one ops allocation.
+#[test]
+fn identical_op_blocks_in_a_list_share_one_trace() {
+    let trace = short_trace();
+    let chunks: Vec<String> = [
+        trace_spec("a", &trace, true, vec![]),
+        trace_spec("b", &trace, false, vec![DefenseSpec::locker_adjacent()]),
+        trace_spec("c", &trace, true, vec![DefenseSpec::graphene(64, 8)]),
+    ]
+    .iter()
+    .map(|spec| {
+        spec.to_text().replacen("op W 0x2040 0aff\n", "op W 0x2040 0aff\n# mid-block\n\n", 1)
+    })
+    .collect();
+    let text = chunks.concat();
+    let mut expected = Vec::new();
+    let mut next_line = 1;
+    for chunk in &chunks {
+        let start = if expected.is_empty() { next_line } else { next_line + 1 };
+        expected.push((start, ScenarioSpec::from_text(chunk).unwrap()));
+        next_line += chunk.lines().count();
+    }
+    let parsed = ScenarioSpec::list_from_text_with_lines(&text).unwrap();
+    assert_eq!(parsed, expected);
+    let traces: Vec<&Trace> = parsed.iter().map(|(_, spec)| trace_of(spec)).collect();
+    assert_eq!(traces[0].ops(), trace.ops());
+    assert_eq!(traces.iter().map(|t| t.untrusted).collect::<Vec<_>>(), [true, false, true]);
+    assert!(traces.iter().all(|t| t.ops().as_ptr() == traces[0].ops().as_ptr()));
+}
+
+/// A block that differs from an earlier one in one op, one that extends
+/// it with more `op` lines and one that is its prefix are each parsed;
+/// a later copy of the first still shares it.
+#[test]
+fn op_blocks_that_differ_or_extend_are_parsed_not_shared() {
+    let trace = short_trace();
+    let mut changed_ops = trace.ops().to_vec();
+    changed_ops[2] = TraceOp::Read { addr: 0x80, len: 9 };
+    let mut extended = trace.clone();
+    extended.push(TraceOp::Read { addr: 0x40, len: 1 });
+    let prefix = Trace::from(trace.ops()[..3].to_vec());
+    let specs = vec![
+        trace_spec("first", &trace, true, vec![]),
+        trace_spec("changed", &Trace::from(changed_ops), true, vec![]),
+        trace_spec("extended", &extended, true, vec![]),
+        trace_spec("prefix", &prefix, true, vec![]),
+        trace_spec("again", &trace, false, vec![]),
+    ];
+    let text: String = specs.iter().map(ScenarioSpec::to_text).collect();
+    let parsed = ScenarioSpec::list_from_text(&text).unwrap();
+    assert_eq!(parsed, specs);
+    let first = trace_of(&parsed[0]).ops().as_ptr();
+    for spec in &parsed[1..4] {
+        assert_ne!(trace_of(spec).ops().as_ptr(), first, "{}", spec.label);
+    }
+    assert_eq!(trace_of(&parsed[4]).ops().as_ptr(), first);
+}
+
+/// A syntax error two lines after a shared block reports its
+/// whole-file line and quotes it.
+#[test]
+fn errors_after_a_shared_op_block_keep_whole_file_lines() {
+    let trace = short_trace();
+    let mut text = trace_spec("one", &trace, true, vec![]).to_text();
+    text.push_str(&trace_spec("two", &trace, false, vec![DefenseSpec::graphene(64, 8)]).to_text());
+    text.push_str("geometry huge\n");
+    let line = text.lines().count();
+    let err = ScenarioSpec::list_from_text(&text).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!("spec parse: line {line}: unknown geometry 'huge'\n  {line} | geometry huge")
+    );
+}
