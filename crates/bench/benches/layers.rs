@@ -634,10 +634,12 @@ fn trace_spec_roundtrip() -> Kernel {
 /// recorded traces, each replayed without and with DRAM-Locker, so
 /// each appears twice. Counts every listed op.
 fn trace_list_parse() -> Kernel {
-    let mut specs = Vec::new();
+    let (mut specs, mut ops) = (Vec::new(), 0);
     for seed in [3, 4] {
+        let trace = recorded_trace(seed);
+        ops += 2 * trace.len() as u64;
         let plain = ScenarioSpec {
-            attack: Some(AttackSpec::trace(recorded_trace(seed))),
+            attack: Some(AttackSpec::trace(trace)),
             ..ScenarioSpec::new(format!("trace-{seed}"))
         };
         let locked = ScenarioSpec {
@@ -647,13 +649,6 @@ fn trace_list_parse() -> Kernel {
         };
         specs.extend([plain, locked]);
     }
-    let ops = specs
-        .iter()
-        .map(|spec| match &spec.attack {
-            Some(AttackSpec::ReplayTrace { trace }) => trace.len() as u64,
-            _ => 0,
-        })
-        .sum();
     let text: String = specs.iter().map(ScenarioSpec::to_text).collect();
     Box::new(move || {
         black_box(ScenarioSpec::list_from_text(&text).expect("trace list parses"));

@@ -566,11 +566,11 @@ impl<'a> Iterator for Records<'a> {
 }
 
 impl Records<'_> {
-    /// Whether the text from `record`'s line on starts with `read`'s
+    /// Whether the text from `record`'s line on starts with `parsed`'s
     /// text, and no `op` record follows that text.
-    fn repeats(&self, record: &Record<'_>, read: &ReadBlock<'_>) -> bool {
-        self.text[record.start..].starts_with(read.text) && {
-            let mut after = Records { at: record.start + read.text.len(), ..self.clone() };
+    fn repeats(&self, record: &Record<'_>, parsed: &ParsedBlock<'_>) -> bool {
+        self.text[record.start..].starts_with(parsed.text) && {
+            let mut after = Records { at: record.start + parsed.text.len(), ..self.clone() };
             after.next().is_none_or(|next| next.key != "op")
         }
     }
@@ -602,8 +602,8 @@ struct SpecReader<'a> {
     /// The `attack replay-trace` block being read, which its `op`
     /// records extend until any other record closes it.
     block: Option<OpBlock>,
-    /// Every `op` block read so far in this text.
-    read: Vec<ReadBlock<'a>>,
+    /// Every `op` block parsed so far in this text.
+    parsed: Vec<ParsedBlock<'a>>,
 }
 
 /// An open `attack replay-trace` block.
@@ -623,8 +623,8 @@ struct Span {
     last_line: usize,
 }
 
-/// An `op` block already read: its text and its trace.
-struct ReadBlock<'a> {
+/// An `op` block already parsed: its text and its trace.
+struct ParsedBlock<'a> {
     /// The block's `op` lines, as [`Span`] bounds them.
     text: &'a str,
     /// How many lines `text` holds.
@@ -638,7 +638,7 @@ impl<'a> SpecReader<'a> {
             records: Records { text, at: 0, lines: 0 },
             spec: ScenarioSpec::default(),
             block: None,
-            read: Vec::new(),
+            parsed: Vec::new(),
         }
     }
 
@@ -724,7 +724,7 @@ impl<'a> SpecReader<'a> {
     }
 
     /// Reads one `op` record into the open block. The block's first
-    /// record may start a repeat of a block already read: when the text
+    /// record may start a repeat of a block already parsed: when the text
     /// from here on starts with that block's text and no `op` record
     /// follows it, the spec shares that block's trace, and reading
     /// resumes after it with whole-file line numbers kept.
@@ -737,11 +737,12 @@ impl<'a> SpecReader<'a> {
         };
         if block.span.is_none() {
             let records = &mut self.records;
-            if let Some(read) = self.read.iter().find(|read| records.repeats(record, read)) {
-                self.spec.attack = Some(finish_trace(read.trace.clone(), block.untrusted));
+            let repeated = self.parsed.iter().find(|parsed| records.repeats(record, parsed));
+            if let Some(parsed) = repeated {
+                self.spec.attack = Some(finish_trace(parsed.trace.clone(), block.untrusted));
                 self.block = None;
-                records.at = record.start + read.text.len();
-                records.lines = record.line - 1 + read.lines;
+                records.at = record.start + parsed.text.len();
+                records.lines = record.line - 1 + parsed.lines;
                 return Ok(());
             }
         }
@@ -770,7 +771,7 @@ impl<'a> SpecReader<'a> {
         };
         let trace = Trace::from(block.ops);
         if let Some(span) = block.span {
-            self.read.push(ReadBlock {
+            self.parsed.push(ParsedBlock {
                 text: &self.records.text[span.start..span.end],
                 lines: span.last_line + 1 - span.first_line,
                 trace: trace.clone(),
