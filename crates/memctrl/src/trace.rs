@@ -671,6 +671,141 @@ mod tests {
         assert_eq!(TraceOp::parse_record("R 0x10 0x20"), Ok(TraceOp::Read { addr: 16, len: 32 }));
     }
 
+    /// The record reader this module had before the byte-level cursor:
+    /// `split_whitespace` fields, a digit check before
+    /// `from_str_radix`, and `to_digit` payload hex.
+    fn split_whitespace_reference(record: &str) -> Result<TraceOp, String> {
+        let number = |field: &str| {
+            let (digits, radix) = match field.strip_prefix("0x") {
+                Some(hex) => (hex, 16),
+                None => (field, 10),
+            };
+            if !digits.bytes().all(|byte| char::from(byte).is_digit(radix)) {
+                return None;
+            }
+            u64::from_str_radix(digits, radix).ok()
+        };
+        let hex = |hex: &str| {
+            if hex == "-" {
+                return Some(Vec::new());
+            }
+            let digit = |byte: u8| char::from(byte).to_digit(16).map(|d| d as u8);
+            let mut payload = Vec::new();
+            for pair in hex.as_bytes().chunks(2) {
+                match *pair {
+                    [hi, lo] => payload.push(digit(hi)? << 4 | digit(lo)?),
+                    _ => return None,
+                }
+            }
+            Some(payload)
+        };
+        let mut fields = record.split_whitespace();
+        let kind = fields.next().ok_or("empty record")?;
+        if kind != "R" && kind != "W" {
+            return Err(format!("unknown record kind '{kind}', expected R or W"));
+        }
+        let addr = fields.next().ok_or("missing address field")?;
+        let addr = number(addr).ok_or("address is not a number")?;
+        let op = if kind == "R" {
+            let len = fields.next().ok_or("missing read length")?;
+            let len = number(len)
+                .and_then(|len| usize::try_from(len).ok())
+                .ok_or("read length is not a number")?;
+            TraceOp::Read { addr, len }
+        } else {
+            let payload = fields.next().ok_or("missing write payload")?;
+            TraceOp::Write { addr, payload: hex(payload).ok_or("payload is not even-length hex")? }
+        };
+        if fields.next().is_some() {
+            return Err("trailing fields".to_owned());
+        }
+        Ok(op)
+    }
+
+    /// One of `pieces`, at random.
+    fn pick<'a>(rng: &mut StdRng, pieces: &[&'a str]) -> &'a str {
+        pieces[rng.random_range(0..pieces.len())]
+    }
+
+    /// A number field: decimal or `0x` hex of any `u64`, either hex
+    /// case, leading zeros, or one of the near misses.
+    fn number_field(rng: &mut StdRng) -> String {
+        let value = match rng.random_range(0u32..3) {
+            0 => rng.random_range(0u64..16),
+            1 => rng.random_range(0u64..1 << 20),
+            _ => rng.random_range(0u64..u64::MAX),
+        };
+        let zeros = "0".repeat(rng.random_range(0usize..3));
+        match rng.random_range(0u32..8) {
+            0 | 1 => format!("{zeros}{value}"),
+            2 | 3 => format!("0x{zeros}{value:x}"),
+            4 => format!("0x{zeros}{value:X}"),
+            5 => format!("{value}{}", pick(rng, &["0", "5", "9", "x", "g", "\u{e9}"])),
+            6 => format!("0x{value:x}{}", pick(rng, &["0", "f", "F", "g", "\u{20ac}"])),
+            _ => pick(rng, &["", "+5", "-5", "0x", "0X10", "0x+1", "1e3", "5_0"]).to_owned(),
+        }
+    }
+
+    /// A field separator: mostly whitespace of every kind, sometimes a
+    /// character that glues two fields into one.
+    fn separator(rng: &mut StdRng) -> &'static str {
+        if rng.random_bool(0.95) {
+            pick(
+                rng,
+                &[" ", " ", "  ", "\t", "\u{b}", "\u{c}", "\r", "\u{3000}", "\u{a0}", "\u{85}"],
+            )
+        } else {
+            pick(rng, &["", "\u{200b}", "\u{e9}", "-", "+"])
+        }
+    }
+
+    #[test]
+    fn parse_record_agrees_with_the_split_whitespace_reference() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut parsed = 0;
+        for _ in 0..20_000 {
+            let mut record = String::new();
+            if rng.random_bool(0.2) {
+                record.push_str(separator(&mut rng));
+            }
+            record.push_str(pick(
+                &mut rng,
+                &["R", "R", "R", "W", "W", "W", "r", "RW", "", "\u{154}"],
+            ));
+            record.push_str(separator(&mut rng));
+            record.push_str(&number_field(&mut rng));
+            record.push_str(separator(&mut rng));
+            if rng.random_bool(0.5) {
+                record.push_str(&number_field(&mut rng));
+            } else {
+                let bytes = rng.random_range(0usize..10);
+                for _ in 0..bytes {
+                    let byte = rng.random_range(0u32..256);
+                    let pair = if rng.random_bool(0.5) {
+                        format!("{byte:02x}")
+                    } else {
+                        format!("{byte:02X}")
+                    };
+                    record.push_str(&pair);
+                }
+                record
+                    .push_str(pick(&mut rng, &["", "", "", "", "-", "--", "a", "g0", "\u{20ac}"]));
+            }
+            if rng.random_bool(0.1) {
+                record.push_str(separator(&mut rng));
+                record.push_str(pick(&mut rng, &["x", "0", "-", "\u{3000}", ""]));
+            }
+            if rng.random_bool(0.2) {
+                record.push_str(separator(&mut rng));
+            }
+            let got = TraceOp::parse_record(&record);
+            parsed += usize::from(got.is_ok());
+            assert_eq!(got, split_whitespace_reference(&record), "{record:?}");
+        }
+        // The generator reaches both outcomes often.
+        assert!((2_000..18_000).contains(&parsed), "{parsed} of 20000 parsed");
+    }
+
     #[test]
     fn clones_share_their_ops_until_one_is_changed() {
         let trace = Trace::sequential_reads(0, 8, 4, 3);

@@ -1277,6 +1277,43 @@ mod tests {
         assert!(err.to_string().contains("outside"), "{err}");
     }
 
+    /// The record framer before `Records`: `str::lines`, `trim` and
+    /// `split_once(char::is_whitespace)`.
+    fn lines_reference(text: &str) -> Vec<(usize, &str, &str, &str)> {
+        let records = text.lines().enumerate().filter_map(|(index, raw)| {
+            let text = raw.trim();
+            if text.is_empty() || text.starts_with('#') {
+                return None;
+            }
+            let (key, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+            Some((index + 1, text, key, rest.trim_start()))
+        });
+        records.collect()
+    }
+
+    #[test]
+    fn records_agree_with_the_lines_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const PIECES: &[&str] = &[
+            "op", "op ", "opx", "label", " ", "\t", "\u{b}", "\r", "\n", "\n", "\r\n", "\u{3000}",
+            "\u{a0}", "\u{200b}", "#", "R", "0x1", "\u{e9}",
+        ];
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..5_000 {
+            let text: String = (0..rng.random_range(0usize..24))
+                .map(|_| PIECES[rng.random_range(0..PIECES.len())])
+                .collect();
+            let records: Vec<Record<'_>> = Records { text: &text, at: 0, lines: 0 }.collect();
+            for record in &records {
+                let raw = text[record.start..].lines().next().unwrap_or("");
+                assert_eq!(raw.trim(), record.text, "{text:?}");
+            }
+            let got: Vec<_> = records.iter().map(|r| (r.line, r.text, r.key, r.rest)).collect();
+            assert_eq!(got, lines_reference(&text), "{text:?}");
+        }
+    }
+
     #[test]
     fn geometry_tokens_cover_every_preset() {
         for preset in GeometrySpec::ALL {
