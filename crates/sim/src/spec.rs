@@ -450,12 +450,12 @@ impl ScenarioSpec {
     /// outputs. Every `label` record after the first starts a new spec
     /// (exactly the boundary `to_text` emits first), so `dlk sweep`
     /// grids and spool files are plain concatenations. The list is read
-    /// in one pass, each line once. An `op` block (the `op` records
-    /// after an `attack replay-trace` record) identical to one already
-    /// read in the list is compared instead of parsed, and its spec
-    /// shares that block's trace: the ops, not the trust flag. Parse
-    /// errors keep whole-file line numbers. Files holding only comments
-    /// and blank lines parse to an empty list.
+    /// in one pass, each line once. Identical `op` blocks (the `op`
+    /// records after an `attack replay-trace` record) in one list are
+    /// parsed once and share one trace: a repeat is compared with the
+    /// block already read instead of parsed, and each spec keeps its
+    /// own trust flag. Parse errors keep whole-file line numbers. Files
+    /// holding only comments and blank lines parse to an empty list.
     ///
     /// # Errors
     ///
