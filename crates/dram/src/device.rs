@@ -175,7 +175,8 @@ impl DramDevice {
         self.windows
     }
 
-    /// Advances the device clock by `cycles` (idle time).
+    /// Advances the device clock by `cycles` (idle time), servicing any
+    /// auto-refresh that falls due.
     pub fn advance(&mut self, cycles: u64) {
         self.clock += cycles;
         self.stats.cycles = self.clock;
@@ -225,9 +226,7 @@ impl DramDevice {
     /// site with a known command keeps only that command's arm.
     #[inline(always)]
     fn step(&mut self, cmd: DramCommand) -> Result<(u64, Vec<DisturbanceEvent>), DramError> {
-        if self.config.auto_refresh {
-            self.service_refresh();
-        }
+        self.service_refresh();
         let timing = self.config.timing;
         let mut disturbances = Vec::new();
         let (start, done) = match cmd {
@@ -311,7 +310,14 @@ impl DramDevice {
         done
     }
 
+    /// Issues the REFs and ends the refresh windows that the clock has
+    /// reached, when auto-refresh is on; a device with it off never
+    /// refreshes.
+    #[inline]
     fn service_refresh(&mut self) {
+        if !self.config.auto_refresh {
+            return;
+        }
         while self.clock >= self.next_refresh {
             let done = self.execute_refresh();
             self.stats.record(CommandKind::Ref, self.config.energy.ref_pj);
@@ -696,6 +702,15 @@ mod tests {
         assert_eq!(dram.activation_count(id), 0, "window reset should clear count");
         assert_eq!(dram.refresh_windows(), 2);
         assert!(dram.stats().count(CommandKind::Ref) > 0);
+    }
+
+    #[test]
+    fn advance_never_refreshes_with_auto_refresh_off() {
+        let mut dram = device();
+        let trefw = dram.config().timing.trefw;
+        dram.advance(trefw);
+        assert_eq!(dram.stats().count(CommandKind::Ref), 0);
+        assert_eq!(dram.refresh_windows(), 0);
     }
 
     #[test]
