@@ -23,15 +23,13 @@
 //! The search is *white-box*: per the paper's threat model the attacker
 //! has full knowledge of parameters, bit representation and gradients.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dnn::quant::flip_delta;
 use dlk_dnn::{BitIndex, QuantLayer, QuantNetwork, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
 
 /// Bit-search configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfaConfig {
     /// Candidate bits trialled per layer per iteration.
     pub candidates_per_layer: usize,

@@ -19,13 +19,11 @@
 //! denied, no activation happens, and the outcome reports the denial
 //! count instead of a flip.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dram::{RowAddr, RowId};
 use dlk_memctrl::{MemCtrlError, MemRequest, MemoryController};
 
 /// Hammer driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HammerConfig {
     /// Maximum aggressor activations to attempt.
     pub max_activations: u64,
@@ -40,7 +38,7 @@ impl Default for HammerConfig {
 }
 
 /// Result of one hammer campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HammerOutcome {
     /// The victim bit flipped.
     pub flipped: bool,

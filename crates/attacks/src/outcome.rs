@@ -1,11 +1,9 @@
 //! Attack outcome records.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dnn::BitIndex;
 
 /// One point of an attack trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackPoint {
     /// Attack iteration (0 = clean model).
     pub iteration: usize,
@@ -29,7 +27,7 @@ pub struct AttackPoint {
 /// assert_eq!(curve.final_accuracy(), 0.4);
 /// assert_eq!(curve.flips_to_reach(0.5), Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttackCurve {
     /// Label for reports (e.g. "BFA", "random").
     pub label: String,

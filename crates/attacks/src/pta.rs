@@ -11,14 +11,12 @@
 //! aimed at the PTE row instead of a weight row — which is why a
 //! general-purpose row-locking defense covers both attacks.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_memctrl::{MemCtrlError, MemoryController, PageTable};
 
 use crate::hammer::{HammerConfig, HammerDriver, HammerOutcome};
 
 /// PTA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtaConfig {
     /// Which PFN bit to flip (redirects the page by `2^bit` frames).
     pub pfn_bit: u32,
@@ -33,7 +31,7 @@ impl Default for PtaConfig {
 }
 
 /// Result of one PTA campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtaOutcome {
     /// The PTE was corrupted and the page now resolves elsewhere.
     pub redirected: bool,

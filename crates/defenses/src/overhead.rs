@@ -8,11 +8,10 @@
 //! numbers the frameworks' own papers report, which are the numbers
 //! Table I cites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of memory a framework spends its overhead in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// Commodity DRAM (cheapest per bit).
     Dram,
@@ -33,7 +32,7 @@ impl fmt::Display for MemoryKind {
 }
 
 /// One memory budget of a framework.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overhead {
     /// Where the bytes live.
     pub kind: MemoryKind,
@@ -57,7 +56,7 @@ impl Overhead {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadRow {
     /// Framework name.
     pub framework: &'static str,
@@ -82,7 +81,7 @@ impl OverheadRow {
 }
 
 /// The evaluation configuration of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramSpec {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

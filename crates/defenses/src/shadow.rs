@@ -16,8 +16,6 @@
 //!   once the demanded shuffle bandwidth exceeds the per-window budget,
 //!   system integrity is compromised and delay escalation halts.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dram::{DramDevice, RowAddr, TimingParams};
 use dlk_memctrl::{DefenseHook, HookAction, MemRequest};
 
@@ -88,7 +86,7 @@ impl DefenseHook for Shadow {
 /// let n = 20_000;
 /// assert!(shadow1k.latency_per_tref_s(n, 1000) > shadow8k.latency_per_tref_s(n, 1000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowModel {
     /// Shuffle threshold (activations between shuffles of a hot row).
     pub threshold: u64,

@@ -23,14 +23,12 @@
 pub mod binary;
 pub mod transforms;
 
-use serde::{Deserialize, Serialize};
-
 use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_dnn::models::Victim;
 use dlk_dnn::{QuantNetwork, Tensor};
 
 /// One row of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableTwoEntry {
     /// Defense name.
     pub name: String,

@@ -37,14 +37,12 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DnnError;
 use crate::network::{stacked, LayerGrads};
 use crate::tensor::{gemm_acc, Tensor};
 
 /// Spatial specification of a 2-D convolution with square kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvSpec {
     /// Input channels.
     pub in_c: usize,
@@ -123,7 +121,7 @@ impl ConvSpec {
 /// let y = conv.forward(&x).unwrap();
 /// assert_eq!(y.shape(), (5, spec.out_features()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     weight: Tensor,
     bias: Vec<f32>,
@@ -658,7 +656,7 @@ fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
 /// A 2-D pooling window (shared by max and average pooling, which
 /// carry no parameters — the [`Layer`](crate::network::Layer) variant
 /// picks the reduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool2d {
     /// Channels (pooling is per-channel).
     pub channels: usize,

@@ -1,7 +1,5 @@
 //! Fully-connected layers with hand-written backprop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DnnError;
 use crate::network::{stacked, LayerGrads};
 use crate::tensor::Tensor;
@@ -17,7 +15,7 @@ use crate::tensor::Tensor;
 /// let y = layer.forward(&x).unwrap();
 /// assert_eq!(y.shape(), (3, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Tensor,
     bias: Vec<f32>,

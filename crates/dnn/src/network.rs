@@ -49,15 +49,13 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use crate::conv::{Conv2d, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{cross_entropy_grad, relu_backward, relu_mask, softmax_cross_entropy, Linear};
 use crate::tensor::Tensor;
 
 /// One step of a [`Network`]'s execution plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// A fully-connected layer.
     Dense(Linear),
@@ -152,7 +150,7 @@ pub struct LayerGrads {
 }
 
 /// A sequential network over a flat [`Layer`] list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
 }

@@ -14,8 +14,6 @@
 //! indices are its dense layers' positions and a CNN's conv kernels
 //! are addressed the same way.
 
-use serde::{Deserialize, Serialize};
-
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{softmax_cross_entropy, Linear};
@@ -23,7 +21,7 @@ use crate::network::{argmax_rows, dealt, workers, Layer, LayerGrads, Network, Re
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitIndex {
     /// Index among the network's *weighted* layers (dense + conv), in
     /// execution order.
@@ -35,7 +33,7 @@ pub struct BitIndex {
 }
 
 /// A quantized fully-connected layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     qweight: Vec<i8>,
     out_features: usize,
@@ -126,7 +124,7 @@ impl QuantLinear {
 
 /// A quantized 2-D convolution: the im2col kernel matrix quantized
 /// exactly like a dense layer, plus the spatial spec to execute it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantConv2d {
     matrix: QuantLinear,
     spec: ConvSpec,
@@ -163,7 +161,7 @@ impl QuantConv2d {
 
 /// One step of a [`QuantNetwork`]'s execution plan — the quantized
 /// mirror of [`Layer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantLayer {
     /// A quantized fully-connected layer.
     Dense(QuantLinear),
@@ -255,7 +253,7 @@ impl QuantLayer {
 /// quantized.flip_bit(bit).unwrap();
 /// assert_ne!(quantized.bit(bit).unwrap(), before);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantNetwork {
     layers: Vec<QuantLayer>,
 }

@@ -4,7 +4,6 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::DnnError;
 
@@ -19,7 +18,7 @@ use crate::error::DnnError;
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

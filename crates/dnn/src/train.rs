@@ -1,13 +1,11 @@
 //! SGD training.
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::SyntheticDataset;
 use crate::network::Network;
 use crate::tensor::Tensor;
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub lr: f32,
@@ -34,7 +32,7 @@ impl TrainConfig {
 
 /// Outcome of a training run. A caller that wants an accuracy runs
 /// [`Network::accuracy`] on the rows it cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Final epoch mean training loss.
     pub final_loss: f32,

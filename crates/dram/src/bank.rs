@@ -5,14 +5,12 @@
 //! ordering: `ACT` only from `Idle`, `RD`/`WR`/`PRE` only from `Active`.
 //! Timing is tracked with a `busy_until` cycle per bank.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::geometry::RowAddr;
 use crate::timing::TimingParams;
 
 /// The activation state of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankState {
     /// All rows closed; bit-lines precharged to VDD/2.
     Idle,
@@ -24,7 +22,7 @@ pub enum BankState {
 }
 
 /// One DRAM bank: state machine plus availability bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bank {
     state: BankState,
     busy_until: u64,

@@ -6,14 +6,13 @@
 //! intervening precharge copy the source row through the sense amplifiers
 //! into the destination row.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::geometry::RowAddr;
 use crate::rowhammer::DisturbanceEvent;
 
 /// A command issued to the DRAM device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramCommand {
     /// Activate (open) a row: latch it into the bank's row buffer.
     Act(RowAddr),
@@ -84,7 +83,7 @@ impl fmt::Display for DramCommand {
 }
 
 /// Command categories used for statistics and energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommandKind {
     /// Row activate.
     Act,

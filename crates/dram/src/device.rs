@@ -7,8 +7,6 @@
 //! `REF` per tREFI, with all per-row hammer counters reset once per
 //! refresh window (tREFW, 64 ms on DDR4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::Bank;
 use crate::command::{CommandKind, CommandResult, DramCommand};
 use crate::error::DramError;
@@ -20,7 +18,7 @@ use crate::subarray::{ReadData, Subarray};
 use crate::timing::TimingParams;
 
 /// Full configuration of a [`DramDevice`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Physical organization.
     pub geometry: DramGeometry,

@@ -5,7 +5,6 @@
 //! activations to an aggressor row needed to flip a bit in a victim row,
 //! per DRAM generation. The clear downward trend motivates DRAM-Locker.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A DRAM generation with a published RowHammer threshold (TRH).
@@ -19,7 +18,7 @@ use std::fmt;
 ///     / DramGeneration::Lpddr4New.trh() as f64;
 /// assert!(ratio > 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DramGeneration {
     /// First-generation DDR3 modules.
     Ddr3Old,

@@ -4,7 +4,6 @@
 //! defaults here are a scaled-down (but structurally identical) device so
 //! that simulations run comfortably in memory. All sizes are configurable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a bank within a DRAM device.
@@ -16,7 +15,7 @@ pub type SubarrayId = u16;
 ///
 /// `RowId` is a dense index over `(bank, subarray, row)` suitable for use
 /// as a hash key in trackers and lock tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
 impl fmt::Display for RowId {
@@ -36,7 +35,7 @@ impl fmt::Display for RowId {
 /// assert_eq!(addr.subarray, 2);
 /// assert_eq!(addr.row, 100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowAddr {
     /// Bank index.
     pub bank: BankId,
@@ -83,7 +82,7 @@ impl fmt::Display for RowAddr {
 /// let geom = DramGeometry::default();
 /// assert!(geom.total_rows() > 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramGeometry {
     /// Number of banks in the device.
     pub banks: u16,

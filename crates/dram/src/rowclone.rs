@@ -12,14 +12,12 @@
 //! The engine plans a copy and reports its latency/energy, which the
 //! DRAM-Locker SWAP engine uses to cost its three-copy unlock sequence.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::RowAddr;
 use crate::stats::EnergyModel;
 use crate::timing::TimingParams;
 
 /// How a row copy will be executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloneMode {
     /// Intra-subarray copy via back-to-back activation.
     Fpm,

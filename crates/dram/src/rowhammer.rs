@@ -13,14 +13,13 @@
 //! deterministic pseudo-random bit derived from the victim address and
 //! the disturbance ordinal, keeping simulations reproducible.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::generation::DramGeneration;
 use crate::geometry::{DramGeometry, RowAddr, RowId};
 
 /// Configuration of the disturbance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowHammerConfig {
     /// Activations within one refresh window needed to disturb neighbours.
     pub trh: u64,
@@ -50,7 +49,7 @@ impl Default for RowHammerConfig {
 }
 
 /// Where a disturbance flip landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlipTarget {
     /// Victim row.
     pub row: RowAddr,
@@ -60,7 +59,7 @@ pub struct FlipTarget {
 
 /// A single disturbance event: the aggressor crossed TRH and corrupted
 /// a victim row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DisturbanceEvent {
     /// The hammered row.
     pub aggressor: RowAddr,

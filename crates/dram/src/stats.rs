@@ -1,7 +1,5 @@
 //! Command statistics and energy accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::CommandKind;
 
 /// Per-command energy model in picojoules.
@@ -18,7 +16,7 @@ use crate::command::CommandKind;
 /// let e = EnergyModel::default();
 /// assert!(e.energy_pj(CommandKind::Aap) < 100.0 * e.energy_pj(CommandKind::Rd));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of a row activation (pJ).
     pub act_pj: f64,
@@ -119,7 +117,7 @@ impl EnergyModel {
 }
 
 /// Aggregate statistics of a [`DramDevice`](crate::DramDevice).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramStats {
     /// Commands issued, indexed by [`CommandKind::index`].
     pub commands: [u64; CommandKind::COUNT],

@@ -5,8 +5,6 @@
 //! values for DDR3-1600, DDR4-2400 and LPDDR4-3200 (command-level
 //! granularity — bus burst effects are folded into `cl`/`twr`).
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM timing parameters in clock cycles.
 ///
 /// # Example
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// // An ACT→RD→PRE round trip costs at least tRAS + tRP.
 /// assert!(t.row_cycle() >= t.tras + t.trp);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingParams {
     /// Memory clock frequency in GHz (cycle time = 1/clock_ghz ns).
     pub clock_ghz: f64,

@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_memctrl::trace::parse_u64;
 
 /// How many channel shards an engine runs and whether it steps them on
@@ -11,7 +9,7 @@ use dlk_memctrl::trace::parse_u64;
 /// results: shards share no state, and every merge (stats, completions,
 /// reports) is performed in channel-id order. `parallel: true` only
 /// changes wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of DRAM channels, each backed by its own shard
     /// (controller + device + mounted defense chain).

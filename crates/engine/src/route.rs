@@ -16,8 +16,6 @@
 //! single-channel engine bit-identical to the bare controller pipeline
 //! it replaced.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_memctrl::{AddressMapper, Trace, TraceOp};
 
 use crate::error::EngineError;
@@ -40,7 +38,7 @@ use crate::error::EngineError;
 /// assert_eq!(router.to_local(row_bytes + 5), (1, 5));
 /// assert_eq!(router.to_global(1, 5), Ok(row_bytes + 5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelRouter {
     channels: u64,
     row_bytes: u64,

@@ -1,14 +1,12 @@
 //! DRAM-Locker configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which rows the protection plan locks.
 ///
 /// The paper argues for locking the *adjacent* rows of protected data:
 /// the protected rows themselves are hot (weights are read constantly),
 /// so locking them would force a SWAP on nearly every access, while
 /// their neighbours — the rows an attacker must hammer — are cold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LockTarget {
     /// Lock the rows physically adjacent to the protected data (the
     /// aggressor-candidate rows). The paper's choice.
@@ -31,7 +29,7 @@ pub enum LockTarget {
 /// assert_eq!(config.relock_interval, 1000);      // paper: 1k R/W
 /// assert_eq!(config.table_capacity_bytes, 56 * 1024); // paper: 56 KB SRAM
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockerConfig {
     /// R/W instructions after a SWAP before the row is swapped back and
     /// re-locked (1k in the paper).

@@ -17,7 +17,6 @@
 //! SWAP's three copies itself (to inject per-copy errors), and a test
 //! pins it against running [`MicroProgram::swap`] here.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -27,7 +26,7 @@ use dlk_dram::{DramDevice, DramError, RowAddr};
 pub const NUM_UREGS: usize = 128;
 
 /// A decoded DRAM-Locker instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     /// RowClone copy: row bound to µReg `src` copied over µReg `dst`.
     Copy {
@@ -199,7 +198,7 @@ impl RegFile {
 /// let back = MicroProgram::disassemble(&words).unwrap();
 /// assert_eq!(back, prog);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MicroProgram {
     instructions: Vec<Instruction>,
 }

@@ -1,9 +1,7 @@
 //! DRAM-Locker runtime statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing the defense's runtime behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LockerStats {
     /// R/W instructions observed on the request path.
     pub rw_seen: u64,

@@ -6,8 +6,6 @@
 //! latency is charged — matching the paper's observation that invalid
 //! (locked-row) instructions cost nothing downstream.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dram::{DramConfig, DramDevice, DramGeometry, ReadData};
 use dlk_obs::LocalHistogram;
 
@@ -18,7 +16,7 @@ use crate::metrics::CtrlMetrics;
 use crate::request::{MemRequest, RequestKind};
 
 /// Configuration of a [`MemoryController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCtrlConfig {
     /// DRAM device configuration.
     pub dram: DramConfig,
@@ -56,7 +54,7 @@ pub struct CompletedRequest {
 /// Aggregate controller statistics: a view computed from the
 /// controller's [`CtrlMetrics`] by [`MemoryController::stats`], which
 /// stay the one recorder of every counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Requests served against DRAM.
     pub served: u64,

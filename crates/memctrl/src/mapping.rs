@@ -15,14 +15,12 @@
 //! a subarray (what RowHammer cares about) is preserved by construction
 //! because the low-order `row` bits map to physically adjacent rows.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_dram::{DramGeometry, RowAddr};
 
 use crate::error::MemCtrlError;
 
 /// Address interleaving scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingScheme {
     /// Stripe consecutive rows across banks.
     RowInterleaved,
@@ -44,7 +42,7 @@ pub enum MappingScheme {
 /// assert_eq!(col, 5);
 /// assert_eq!(mapper.to_phys(addr, col), geom.row_bytes as u64 + 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
     scheme: MappingScheme,

@@ -10,7 +10,6 @@
 //! Each PTE is 8 bytes: bits `0..48` hold the physical frame number
 //! (PFN), bit `63` is the valid bit, the rest are reserved/flag bits.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dlk_dram::{DramDevice, RowAddr};
@@ -19,7 +18,7 @@ use crate::error::MemCtrlError;
 use crate::mapping::AddressMapper;
 
 /// A virtual byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(pub u64);
 
 impl fmt::Display for VirtAddr {
@@ -29,7 +28,7 @@ impl fmt::Display for VirtAddr {
 }
 
 /// A decoded page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pte {
     /// Physical frame number.
     pub pfn: u64,
@@ -53,7 +52,7 @@ impl Pte {
 }
 
 /// Page table configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageTableConfig {
     /// Page size in bytes (power of two).
     pub page_size: u64,
@@ -93,7 +92,7 @@ impl PageTableConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageTable {
     config: PageTableConfig,
 }

@@ -1,10 +1,9 @@
 //! Memory requests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Read `len` bytes.
     Read,
@@ -51,7 +50,7 @@ impl RequestKind {
 /// assert_eq!((write.kind, write.len), (RequestKind::Write, 8));
 /// assert_eq!(read.len, 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemRequest {
     /// Read or write.
     pub kind: RequestKind,

@@ -10,13 +10,12 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::MemCtrlError;
 use crate::request::{MemRequest, RequestKind};
 
 /// One operation in a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceOp {
     /// Read `len` bytes at `addr`.
     Read {
@@ -151,7 +150,7 @@ impl TraceOp {
 /// let trace = Trace::sequential_reads(0, 8, 4, 16);
 /// assert_eq!(trace.len(), 16);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     ops: Arc<Vec<TraceOp>>,
     /// Whether replayed requests are marked attacker-issued.
@@ -218,8 +217,8 @@ impl Trace {
     }
 
     /// Serializes the trace to the workspace's line-based trace-file
-    /// format (the vendored `serde` stub is marker-only, so this codec
-    /// *is* the on-disk representation recorded traces replay from):
+    /// format (this codec *is* the on-disk representation recorded
+    /// traces replay from):
     ///
     /// ```text
     /// # dlk-trace v1 untrusted=1

@@ -1,11 +1,11 @@
 //! The shared hand-written JSON layer (schema version 2).
 //!
-//! The workspace `serde` is a marker-only stub, so every JSON artifact
-//! — `BENCH_*.json` bench snapshots, `metrics.json` registry dumps —
-//! is emitted by hand and checked by the recursive-descent
-//! [`validate`] parser before it touches disk. This module grew out of
-//! `dlk_bench::snapshot` (schema version 1, bench-only) and is now the
-//! one writer/validator both artifact families share.
+//! Every JSON artifact — `BENCH_*.json` bench snapshots,
+//! `metrics.json` registry dumps — is emitted by hand and checked by
+//! the recursive-descent [`validate`] parser before it touches disk.
+//! This module grew out of `dlk_bench::snapshot` (schema version 1,
+//! bench-only) and is now the one writer/validator both artifact
+//! families share.
 //!
 //! Shared header, common to every document:
 //!
@@ -360,8 +360,8 @@ pub fn parse_file(path: impl AsRef<Path>) -> Result<Value, String> {
 }
 
 /// Checks that `text` is a single well-formed JSON value. Not a full
-/// deserializer — the workspace has no real serde — just enough of a
-/// recursive-descent parser to reject anything `json.tool` would.
+/// deserializer, just enough of a recursive-descent parser to reject
+/// anything `json.tool` would.
 ///
 /// # Errors
 ///

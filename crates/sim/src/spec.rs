@@ -8,7 +8,7 @@
 //! (`catalog()`), diffed (`PartialEq`), expanded into grids
 //! ([`SweepGrid`](crate::sweep::SweepGrid)) and persisted.
 //!
-//! The vendored `serde` is marker-only, so the line-oriented
+//! The hand-written, line-oriented
 //! [`to_text`](ScenarioSpec::to_text) / [`from_text`](ScenarioSpec::from_text)
 //! codec — like [`Trace`]'s — *is* the on-disk format:
 //!
@@ -386,9 +386,8 @@ impl ScenarioSpec {
         Self { label: label.into(), ..Self::default() }
     }
 
-    /// Serializes the spec to the line-oriented spec-file format (the
-    /// vendored `serde` is marker-only, so this codec *is* the on-disk
-    /// representation).
+    /// Serializes the spec to the line-oriented spec-file format (this
+    /// codec *is* the on-disk representation).
     pub fn to_text(&self) -> String {
         let mut out = String::from("# dlk-scenario v1\n");
         // The label record is one line and the parser trims it, so

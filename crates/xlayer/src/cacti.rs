@@ -9,10 +9,8 @@
 //! 340 F², DRAM ≈ 6 F²; F = 45 nm). Constants are tuned to the usual
 //! 45 nm corner figures (a 56 KB SRAM reads in ~1 ns).
 
-use serde::{Deserialize, Serialize};
-
 /// Memory array technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayKind {
     /// 6T SRAM.
     Sram,
@@ -52,7 +50,7 @@ impl ArrayKind {
 }
 
 /// One modeled array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayModel {
     /// Technology.
     pub kind: ArrayKind,
@@ -67,7 +65,7 @@ pub struct ArrayModel {
 }
 
 /// The analytical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CactiModel {
     /// Feature size in nanometers.
     pub feature_nm: f64,

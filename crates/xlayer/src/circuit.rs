@@ -16,10 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Nominal 45 nm cell electricals and the calibrated sense threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationConfig {
     /// Cell capacitance, fF.
     pub cell_cap_ff: f64,
@@ -46,7 +45,7 @@ impl VariationConfig {
 }
 
 /// Result of one Monte-Carlo campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloReport {
     /// Parameter variation (e.g. 0.2 for ±20%).
     pub variation: f64,

@@ -4,8 +4,6 @@
 //! models scale its measured behaviour to the 80,000-BFA / multi-year
 //! regimes of Fig. 7 that are impractical to simulate cycle by cycle.
 
-use serde::{Deserialize, Serialize};
-
 use dlk_defenses::shadow::defense_days;
 use dlk_dram::TimingParams;
 
@@ -18,7 +16,7 @@ use dlk_dram::TimingParams;
 /// runs. `touch_probability` is the fraction of attack campaigns that
 /// coincide with such a legitimate access (measured from the
 /// end-to-end simulation; see EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DlLatencyModel {
     /// DDR timing.
     pub timing: TimingParams,
@@ -53,7 +51,7 @@ impl DlLatencyModel {
 /// copies (§IV-D): a copy error is a stray bit flip that could, with
 /// vanishing probability, land exactly on the attacker's target bit in
 /// the attacker's target row during an attack window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DlSecurityModel {
     /// DDR timing.
     pub timing: TimingParams,

@@ -1,10 +1,8 @@
 //! Experiment output: figure curves. Tables are
 //! [`dlk_sim::metrics::Table`].
 
-use serde::{Deserialize, Serialize};
-
 /// A named (x, y) series — one curve of a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label.
     pub label: String,

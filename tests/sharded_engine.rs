@@ -5,9 +5,8 @@
 //! 2. the parallel run really does execute shards on multiple threads
 //!    (observed from inside the mounted defense hooks);
 //! 3. any generated `Trace` survives a serialization round-trip through
-//!    the workspace trace codec (the vendored `serde` stub is
-//!    marker-only, so `to_text`/`from_text` *is* the trace's on-disk
-//!    serde);
+//!    the workspace trace codec (`to_text`/`from_text` *is* the
+//!    trace's on-disk format);
 //! 4. cross-channel multi-tenant isolation: hammering channel 0's
 //!    victim never perturbs channel 1's tenant.
 
@@ -155,7 +154,7 @@ fn generated_trace(seed: u64, ops: usize, untrusted: bool) -> Trace {
 }
 
 proptest! {
-    /// Any generated trace survives the workspace serde round-trip.
+    /// Any generated trace survives the workspace codec round-trip.
     #[test]
     fn any_generated_trace_roundtrips_through_the_codec(
         seed in any::<u64>(),

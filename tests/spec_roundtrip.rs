@@ -2,8 +2,7 @@
 //!
 //! 1. any generated `ScenarioSpec` — across every attack, defense and
 //!    victim variant — survives `from_text(to_text(spec))` bit-exact
-//!    (the vendored `serde` is marker-only, so this codec *is* the
-//!    spec's on-disk serde);
+//!    (this codec *is* the spec's on-disk format);
 //! 2. the text format itself is pinned by a golden file, so a codec
 //!    change that silently breaks old spec files fails loudly;
 //! 3. `Scenario::from_spec` on a catalog entry's spec reproduces the
@@ -202,7 +201,7 @@ fn generated_spec(seed: u64) -> ScenarioSpec {
 }
 
 proptest! {
-    /// Any generated spec survives the workspace spec serde, across
+    /// Any generated spec survives the workspace spec codec, across
     /// all attack/defense/victim variants.
     #[test]
     fn any_generated_spec_roundtrips_through_the_codec(seed in any::<u64>()) {
