@@ -1,13 +1,11 @@
 //! # dlk-xlayer — the cross-layer evaluation framework
 //!
-//! The Rust analogue of the paper's Fig. 6 stack (Cadence Spectre →
-//! Design Compiler → CACTI → gem5 → in-house optimizer):
+//! The Rust analogue of the paper's Fig. 6 evaluation stack, from the
+//! circuit up to the paper's tables and figures:
 //!
 //! - [`circuit`]: circuit-level Monte-Carlo of the in-DRAM SWAP under
 //!   process variation (§IV-D: 0%, 0.14%, 9.6% erroneous SWAPs at
 //!   ±0/10/20%);
-//! - [`cacti`]: an analytical SRAM/CAM/DRAM latency-energy-area model
-//!   standing in for CACTI + Design Compiler;
 //! - [`report`]: the figure curves ([`Series`]); every table is a
 //!   [`dlk_sim::metrics::Table`];
 //! - [`experiments`]: one module per table/figure of the paper —
@@ -24,11 +22,9 @@
 //! assert_eq!(report.failures, 0); // no variation, no failed swaps
 //! ```
 
-pub mod cacti;
 pub mod circuit;
 pub mod experiments;
 pub mod report;
 
-pub use crate::cacti::{ArrayKind, ArrayModel, CactiModel};
 pub use crate::circuit::{MonteCarlo, MonteCarloReport, VariationConfig};
 pub use crate::report::Series;
