@@ -6,6 +6,10 @@ use dlk_dram::RowId;
 
 use crate::traits::{RowMap, RowTracker};
 
+/// Rows a hardware counter-per-row keeps a counter for, for storage
+/// accounting.
+const TOTAL_ROWS: u64 = 1 << 24;
+
 /// One exact counter per row.
 ///
 /// # Example
@@ -23,19 +27,12 @@ use crate::traits::{RowMap, RowTracker};
 pub struct CounterPerRow {
     threshold: u64,
     counts: RowMap<RowId, u64>,
-    total_rows_hint: u64,
 }
 
 impl CounterPerRow {
     /// Creates a tracker mitigating at `threshold`.
     pub fn new(threshold: u64) -> Self {
-        Self { threshold, counts: RowMap::default(), total_rows_hint: 1 << 24 }
-    }
-
-    /// Sets the device row count (for storage accounting).
-    pub fn with_total_rows(mut self, rows: u64) -> Self {
-        self.total_rows_hint = rows;
-        self
+        Self { threshold, counts: RowMap::default() }
     }
 
     /// Exact count of a row.
@@ -62,7 +59,7 @@ impl RowTracker for CounterPerRow {
 
     fn storage_bits(&self) -> u64 {
         // A hardware implementation stores a counter for every row.
-        self.total_rows_hint * 16
+        TOTAL_ROWS * 16
     }
 
     fn name(&self) -> &'static str {

@@ -295,11 +295,6 @@ impl QuantNetwork {
         self.layers.iter().map(QuantLayer::num_weights).sum()
     }
 
-    /// Total weight bits (8 per weight).
-    pub fn total_bits(&self) -> usize {
-        self.total_weights() * 8
-    }
-
     /// Reconstructs the float network implied by current (possibly
     /// corrupted) quantized weights.
     pub fn to_float_model(&self) -> Network {

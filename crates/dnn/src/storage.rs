@@ -99,20 +99,6 @@ impl WeightLayout {
         Ok((row, col * 8 + (index.bit & 7) as usize))
     }
 
-    /// The DRAM row holding a weight byte.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WeightLayout::bit_location`].
-    pub fn weight_row(
-        &self,
-        model: &QuantNetwork,
-        layer: usize,
-        weight: usize,
-    ) -> Result<RowAddr, DnnError> {
-        self.bit_location(model, BitIndex { layer, weight, bit: 0 }).map(|(row, _)| row)
-    }
-
     /// Every DRAM row the weight image touches, in address order.
     ///
     /// # Errors

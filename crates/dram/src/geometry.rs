@@ -101,17 +101,6 @@ impl DramGeometry {
         Self { banks: 2, subarrays_per_bank: 2, rows_per_subarray: 64, row_bytes: 64 }
     }
 
-    /// The paper's evaluation configuration, scaled: 16 banks,
-    /// 32 subarrays per bank, 512 rows per subarray, 8 KiB rows.
-    ///
-    /// A real 32 GB DDR4 module has 2^17 rows per bank; we keep the
-    /// bank/subarray structure and scale row count so that functional
-    /// simulation stays laptop-sized. Overhead arithmetic for Table I
-    /// uses the *full* 32 GB parameters (see `dlk-defenses::overhead`).
-    pub fn paper_scaled() -> Self {
-        Self { banks: 16, subarrays_per_bank: 32, rows_per_subarray: 512, row_bytes: 8192 }
-    }
-
     /// Rows per bank across all subarrays.
     pub fn rows_per_bank(&self) -> u64 {
         self.subarrays_per_bank as u64 * self.rows_per_subarray as u64
@@ -229,8 +218,13 @@ mod tests {
 
     #[test]
     fn capacity_matches_product() {
-        let geom = DramGeometry::paper_scaled();
-        assert_eq!(geom.capacity_bytes(), 16u64 * 32 * 512 * 8192,);
+        let geom = DramGeometry {
+            banks: 16,
+            subarrays_per_bank: 32,
+            rows_per_subarray: 512,
+            row_bytes: 8192,
+        };
+        assert_eq!(geom.capacity_bytes(), 16u64 * 32 * 512 * 8192);
     }
 
     #[test]

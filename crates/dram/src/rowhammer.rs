@@ -211,11 +211,6 @@ impl HammerTracker {
         (x as usize) % (geometry.row_bytes * 8)
     }
 
-    /// Number of flips a victim row has absorbed so far.
-    pub fn victim_flip_count(&self, victim: RowId) -> u64 {
-        self.victim_flips.get(victim.0 as usize).copied().unwrap_or(0)
-    }
-
     /// Resets all activation counters (a refresh window elapsed).
     /// Flip plans and victim ordinals survive — refresh restores charge,
     /// not the attacker's targeting information.

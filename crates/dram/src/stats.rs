@@ -107,13 +107,6 @@ impl EnergyModel {
             CommandKind::Aap => self.aap_pj,
         }
     }
-
-    /// Energy of copying one row over the memory channel (ACT + reads of
-    /// the whole row + writes back + PRE), used as the RowClone baseline.
-    pub fn channel_copy_pj(&self, row_bytes: usize, burst_bytes: usize) -> f64 {
-        let bursts = row_bytes.div_ceil(burst_bytes) as f64;
-        2.0 * (self.act_pj + self.pre_pj) + bursts * (self.rd_pj + self.wr_pj)
-    }
 }
 
 /// Aggregate statistics of a [`DramDevice`](crate::DramDevice).
@@ -215,15 +208,6 @@ mod tests {
         // than half, while core ops save ~30%.
         assert!(l.rd_pj < d.rd_pj / 2.0);
         assert!(l.act_pj > d.act_pj / 2.0);
-    }
-
-    #[test]
-    fn rowclone_energy_advantage_over_channel_copy() {
-        // RowClone's headline: ~74x energy reduction for a bulk copy.
-        let e = EnergyModel::default();
-        let channel = e.channel_copy_pj(8192, 64);
-        let ratio = channel / e.aap_pj;
-        assert!(ratio > 50.0, "expected large advantage, got {ratio:.1}x");
     }
 
     #[test]

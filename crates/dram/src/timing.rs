@@ -50,25 +50,6 @@ pub struct TimingParams {
 }
 
 impl TimingParams {
-    /// DDR3-1600 timing (800 MHz clock).
-    pub fn ddr3_1600() -> Self {
-        Self {
-            clock_ghz: 0.8,
-            trcd: 11,
-            trp: 11,
-            tras: 28,
-            cl: 11,
-            twr: 12,
-            trefi: 6240,
-            trfc: 208,
-            trefw: 51_200_000, // 64 ms at 0.8 GHz
-            tfaw: 24,
-            trrd: 5,
-            tccd: 4,
-            taap: 4,
-        }
-    }
-
     /// DDR4-2400 timing (1.2 GHz clock). The paper's evaluation target.
     pub fn ddr4_2400() -> Self {
         Self {
@@ -200,7 +181,6 @@ mod tests {
 
     #[test]
     fn presets_are_distinct() {
-        assert_ne!(TimingParams::ddr3_1600(), TimingParams::ddr4_2400());
         assert_ne!(TimingParams::ddr4_2400(), TimingParams::lpddr4_3200());
     }
 

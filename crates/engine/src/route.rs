@@ -73,11 +73,6 @@ impl ChannelRouter {
         self.channels * self.channel_capacity
     }
 
-    /// The channel a global physical address routes to.
-    pub fn channel_of(&self, phys: u64) -> usize {
-        ((phys / self.row_bytes) % self.channels) as usize
-    }
-
     /// Routes a global physical address to `(channel, local address)`.
     /// Addresses beyond [`capacity`](ChannelRouter::capacity) still
     /// route (to an out-of-range local address); the shard's controller
@@ -174,7 +169,7 @@ mod tests {
     fn consecutive_rows_stripe_across_channels() {
         let router = router(4);
         let row_bytes = 64u64;
-        let channels: Vec<usize> = (0..8).map(|row| router.channel_of(row * row_bytes)).collect();
+        let channels: Vec<usize> = (0..8).map(|row| router.to_local(row * row_bytes).0).collect();
         assert_eq!(channels, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 

@@ -69,26 +69,6 @@ impl LockerConfig {
     pub fn table_capacity_entries(&self) -> usize {
         self.table_capacity_bytes / self.entry_bytes
     }
-
-    /// Configuration with the worst-case ±20% process variation error
-    /// rate from §IV-D (9.6% per SWAP, i.e. per three-copy sequence;
-    /// the per-copy rate is its cube root).
-    pub fn with_worst_case_variation(mut self) -> Self {
-        // 1 - (1-p)^3 = 0.096  =>  p = 1 - (1-0.096)^(1/3)
-        self.copy_error_rate = 1.0 - (1.0f64 - 0.096).powf(1.0 / 3.0);
-        self
-    }
-
-    /// Configuration with an explicit per-copy error rate.
-    pub fn with_copy_error_rate(mut self, rate: f64) -> Self {
-        self.copy_error_rate = rate;
-        self
-    }
-
-    /// Probability that a whole SWAP (three copies) succeeds.
-    pub fn swap_success_probability(&self) -> f64 {
-        (1.0 - self.copy_error_rate).powi(3)
-    }
 }
 
 #[cfg(test)]
@@ -99,19 +79,6 @@ mod tests {
     fn capacity_entries_from_sram_budget() {
         let config = LockerConfig::default();
         assert_eq!(config.table_capacity_entries(), 56 * 1024 / 8);
-    }
-
-    #[test]
-    fn worst_case_variation_gives_9_6_percent_swap_failure() {
-        let config = LockerConfig::default().with_worst_case_variation();
-        let failure = 1.0 - config.swap_success_probability();
-        assert!((failure - 0.096).abs() < 1e-9, "failure {failure}");
-    }
-
-    #[test]
-    fn zero_error_rate_means_certain_swaps() {
-        let config = LockerConfig::default();
-        assert_eq!(config.swap_success_probability(), 1.0);
     }
 
     #[test]

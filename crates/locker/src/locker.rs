@@ -122,13 +122,6 @@ impl DramLocker {
         self.table.lock(self.geometry.row_id(row))
     }
 
-    /// Unlocks a row (removing any active indirection bookkeeping is
-    /// the caller's responsibility — normally rows are unlocked only
-    /// when the protected object is freed).
-    pub fn unlock_row(&mut self, row: RowAddr) -> bool {
-        self.table.unlock(self.geometry.row_id(row))
-    }
-
     /// Locks every row overlapping the physical byte range
     /// `[start, end)` under the bank-sequential address mapping.
     ///

@@ -258,11 +258,6 @@ impl LockTable {
         self.occupied.fill(0);
         self.len = 0;
     }
-
-    /// SRAM bytes consumed at `entry_bytes` per entry.
-    pub fn sram_bytes(&self, entry_bytes: usize) -> usize {
-        self.len * entry_bytes
-    }
 }
 
 impl Extend<RowId> for LockTable {
@@ -444,13 +439,6 @@ mod tests {
         let mut table = LockTable::new(3);
         table.extend((0..10).map(RowId));
         assert_eq!(table.len(), 3);
-    }
-
-    #[test]
-    fn sram_accounting() {
-        let mut table = LockTable::new(1000);
-        table.extend((0..100).map(RowId));
-        assert_eq!(table.sram_bytes(8), 800);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use dlk_dram::{RowAddr, RowId};
+use dlk_dram::RowAddr;
 use dlk_memctrl::AddressMapper;
 
 use crate::config::LockTarget;
@@ -123,14 +123,6 @@ impl ProtectionPlan {
     /// Rows the plan will lock.
     pub fn lock_rows(&self) -> impl Iterator<Item = RowAddr> + '_ {
         self.lock_rows.iter().map(|&(b, s, r)| RowAddr::new(b, s, r))
-    }
-
-    /// Flat ids of the rows the plan will lock.
-    pub fn lock_row_ids<'a>(
-        &'a self,
-        mapper: &'a AddressMapper,
-    ) -> impl Iterator<Item = RowId> + 'a {
-        self.lock_rows().map(|row| mapper.geometry().row_id(row))
     }
 
     /// Applies the plan to a locker, returning how many rows were

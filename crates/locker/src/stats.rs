@@ -25,43 +25,3 @@ pub struct LockerStats {
     /// Energy spent inside SWAP/relock sequences, picojoules.
     pub swap_energy_pj: f64,
 }
-
-impl LockerStats {
-    /// Fraction of SWAPs that had at least one erroneous copy.
-    pub fn swap_failure_rate(&self) -> f64 {
-        let total = self.swaps + self.relocks;
-        if total == 0 {
-            0.0
-        } else {
-            self.swap_failures as f64 / total as f64
-        }
-    }
-
-    /// Mean cycles per SWAP (including relocks).
-    pub fn mean_swap_cycles(&self) -> f64 {
-        let total = self.swaps + self.relocks;
-        if total == 0 {
-            0.0
-        } else {
-            self.swap_cycles as f64 / total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rates_are_zero_when_idle() {
-        let stats = LockerStats::default();
-        assert_eq!(stats.swap_failure_rate(), 0.0);
-        assert_eq!(stats.mean_swap_cycles(), 0.0);
-    }
-
-    #[test]
-    fn failure_rate_over_all_swap_kinds() {
-        let stats = LockerStats { swaps: 3, relocks: 1, swap_failures: 1, ..Default::default() };
-        assert!((stats.swap_failure_rate() - 0.25).abs() < 1e-12);
-    }
-}

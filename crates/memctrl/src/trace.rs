@@ -8,9 +8,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
 use crate::error::MemCtrlError;
 use crate::request::{MemRequest, RequestKind};
 
@@ -187,15 +184,6 @@ impl Trace {
     /// by `stride` bytes.
     pub fn sequential_reads(base: u64, stride: u64, len: usize, count: usize) -> Self {
         (0..count).map(|i| TraceOp::Read { addr: base + i as u64 * stride, len }).collect()
-    }
-
-    /// `count` uniformly random reads of `len` bytes inside
-    /// `[0, capacity - len]`, deterministic for a given `seed`.
-    pub fn random_reads(capacity: u64, len: usize, count: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..count)
-            .map(|_| TraceOp::Read { addr: rng.random_range(0..capacity - len as u64), len })
-            .collect()
     }
 
     /// A hammer loop: `iterations` alternating 1-byte reads of two
@@ -474,6 +462,9 @@ impl From<Vec<TraceOp>> for Trace {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
     use super::*;
     use crate::controller::{CompletedRequest, MemCtrlConfig, MemoryController};
 
@@ -488,15 +479,6 @@ mod tests {
                 TraceOp::Read { addr: 120, len: 2 },
             ]
         );
-    }
-
-    #[test]
-    fn random_reads_are_deterministic_per_seed() {
-        let a = Trace::random_reads(1 << 16, 4, 20, 7);
-        let b = Trace::random_reads(1 << 16, 4, 20, 7);
-        let c = Trace::random_reads(1 << 16, 4, 20, 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 
     /// Serves every request of `trace` on `ctrl`, in order.

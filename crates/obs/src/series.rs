@@ -142,21 +142,6 @@ impl TimeSeries {
         }
         (count > 0).then(|| sum / count as f64)
     }
-
-    /// Exponentially weighted moving average over the retained samples
-    /// (oldest first, smoothing factor `alpha` in `(0, 1]` — higher
-    /// weights the recent past more). `None` when empty.
-    pub fn ewma(&self, alpha: f64) -> Option<f64> {
-        let alpha = alpha.clamp(f64::EPSILON, 1.0);
-        let mut acc: Option<f64> = None;
-        for sample in self.iter() {
-            acc = Some(match acc {
-                None => sample.value,
-                Some(prev) => alpha * sample.value + (1.0 - alpha) * prev,
-            });
-        }
-        acc
-    }
 }
 
 /// Snapshots a [`Registry`] into per-metric [`TimeSeries`] on a
@@ -357,13 +342,11 @@ mod tests {
         assert!(series.is_empty() && series.last().is_none());
         assert_eq!(series.rate(1_000), None);
         assert_eq!(series.mean(1_000), None);
-        assert_eq!(series.ewma(0.5), None);
 
         let one = series_of(&[(10, 7.0)]);
         assert_eq!(one.last().unwrap().value, 7.0);
         assert_eq!(one.rate(1_000), None, "rate needs two samples");
         assert_eq!(one.mean(1_000), Some(7.0));
-        assert_eq!(one.ewma(0.5), Some(7.0));
     }
 
     #[test]
@@ -382,13 +365,6 @@ mod tests {
         let series = series_of(&[(0, 100.0), (9_000_000, 2.0), (10_000_000, 4.0)]);
         assert_eq!(series.mean(1_000_000), Some(3.0));
         assert_eq!(series.mean(u64::MAX), Some(106.0 / 3.0));
-    }
-
-    #[test]
-    fn ewma_weights_recent_samples() {
-        let series = series_of(&[(0, 0.0), (1, 0.0), (2, 8.0)]);
-        assert_eq!(series.ewma(0.5), Some(4.0));
-        assert_eq!(series.ewma(1.0), Some(8.0), "alpha 1 is just the last value");
     }
 
     #[test]

@@ -105,11 +105,6 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Wall time of the root span.
-    pub fn root_wall(&self) -> Duration {
-        self.nodes[0].wall.unwrap_or_default()
-    }
-
     /// Number of spans in the tree (root included).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -219,7 +214,6 @@ mod tests {
         let rec = SpanRecorder::new("root");
         let tree = rec.finish();
         assert!(tree.is_empty());
-        assert!(tree.root_wall() >= Duration::ZERO);
     }
 
     #[test]

@@ -414,18 +414,6 @@ impl ScenarioRun {
         self.obs = Some(registry.clone());
     }
 
-    /// Like [`ScenarioRun::run`], but records the phase spans of the
-    /// pipeline (baseline accuracy, attack, measurement, mitigation
-    /// stats) into `recorder`. The attack span is annotated with the
-    /// engine's cycle count for the attack phase.
-    ///
-    /// # Errors
-    ///
-    /// Propagates attack and measurement failures.
-    pub fn run_with_spans(&mut self, recorder: &mut SpanRecorder) -> Result<RunReport, SimError> {
-        self.run_inner(Some(recorder))
-    }
-
     /// Runs the scenario under a fresh span recorder and returns the
     /// report together with the finished span tree (rooted at the
     /// scenario label).

@@ -122,11 +122,6 @@ impl MonteCarlo {
         }
         MonteCarloReport { variation, trials, failures }
     }
-
-    /// The paper's sweep: 10,000 trials at ±0%, ±10% and ±20%.
-    pub fn paper_sweep(&self, seed: u64) -> Vec<MonteCarloReport> {
-        [0.0, 0.10, 0.20].iter().map(|&v| self.run(v, 10_000, seed)).collect()
-    }
 }
 
 #[cfg(test)]

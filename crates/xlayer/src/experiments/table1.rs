@@ -41,18 +41,6 @@ pub fn run() -> Table {
     table
 }
 
-/// Returns `(framework, total_capacity_bytes)` pairs sorted ascending —
-/// the ranking that motivates the paper's SHADOW/DRAM-Locker head-to-
-/// head.
-pub fn capacity_ranking() -> Vec<(String, u64)> {
-    let mut ranking: Vec<(String, u64)> = overhead_rows(&DramSpec::paper())
-        .into_iter()
-        .map(|row| (row.framework.to_owned(), row.total_bytes()))
-        .collect();
-    ranking.sort_by_key(|&(_, bytes)| bytes);
-    ranking
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +77,12 @@ mod tests {
 
     #[test]
     fn ranking_puts_locker_first_or_second() {
-        let ranking = capacity_ranking();
-        let position = ranking.iter().position(|(f, _)| f == "DRAM-Locker").unwrap();
+        let mut ranking: Vec<(&str, u64)> = overhead_rows(&DramSpec::paper())
+            .into_iter()
+            .map(|row| (row.framework, row.total_bytes()))
+            .collect();
+        ranking.sort_by_key(|&(_, bytes)| bytes);
+        let position = ranking.iter().position(|&(f, _)| f == "DRAM-Locker").unwrap();
         assert!(position <= 1, "ranking {ranking:?}");
     }
 
