@@ -67,8 +67,10 @@ pub fn baseline_entry(victim: &Victim, sample: usize, budget: usize) -> TableTwo
     let mut model = victim.model.clone();
     let clean = model.accuracy(&x, &y).expect("shapes consistent");
     // Robustness metric: flips needed to halve the model's own clean
-    // accuracy (insensitive to differing clean baselines across
-    // defenses; see EXPERIMENTS.md).
+    // accuracy. The one half is a chosen target, not the paper's: it
+    // keeps the metric insensitive to differing clean baselines across
+    // defenses. ROADMAP item 5 states it in a claim-ledger row beside
+    // the paper's value.
     let (post, flips) = run_bfa_until(&mut model, &x, &y, clean * 0.5, budget);
     TableTwoEntry {
         name: "Baseline".to_owned(),

@@ -14,8 +14,11 @@ use dlk_dram::TimingParams;
 /// real cost is the occasional SWAP + re-lock pair, incurred when the
 /// victim's own traffic touches a locked row while an attack campaign
 /// runs. `touch_probability` is the fraction of attack campaigns that
-/// coincide with such a legitimate access (measured from the
-/// end-to-end simulation; see EXPERIMENTS.md).
+/// coincide with such a legitimate access. Its default, 0.05, is a
+/// calibrated constant, not a measurement: it puts DL's Fig. 7(a)
+/// curve below every SHADOW curve (1.2 ms per refresh window at
+/// 80,000 campaigns), as in the paper's figure. ROADMAP items 4–5
+/// replace it with a touch rate measured from simulated traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DlLatencyModel {
     /// DDR timing.
@@ -58,9 +61,11 @@ pub struct DlSecurityModel {
     /// Per-row-copy error rate (the paper evaluates 10%).
     pub copy_error_rate: f64,
     /// Probability an erroneous copy's stray flip aligns with the
-    /// attacker's exact target (row, bit and window). Calibrated so the
-    /// 1k-threshold defense time lands at the paper's "exceeding 500
-    /// days" (see EXPERIMENTS.md for the derivation).
+    /// attacker's exact target (row, bit and window). Its default,
+    /// 3.5e-14, is a calibrated constant, not a measurement: it puts
+    /// the 1k-threshold defense time at the paper's "exceeding 500
+    /// days" (562 days). ROADMAP items 4–5 replace it with landed flips
+    /// measured per refresh window.
     pub alignment_probability: f64,
 }
 
