@@ -6,8 +6,7 @@ use dlk_dram::RowId;
 
 use crate::traits::{RowMap, RowTracker};
 
-/// Rows a hardware counter-per-row keeps a counter for, for storage
-/// accounting.
+/// The device row count that `storage_bits` charges one counter each.
 const TOTAL_ROWS: u64 = 1 << 24;
 
 /// One exact counter per row.
