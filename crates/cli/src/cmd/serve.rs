@@ -6,6 +6,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dlk_sim::SweepRunner;
+
 use crate::args;
 use crate::spool::{serve, ServeConfig};
 use crate::CliError;
@@ -43,7 +45,8 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
             }
             n as usize
         }
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        // One worker per core of the process's pool.
+        None => SweepRunner::parallel().threads(),
     };
     let poll = match poll_ms {
         Some(raw) => Duration::from_millis(args::parse_count("--poll-ms", &raw)?),

@@ -56,7 +56,7 @@ pub(crate) type RowMap<K, V> = HashMap<K, V, BuildHasherDefault<RowHasher>>;
 ///
 /// Trackers must be `Send`: a mounted [`CounterDefenseHook`] lives
 /// inside its channel's controller, and the sharded execution engine
-/// steps channels on scoped threads.
+/// deals channels over the worker pool.
 pub trait RowTracker: Send {
     /// Observes one activation of `row`; returns `true` if the tracker
     /// demands mitigation of this row's neighbourhood now.

@@ -11,17 +11,17 @@
 //! bit)` uniformly across MLPs and CNNs.
 //!
 //! Every batch pass cuts its rows into `W` contiguous blocks and deals
-//! them over `W` workers, the caller's thread and scoped threads, each
-//! taking the next block no worker has taken. `W` is the least of the
-//! host's available parallelism (read once per process), the row count
-//! and the batch's forward multiply-accumulates over
-//! `MIN_MACS_PER_WORKER`, and at least 1; the same rule deals
-//! [`TrialRecord`] trials. A forward pass runs each block alone and
-//! stacks the logits. A gradient pass runs each block's forward and
-//! input-gradient chain alone, takes the loss on the stacked logits,
-//! and then has one worker sum each weighted layer's weight and bias
-//! gradients over every block's rows in order, the layers dealt like
-//! the blocks.
+//! them over the process's worker [`pool`]: the caller and up to
+//! `W − 1` pool helpers each take the next block no worker has taken.
+//! `W` is the least of the pool's threads, the row count and the
+//! batch's forward multiply-accumulates over `MIN_MACS_PER_WORKER`,
+//! and at least 1; the same rule deals [`TrialRecord`] trials. A pass
+//! made inside another pool job, such as a sweep job's, runs on its
+//! own thread. A forward pass runs each block alone and stacks the
+//! logits. A gradient pass runs each block's forward and input-gradient
+//! chain alone, takes the loss on the stacked logits, and then has one
+//! worker sum each weighted layer's weight and bias gradients over
+//! every block's rows in order, the layers dealt like the blocks.
 //!
 //! No bit depends on `W`. Every value a block computes (activations,
 //! masks, pool switches, input gradients) belongs to one row and is
@@ -46,8 +46,8 @@
 //! ```
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+
+use dlk_memctrl::pool;
 
 use crate::conv::{Conv2d, Pool2d};
 use crate::error::DnnError;
@@ -287,7 +287,7 @@ impl Network {
     /// [`Network::forward`] over `workers` row blocks (at least 1; a
     /// block may be empty).
     fn forward_on(&self, x: &Tensor, workers: usize) -> Result<Tensor, DnnError> {
-        let blocks = dealt(
+        let blocks = pool::deal(
             row_blocks(x, workers),
             workers,
             || (),
@@ -434,7 +434,7 @@ impl Network {
         record: bool,
     ) -> Result<(f32, Vec<LayerGrads>, Vec<Resume>), DnnError> {
         // Each block's forward, keeping what its backward needs.
-        let forwards = dealt(
+        let forwards = pool::deal(
             row_blocks(x, workers),
             workers,
             || (),
@@ -462,14 +462,18 @@ impl Network {
         let d = cross_entropy_grad(&probs, labels);
         let d = if workers == 1 { vec![d] } else { row_blocks(&d, workers) };
         let chains = d.into_iter().zip(&tapes).collect();
-        let d_outs =
-            dealt(chains, workers, || (), |(), (d, (caches, _))| self.backward_data(d, caches));
+        let d_outs = pool::deal(
+            chains,
+            workers,
+            || (),
+            |(), (d, (caches, _))| self.backward_data(d, caches),
+        );
         let d_outs = d_outs.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Each weighted layer's gradients on one worker, over every
         // block's rows in order.
         let weighted: Vec<_> =
             self.layers.iter().enumerate().filter(|(_, l)| l.is_weighted()).enumerate().collect();
-        let grads = dealt(
+        let grads = pool::deal(
             weighted.iter().collect(),
             workers,
             || (),
@@ -608,104 +612,29 @@ impl Network {
 }
 
 /// Below this many multiply-accumulates (MACs) of forward work per
-/// worker, [`workers`] adds no further worker. On a 2-vCPU x86-64 host a
-/// scoped spawn plus join cost ~40–60 µs (a helper forced onto every
-/// Tiny MLP bit-search step moved it from ~110 to ~145 µs), and the
-/// ResNet-20 CNN's forward ran ~3.8 MACs per ns on one core, so a share
-/// of 2^21 MACs (~0.55 ms) pays for its helper about ten times over.
-/// Over 32 rows, the Tiny MLP's and the Tiny CNN's batch passes (~9 k
-/// and ~0.6 M MACs) and the Tiny MLP's bit-search trials (~61 k) stay
-/// on the caller's thread; the ResNet-20 CNN's batch passes (~5.7 M)
-/// and the Tiny CNN's and the ResNet-20 CNN's trials (~4.6 M and
-/// ~117 M) are split.
-pub(crate) const MIN_MACS_PER_WORKER: u64 = 1 << 21;
+/// worker, [`workers`] adds no further worker. A dispatch wakes a pool
+/// helper rather than spawning a thread, so the share that pays for a
+/// helper is small. On a 2-vCPU x86-64 host, two workers against one,
+/// with the helper awake: the Tiny CNN's 16- to 48-row passes (0.30–0.90
+/// M MACs) ran 1.22–1.81x faster forward and 1.48–1.88x with gradients,
+/// and the ResNet-20 CNN's 3-row pass (0.53 M) 1.11–1.12x and
+/// 1.22–1.23x; its 2-row pass (0.35 M, ~177 k per worker) tied forward
+/// (0.97–1.00x). 2^18 (~262 k) keeps that margin over the tie for passes
+/// that find the helper parked. Over 32 rows, the Tiny MLP's batch
+/// passes and bit-search trials (~9 k and ~61 k MACs) stay on the
+/// caller's thread; the Tiny CNN's and the ResNet-20 CNN's batch passes
+/// (~0.6 M and ~5.7 M) and trials (~4.6 M and ~117 M) are split.
+pub(crate) const MIN_MACS_PER_WORKER: u64 = 1 << 18;
 
 /// Workers for `items` independent pieces of work (batch rows or
 /// bit-search trials) that together run `macs` multiply-accumulates:
-/// the least of the host's available parallelism, `items` and `macs /
-/// MIN_MACS_PER_WORKER`, and at least 1. The host's parallelism (~21 µs
-/// to read on Linux, which parses the cgroup CPU quota) is read once per
-/// process, and only for work big enough to split.
+/// the least of the pool's [`threads`](pool::threads), `items` and
+/// `macs / MIN_MACS_PER_WORKER`, and at least 1.
 pub(crate) fn workers(items: usize, macs: u64) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
     let by_work = usize::try_from(macs / MIN_MACS_PER_WORKER).unwrap_or(usize::MAX);
     match items.min(by_work) {
         0 | 1 => 1,
-        wanted => wanted.min(
-            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
-        ),
-    }
-}
-
-/// Runs `work` on every one of `jobs` over `workers` workers (at most
-/// one per job): the caller's thread and scoped threads each start from
-/// their own `state()` and take the next job no worker has taken, in
-/// job order, until none is left. A worker that starts late or runs
-/// slow, on a busy core, takes fewer jobs instead of holding the others
-/// up. Returns the results in job order. A helper's panic goes on
-/// unwinding on the caller, as it was: DLK001 keeps `unwrap` off this
-/// file.
-pub(crate) fn dealt<J: Send, S, T: Send>(
-    jobs: Vec<J>,
-    workers: usize,
-    state: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, J) -> T + Sync,
-) -> Vec<T> {
-    let count = jobs.len();
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    // Nothing panics while the queue is locked, so it is never poisoned.
-    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-    let share = || {
-        let mut state = state();
-        let mut done = Vec::new();
-        while let Some((i, job)) = next() {
-            done.push((i, work(&mut state, job)));
-        }
-        done
-    };
-    let share = &share;
-    let shares = match workers.min(count) {
-        0 | 1 => vec![share()],
-        workers => {
-            let running = AtomicUsize::new(workers - 1);
-            std::thread::scope(|scope| {
-                let helper = || {
-                    let _finished = Finished(&running);
-                    share()
-                };
-                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(helper)).collect();
-                let mut shares = vec![share()];
-                // Wait awake, yielding the core, rather than asleep in
-                // `join`: on a virtual machine whose host is busy, a
-                // sleeping core can take milliseconds to wake, and a
-                // batch pass waits here three times.
-                while running.load(Ordering::Acquire) > 0 {
-                    std::thread::yield_now();
-                }
-                for helper in helpers {
-                    match helper.join() {
-                        Ok(done) => shares.push(done),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                shares
-            })
-        }
-    };
-    let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for (i, result) in shares.into_iter().flatten() {
-        results[i] = Some(result);
-    }
-    results.into_iter().flatten().collect()
-}
-
-/// Counts a [`dealt`] helper out of the caller's wait when its share
-/// returns or unwinds. The join, not the count, publishes the share.
-struct Finished<'a>(&'a AtomicUsize);
-
-impl Drop for Finished<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
+        wanted => wanted.min(pool::threads()),
     }
 }
 
@@ -1030,29 +959,26 @@ mod tests {
     }
 
     /// Batch passes split only where two workers' shares of
-    /// `MIN_MACS_PER_WORKER` fit: over 32 rows, not the Tiny MLP or the
-    /// Tiny CNN, but the ResNet-20 CNN.
+    /// `MIN_MACS_PER_WORKER` fit: over 32 rows, not the Tiny MLP, but
+    /// the Tiny CNN and the ResNet-20 CNN.
     #[test]
     fn only_wide_batches_are_split() {
         use crate::models;
 
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let cores = pool::threads();
         assert_eq!(models::tiny_mlp(1).batch_workers(32), 1);
-        assert_eq!(models::tiny_cnn(1).batch_workers(32), 1);
+        let tiny = models::tiny_cnn(1);
+        let per_row: u64 = tiny.layers().iter().map(Layer::macs_per_row).sum();
+        assert_eq!(per_row, 18_684);
+        assert_eq!(tiny.batch_workers(32), 2.min(cores));
+        // 16 rows (~0.30 M MACs) are one worker's share.
+        assert_eq!(tiny.batch_workers(16), 1);
         let cnn = models::resnet20_cnn(1);
         let per_row: u64 = cnn.layers().iter().map(Layer::macs_per_row).sum();
         assert_eq!(per_row, 176_736);
         assert_eq!(cnn.batch_workers(32), 2.min(cores));
         assert_eq!(cnn.batch_workers(1), 1);
         assert_eq!(cnn.batch_workers(0), 1);
-    }
-
-    /// A job's panic reaches the caller, whichever worker ran it, and
-    /// the caller's wait for its helpers ends.
-    #[test]
-    #[should_panic(expected = "job 3")]
-    fn a_panicking_job_unwinds_on_the_caller() {
-        dealt((0..8).collect(), 2, || (), |(), job: usize| assert_ne!(job, 3, "job {job}"));
     }
 
     #[test]

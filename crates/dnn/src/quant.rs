@@ -14,10 +14,12 @@
 //! indices are its dense layers' positions and a CNN's conv kernels
 //! are addressed the same way.
 
+use dlk_memctrl::pool;
+
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
 use crate::layers::{softmax_cross_entropy, Linear};
-use crate::network::{argmax_rows, dealt, workers, Layer, LayerGrads, Network, Resume, Tape};
+use crate::network::{argmax_rows, workers, Layer, LayerGrads, Network, Resume, Tape};
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
@@ -501,14 +503,15 @@ pub fn flip_delta(byte: u8, bit: u8, scale: f32) -> f32 {
 /// Trials are independent, so [`TrialRecord::losses`] deals a batch of
 /// them over `W` workers by the rule that also splits [`Network`]'s
 /// batch passes (see the [`network`](crate::network) module): `W` is
-/// the least of the host's available parallelism, the number of trials,
-/// and the batch's multiply-accumulates over `MIN_MACS_PER_WORKER`
-/// (2^21), and at least 1. A trial's MACs are those of every weighted
-/// layer from the flipped one on, for every batch row. The caller's
-/// thread and `W − 1` scoped threads each take the next trial no worker
-/// has taken, in input order; each worker patches its own clone of the
-/// dequantized network and reads the resume points shared. A trial runs
-/// its batch on its own worker, unsplit. No loss depends on `W`.
+/// the least of the worker pool's threads, the number of trials, and
+/// the batch's multiply-accumulates over `MIN_MACS_PER_WORKER` (2^18),
+/// and at least 1. A trial's MACs are those of every weighted layer
+/// from the flipped one on, for every batch row. The caller and up to
+/// `W − 1` helpers of the process's worker [`pool`] each take the next
+/// trial no worker has taken, in input order; each worker patches its
+/// own clone of the dequantized network, made when it takes its first
+/// trial, and reads the resume points shared. A trial runs its batch
+/// on its own worker, unsplit. No loss depends on `W`.
 #[derive(Debug)]
 pub struct TrialRecord<'a> {
     model: &'a QuantNetwork,
@@ -539,7 +542,7 @@ impl TrialRecord<'_> {
     /// 1).
     fn dealt(&self, indices: &[BitIndex], workers: usize) -> Result<Vec<f32>, DnnError> {
         let trial = |float: &mut Network, index| self.trial(float, index);
-        dealt(indices.to_vec(), workers, || self.float.clone(), trial).into_iter().collect()
+        pool::deal(indices.to_vec(), workers, || self.float.clone(), trial).into_iter().collect()
     }
 
     /// One trial on `float`, a clone of the record's network: patches
@@ -816,7 +819,7 @@ mod tests {
         assert_eq!(workers(0, u64::MAX), 1);
         assert_eq!(workers(1, u64::MAX), 1);
         assert_eq!(workers(2, 2 * crate::network::MIN_MACS_PER_WORKER - 1), 1);
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let cores = pool::threads();
         assert_eq!(workers(2, 2 * crate::network::MIN_MACS_PER_WORKER), 2.min(cores));
         assert_eq!(workers(usize::MAX, u64::MAX), cores);
     }

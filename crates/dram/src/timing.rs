@@ -2,7 +2,7 @@
 //!
 //! All values are in memory-clock cycles; [`TimingParams::clock_ghz`]
 //! converts cycles to wall-clock time. Presets follow published datasheet
-//! values for DDR3-1600, DDR4-2400 and LPDDR4-3200 (command-level
+//! values for DDR4-2400 and LPDDR4-3200 (command-level
 //! granularity — bus burst effects are folded into `cl`/`twr`).
 
 /// DRAM timing parameters in clock cycles.

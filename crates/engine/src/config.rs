@@ -2,8 +2,8 @@
 
 use dlk_memctrl::trace::parse_u64;
 
-/// How many channel shards an engine runs and whether it steps them on
-/// threads.
+/// How many channel shards an engine runs and whether it deals them
+/// over the worker pool.
 ///
 /// The execution model guarantees that `parallel` never changes
 /// results: shards share no state, and every merge (stats, completions,
@@ -14,8 +14,9 @@ pub struct EngineConfig {
     /// Number of DRAM channels, each backed by its own shard
     /// (controller + device + mounted defense chain).
     pub channels: usize,
-    /// Step shards on scoped threads (`true`) or one after another in
-    /// channel order (`false`).
+    /// Deal shards over the process's worker
+    /// [`pool`](dlk_memctrl::pool) (`true`) or step them one after
+    /// another in channel order on the caller's thread (`false`).
     pub parallel: bool,
 }
 
@@ -25,7 +26,7 @@ impl EngineConfig {
         Self { channels: 1, parallel: false }
     }
 
-    /// `channels` shards stepped in parallel on scoped threads.
+    /// `channels` shards stepped in parallel over the worker pool.
     pub fn sharded(channels: usize) -> Self {
         Self { channels, parallel: true }
     }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dlk_dram::DramStats;
 use dlk_memctrl::{
-    CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController, Trace,
+    pool, CompletedRequest, ControllerStats, MemCtrlConfig, MemRequest, MemoryController, Trace,
 };
 use dlk_obs::{Counter, Histogram, Registry};
 
@@ -95,10 +95,10 @@ impl Default for EngineMetrics {
 /// merge behind.
 ///
 /// Global requests are routed to their home shard, shards are stepped
-/// either serially in channel order or in parallel on scoped threads
-/// (per [`EngineConfig`]), and every observable result — counts,
-/// statistics, errors — is merged in channel-id order, so a parallel
-/// run is bit-identical to its serial reference.
+/// either serially in channel order or in parallel over the process's
+/// worker [`pool`] (per [`EngineConfig`]), and every observable result
+/// — counts, statistics, errors — is merged in channel-id order, so a
+/// parallel run is bit-identical to its serial reference.
 ///
 /// # Example
 ///
@@ -254,10 +254,11 @@ impl ShardedEngine {
     }
 
     /// Replays a global-address trace: every shard serves the ops
-    /// routed to it, in trace order — on scoped threads when the
-    /// configuration says `parallel`, in channel order otherwise. Both
-    /// modes serve *all* shards and report the lowest failing channel,
-    /// so results (and errors) are independent of the stepping mode.
+    /// routed to it, in trace order — dealt over the process's worker
+    /// [`pool`] when the configuration says `parallel`, in channel
+    /// order on the caller's thread otherwise. Both modes serve *all*
+    /// shards and report the lowest failing channel, so results (and
+    /// errors) are independent of the stepping mode.
     ///
     /// # Errors
     ///
@@ -272,26 +273,18 @@ impl ShardedEngine {
             metrics.drains.inc();
             result
         };
-        let results: Vec<Result<ReplayCounts, EngineError>> =
-            if self.config.parallel && self.shards.len() > 1 {
-                let replay_timed = &replay_timed;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|shard| scope.spawn(move || replay_timed(shard)))
-                        .collect();
-                    // Joining in spawn order keeps the results in
-                    // channel order regardless of completion order.
-                    handles
-                        .into_iter()
-                        // dlk-lint: allow(DLK001): a shard panics only on a bug, as serial mode would.
-                        .map(|handle| handle.join().expect("shard thread panicked"))
-                        .collect()
-                })
-            } else {
-                self.shards.iter_mut().map(replay_timed).collect()
-            };
+        let results: Vec<Result<ReplayCounts, EngineError>> = if self.config.parallel {
+            // The shards are the jobs; results come back in channel order.
+            let workers = self.shards.len();
+            pool::deal(
+                self.shards.iter_mut().collect(),
+                workers,
+                || (),
+                |(), shard| replay_timed(shard),
+            )
+        } else {
+            self.shards.iter_mut().map(replay_timed).collect()
+        };
         let merge_span = self.metrics.merge_wall_ns.span();
         let mut total = ReplayCounts::default();
         let mut first_error = None;

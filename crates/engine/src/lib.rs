@@ -6,14 +6,15 @@
 //! mounted defense chain), a [`ChannelRouter`] distributing global
 //! physical addresses across shards at row granularity, and a
 //! [`ShardedEngine`] that replays a [`Trace`] on all shards — serially
-//! in channel order, or in parallel on scoped threads — and merges
-//! statistics and errors deterministically.
+//! in channel order, or in parallel over the process's worker
+//! [`pool`](dlk_memctrl::pool) — and merges statistics and errors
+//! deterministically.
 //!
 //! ```text
 //!                    ┌────────────────────────────┐
 //!   Trace op ──────► │ ChannelRouter (row % n)    │
 //!                    └─────┬──────┬──────┬────────┘
-//!                      ch0 ▼  ch1 ▼  ch2 ▼   …      one scoped thread each
+//!                      ch0 ▼  ch1 ▼  ch2 ▼   …      one pool job each
 //!                    ┌───────┐┌───────┐┌───────┐
 //!                    │ Shard ││ Shard ││ Shard │     controller + device
 //!                    │  + hook chain per channel │   + lock-table slice

@@ -11,8 +11,8 @@ use crate::route::ChannelRouter;
 /// the defense state mounted as the controller hook — for DRAM-Locker,
 /// the lock-table entries of the victims homed on this channel.
 ///
-/// Shards share nothing, which is what lets the engine step them on
-/// scoped threads and still merge results deterministically.
+/// Shards share nothing, which is what lets the engine deal them over
+/// the worker pool and still merge results deterministically.
 #[derive(Debug)]
 pub struct ChannelShard {
     channel: usize,
@@ -58,8 +58,8 @@ impl ChannelShard {
     }
 
     /// Serves, in trace order, every op of the global-address `trace`
-    /// that `router` homes on this shard — the unit of work one engine
-    /// thread performs. Ops homed elsewhere are skipped without being
+    /// that `router` homes on this shard — one job of the engine's deal
+    /// over the worker pool. Ops homed elsewhere are skipped without being
     /// built into requests.
     ///
     /// # Errors

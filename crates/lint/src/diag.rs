@@ -31,6 +31,10 @@ pub enum RuleCode {
     /// Codec exhaustiveness: every spec-enum variant must appear in
     /// both the writer and the parser codec regions.
     Dlk004,
+    /// Threads start in one module: no `thread::spawn`,
+    /// `thread::scope` or `thread::Builder` outside the worker pool
+    /// (`crates/memctrl/src/pool.rs`) and tests.
+    Dlk005,
     /// Victim home channel (or replay channel) out of range for the
     /// spec's engine configuration.
     Dlk101,
@@ -48,11 +52,12 @@ pub enum RuleCode {
 
 impl RuleCode {
     /// Every rule, in code order.
-    pub const ALL: [RuleCode; 9] = [
+    pub const ALL: [RuleCode; 10] = [
         RuleCode::Dlk001,
         RuleCode::Dlk002,
         RuleCode::Dlk003,
         RuleCode::Dlk004,
+        RuleCode::Dlk005,
         RuleCode::Dlk101,
         RuleCode::Dlk102,
         RuleCode::Dlk103,
@@ -68,6 +73,7 @@ impl RuleCode {
             RuleCode::Dlk002 => "DLK002",
             RuleCode::Dlk003 => "DLK003",
             RuleCode::Dlk004 => "DLK004",
+            RuleCode::Dlk005 => "DLK005",
             RuleCode::Dlk101 => "DLK101",
             RuleCode::Dlk102 => "DLK102",
             RuleCode::Dlk103 => "DLK103",
@@ -85,6 +91,7 @@ impl RuleCode {
             RuleCode::Dlk002 => "only Ordering::Relaxed in crates/obs (lock-free layer policy)",
             RuleCode::Dlk003 => "no wall clock, sleeps or non-seeded RNGs in deterministic crates",
             RuleCode::Dlk004 => "every spec-enum variant present in both codec directions",
+            RuleCode::Dlk005 => "threads start only in the worker pool (memctrl pool.rs) and tests",
             RuleCode::Dlk101 => "victim home / replay channel within the engine's channel count",
             RuleCode::Dlk102 => "labels unique within a spec list",
             RuleCode::Dlk103 => "budget fields and read chunks non-zero and plausibly sized",

@@ -7,8 +7,9 @@
 //!    Rust sources and enforces the repo invariants — hot-path
 //!    panic-freedom (DLK001), the obs layer's relaxed-only atomic
 //!    policy (DLK002), the deterministic crates' no-wall-clock /
-//!    no-ambient-RNG guarantee (DLK003), and spec-codec
-//!    exhaustiveness across both text directions (DLK004).
+//!    no-ambient-RNG guarantee (DLK003), spec-codec exhaustiveness
+//!    across both text directions (DLK004), and threads started only
+//!    by the worker pool (DLK005).
 //! 2. The **spec analyzer** ([`analyze`], surfaced as `dlk check`):
 //!    semantic validation of parsed
 //!    [`ScenarioSpec`](dlk_sim::ScenarioSpec)s without running them —

@@ -15,7 +15,8 @@
 //!   trackers and row-swap defenses every activation updates, and the
 //!   hook chain that stacks them), plus dnn gemm and conv and the
 //!   training and bit-search executor
-//!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::losses`).
+//!   (`Network::run`/`backward`/`apply_grads` and `TrialRecord::losses`)
+//!   and the worker pool they, the engine and the sweep run on.
 //!   The service path returns typed errors; a panic there takes down a
 //!   whole sweep worker.
 //! - **DLK002** — only `Ordering::Relaxed` in `crates/obs`. The obs
@@ -32,6 +33,10 @@
 //!   must appear in both the `to_text` and `from_text` codec regions,
 //!   catching the "added a variant, forgot a codec arm" bug class
 //!   before a golden file can.
+//! - **DLK005** — threads start in one module: no `thread::spawn`,
+//!   `thread::scope` or `thread::Builder` outside the process's worker
+//!   pool (`crates/memctrl/src/pool.rs`), so every parallel section
+//!   shares its helpers and runnable threads never outnumber cores.
 //!
 //! `#[cfg(test)]` items are exempt from the token rules, and any
 //! finding can be suppressed for its line (or the line below the
@@ -74,7 +79,14 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/dnn/src/conv.rs",
     "crates/dnn/src/network.rs",
     "crates/dnn/src/quant.rs",
+    "crates/memctrl/src/pool.rs",
 ];
+
+/// The one file that may start threads (DLK005).
+const POOL_FILE: &str = "crates/memctrl/src/pool.rs";
+
+/// The `std::thread` items that start a thread (DLK005).
+const THREAD_STARTS: &[&str] = &["spawn", "scope", "Builder"];
 
 /// The panicking macros DLK001 rejects on the hot path.
 const PANICKING_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -212,6 +224,9 @@ pub fn lint_lexed(files: &[(String, LexedFile)]) -> Report {
         if DETERMINISTIC_PATHS.iter().any(|f| path.contains(f)) {
             rule_dlk003(path, &lexed.tokens, &regions, &mut diags);
         }
+        if !path.ends_with(POOL_FILE) {
+            rule_dlk005(path, &lexed.tokens, &regions, &mut diags);
+        }
         let allowed = suppressions(&lexed.comments);
         diags.retain(|d| !suppressed(&allowed, d));
         for diag in diags {
@@ -311,6 +326,35 @@ fn rule_dlk003(
             continue;
         };
         out.push(Diagnostic::error(RuleCode::Dlk003, path, token.line, token.col, message));
+    }
+}
+
+/// DLK005: `thread :: spawn`, `thread :: scope` and `thread ::
+/// Builder` outside tests.
+fn rule_dlk005(
+    path: &str,
+    tokens: &[Token],
+    regions: &[(usize, usize)],
+    out: &mut Vec<Diagnostic>,
+) {
+    for (at, token) in tokens.iter().enumerate() {
+        if in_regions(regions, token.line) || !token.is_ident("thread") {
+            continue;
+        }
+        let [colon1, colon2, which] = [tokens.get(at + 1), tokens.get(at + 2), tokens.get(at + 3)];
+        let path_sep =
+            colon1.is_some_and(|t| t.is_punct(':')) && colon2.is_some_and(|t| t.is_punct(':'));
+        let Some(which) = which.and_then(Token::ident).filter(|_| path_sep) else { continue };
+        if THREAD_STARTS.contains(&which) {
+            let which_token = &tokens[at + 3];
+            out.push(Diagnostic::error(
+                RuleCode::Dlk005,
+                path,
+                which_token.line,
+                which_token.col,
+                format!("thread::{which} outside the worker pool: run the work through dlk_memctrl::pool"),
+            ));
+        }
     }
 }
 
@@ -614,6 +658,34 @@ mod tests {
         // A different code is NOT masked.
         let wrong = "fn f() { Instant::now(); } // dlk-lint: allow(DLK001): wrong code";
         assert_eq!(codes(&lint_one("crates/sim/src/sweep.rs", wrong)), ["DLK003"]);
+    }
+
+    #[test]
+    fn dlk005_flags_thread_starts_outside_the_pool() {
+        let source = "fn f() { std::thread::spawn(g); thread::scope(|s| {}); \
+                      let b = thread::Builder::new(); }";
+        let report = lint_one("crates/sim/src/sweep.rs", source);
+        assert_eq!(codes(&report), ["DLK005", "DLK005", "DLK005"]);
+        assert!(report.diagnostics[0].message.starts_with("thread::spawn"));
+        // Any crate, deterministic or not.
+        assert_eq!(
+            codes(&lint_one("crates/cli/src/lib.rs", "fn f() { thread::spawn(g); }")),
+            ["DLK005"]
+        );
+        // The pool itself may start threads.
+        assert!(lint_one("crates/memctrl/src/pool.rs", source).diagnostics.is_empty());
+    }
+
+    #[test]
+    fn dlk005_spares_tests_and_other_thread_items() {
+        let tests =
+            "fn hot() {}\n#[cfg(test)]\nmod tests { fn t() { std::thread::scope(|s| {}); } }";
+        assert!(lint_one("crates/obs/src/metric.rs", tests).diagnostics.is_empty());
+        let others = "fn f() { thread::yield_now(); let id = thread::current().id(); \
+                      let r: thread::Result<()> = Ok(()); let spawn = 1; scope(spawn); }";
+        assert!(lint_one("crates/cli/src/lib.rs", others).diagnostics.is_empty());
+        let suppressed = "fn f() { thread::spawn(g); } // dlk-lint: allow(DLK005): reason";
+        assert!(lint_one("crates/cli/src/lib.rs", suppressed).diagnostics.is_empty());
     }
 
     #[test]

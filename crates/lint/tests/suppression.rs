@@ -9,23 +9,24 @@ use dlk_lint::RuleCode;
 use proptest::prelude::*;
 
 /// `crates/memctrl/src/controller.rs` is both a hot-path file (DLK001)
-/// and inside a deterministic crate (DLK003), so either violation can
-/// be planted at the same path.
+/// and inside a deterministic crate (DLK003), and not the worker pool
+/// (DLK005), so each violation can be planted at the same path.
 const FIXTURE_PATH: &str = "crates/memctrl/src/controller.rs";
 
 fn violation(index: usize) -> (&'static str, RuleCode) {
     match index {
         0 => ("let v = queue.pop().unwrap();", RuleCode::Dlk001),
         1 => ("let t = Instant::now();", RuleCode::Dlk003),
-        _ => ("std::thread::sleep(pause);", RuleCode::Dlk003),
+        2 => ("std::thread::sleep(pause);", RuleCode::Dlk003),
+        _ => ("let h = std::thread::spawn(job);", RuleCode::Dlk005),
     }
 }
 
 proptest! {
     #[test]
     fn allow_silences_only_its_exact_code(
-        planted in 0usize..3,
-        allowed in 0usize..9,
+        planted in 0usize..4,
+        allowed in 0..RuleCode::ALL.len(),
         trailing in any::<bool>(),
     ) {
         let (stmt, expected) = violation(planted);

@@ -31,8 +31,9 @@ pub enum HookAction {
 /// exactly where a hardware defense would act.
 ///
 /// Hooks must be `Send`: the sharded execution engine mounts one hook
-/// chain per DRAM channel and steps the channels on scoped threads, so
-/// a mounted hook (inside its controller) crosses thread boundaries.
+/// chain per DRAM channel and deals the channels over the worker
+/// [`pool`](crate::pool), so a mounted hook (inside its controller)
+/// crosses thread boundaries.
 pub trait DefenseHook: Send {
     /// Inspects a request before it is served. Called once per request
     /// with its mapped DRAM row.

@@ -17,7 +17,10 @@
 //! - [`interpose`]: the [`DefenseHook`] trait that lets defenses such as
 //!   DRAM-Locker allow / deny / redirect accesses and observe
 //!   activations;
-//! - [`controller`]: the [`MemoryController`] tying it together.
+//! - [`controller`]: the [`MemoryController`] tying it together;
+//! - [`pool`]: the process's one worker pool, which runs every
+//!   parallel section of the workspace (DNN passes, shard replays,
+//!   sweep workers).
 //!
 //! ## Example
 //!
@@ -39,6 +42,7 @@ pub mod interpose;
 pub mod mapping;
 pub mod metrics;
 pub mod pagetable;
+pub mod pool;
 pub mod request;
 pub mod trace;
 

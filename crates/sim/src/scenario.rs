@@ -149,7 +149,8 @@ impl ScenarioBuilder {
     /// [`EngineConfig::serial`], one channel, no threads). With
     /// [`EngineConfig::sharded`], the scenario instantiates one channel
     /// shard per DRAM channel — each with its own controller, device
-    /// and mounted defense chain — and steps them on scoped threads.
+    /// and mounted defense chain — and deals them over the process's
+    /// worker pool.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.spec.engine = engine;
         self
@@ -452,8 +453,8 @@ impl ScenarioRun {
 
         // Snapshot attack-phase costs before the measurement probes
         // drive their own traffic. The snapshot is merged in channel-id
-        // order, so it is identical whether the shards just ran on
-        // threads or serially.
+        // order, so it is identical whether the shards just ran over the
+        // worker pool or serially.
         let snapshot = self.engine.snapshot();
         if let (Some(rec), Some(id)) = (spans.as_deref_mut(), span_attack) {
             rec.cycles(id, snapshot.cycles);

@@ -45,6 +45,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dlk_dnn::models::ModelKind;
+use dlk_memctrl::pool;
 use dlk_obs::{Counter, Gauge, Histogram, Registry, Sampler};
 
 use crate::error::SimError;
@@ -397,13 +398,14 @@ impl SweepRunner {
         Self::with_threads(1)
     }
 
-    /// Runs specs across one worker per available core.
+    /// Runs specs across one worker per core of the process's pool.
     pub fn parallel() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::with_threads(threads)
+        Self::with_threads(pool::threads())
     }
 
-    /// Runs specs across exactly `threads` workers (at least one).
+    /// Runs specs across `threads` worker loops (at least one), dealt
+    /// over the process's worker [`pool`], so at most
+    /// [`pool::threads`] of them run at once.
     pub fn with_threads(threads: usize) -> Self {
         Self { threads: threads.max(1), timeout: None, progress: None, obs: None, sampler: None }
     }
@@ -540,16 +542,9 @@ impl SweepRunner {
                 metrics.worker_idle_ns.add(elapsed_ns(mark));
             }
         };
-        if workers == 1 {
-            worker_loop(0);
-        } else {
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let worker_loop = &worker_loop;
-                    scope.spawn(move || worker_loop(worker));
-                }
-            });
-        }
+        // The worker loops are the pool's jobs. Loops that no thread
+        // reaches before the queue drains find nothing left to do.
+        pool::deal((0..workers).collect(), workers, || (), |(), worker| worker_loop(worker));
         if let Some(metrics) = &metrics {
             metrics.steals.add(queue.steals.load(Ordering::Relaxed));
             // Cancelled jobs are never popped; the queue is drained
@@ -587,7 +582,7 @@ impl SweepRunner {
                 // its result is dropped with the dead channel.
                 let (sender, receiver) = mpsc::channel();
                 let job = Arc::clone(job);
-                std::thread::spawn(move || {
+                pool::spawn_detached(move || {
                     let result = catch_unwind(AssertUnwindSafe(|| job(index)));
                     let _ = sender.send(result);
                 });

@@ -9,8 +9,8 @@
 //! - [`attacks`] — BFA, random-flip and page-table attacks;
 //! - [`defenses`] — SHADOW and other baseline RowHammer defenses;
 //! - [`engine`] — sharded multi-channel execution engine with
-//!   trace-driven workload replay (scoped-thread parallelism,
-//!   deterministic merge);
+//!   trace-driven workload replay (shards dealt over the process's one
+//!   worker pool, deterministic merge);
 //! - [`sim`] — the unified Scenario API: builder-driven pipelines
 //!   composing victims, attacks and defenses into one run;
 //! - [`xlayer`] — cross-layer evaluation framework and paper experiments;
@@ -51,7 +51,7 @@
 //! ## Scaling out
 //!
 //! Multi-channel geometries run each channel on its own shard —
-//! stepped on scoped threads, merged deterministically:
+//! dealt over the worker pool, merged deterministically:
 //!
 //! ```
 //! use dram_locker::sim::{AttackSpec, EngineConfig, Scenario, VictimSpec, Workload};
