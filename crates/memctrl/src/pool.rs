@@ -225,11 +225,7 @@ impl Pool {
     /// Lets no further helper enter the open deal, then waits for the
     /// ones inside it to leave.
     fn close(&self) {
-        {
-            let mut open = self.lock();
-            open.share = None;
-            open.seats = 0;
-        }
+        self.lock().share = None;
         // The share is drained: whoever is inside is finishing its last
         // job, so yield the core rather than sleep.
         while self.inside.load(Ordering::Acquire) > 0 {
