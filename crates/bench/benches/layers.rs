@@ -661,7 +661,7 @@ fn trace_list_parse() -> Kernel {
 /// 12 jobs of about a millisecond each: a pointer chase and a
 /// streaming replay over {1, 2, 4} channels × {none, dram-locker}.
 /// Each job steps its shards serially, so all parallelism is the
-/// runner's and a job is long enough to dwarf a thread start-up.
+/// runner's, and a job is long enough to dwarf the pool's dispatch.
 fn sweep_specs() -> Vec<ScenarioSpec> {
     const SPAN: u64 = 256 * 64; // valid on every channel count
     let mut base = dlk_sim::find("replay-chase-2ch").expect("catalog entry").spec;

@@ -75,7 +75,11 @@ pub fn deal<J: Send, S, T: Send>(
     state: impl Fn() -> S + Sync,
     work: impl Fn(&mut S, J) -> T + Sync,
 ) -> Vec<T> {
-    let seats = workers.min(jobs.len()).min(threads()).saturating_sub(1);
+    // The host's parallelism is read only for work that can split.
+    let seats = match workers.min(jobs.len()) {
+        0 | 1 => 0,
+        wanted => wanted.min(threads()) - 1,
+    };
     if seats > 0 {
         POOL.start();
     }
