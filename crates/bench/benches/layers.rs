@@ -18,8 +18,8 @@
 //! (tracker updates, weight repair), `engine` (sharded trace replay),
 //! `dnn` (GEMM, bit search,
 //! the CNN gradient pass and forward, one conv backward), `sim`
-//! (whole scenarios and the spec codec), `sweep` (the work-stealing
-//! runner and its bare queue) and `figures` (regenerating each paper
+//! (whole scenarios and the spec codec), `sweep` (the runner on the
+//! worker pool, and its bare queue) and `figures` (regenerating each paper
 //! table and figure at test fidelity, plus the §IV-D Monte-Carlo
 //! kernel); paper-scale figures print from `examples/paper_figures.rs`.
 
@@ -656,7 +656,7 @@ fn trace_list_parse() -> Kernel {
     })
 }
 
-// ---- sweep: the work-stealing runner and its queue ----
+// ---- sweep: the runner on the worker pool, and its queue ----
 
 /// 12 jobs of about a millisecond each: a pointer chase and a
 /// streaming replay over {1, 2, 4} channels × {none, dram-locker}.
@@ -710,8 +710,8 @@ fn hammer_grid(runner: SweepRunner) -> Kernel {
     })
 }
 
-/// No-op jobs: every microsecond measured is queue overhead —
-/// injector, deques, stealing, slot bookkeeping.
+/// No-op jobs: every microsecond measured is queue overhead — the
+/// pool's deal, the cancel check and per-job outcome bookkeeping.
 fn queue_noop() -> Kernel {
     const JOBS: usize = 2_000;
     let runner = SweepRunner::parallel();

@@ -1,9 +1,9 @@
 //! `dlk sweep <grid.dlk> [--jobs N] [--out FILE] [--timeout-secs S]
-//! [--metrics FILE]` — run every spec in a grid file on the
-//! work-stealing queue, streaming CSV rows to stdout as jobs finish
-//! (status lines go to stderr). `--out` additionally writes the rows
-//! in spec order, which — because the queue's results are bit-identical
-//! to a serial run — is the same file any job count produces.
+//! [--metrics FILE]` — run every spec in a grid file on the process's
+//! worker pool, streaming CSV rows to stdout as jobs finish (status
+//! lines go to stderr). `--out` additionally writes the rows in spec
+//! order, which — because the runner's results are bit-identical to a
+//! serial run — is the same file any job count produces.
 //! `--metrics` dumps the observed registry (queue scheduling metrics
 //! plus the aggregated engine/controller/locker metrics of every run)
 //! as shared-schema JSON after the sweep.
@@ -84,11 +84,9 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
     }
 
     let done = outcomes.iter().filter(|o| o.status() == JobStatus::Done).count();
-    let stolen = outcomes.iter().filter(|o| o.stolen).count();
     let rate = outcomes.len() as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
-        "dlk: sweep: {done}/{} done on {threads} worker(s) in {elapsed:.2?} \
-         ({rate:.2} jobs/s, {stolen} stolen)",
+        "dlk: sweep: {done}/{} done on {threads} worker(s) in {elapsed:.2?} ({rate:.2} jobs/s)",
         outcomes.len(),
     );
     if done < outcomes.len() {

@@ -16,7 +16,7 @@
 //! `run` executes one spec file (or named catalog entry — an unknown
 //! name surfaces the catalog's did-you-mean suggestion) and prints the
 //! aligned [`RunReport`](dlk_sim::RunReport) or its CSV row. `sweep`
-//! pushes a spec-list file through the work-stealing
+//! pushes a spec-list file through the pooled
 //! [`SweepRunner`](dlk_sim::SweepRunner), streaming CSV rows as jobs
 //! finish. `serve` is the long-running daemon: it watches a spool
 //! directory for `.dlk` files, queues every spec, records each

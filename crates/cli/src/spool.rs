@@ -506,7 +506,7 @@ pub fn serve(cfg: &ServeConfig, log: Arc<LogFn>) -> Result<ServeSummary, CliErro
     }
 }
 
-/// Executes one batch of pending jobs on the work-stealing queue,
+/// Executes one batch of pending jobs on the sweep runner,
 /// journaling each completion from the progress callback. Returns
 /// (journaled, journaled-not-done) counts.
 fn run_batch(
@@ -544,12 +544,11 @@ fn run_batch(
             }
             state.completions += 1;
             log_cb(&format!(
-                "serve: {} {} ({:?}, worker {:?}{})",
+                "serve: {} {} ({:?}, worker {:?})",
                 state.journal.entries().last().map_or("?", |e| e.status.as_str()),
                 key,
                 outcome.wall,
                 outcome.worker,
-                if outcome.stolen { ", stolen" } else { "" },
             ));
             if abort_after.is_some_and(|k| state.completions >= k) {
                 state.aborted = true;

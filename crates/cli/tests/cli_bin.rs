@@ -182,6 +182,18 @@ fn check_passes_the_committed_spec_corpus_and_catalog() {
 }
 
 #[test]
+fn check_names_unknown_and_repeated_fields() {
+    let dir = sandbox("fields");
+    let spec = dir.join("fields.dlk");
+    fs::write(&spec, "label fields\nattack hammer bit=77 rate=0.5 bit=3\n").unwrap();
+    let check = dlk(&["check", &spec.display().to_string()]);
+    assert!(!check.status.success(), "{}", stdout(&check));
+    let err = stderr(&check);
+    assert!(err.contains("line 2: unknown field 'rate', repeated field 'bit'"), "{err}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_flags_semantic_errors_and_run_fails_fast_on_them() {
     let dir = sandbox("check");
     let dump = dlk(&["catalog", "--dump", "hammer-vs-dram-locker"]);

@@ -42,8 +42,7 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// let mut table = LockTable::new(1024);
 /// table.lock(RowId(7))?;
 /// assert!(table.is_locked(RowId(7)));
-/// table.unlock(RowId(7));
-/// assert!(!table.is_locked(RowId(7)));
+/// assert!(!table.is_locked(RowId(8)));
 /// # Ok(())
 /// # }
 /// ```
@@ -128,10 +127,6 @@ impl LockTable {
         self.occupied[slot >> 6] |= 1 << (slot & 63);
     }
 
-    fn clear_occupied(&mut self, slot: usize) {
-        self.occupied[slot >> 6] &= !(1 << (slot & 63));
-    }
-
     /// Linear probe for `key`: returns `(slot, found)` where `slot` is
     /// either the key's slot or the first empty slot of its chain.
     /// Occupancy and key equality are evaluated branch-free; the loop
@@ -168,41 +163,6 @@ impl LockTable {
         self.set_occupied(slot);
         self.len += 1;
         Ok(())
-    }
-
-    /// Unlocks a row. Returns `true` if it was locked.
-    pub fn unlock(&mut self, row: RowId) -> bool {
-        let (slot, found) = self.probe(row.0);
-        if !found {
-            return false;
-        }
-        self.remove_slot(slot);
-        true
-    }
-
-    /// Deletes the entry at `slot` with the classic backward-shift so
-    /// no probe chain is ever broken by a tombstone.
-    fn remove_slot(&mut self, mut slot: usize) {
-        self.len -= 1;
-        loop {
-            self.clear_occupied(slot);
-            let mut next = slot;
-            loop {
-                next = (next + 1) & self.mask;
-                if !self.occupied_bit(next) {
-                    return;
-                }
-                let home = self.home_slot(self.keys[next]);
-                // `next`'s key may move into the hole at `slot` iff its
-                // home slot is cyclically outside (slot, next].
-                if (next.wrapping_sub(home) & self.mask) >= (next.wrapping_sub(slot) & self.mask) {
-                    self.keys[slot] = self.keys[next];
-                    self.set_occupied(slot);
-                    slot = next;
-                    break;
-                }
-            }
-        }
     }
 
     /// Membership check *with* statistics — the hardware lookup on the
@@ -313,17 +273,6 @@ pub mod reference {
             Ok(())
         }
 
-        /// Unlocks a row. Returns `true` if it was locked.
-        pub fn unlock(&mut self, row: RowId) -> bool {
-            match self.locked.iter().position(|&id| id == row.0) {
-                Some(index) => {
-                    self.locked.swap_remove(index);
-                    true
-                }
-                None => false,
-            }
-        }
-
         /// Counted membership scan.
         pub fn is_locked(&mut self, row: RowId) -> bool {
             self.lookups += 1;
@@ -382,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_unlock_cycle() {
+    fn lock_and_probe() {
         let mut table = LockTable::new(8);
         assert!(table.is_empty());
         table.lock(RowId(1)).unwrap();
@@ -390,9 +339,6 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert!(table.is_locked(RowId(1)));
         assert!(!table.is_locked(RowId(3)));
-        assert!(table.unlock(RowId(1)));
-        assert!(!table.unlock(RowId(1)));
-        assert_eq!(table.len(), 1);
     }
 
     #[test]
@@ -488,26 +434,7 @@ mod tests {
         assert!(!table.is_locked(RowId(u64::MAX)));
     }
 
-    #[test]
-    fn backward_shift_deletion_keeps_chains_probeable() {
-        // Colliding keys (same home slot) form one probe chain;
-        // deleting the head must not orphan the tail.
-        let mut table = LockTable::new(64);
-        let rows: Vec<RowId> = (0..48u64).map(|i| RowId(i * 7 + 1)).collect();
-        for &row in &rows {
-            table.lock(row).unwrap();
-        }
-        // Remove every third entry, then verify all remaining ones.
-        for chunk in rows.chunks(3) {
-            assert!(table.unlock(chunk[0]));
-        }
-        for (index, &row) in rows.iter().enumerate() {
-            assert_eq!(table.is_locked(row), index % 3 != 0, "row {row:?}");
-        }
-        assert_eq!(table.len(), 32);
-    }
-
-    /// Replaying one recorded probe/lock/unlock sequence against the
+    /// Replaying one recorded probe/lock sequence against the
     /// open-addressed table and the scalar scan oracle yields
     /// identical results and identical `lookups`/`hits` statistics.
     #[test]
@@ -515,16 +442,15 @@ mod tests {
         for capacity in [0usize, 1, 2, 5, 64] {
             let mut table = LockTable::new(capacity);
             let mut oracle = ScanLockTable::new(capacity);
-            // A deterministic mixed op tape: lock / probe / unlock over
-            // a small row universe so hits, misses, collisions and
-            // capacity denials all occur.
+            // A deterministic mixed op tape: lock / probe over a small
+            // row universe so hits, misses, collisions and capacity
+            // denials all occur.
             let mut state = 0x2545_F491_4F6C_DD1Du64;
             for step in 0..4096u64 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let row = RowId(state >> 40 & 0x3F);
                 match step % 5 {
                     0 => assert_eq!(table.lock(row).is_ok(), oracle.lock(row).is_ok()),
-                    4 => assert_eq!(table.unlock(row), oracle.unlock(row)),
                     _ => assert_eq!(table.is_locked(row), oracle.is_locked(row)),
                 }
                 assert_eq!(table.len(), oracle.len());

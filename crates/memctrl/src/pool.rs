@@ -2,7 +2,7 @@
 //!
 //! Every parallel section of the workspace runs through [`deal`]: a DNN
 //! network's batch passes and bit-search trials, a sharded engine's
-//! channel replays and a sweep's worker loops. The pool starts
+//! channel replays and a sweep's jobs. The pool starts
 //! [`threads`]` − 1` helper threads the first time a deal wants one and
 //! keeps them for the life of the process, so a dispatch wakes a helper
 //! instead of spawning a thread.

@@ -30,6 +30,8 @@
 //! [`ScenarioBuilder`](crate::ScenarioBuilder) is sugar that assembles
 //! a spec.
 
+use std::cell::Cell;
+
 use dlk_attacks::bfa::BfaConfig;
 use dlk_defenses::SwapPolicy;
 use dlk_dnn::models::ModelKind;
@@ -418,7 +420,8 @@ impl ScenarioSpec {
     /// Parses the format produced by [`to_text`](ScenarioSpec::to_text).
     /// Blank lines and `#` comments are skipped; any recognized record
     /// overrides the default-constructed field, so partial spec files
-    /// are valid.
+    /// are valid. Within a `key=value` record each key its kind takes
+    /// appears once, and no other key appears.
     ///
     /// # Errors
     ///
@@ -680,6 +683,7 @@ impl<'a> SpecReader<'a> {
                     check_interval: fields.num("check")?,
                     iterations: fields.num("iterations")?,
                 };
+                fields.finish()?;
             }
             "eval-batch" => spec.eval_batch = parse_num(line, one_token(line, &mut tokens)?)?,
             "target" => spec.target = parse_num(line, one_token(line, &mut tokens)?)?,
@@ -687,6 +691,7 @@ impl<'a> SpecReader<'a> {
                 let kind = one_token(line, &mut tokens)?;
                 let fields = Fields::parse(line, tokens)?;
                 spec.victims.push(parse_victim(line, kind, &fields)?);
+                fields.finish()?;
             }
             "attack" => {
                 let kind = one_token(line, &mut tokens)?;
@@ -697,11 +702,13 @@ impl<'a> SpecReader<'a> {
                 } else {
                     spec.attack = Some(parse_attack(line, kind, &fields)?);
                 }
+                fields.finish()?;
             }
             "tenant" => {
                 let kind = one_token(line, &mut tokens)?;
                 let fields = Fields::parse(line, tokens)?;
                 let workload = parse_workload(line, kind, &fields)?;
+                fields.finish()?;
                 match &mut spec.attack {
                     Some(AttackSpec::Replay { tenants }) => tenants.push(workload),
                     _ => {
@@ -716,6 +723,7 @@ impl<'a> SpecReader<'a> {
                 let kind = one_token(line, &mut tokens)?;
                 let fields = Fields::parse(line, tokens)?;
                 spec.defenses.push(parse_defense(line, kind, &fields)?);
+                fields.finish()?;
             }
             other => return Err(parse_error(line, &format!("unknown record '{other}'"))),
         }
@@ -797,10 +805,19 @@ fn one_token<'a>(
     tokens.next().ok_or_else(|| parse_error(line, "record is missing its value"))
 }
 
-/// `key=value` fields of one record, in line order.
+/// The most `key=value` fields one record may hold, one bit of
+/// [`Fields::read`] each. No record kind takes more than 9, so a longer
+/// record is rejected before it is read.
+const MAX_FIELDS: usize = 16;
+
+/// `key=value` fields of one record, in line order. The record's
+/// reader [`get`](Fields::get)s the keys its kind takes, and
+/// [`finish`](Fields::finish) then rejects every field it left unread.
 struct Fields<'a> {
     line: usize,
     pairs: Vec<(&'a str, &'a str)>,
+    /// Bit `i` is set once pair `i` has been read.
+    read: Cell<u16>,
 }
 
 impl<'a> Fields<'a> {
@@ -812,15 +829,45 @@ impl<'a> Fields<'a> {
                 .ok_or_else(|| parse_error(line, &format!("expected key=value, got '{token}'")))?;
             pairs.push((key, value));
         }
-        Ok(Self { line, pairs })
+        if pairs.len() > MAX_FIELDS {
+            let reason = format!("{} fields, more than any record takes", pairs.len());
+            return Err(parse_error(line, &reason));
+        }
+        Ok(Self { line, pairs, read: Cell::new(0) })
     }
 
+    /// The value of `key`'s first occurrence, which is marked read.
     fn get(&self, key: &str) -> Result<&'a str, SimError> {
-        self.pairs
+        let at = self
+            .pairs
             .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| parse_error(self.line, &format!("missing field '{key}'")))
+            .position(|(k, _)| *k == key)
+            .ok_or_else(|| parse_error(self.line, &format!("missing field '{key}'")))?;
+        self.read.set(self.read.get() | 1 << at);
+        Ok(self.pairs[at].1)
+    }
+
+    /// Fails, naming each field left unread, unless the reader read
+    /// them all: an unread key is repeated when an earlier field has
+    /// it, and unknown otherwise.
+    fn finish(&self) -> Result<(), SimError> {
+        let read = self.read.get();
+        if read.count_ones() as usize == self.pairs.len() {
+            return Ok(());
+        }
+        let offenders: Vec<String> = (0..self.pairs.len())
+            .filter(|&i| read & 1 << i == 0)
+            .map(|i| {
+                let key = self.pairs[i].0;
+                let kind = if self.pairs[..i].iter().any(|(k, _)| *k == key) {
+                    "repeated"
+                } else {
+                    "unknown"
+                };
+                format!("{kind} field '{key}'")
+            })
+            .collect();
+        Err(parse_error(self.line, &offenders.join(", ")))
     }
 
     fn num<T: TryFrom<u64>>(&self, key: &str) -> Result<T, SimError> {

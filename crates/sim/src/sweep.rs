@@ -1,16 +1,14 @@
-//! Grid expansion and work-stealing parallel execution over scenario
-//! specs.
+//! Grid expansion and parallel execution over scenario specs.
 //!
 //! The paper's results are grids — attack × defense × geometry sweeps
 //! reported as tables and figures. [`SweepGrid`] expands axes over a
 //! base [`ScenarioSpec`] into a flat, deterministic spec list;
-//! [`SweepRunner`] executes any spec list on a work-stealing job queue
-//! (a shared injector plus one deque per worker; an idle worker steals
-//! from a sibling's tail) and returns results in spec order,
-//! bit-identical to running each spec serially (scenarios share no
-//! state, and each one's engine is already deterministic). Feed the
-//! reports to [`metrics::Table`](crate::metrics::Table) for
-//! CSV/markdown export.
+//! [`SweepRunner`] executes any spec list on the process's worker
+//! [`pool`] (each free thread takes the next spec in spec order) and
+//! returns results in spec order, bit-identical to running each spec
+//! serially (scenarios share no state, and each one's engine is
+//! already deterministic). Feed the reports to
+//! [`metrics::Table`](crate::metrics::Table) for CSV/markdown export.
 //!
 //! Serving fronts (the `dlk` daemon) get three extra guarantees per
 //! job: a wall-clock [`timeout`](SweepRunner::timeout), panic
@@ -37,9 +35,8 @@
 //! # }
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 // dlk-lint: allow(DLK003): sweep telemetry measures real wall time
 use std::time::{Duration, Instant};
@@ -234,8 +231,6 @@ pub struct JobOutcome {
     pub label: String,
     /// The worker that executed the job (`None` when cancelled).
     pub worker: Option<usize>,
-    /// The job was stolen from another worker's deque.
-    pub stolen: bool,
     /// Wall-clock time the job spent executing.
     pub wall: Duration,
     /// The report, or why there is none.
@@ -255,82 +250,17 @@ impl JobOutcome {
     }
 
     fn cancelled(index: usize, label: String) -> Self {
-        Self {
-            index,
-            label,
-            worker: None,
-            stolen: false,
-            wall: Duration::ZERO,
-            report: Err(JobError::Cancelled),
-        }
+        Self { index, label, worker: None, wall: Duration::ZERO, report: Err(JobError::Cancelled) }
     }
 }
 
 /// The progress callback: invoked once per job in *completion* order,
-/// from worker threads. Returning `false` cancels the queue — workers
-/// stop taking jobs, in-flight jobs finish but every further outcome
-/// (including theirs) is still recorded in its slot.
+/// from worker threads. Returning `false` cancels the queue: jobs not
+/// yet started are skipped, while in-flight jobs finish and their
+/// outcomes are still recorded.
 pub type ProgressFn = dyn Fn(&JobOutcome) -> bool + Send + Sync;
 
-/// The work-stealing job queue: one shared injector plus one deque per
-/// worker. Jobs are dealt to the locals in contiguous index blocks; a
-/// worker pops its own deque from the head, falls back to the
-/// injector, and finally steals from a sibling's *tail* (classic
-/// Chase-Lev shape, here lock-protected since the workspace vendors no
-/// lock-free deque). Scheduling never reorders results: every job's
-/// outcome lands in its submission-index slot.
-struct StealQueue {
-    injector: Mutex<VecDeque<usize>>,
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    cancelled: AtomicBool,
-    steals: AtomicU64,
-}
-
-impl StealQueue {
-    fn deal(workers: usize, count: usize) -> Self {
-        let mut locals: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for index in 0..count {
-            // Contiguous blocks keep early indices on early workers, so
-            // a homogeneous grid still executes roughly in spec order.
-            locals[index * workers / count].push_back(index);
-        }
-        Self {
-            injector: Mutex::new(VecDeque::new()),
-            locals: locals.into_iter().map(Mutex::new).collect(),
-            cancelled: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Next job for `worker`: own head, then injector, then a steal
-    /// from a sibling's tail. `None` means the queue is drained (or
-    /// cancelled) for good — locals only shrink once dealing is done.
-    fn pop(&self, worker: usize) -> Option<(usize, bool)> {
-        if self.cancelled.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(index) = self.locals[worker].lock().expect("local deque").pop_front() {
-            return Some((index, false));
-        }
-        if let Some(index) = self.injector.lock().expect("injector").pop_front() {
-            return Some((index, false));
-        }
-        let workers = self.locals.len();
-        for victim in (worker + 1..workers).chain(0..worker) {
-            if let Some(index) = self.locals[victim].lock().expect("victim deque").pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some((index, true));
-            }
-        }
-        None
-    }
-
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-}
-
-/// Executes spec lists on the work-stealing queue.
+/// Executes spec lists on the process's worker [`pool`].
 ///
 /// Results always come back in spec order, and each run is independent
 /// (own engine, own trained victim clones), so the parallel result set
@@ -361,11 +291,11 @@ impl std::fmt::Debug for SweepRunner {
 }
 
 /// Registry-backed handles for the queue's scheduling metrics, resolved
-/// once per run so the worker loop never touches the registry lock.
+/// once per run so the per-job bookkeeping never touches the registry
+/// lock.
 #[derive(Clone)]
 struct SweepMetrics {
     jobs: Arc<Counter>,
-    steals: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     job_wall_us: Arc<Histogram>,
     worker_busy_ns: Arc<Counter>,
@@ -376,7 +306,6 @@ impl SweepMetrics {
     fn registered(registry: &Registry) -> Self {
         Self {
             jobs: registry.counter("sweep.jobs"),
-            steals: registry.counter("sweep.steals"),
             queue_depth: registry.gauge("sweep.queue_depth"),
             job_wall_us: registry.histogram("sweep.job_wall_us"),
             worker_busy_ns: registry.counter("sweep.worker_busy_ns"),
@@ -403,14 +332,14 @@ impl SweepRunner {
         Self::with_threads(pool::threads())
     }
 
-    /// Runs specs across `threads` worker loops (at least one), dealt
-    /// over the process's worker [`pool`], so at most
-    /// [`pool::threads`] of them run at once.
+    /// Runs specs on up to `threads` threads (at least one) of the
+    /// process's worker [`pool`], which runs at most [`pool::threads`]
+    /// at once.
     pub fn with_threads(threads: usize) -> Self {
         Self { threads: threads.max(1), timeout: None, progress: None, obs: None, sampler: None }
     }
 
-    /// The worker count.
+    /// The cap on worker threads.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -426,12 +355,11 @@ impl SweepRunner {
 
     /// Streams every [`JobOutcome`] in completion order (from worker
     /// threads — the callback must serialize its own side effects).
-    /// Returning `false` cancels the remaining queue: workers stop
-    /// taking jobs and unexecuted jobs come back
-    /// [`JobStatus::Cancelled`] — but jobs already in flight on other
-    /// workers run to completion, and their outcomes still reach the
-    /// callback (and are recorded in their slots). A callback that must
-    /// go quiet after cancelling needs its own guard.
+    /// Returning `false` cancels the remaining queue: jobs not yet
+    /// started come back [`JobStatus::Cancelled`] — but jobs already in
+    /// flight on other workers run to completion, and their outcomes
+    /// still reach the callback (and are returned). A callback that
+    /// must go quiet after cancelling needs its own guard.
     pub fn on_progress(
         mut self,
         progress: impl Fn(&JobOutcome) -> bool + Send + Sync + 'static,
@@ -441,8 +369,8 @@ impl SweepRunner {
     }
 
     /// Connects the runner to a metrics registry. The queue reports
-    /// `sweep.jobs`, `sweep.steals`, `sweep.queue_depth` (a gauge,
-    /// back to zero once drained), a `sweep.job_wall_us` histogram and
+    /// `sweep.jobs`, `sweep.queue_depth` (a gauge, back to zero once
+    /// drained), a `sweep.job_wall_us` histogram and
     /// `sweep.worker_busy_ns`/`sweep.worker_idle_ns` counters; scenario
     /// sweeps additionally observe every run (see
     /// [`ScenarioRun::observe`](crate::ScenarioRun::observe)), so the
@@ -481,8 +409,8 @@ impl SweepRunner {
     }
 
     /// Executes `count` closure jobs on the same queue machinery —
-    /// timeout, panic isolation, stealing and progress all apply. This
-    /// is the harness the queue tests and throughput benches drive;
+    /// timeout, panic isolation, cancellation and progress all apply.
+    /// This is the harness the queue tests and throughput benches drive;
     /// scenario sweeps go through [`run_jobs`](SweepRunner::run_jobs).
     pub fn run_fn(
         &self,
@@ -502,64 +430,53 @@ impl SweepRunner {
             return Vec::new();
         }
         let job: Arc<dyn Fn(usize) -> Result<RunReport, SimError> + Send + Sync> = Arc::new(job);
-        let workers = self.threads.min(count);
-        let queue = StealQueue::deal(workers, count);
         let metrics = self.obs.as_ref().map(SweepMetrics::registered);
         if let Some(metrics) = &metrics {
             metrics.queue_depth.set(i64::try_from(count).unwrap_or(i64::MAX));
         }
-        let mut slots: Vec<Option<JobOutcome>> = Vec::new();
-        slots.resize_with(count, || None);
-        let slots = Mutex::new(slots);
-        let worker_loop = |worker: usize| {
+        let cancelled = AtomicBool::new(false);
+        let workers = AtomicUsize::new(0);
+        let outcomes = pool::deal(
+            labels.into_iter().enumerate().collect(),
+            self.threads,
+            // Each thread that takes a job numbers itself and starts
+            // its busy/idle mark.
             // dlk-lint: allow(DLK003): idle/busy split is observability only
-            let mut mark = Instant::now();
-            while let Some((index, stolen)) = queue.pop(worker) {
-                if let Some(metrics) = &metrics {
-                    metrics.worker_idle_ns.add(elapsed_ns(mark));
-                    metrics.queue_depth.add(-1);
-                    mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
+            || (workers.fetch_add(1, Ordering::Relaxed), Instant::now()),
+            |(worker, mark), (index, label)| {
+                if cancelled.load(Ordering::Acquire) {
+                    return JobOutcome::cancelled(index, label);
                 }
-                let outcome = self.execute_one(index, labels[index].clone(), worker, stolen, &job);
+                if let Some(metrics) = &metrics {
+                    metrics.worker_idle_ns.add(elapsed_ns(*mark));
+                    metrics.queue_depth.add(-1);
+                    *mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
+                }
+                let outcome = self.execute_one(index, label, *worker, &job);
                 let keep_going = self.progress.as_ref().is_none_or(|progress| progress(&outcome));
                 if let Some(metrics) = &metrics {
                     metrics.jobs.inc();
                     metrics
                         .job_wall_us
                         .record(u64::try_from(outcome.wall.as_micros()).unwrap_or(u64::MAX));
-                    metrics.worker_busy_ns.add(elapsed_ns(mark));
-                    mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
+                    metrics.worker_busy_ns.add(elapsed_ns(*mark));
+                    *mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
                 }
-                slots.lock().expect("sweep slots")[index] = Some(outcome);
                 if let Some(sampler) = &self.sampler {
                     sampler.lock().expect("sweep sampler").tick();
                 }
                 if !keep_going {
-                    queue.cancel();
+                    cancelled.store(true, Ordering::Release);
                 }
-            }
-            if let Some(metrics) = &metrics {
-                metrics.worker_idle_ns.add(elapsed_ns(mark));
-            }
-        };
-        // The worker loops are the pool's jobs. Loops that no thread
-        // reaches before the queue drains find nothing left to do.
-        pool::deal((0..workers).collect(), workers, || (), |(), worker| worker_loop(worker));
+                outcome
+            },
+        );
         if let Some(metrics) = &metrics {
-            metrics.steals.add(queue.steals.load(Ordering::Relaxed));
-            // Cancelled jobs are never popped; the queue is drained
-            // regardless once the workers return.
+            // Skipped jobs never counted the depth down; the queue is
+            // drained regardless once the deal returns.
             metrics.queue_depth.set(0);
         }
-        slots
-            .into_inner()
-            .expect("sweep slots")
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.unwrap_or_else(|| JobOutcome::cancelled(index, labels[index].clone()))
-            })
-            .collect()
+        outcomes
     }
 
     fn execute_one(
@@ -567,7 +484,6 @@ impl SweepRunner {
         index: usize,
         label: String,
         worker: usize,
-        stolen: bool,
         job: &Arc<dyn Fn(usize) -> Result<RunReport, SimError> + Send + Sync>,
     ) -> JobOutcome {
         // dlk-lint: allow(DLK003): job wall-clock is reported, never fed back
@@ -592,7 +508,7 @@ impl SweepRunner {
                 }
             }
         };
-        JobOutcome { index, label, worker: Some(worker), stolen, wall: start.elapsed(), report }
+        JobOutcome { index, label, worker: Some(worker), wall: start.elapsed(), report }
     }
 
     /// Executes every spec and returns results in spec order.
@@ -761,24 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_jobs() {
-        // 2 workers, 8 jobs dealt 4+4; worker 0's first job sleeps, so
-        // worker 1 must steal from worker 0's tail to finish the rest.
-        let outcomes = SweepRunner::with_threads(2).run_fn(8, |index| {
-            if index == 0 {
-                std::thread::sleep(Duration::from_millis(120));
-            }
-            failing_job(index)
-        });
-        assert_eq!(outcomes.len(), 8);
-        assert!(
-            outcomes.iter().any(|o| o.stolen),
-            "an idle worker should have stolen from the sleeper's deque"
-        );
-        assert!(outcomes.iter().all(|o| o.worker.is_some()));
-    }
-
-    #[test]
     fn observed_runner_populates_queue_metrics() {
         let registry = Registry::new();
         let outcomes = {
@@ -795,8 +693,6 @@ mod tests {
         assert_eq!(registry.histogram("sweep.job_wall_us").count(), 8);
         assert!(registry.counter("sweep.worker_busy_ns").get() > 0);
         assert_eq!(registry.gauge("sweep.queue_depth").get(), 0);
-        let stolen = outcomes.iter().filter(|o| o.stolen).count() as u64;
-        assert_eq!(registry.counter("sweep.steals").get(), stolen);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Serving queue: the work-stealing `SweepRunner` as a job server —
-//! specs go in, per-job outcomes stream out in completion order, and
-//! the returned vector is still in spec order, bit-identical to a
-//! serial run. This is the queue underneath `dlk sweep` and the
-//! `dlk serve` spool daemon.
+//! Serving queue: the `SweepRunner` as a job server — specs go in,
+//! each free pool thread takes the next one in spec order, per-job
+//! outcomes stream out in completion order, and the returned vector is
+//! still in spec order, bit-identical to a serial run. This is the
+//! queue underneath `dlk sweep` and the `dlk serve` spool daemon.
 //!
 //! Run with: `cargo run --example serving_queue`
 
@@ -31,12 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .on_progress(move |outcome| {
             seen.fetch_add(1, Ordering::Relaxed);
             println!(
-                "  [{}] {} on worker {:?} in {:?}{}",
+                "  [{}] {} on worker {:?} in {:?}",
                 outcome.status().token(),
                 outcome.label,
                 outcome.worker,
                 outcome.wall,
-                if outcome.stolen { " (stolen)" } else { "" },
             );
             true // returning false would cancel the rest of the queue
         })

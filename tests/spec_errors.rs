@@ -66,6 +66,40 @@ fn missing_field_is_reported_with_line_context() {
 }
 
 #[test]
+fn unknown_and_repeated_fields_are_named_in_one_error() {
+    let err = parse_err("# dlk-scenario v1\nlabel x\nattack hammer bit=77 rate=0.5 bit=3\n");
+    assert_eq!(
+        err,
+        "spec parse: line 3: unknown field 'rate', repeated field 'bit'\n  \
+         3 | attack hammer bit=77 rate=0.5 bit=3"
+    );
+    // Every `key=value` record kind takes only its own keys, once.
+    for (records, reason) in [
+        ("budget activations=1 check=1 iterations=1 check=2", "repeated field 'check'"),
+        ("victim rows home=0 protect=0 first=1 count=1 fill=0 seed=3", "unknown field 'seed'"),
+        ("attack replay-trace untrusted=0 untrusted=1", "repeated field 'untrusted'"),
+        ("attack replay bit=1", "unknown field 'bit'"),
+        (
+            "attack replay\ntenant sequential base=0 len=8 count=1 stride=4",
+            "unknown field 'stride'",
+        ),
+        ("defense graphene capacity=64 threshold=8 radius=1", "unknown field 'radius'"),
+    ] {
+        let err = parse_err(&format!("label x\n{records}\n"));
+        let line = 1 + records.lines().count();
+        let last = records.lines().last().unwrap();
+        assert_eq!(err, format!("spec parse: line {line}: {reason}\n  {line} | {last}"));
+    }
+    // A record longer than any kind takes fails before it is read.
+    let long = format!("attack hammer{}", " bit=1".repeat(17));
+    let err = parse_err(&format!("{long}\n"));
+    assert_eq!(
+        err,
+        format!("spec parse: line 1: 17 fields, more than any record takes\n  1 | {long}")
+    );
+}
+
+#[test]
 fn line_numbers_survive_leading_comments_and_blanks() {
     let err = parse_err("# dlk-scenario v1\n\n# a comment\n\nbudget activations=\n");
     assert!(
