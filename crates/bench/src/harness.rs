@@ -241,6 +241,7 @@ mod tests {
         })
     }
 
+    #[allow(clippy::disallowed_methods, reason = "a kernel whose wall time is all sleep")]
     fn sleepy() -> Kernel {
         Box::new(|| {
             std::thread::sleep(Duration::from_millis(2));

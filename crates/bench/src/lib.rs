@@ -14,6 +14,11 @@
 //! `examples/paper_figures.rs`; the bench only times their
 //! regeneration (the `figures` layer).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "this crate measures wall time by design; clippy.toml bans the clock elsewhere (DLK003)"
+)]
+
 pub mod diff;
 pub mod harness;
 pub mod snapshot;

@@ -8,6 +8,7 @@
 //! plus the aggregated engine/controller/locker metrics of every run)
 //! as shared-schema JSON after the sweep.
 
+use std::collections::HashSet;
 use std::fs;
 use std::time::{Duration, Instant};
 
@@ -63,7 +64,6 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
 
     println!("{}", RunReport::csv_header());
     let started = Instant::now();
-    let threads = runner.threads();
     let outcomes = runner.run_jobs(&specs);
     let elapsed = started.elapsed();
 
@@ -84,10 +84,14 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
     }
 
     let done = outcomes.iter().filter(|o| o.status() == JobStatus::Done).count();
+    // The threads that ran a job: `--jobs` only caps them, and the pool
+    // runs at most one per core.
+    let workers: HashSet<usize> = outcomes.iter().filter_map(|o| o.worker).collect();
     let rate = outcomes.len() as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
-        "dlk: sweep: {done}/{} done on {threads} worker(s) in {elapsed:.2?} ({rate:.2} jobs/s)",
+        "dlk: sweep: {done}/{} done on {} worker(s) in {elapsed:.2?} ({rate:.2} jobs/s)",
         outcomes.len(),
+        workers.len(),
     );
     if done < outcomes.len() {
         return Err(CliError::Failed(format!(

@@ -56,6 +56,7 @@ pub fn run(mut args: Vec<String>) -> Result<(), CliError> {
     };
     let path = PathBuf::from(spool).join(METRICS_FILE);
 
+    #[allow(clippy::disallowed_methods, reason = "the live view sleeps between refreshes")]
     loop {
         let value = json::parse_file(&path).map_err(CliError::Failed)?;
         let frame = render_frame(&value, unix_micros());

@@ -34,6 +34,11 @@
 //! argument parsing, commands, journal, daemon loop — is unit- and
 //! integration-testable in-process.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "this crate measures wall time by design; clippy.toml bans the clock elsewhere (DLK003)"
+)]
+
 pub mod args;
 pub mod cmd;
 pub mod spool;

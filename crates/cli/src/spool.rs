@@ -416,6 +416,10 @@ pub fn serve(cfg: &ServeConfig, log: Arc<LogFn>) -> Result<ServeSummary, CliErro
     let mut results_synced = false;
     let batch = Arc::new(Mutex::new(Batch { journal, file, completions: 0, aborted: false }));
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the daemon sleeps one poll interval between scans"
+    )]
     loop {
         summary.scans += 1;
         scan_seq += 1;

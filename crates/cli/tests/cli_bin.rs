@@ -107,6 +107,21 @@ fn sweep_streams_and_writes_spec_ordered_csv() {
 }
 
 #[test]
+fn sweep_reports_the_workers_that_ran_not_the_jobs_cap() {
+    let grid = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke_grid.dlk");
+    let sweep = dlk(&["sweep", grid, "--jobs", "8"]);
+    assert!(sweep.status.success(), "{}", stderr(&sweep));
+    let err = stderr(&sweep);
+    let workers: usize = err
+        .split_once("4/4 done on ")
+        .and_then(|(_, rest)| rest.split_once(" worker(s)"))
+        .and_then(|(count, _)| count.parse().ok())
+        .unwrap_or_else(|| panic!("no worker count in {err}"));
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    assert!((1..=cores.min(4)).contains(&workers), "{workers} workers on {cores} cores: {err}");
+}
+
+#[test]
 fn run_trace_prints_the_span_tree_to_stderr() {
     let run = dlk(&["run", "hammer-vs-dram-locker", "--trace"]);
     assert!(run.status.success(), "{}", stderr(&run));

@@ -26,6 +26,20 @@
 //!   (piece-wise clustering, binary weights, capacity scaling, weight
 //!   reconstruction, RA-BNN).
 
+// DLK001: the request path returns typed errors instead of panicking,
+// because a panic there takes down a whole sweep worker. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod counters;
 pub mod graphene;
 pub mod hydra;

@@ -20,6 +20,11 @@
 //! DRAM-Locker's point in Table II is keeping the baseline's clean
 //! accuracy while blocking the attack entirely.
 
+#![allow(
+    clippy::expect_used,
+    reason = "Table II's training defenses run offline, off the request path"
+)]
+
 pub mod binary;
 pub mod transforms;
 

@@ -44,6 +44,20 @@
 //! assert!(quantized.total_weights() > 0);
 //! ```
 
+// DLK001: the request path returns typed errors instead of panicking,
+// because a panic there takes down a whole sweep worker. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod conv;
 pub mod data;
 pub mod error;

@@ -21,6 +21,11 @@
 //! same class count (10 or 100): Gaussian-cluster feature vectors for
 //! the MLPs, smoothed-pattern 1×8×8 images for the CNNs.
 
+#![allow(
+    clippy::expect_used,
+    reason = "victims are built once per process at setup, off the request path"
+)]
+
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 

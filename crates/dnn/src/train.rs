@@ -1,5 +1,7 @@
 //! SGD training.
 
+#![allow(clippy::expect_used, reason = "training runs at victim setup, off the request path")]
+
 use crate::data::SyntheticDataset;
 use crate::network::Network;
 use crate::tensor::Tensor;

@@ -45,6 +45,20 @@
 //!
 //! [DRAM-Locker (DATE 2024)]: https://arxiv.org/abs/2312.09027
 
+// DLK001: the request path returns typed errors instead of panicking,
+// because a panic there takes down a whole sweep worker. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod bank;
 pub mod command;
 pub mod device;

@@ -1,14 +1,13 @@
-//! Front end 2: the scenario-spec semantic analyzer (`dlk check`).
+//! The scenario-spec semantic analyzer (`dlk check`).
 //!
 //! Parsing a `.dlk` file already rejects syntax errors; this pass
 //! rejects specs that parse but cannot mean what their author wanted —
 //! a victim homed on a channel the engine does not have, a duplicate
 //! label silently shadowing a sweep row, a budget that can never fire,
-//! an attack aimed at a victim it does not run against. Findings use the
-//! same [`Report`]/rule-code machinery as the source linter, with
-//! spans resolved back to the record lines of the spec file (or a
-//! `<catalog:NAME>` pseudo-file for catalog entries, which have no
-//! file).
+//! an attack aimed at a victim it does not run against. Findings are
+//! [`Report`] entries whose spans resolve back to the record lines of
+//! the spec file (or a `<catalog:NAME>` pseudo-file for catalog
+//! entries, which have no file).
 
 use std::collections::HashSet;
 
@@ -21,8 +20,8 @@ use crate::diag::{Diagnostic, Report, RuleCode, Severity};
 const ABSURD_ACTIVATIONS: u64 = 1_000_000_000;
 const ABSURD_ITERATIONS: usize = 100_000;
 
-/// Which record of a spec a finding anchors to; the front ends map
-/// this back to a file span (or to the whole entry for catalog specs).
+/// Which record of a spec a finding anchors to; [`analyze_text`] maps
+/// this back to a file span ([`analyze_spec`] to the whole entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Record {
     Label,

@@ -19,11 +19,14 @@
 //! - **Spin, then park.** After each dispatch a helper spins
 //!   `SPIN_BUDGET` iterations watching for the next one, then parks
 //!   on a condition variable. The budget is an iteration count, not a
-//!   time: this crate reads no clock (DLK003).
+//!   time: the root `clippy.toml` bans wall-clock types and sleeps from
+//!   this crate (DLK003).
 //!
 //! [`threads`] is the workspace's one reading of the host's parallelism
 //! that sizes work (the obs crate's build record only reports it), and
-//! this module is the only one that starts threads (DLK005).
+//! this module is the only one that starts threads (DLK005): `clippy.toml`
+//! bans thread starts, and only [`spawn_detached`] and the helpers'
+//! start allow them.
 //!
 //! ```
 //! use dlk_memctrl::pool;
@@ -89,6 +92,7 @@ pub fn deal<J: Send, S, T: Send>(
 /// Starts `task` on a thread of its own that no one joins: a job whose
 /// wall clock is bounded (a sweep's timeout) runs there, and is left to
 /// finish alone if its caller stops waiting.
+#[allow(clippy::disallowed_methods, reason = "the pool is where threads start")]
 pub fn spawn_detached(task: impl FnOnce() + Send + 'static) {
     std::thread::spawn(task);
 }
@@ -164,6 +168,7 @@ impl Pool {
 
     /// Starts the process's helpers, once. A helper the host refuses
     /// to start is one seat nobody takes: the caller does its jobs.
+    #[allow(clippy::disallowed_methods, reason = "the pool is where threads start")]
     fn start(&'static self) {
         self.started.call_once(|| {
             let seen = self.dispatches.load(Ordering::Acquire);
@@ -290,6 +295,7 @@ impl Pool {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests race the pool against threads of their own")]
 mod tests {
     use super::*;
     use std::sync::{mpsc, Arc, Barrier};

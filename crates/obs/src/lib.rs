@@ -33,6 +33,11 @@
 //! in the workspace (including `dlk-memctrl` underneath the uISA hot
 //! path) can pull it in without dragging anything else along.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "this crate measures wall time by design; clippy.toml bans the clock elsewhere (DLK003)"
+)]
+
 pub mod hist;
 pub mod json;
 pub mod metric;
@@ -45,3 +50,27 @@ pub use metric::{Counter, Gauge};
 pub use registry::{Metric, Registry};
 pub use series::{Sample, Sampler, TimeSeries};
 pub use span::{SpanId, SpanRecorder, SpanTree};
+
+#[cfg(test)]
+mod tests {
+    use std::fs;
+    use std::path::Path;
+
+    /// DLK002: every atomic in this crate is `Relaxed`. Its counters are
+    /// monotonic and share no invariant across cells, so a stronger
+    /// ordering buys nothing and costs the memory controller's service
+    /// path, which records into them on every request.
+    #[test]
+    fn atomics_are_relaxed_only() {
+        // The crate's sources are one flat directory: a subdirectory
+        // fails the read below instead of going unchecked.
+        for entry in fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("src")).unwrap() {
+            let path = entry.unwrap().path();
+            let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            for order in ["Acquire", "Release", "AcqRel", "SeqCst"] {
+                let stronger = format!("Ordering::{order}");
+                assert!(!text.contains(&stronger), "{}: {stronger}", path.display());
+            }
+        }
+    }
+}

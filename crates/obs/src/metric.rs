@@ -93,6 +93,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the contention under test needs threads of its own"
+    )]
     fn counter_is_safe_under_scoped_threads() {
         let c = Counter::new();
         std::thread::scope(|scope| {

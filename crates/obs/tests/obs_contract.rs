@@ -165,6 +165,7 @@ proptest! {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the contention under test needs threads of its own")]
 fn concurrent_increments_from_scoped_threads_all_land() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;

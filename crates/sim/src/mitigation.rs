@@ -7,6 +7,20 @@
 //! is how the unified [`RunReport`](crate::RunReport) carries
 //! per-defense action counts without knowing any concrete defense type.
 
+// DLK001: the request path returns typed errors instead of panicking,
+// because a panic there takes down a whole sweep worker. Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use dlk_defenses::{
     CounterDefenseHook, CounterPerRow, Graphene, Hydra, RowSwapDefense, Shadow, Twice,
 };

@@ -1367,4 +1367,52 @@ mod tests {
         }
         assert_eq!(GeometrySpec::from_token("huge"), None);
     }
+
+    /// The `{`-to-`}` block of the item whose first line contains
+    /// `header`, in rustfmt's layout: it ends at the first `}` line
+    /// indented like the header.
+    fn block<'a>(source: &'a str, header: &str) -> &'a str {
+        let start = source.find(header).unwrap_or_else(|| panic!("no `{header}`"));
+        let start = source[..start].rfind('\n').map_or(0, |at| at + 1);
+        let indent = &source[start..start + source[start..].find(|c| c != ' ').unwrap_or(0)];
+        let end = source[start..].find(&format!("\n{indent}}}\n")).expect("closing brace");
+        &source[start..start + end]
+    }
+
+    /// DLK004, the reading direction: the reader of each codec enum
+    /// builds every variant. The writers are `match`es without a
+    /// wildcard arm, so rustc checks the writing direction. Variants are
+    /// read off the enum's rustfmt layout (one indent step in, a
+    /// capitalized name), which `cargo fmt --check` keeps canonical.
+    #[test]
+    fn every_codec_variant_has_a_reader() {
+        let spec = include_str!("spec.rs");
+        let workload = include_str!("../../engine/src/workload.rs");
+        let trace = include_str!("../../memctrl/src/trace.rs");
+        let codecs: [(&str, &str, &str, &[&str]); 5] = [
+            ("AttackSpec", spec, spec, &["fn parse_attack(", "fn finish_trace("]),
+            ("DefenseSpec", spec, spec, &["fn parse_defense("]),
+            ("SpecKind", include_str!("victim.rs"), spec, &["fn parse_victim("]),
+            ("Workload", workload, spec, &["fn parse_workload("]),
+            ("TraceOp", trace, trace, &["fn parse_record("]),
+        ];
+        for (name, enum_source, reader_source, readers) in codecs {
+            let read: String = readers.iter().map(|header| block(reader_source, header)).collect();
+            let mut variants = 0;
+            for line in block(enum_source, &format!("enum {name} {{")).lines() {
+                let Some(line) = line.strip_prefix("    ") else { continue };
+                if !line.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    continue;
+                }
+                let variant = line.split(|c: char| !c.is_ascii_alphanumeric()).next().unwrap_or("");
+                let path = format!("{name}::{variant}");
+                let built = read.match_indices(&path).any(|(at, _)| {
+                    !read[at + path.len()..].starts_with(|c: char| c.is_ascii_alphanumeric())
+                });
+                assert!(built, "{path} is never built by its reader ({})", readers.join(", "));
+                variants += 1;
+            }
+            assert!(variants >= 2, "{name}: only {variants} variants read off its layout");
+        }
+    }
 }

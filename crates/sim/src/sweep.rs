@@ -38,7 +38,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-// dlk-lint: allow(DLK003): sweep telemetry measures real wall time
+#[allow(clippy::disallowed_types, reason = "sweep telemetry measures real wall time")]
 use std::time::{Duration, Instant};
 
 use dlk_dnn::models::ModelKind;
@@ -316,7 +316,7 @@ impl SweepMetrics {
 
 /// Saturating nanoseconds since `since` (a sweep would have to idle for
 /// ~585 years to overflow, but the cast should still be total).
-// dlk-lint: allow(DLK003): worker busy/idle telemetry, not sim state
+#[allow(clippy::disallowed_types, reason = "worker busy/idle telemetry, not sim state")]
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -436,12 +436,15 @@ impl SweepRunner {
         }
         let cancelled = AtomicBool::new(false);
         let workers = AtomicUsize::new(0);
+        #[allow(
+            clippy::disallowed_types,
+            reason = "the idle/busy split and its telemetry marks are observability only"
+        )]
         let outcomes = pool::deal(
             labels.into_iter().enumerate().collect(),
             self.threads,
             // Each thread that takes a job numbers itself and starts
             // its busy/idle mark.
-            // dlk-lint: allow(DLK003): idle/busy split is observability only
             || (workers.fetch_add(1, Ordering::Relaxed), Instant::now()),
             |(worker, mark), (index, label)| {
                 if cancelled.load(Ordering::Acquire) {
@@ -450,7 +453,7 @@ impl SweepRunner {
                 if let Some(metrics) = &metrics {
                     metrics.worker_idle_ns.add(elapsed_ns(*mark));
                     metrics.queue_depth.add(-1);
-                    *mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
+                    *mark = Instant::now();
                 }
                 let outcome = self.execute_one(index, label, *worker, &job);
                 let keep_going = self.progress.as_ref().is_none_or(|progress| progress(&outcome));
@@ -460,7 +463,7 @@ impl SweepRunner {
                         .job_wall_us
                         .record(u64::try_from(outcome.wall.as_micros()).unwrap_or(u64::MAX));
                     metrics.worker_busy_ns.add(elapsed_ns(*mark));
-                    *mark = Instant::now(); // dlk-lint: allow(DLK003): telemetry mark
+                    *mark = Instant::now();
                 }
                 if let Some(sampler) = &self.sampler {
                     sampler.lock().expect("sweep sampler").tick();
@@ -486,7 +489,7 @@ impl SweepRunner {
         worker: usize,
         job: &Arc<dyn Fn(usize) -> Result<RunReport, SimError> + Send + Sync>,
     ) -> JobOutcome {
-        // dlk-lint: allow(DLK003): job wall-clock is reported, never fed back
+        #[allow(clippy::disallowed_types, reason = "job wall-clock is reported, never fed back")]
         let start = Instant::now();
         let report = match self.timeout {
             None => flatten(catch_unwind(AssertUnwindSafe(|| job(index)))),
@@ -637,6 +640,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "a job that outlives its timeout")]
     fn timeouts_fire_per_job_and_spare_the_rest() {
         let outcomes =
             SweepRunner::with_threads(2).timeout(Duration::from_millis(40)).run_fn(3, |index| {
@@ -677,6 +681,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one slow job gives the busy/idle split a wall time"
+    )]
     fn observed_runner_populates_queue_metrics() {
         let registry = Registry::new();
         let outcomes = {

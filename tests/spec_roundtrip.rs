@@ -350,6 +350,24 @@ fn spec_lists_parse_exactly_like_their_chunks() {
     assert_eq!(ScenarioSpec::list_from_text_with_lines(&text).unwrap(), expected);
 }
 
+/// `specs/smoke_grid.dlk`, which CI's `dlk sweep` and `dlk serve`
+/// smoke steps run, is what its header says: under a four-line `#`
+/// header, the concatenated `dlk catalog --dump` of four entries.
+#[test]
+fn smoke_grid_is_the_catalog_dump_its_header_names() {
+    let text = include_str!("../specs/smoke_grid.dlk");
+    let mut lines = text.split_inclusive('\n');
+    let header: String = lines.by_ref().take(4).collect();
+    assert!(header.lines().all(|line| line.starts_with('#')), "{header}");
+    let specs = ScenarioSpec::list_from_text(text).unwrap();
+    assert_eq!(specs.len(), 4);
+    let dumped: String = specs.iter().map(ScenarioSpec::to_text).collect();
+    assert_eq!(dumped, lines.collect::<String>());
+    for spec in specs {
+        assert_eq!(spec, dram_locker::sim::find(&spec.label).unwrap().spec, "{}", spec.label);
+    }
+}
+
 /// `Scenario::from_spec` (including after a codec round-trip) must
 /// reproduce the builder path's `RunReport` bit for bit on the
 /// representative catalog entries: MLP BFA, CNN BFA, 2-channel replay.

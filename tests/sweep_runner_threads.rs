@@ -24,6 +24,10 @@ fn failing_job(index: usize) -> Result<RunReport, SimError> {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "one job sleeps so that the other worker must take the rest"
+)]
 fn a_free_worker_takes_every_job_while_another_sleeps() {
     let _serial = serial();
     if pool::threads() < 2 {
@@ -44,6 +48,7 @@ fn a_free_worker_takes_every_job_while_another_sleeps() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "jobs sleep so that a cancel finds others in flight")]
 fn a_cancel_lets_only_in_flight_jobs_finish() {
     let _serial = serial();
     if pool::threads() < 2 {
