@@ -26,8 +26,6 @@
 use dlk_dnn::quant::flip_delta;
 use dlk_dnn::{BitIndex, QuantLayer, QuantNetwork, Tensor};
 
-use crate::outcome::{AttackCurve, AttackPoint};
-
 /// Bit-search configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfaConfig {
@@ -122,28 +120,6 @@ impl BitSearch {
         }
         best.map(|(_, index)| index)
     }
-
-    /// Runs `iterations` of the attack directly on the in-memory model
-    /// (no DRAM in the loop), recording the accuracy trajectory on the
-    /// held-out set `(eval_x, eval_y)` while searching on `(x, labels)`.
-    pub fn run(
-        &mut self,
-        model: &mut QuantNetwork,
-        x: &Tensor,
-        labels: &[usize],
-        iterations: usize,
-    ) -> AttackCurve {
-        let mut curve = AttackCurve::new("BFA");
-        let clean = model.accuracy(x, labels).expect("shapes consistent");
-        curve.push(AttackPoint { iteration: 0, flips: 0, accuracy: clean, flipped: None });
-        for iteration in 1..=iterations {
-            let Some(flip) = self.next_flip(model, x, labels) else { break };
-            model.flip_bit(flip).expect("search returned a valid index");
-            let accuracy = model.accuracy(x, labels).expect("shapes consistent");
-            curve.push(AttackPoint { iteration, flips: iteration, accuracy, flipped: Some(flip) });
-        }
-        curve
-    }
 }
 
 /// Offers `(gain, index)` to `top`, the `k` best candidates offered so
@@ -165,30 +141,44 @@ mod tests {
     use super::*;
     use dlk_dnn::{models, Layer, Linear, Network};
 
+    /// Up to `iterations` searches on `(x, labels)`, each flip applied
+    /// to a copy of `model`: `(None, clean accuracy)`, then each flip
+    /// with the accuracy after it. Stops early when nothing is left to
+    /// flip.
+    fn campaign(
+        config: BfaConfig,
+        model: &QuantNetwork,
+        x: &Tensor,
+        labels: &[usize],
+        iterations: usize,
+    ) -> Vec<(Option<BitIndex>, f64)> {
+        let mut search = BitSearch::new(config);
+        let mut model = model.clone();
+        let mut points = vec![(None, model.accuracy(x, labels).unwrap())];
+        for _ in 0..iterations {
+            let Some(flip) = search.next_flip(&model, x, labels) else { break };
+            model.flip_bit(flip).unwrap();
+            points.push((Some(flip), model.accuracy(x, labels).unwrap()));
+        }
+        points
+    }
+
     #[test]
     fn bfa_crushes_accuracy_quickly() {
         let victim = models::victim_tiny(5);
         let (x, y) = victim.dataset.test_sample(32, 1);
-        let mut model = victim.model.clone();
-        let mut search = BitSearch::new(BfaConfig::default());
-        let curve = search.run(&mut model, &x, &y, 20);
-        assert!(curve.clean_accuracy() > 0.6);
-        assert!(
-            curve.final_accuracy() < curve.clean_accuracy() * 0.6,
-            "BFA should at least nearly halve accuracy: {} -> {}",
-            curve.clean_accuracy(),
-            curve.final_accuracy()
-        );
+        let points = campaign(BfaConfig::default(), &victim.model, &x, &y, 20);
+        let (clean, last) = (points[0].1, points[points.len() - 1].1);
+        assert!(clean > 0.6);
+        assert!(last < clean * 0.6, "BFA should at least nearly halve accuracy: {clean} -> {last}");
     }
 
     #[test]
     fn each_flip_is_distinct_bit_state() {
         let victim = models::victim_tiny(6);
         let (x, y) = victim.dataset.test_sample(24, 2);
-        let mut model = victim.model.clone();
-        let mut search = BitSearch::new(BfaConfig::default());
-        let curve = search.run(&mut model, &x, &y, 5);
-        let flips: Vec<_> = curve.points.iter().filter_map(|p| p.flipped).collect();
+        let points = campaign(BfaConfig::default(), &victim.model, &x, &y, 5);
+        let flips: Vec<_> = points.iter().filter_map(|p| p.0).collect();
         assert_eq!(flips.len(), 5);
     }
 
@@ -243,10 +233,7 @@ mod tests {
         ];
         for (victim, config, expected) in cases {
             let (x, y) = victim.dataset.test_sample(32, 0);
-            let mut model = victim.model.clone();
-            let curve = BitSearch::new(config).run(&mut model, &x, &y, 8);
-            let got: Vec<_> = curve.points.iter().map(|p| (p.flipped, p.accuracy)).collect();
-            assert_eq!(got, expected);
+            assert_eq!(campaign(config, &victim.model, &x, &y, 8), expected);
         }
     }
 
@@ -290,8 +277,8 @@ mod tests {
         let (x, y) = victim.dataset.test_sample(32, 0);
         let flips = |bits_considered| {
             let config = BfaConfig { candidates_per_layer: 5, bits_considered };
-            let curve = BitSearch::new(config).run(&mut victim.model.clone(), &x, &y, 8);
-            curve.points.iter().filter_map(|p| p.flipped).collect::<Vec<_>>()
+            let points = campaign(config, &victim.model, &x, &y, 8);
+            points.into_iter().filter_map(|p| p.0).collect::<Vec<_>>()
         };
         assert_eq!(flips(Some([0, 7])), flips(None));
         let middle = flips(Some([5, 7]));

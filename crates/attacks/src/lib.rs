@@ -15,18 +15,18 @@
 //!   aggressor accesses;
 //! - [`pta`]: the **Page Table Attack** — flips a PFN bit in the
 //!   victim's DRAM-resident PTE so a weight page silently resolves to
-//!   an attacker-controlled frame;
-//! - [`outcome`]: attack curves and summary records shared by the
-//!   evaluation harness.
+//!   an attacker-controlled frame.
+//!
+//! The searches pick flips; a scenario (`dlk_sim::AttackSpec`) lands
+//! them in the DRAM-resident weight image and records the accuracy
+//! curve.
 
 pub mod bfa;
 pub mod hammer;
-pub mod outcome;
 pub mod pta;
 pub mod random;
 
 pub use crate::bfa::{BfaConfig, BitSearch};
 pub use crate::hammer::{HammerConfig, HammerDriver, HammerOutcome};
-pub use crate::outcome::{AttackCurve, AttackPoint};
 pub use crate::pta::{PtaAttack, PtaConfig, PtaOutcome};
 pub use crate::random::RandomAttack;

@@ -36,8 +36,8 @@ use dlk_engine::{EngineConfig, ShardedEngine, Trace, Workload};
 use dlk_locker::locktable::reference::ScanLockTable;
 use dlk_locker::{LockTable, LockTarget};
 use dlk_memctrl::{
-    AddressMapper, MappingScheme, MemCtrlConfig, MemRequest, MemoryController, PageTable,
-    PageTableConfig, TraceOp, VirtAddr,
+    AddressMapper, MemCtrlConfig, MemRequest, MemoryController, PageTable, PageTableConfig,
+    TraceOp, VirtAddr,
 };
 use dlk_sim::sweep::{SweepGrid, SweepRunner};
 use dlk_sim::{
@@ -285,7 +285,7 @@ fn row_hit_read() -> Kernel {
 /// A walk through the DRAM-resident page table (§V).
 fn page_walk() -> Kernel {
     let mut dram = tiny_dram();
-    let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+    let mapper = AddressMapper::new(*dram.geometry());
     let table = PageTable::new(PageTableConfig::tiny_for_tests());
     for vpn in 0..16 {
         table.map(&mut dram, &mapper, vpn, vpn + 8).expect("map");
@@ -389,7 +389,7 @@ fn sharding_trace() -> Trace {
 fn cnn_fetch_trace() -> Trace {
     let model = models::victim_resnet20_cnn(42).model;
     let config = MemCtrlConfig::tiny_for_tests();
-    let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
+    let mapper = AddressMapper::new(config.dram.geometry);
     WeightLayout::new(0x400, mapper).fetch_trace(&model, 4, 32).expect("image fits")
 }
 

@@ -1,15 +1,17 @@
 //! `dlk check <spec.dlk | dir | catalog-name>` — semantic validation
 //! of scenario specs without running them.
 //!
-//! Parsing already rejects malformed records; `check` runs the
-//! [`dlk_lint::analyze`] rules (DLK101–DLK105) on everything that
-//! parses: channel ranges vs the engine, duplicate labels, degenerate
-//! budgets, target indices and duplicate mitigations. A directory
-//! checks every `.dlk` file in it (recursively, sorted); a bare name
-//! checks the catalog entry of that name, with the catalog's
-//! did-you-mean on typos. Exit 0 when no error-severity findings
-//! remain (warnings print but pass) — the same findings `dlk run` and
-//! `dlk sweep` enforce before executing.
+//! Parsing already rejects malformed records; `check` runs the spec
+//! rules (DLK101–DLK105) on everything that parses: channel ranges vs
+//! the engine, duplicate labels, degenerate budgets, target indices
+//! and duplicate mitigations, each finding at its record's
+//! `file:line:col` ([`dlk_lint::analyze`]). A directory checks every
+//! `.dlk` file in it (recursively, sorted); a bare name checks the
+//! catalog entry of that name, with the catalog's did-you-mean on
+//! typos. Exit 0 when no error-severity findings remain (warnings print
+//! but pass). Every scenario build refuses the same per-spec errors
+//! (`ScenarioSpec::check`), and `dlk run` and `dlk sweep` check their
+//! files first, DLK102 included.
 
 use std::path::{Path, PathBuf, MAIN_SEPARATOR};
 

@@ -21,21 +21,21 @@ use crate::CliError;
 /// is loaded as a spec file; everything else is a catalog name, so an
 /// unknown one surfaces the catalog's did-you-mean suggestion.
 ///
-/// Loaded specs pass through the `dlk check` semantic rules before
-/// they are returned, so a bad spec fails fast with a rule code (and
-/// its record's `file:line:col`) instead of somewhere mid-run;
+/// A file is read and parsed once. Loaded specs pass through the `dlk
+/// check` rules before they are returned, so a bad spec fails fast with
+/// a rule code (and its record's `file:line:col`) instead of at build;
 /// warnings print to stderr and do not block.
 pub(crate) fn load_specs(target: &str) -> Result<Vec<ScenarioSpec>, CliError> {
     let looks_like_path =
         Path::new(target).exists() || target.ends_with(".dlk") || target.contains(MAIN_SEPARATOR);
     if looks_like_path {
-        let specs = ScenarioSpec::list_from_file(Path::new(target))?;
+        let text = std::fs::read_to_string(target).map_err(|error| CliError::io(target, error))?;
+        let specs = ScenarioSpec::list_from_text_with_lines(&text)?;
         if specs.is_empty() {
             return Err(CliError::Failed(format!("{target}: no specs in file")));
         }
-        let text = std::fs::read_to_string(target).map_err(|error| CliError::io(target, error))?;
-        deny_semantic_errors(dlk_lint::analyze::analyze_text(target, &text)?)?;
-        Ok(specs)
+        deny_semantic_errors(dlk_lint::analyze::analyze_list(target, &text, &specs))?;
+        Ok(specs.into_iter().map(|(_, spec)| spec).collect())
     } else {
         let entry = dlk_sim::find(target)?;
         let report =

@@ -161,6 +161,27 @@ fn serve_once_drains_a_spool_and_then_skips() {
 }
 
 #[test]
+fn serve_journals_the_rule_a_spec_breaks() {
+    let dir = sandbox("serve-rule");
+    let spool = dir.join("spool");
+    fs::create_dir_all(&spool).unwrap();
+    let dump = stdout(&dlk(&["catalog", "--dump", "hammer-vs-none"]));
+    let two_graphenes = "defense graphene capacity=64 threshold=8\n\
+                         defense graphene capacity=128 threshold=16\n";
+    fs::write(spool.join("dup.dlk"), dump + two_graphenes).unwrap();
+    let spool = spool.display().to_string();
+    let out = dir.join("out");
+
+    let serve = dlk(&["serve", "--spool", &spool, "--out", &out.display().to_string(), "--once"]);
+    assert_eq!(serve.status.code(), Some(1), "{}", stderr(&serve));
+    assert!(stderr(&serve).contains("1 executed (1 failed)"), "{}", stderr(&serve));
+    let journal = fs::read_to_string(out.join("checkpoint.log")).unwrap();
+    assert!(journal.starts_with("failed\tdup.dlk#0\t"), "{journal}");
+    assert!(journal.contains("DLK105: defense 'graphene' mounted twice"), "{journal}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn row_spanning_trace_op_with_a_huge_length_fails_cleanly() {
     let dir = sandbox("wrap");
     let spec = dir.join("wrap.dlk");

@@ -98,7 +98,9 @@ impl ConvSpec {
     }
 
     /// The flat in-image index tap `(c, ky, kx)` reads at output
-    /// `(oy, ox)`, or `None` in the padding.
+    /// `(oy, ox)`, or `None` in the padding: the naive oracles' view of
+    /// a convolution.
+    #[cfg(test)]
     fn input_index(&self, c: usize, oy: usize, ox: usize, ky: usize, kx: usize) -> Option<usize> {
         let iy = (oy * self.stride + ky).checked_sub(self.pad).filter(|&iy| iy < self.in_h)?;
         let ix = (ox * self.stride + kx).checked_sub(self.pad).filter(|&ix| ix < self.in_w)?;
@@ -330,44 +332,6 @@ impl Conv2d {
                 let dst = &mut data[(b * s.out_c + c) * area..][..area];
                 for (o, &v) in dst.iter_mut().zip(src) {
                     *o = v + bias;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reference forward pass with naive nested loops — the oracle the
-    /// patch-matrix path is tested against. Each output sums
-    /// `kernel · pixel` over its receptive field in ascending patch
-    /// index from `0.0`, then adds the bias: the fast path's order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
-    pub fn forward_naive(&self, x: &Tensor) -> Result<Tensor, DnnError> {
-        self.check_input(x)?;
-        let s = &self.spec;
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let mut out = Tensor::zeros(x.rows(), s.out_features());
-        for b in 0..x.rows() {
-            let image = x.row(b);
-            for oc in 0..s.out_c {
-                let kernel = self.weight.row(oc);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for c in 0..s.in_c {
-                            for ky in 0..s.k {
-                                for kx in 0..s.k {
-                                    let Some(pixel) = s.input_index(c, oy, ox, ky, kx) else {
-                                        continue;
-                                    };
-                                    acc += kernel[(c * s.k + ky) * s.k + kx] * image[pixel];
-                                }
-                            }
-                        }
-                        out.set(b, (oc * oh + oy) * ow + ox, acc + self.bias[oc]);
-                    }
                 }
             }
         }
@@ -897,6 +861,39 @@ mod tests {
         }
     }
 
+    /// Reference forward pass with naive nested loops — the oracle the
+    /// patch-matrix path is tested against. Each output sums
+    /// `kernel · pixel` over its receptive field in ascending patch
+    /// index from `0.0`, then adds the bias: the fast path's order.
+    fn forward_naive(conv: &Conv2d, x: &Tensor) -> Tensor {
+        let s = conv.spec();
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let mut out = Tensor::zeros(x.rows(), s.out_features());
+        for b in 0..x.rows() {
+            let image = x.row(b);
+            for oc in 0..s.out_c {
+                let kernel = conv.weight().row(oc);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0.0;
+                        for c in 0..s.in_c {
+                            for ky in 0..s.k {
+                                for kx in 0..s.k {
+                                    let Some(pixel) = s.input_index(c, oy, ox, ky, kx) else {
+                                        continue;
+                                    };
+                                    acc += kernel[(c * s.k + ky) * s.k + kx] * image[pixel];
+                                }
+                            }
+                        }
+                        out.set(b, (oc * oh + oy) * ow + ox, acc + conv.bias[oc]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Reference backward pass with naive nested loops, summing in the
     /// fast path's order, each sum from `0.0`:
     /// - `d_bias[oc]` over `(b, p)` ascending;
@@ -967,7 +964,7 @@ mod tests {
             let conv = biased_conv(spec);
             let x = relu_input(&spec);
             let fast = conv.forward(&x).unwrap();
-            let naive = conv.forward_naive(&x).unwrap();
+            let naive = forward_naive(&conv, &x);
             assert_eq!(fast.shape(), naive.shape());
             assert_bits_eq(fast.as_slice(), naive.as_slice(), "output", &spec);
         }

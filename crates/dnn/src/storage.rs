@@ -26,12 +26,12 @@ use crate::quant::{BitIndex, QuantNetwork};
 ///
 /// ```
 /// use dlk_dram::{DramConfig, DramDevice};
-/// use dlk_memctrl::{AddressMapper, MappingScheme};
+/// use dlk_memctrl::AddressMapper;
 /// use dlk_dnn::{models, QuantNetwork, WeightLayout};
 ///
 /// # fn main() -> Result<(), dlk_dnn::DnnError> {
 /// let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
-/// let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+/// let mapper = AddressMapper::new(*dram.geometry());
 /// let model = QuantNetwork::quantize(&models::tiny_mlp(1));
 /// let layout = WeightLayout::new(0x0, mapper);
 /// layout.deploy(&model, &mut dram)?;
@@ -217,11 +217,10 @@ mod tests {
     use super::*;
     use crate::models;
     use dlk_dram::DramConfig;
-    use dlk_memctrl::MappingScheme;
 
     fn setup() -> (DramDevice, WeightLayout, QuantNetwork) {
         let dram = DramDevice::new(DramConfig::tiny_for_tests());
-        let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(*dram.geometry());
         let model = QuantNetwork::quantize(&models::tiny_mlp(9));
         (dram, WeightLayout::new(128, mapper), model)
     }
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn image_exceeding_capacity_rejected() {
         let (mut dram, _, model) = setup();
-        let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(*dram.geometry());
         let layout = WeightLayout::new(mapper.capacity() - 4, mapper);
         assert!(matches!(layout.deploy(&model, &mut dram), Err(DnnError::RegionTooSmall { .. })));
     }
@@ -287,7 +286,7 @@ mod tests {
         // The satellite acceptance: quantize → store → flip a conv
         // kernel bit in DRAM → dequantize sees exactly that change.
         let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
-        let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(*dram.geometry());
         let model = QuantNetwork::quantize(&models::tiny_cnn(7));
         assert!(
             model.layers().iter().any(|l| matches!(l, crate::quant::QuantLayer::Conv(_))),

@@ -143,8 +143,8 @@ impl ShardedEngine {
     ///
     /// Returns [`EngineError::NoChannels`] for a zero channel count and
     /// [`EngineError::GeometryMismatch`] when a controller's geometry
-    /// or mapping scheme differs from channel 0's (the router's
-    /// interleave math would silently misroute otherwise).
+    /// differs from channel 0's (the router's interleave math would
+    /// silently misroute otherwise).
     pub fn with_controllers(
         config: EngineConfig,
         mut make: impl FnMut(usize) -> MemoryController,

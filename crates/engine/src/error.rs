@@ -17,9 +17,9 @@ pub enum EngineError {
         /// The configured channel count.
         channels: usize,
     },
-    /// A shard's controller has a different geometry or mapping than
-    /// channel 0's — the router's interleave math would silently
-    /// misroute on heterogeneous shards.
+    /// A shard's controller has a different geometry than channel 0's —
+    /// the router's interleave math would silently misroute on
+    /// heterogeneous shards.
     GeometryMismatch {
         /// The first non-matching channel.
         channel: usize,
@@ -43,10 +43,7 @@ impl fmt::Display for EngineError {
                 write!(f, "channel {channel} out of range ({channels} channels)")
             }
             EngineError::GeometryMismatch { channel } => {
-                write!(
-                    f,
-                    "channel {channel}'s controller differs in geometry/mapping from channel 0"
-                )
+                write!(f, "channel {channel}'s controller differs in geometry from channel 0")
             }
             EngineError::Shard { channel, source } => {
                 write!(f, "channel {channel}: {source}")

@@ -28,9 +28,9 @@ use crate::error::EngineError;
 /// ```
 /// use dlk_dram::DramGeometry;
 /// use dlk_engine::ChannelRouter;
-/// use dlk_memctrl::{AddressMapper, MappingScheme};
+/// use dlk_memctrl::AddressMapper;
 ///
-/// let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
+/// let mapper = AddressMapper::new(DramGeometry::tiny());
 /// let router = ChannelRouter::new(2, &mapper);
 /// let row_bytes = mapper.geometry().row_bytes as u64;
 /// // Global rows 0 and 1 land on different channels, same local row.
@@ -134,10 +134,9 @@ impl ChannelRouter {
 mod tests {
     use super::*;
     use dlk_dram::DramGeometry;
-    use dlk_memctrl::MappingScheme;
 
     fn router(channels: usize) -> ChannelRouter {
-        let mapper = AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(DramGeometry::tiny());
         ChannelRouter::new(channels, &mapper)
     }
 

@@ -1,67 +1,11 @@
 //! The analyzer's diagnostics.
 //!
 //! A [`Diagnostic`] is one finding: a stable [`RuleCode`], a
-//! [`Severity`], a `file:line:col` span and a message. A [`Report`]
-//! collects them and renders the aligned text listing that `dlk check`
-//! prints.
+//! [`Severity`] (both stated in `dlk_sim::check`), a `file:line:col`
+//! span and a message. A [`Report`] collects them and renders the
+//! aligned text listing that `dlk check` prints.
 
-/// Every rule the spec analyzer can fire, with a stable code. Codes are
-/// part of the stable interface: `dlk check` output and CI logs name
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RuleCode {
-    /// Victim home channel (or replay channel) out of range for the
-    /// spec's engine configuration.
-    Dlk101,
-    /// Duplicate labels in a spec list file.
-    Dlk102,
-    /// Zero (error) or absurd (warning) budget fields, or a zero read
-    /// chunk.
-    Dlk103,
-    /// Target index out of range, an attack aimed at a victim it does
-    /// not run against, or a bad `progressive-bfa` search window.
-    Dlk104,
-    /// Duplicate mitigation in a defense stack.
-    Dlk105,
-}
-
-impl RuleCode {
-    /// The stable code string (`DLK101`…), as printed.
-    pub fn code(self) -> &'static str {
-        match self {
-            RuleCode::Dlk101 => "DLK101",
-            RuleCode::Dlk102 => "DLK102",
-            RuleCode::Dlk103 => "DLK103",
-            RuleCode::Dlk104 => "DLK104",
-            RuleCode::Dlk105 => "DLK105",
-        }
-    }
-}
-
-impl std::fmt::Display for RuleCode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
-/// How bad a finding is. Only errors fail `dlk check`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory; never fails the gate.
-    Warning,
-    /// A spec that cannot mean what its author wanted; fails `dlk check`.
-    Error,
-}
-
-impl Severity {
-    /// The rendered tag (`error` / `warning`).
-    pub fn tag(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+use dlk_sim::{Finding, RuleCode, Severity};
 
 /// One finding, anchored to a `file:line:col` span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +43,12 @@ impl Diagnostic {
             col,
             message: message.into(),
         }
+    }
+
+    /// A spec's [`Finding`], anchored at `file:line:col`.
+    pub fn at(file: &str, line: usize, col: usize, finding: Finding) -> Self {
+        let Finding { code, severity, message, .. } = finding;
+        Self { code, severity, file: file.to_owned(), line, col, message }
     }
 
     /// The `file:line:col` span prefix.

@@ -1,12 +1,11 @@
-//! `dlk-lint`: the scenario-spec semantic analyzer.
+//! `dlk-lint`: the spec checks that concern files, behind `dlk check`.
 //!
-//! [`analyze`] validates parsed [`ScenarioSpec`](dlk_sim::ScenarioSpec)s
-//! without running them — channel ranges, duplicate labels, degenerate
-//! budgets, target indices, duplicate mitigations (DLK101–DLK105).
-//! `dlk check` prints its findings, and `dlk run` and `dlk sweep` refuse
-//! a spec with an error-severity one. Findings ([`diag`]) carry stable
-//! rule codes and `file:line:col` spans, and render as an aligned text
-//! listing.
+//! The rules a single spec must meet (DLK101, DLK103–DLK105) live in
+//! `dlk_sim::check`, where every scenario build applies them. [`analyze`]
+//! adds DLK102 (duplicate labels across a spec list) and anchors each
+//! finding at its record's `file:line:col`; [`diag`] collects the
+//! findings into the [`Report`] that `dlk check` prints as an aligned
+//! text listing.
 //!
 //! The workspace's source invariants (DLK001–DLK005) are not checked
 //! here: clippy enforces three of them through lint attributes and the
@@ -15,4 +14,4 @@
 pub mod analyze;
 pub mod diag;
 
-pub use diag::{Diagnostic, Report, RuleCode, Severity};
+pub use diag::{Diagnostic, Report};

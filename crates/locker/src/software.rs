@@ -24,11 +24,11 @@ use crate::locker::DramLocker;
 ///
 /// ```
 /// use dlk_dram::DramGeometry;
-/// use dlk_memctrl::{AddressMapper, MappingScheme};
+/// use dlk_memctrl::AddressMapper;
 /// use dlk_locker::{LockTarget, ProtectionPlan};
 ///
 /// let geom = DramGeometry::tiny();
-/// let mapper = AddressMapper::new(geom, MappingScheme::BankSequential);
+/// let mapper = AddressMapper::new(geom);
 /// let mut plan = ProtectionPlan::new(LockTarget::AdjacentRows);
 /// plan.protect_range(&mapper, 10 * 64, 11 * 64).unwrap(); // one row of data
 /// // Locks the two neighbours of row 10, not row 10 itself.
@@ -158,10 +158,9 @@ mod tests {
     use super::*;
     use crate::config::LockerConfig;
     use dlk_dram::DramGeometry;
-    use dlk_memctrl::MappingScheme;
 
     fn mapper() -> AddressMapper {
-        AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential)
+        AddressMapper::new(DramGeometry::tiny())
     }
 
     #[test]

@@ -11,29 +11,21 @@ use dlk_obs::LocalHistogram;
 
 use crate::error::MemCtrlError;
 use crate::interpose::{DefenseHook, HookAction, NoDefense};
-use crate::mapping::{AddressMapper, MappingScheme};
+use crate::mapping::AddressMapper;
 use crate::metrics::CtrlMetrics;
 use crate::request::{MemRequest, RequestKind};
 
 /// Configuration of a [`MemoryController`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemCtrlConfig {
     /// DRAM device configuration.
     pub dram: DramConfig,
-    /// Address interleaving scheme.
-    pub scheme: MappingScheme,
-}
-
-impl Default for MemCtrlConfig {
-    fn default() -> Self {
-        Self { dram: DramConfig::default(), scheme: MappingScheme::BankSequential }
-    }
 }
 
 impl MemCtrlConfig {
     /// Small configuration for unit tests.
     pub fn tiny_for_tests() -> Self {
-        Self { dram: DramConfig::tiny_for_tests(), scheme: MappingScheme::BankSequential }
+        Self { dram: DramConfig::tiny_for_tests() }
     }
 }
 
@@ -156,7 +148,7 @@ impl MemoryController {
     /// Creates a controller with a defense hook installed.
     pub fn with_hook(config: MemCtrlConfig, hook: Box<dyn DefenseHook>) -> Self {
         let dram = DramDevice::new(config.dram);
-        let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
+        let mapper = AddressMapper::new(config.dram.geometry);
         Self { dram, mapper, hook, metrics: CtrlMetrics::new(), os_protected: Vec::new() }
     }
 

@@ -7,7 +7,8 @@
 //!   address. A request carries no id, and a served read returns its
 //!   bytes as a [`ReadData`](dlk_dram::ReadData), short reads inline,
 //!   so serving a hammer loop's reads allocates nothing;
-//! - [`mapping`]: physical-address-to-DRAM-coordinate mapping schemes;
+//! - [`mapping`]: the bank-sequential physical-address-to-DRAM-coordinate
+//!   mapping;
 //! - [`metrics`]: per-kind latency histograms and outcome counters
 //!   ([`CtrlMetrics`]) recorded on the servicing path and exposable
 //!   through a shared `dlk-obs` registry;
@@ -63,7 +64,7 @@ pub mod trace;
 pub use crate::controller::{CompletedRequest, ControllerStats, MemCtrlConfig, MemoryController};
 pub use crate::error::MemCtrlError;
 pub use crate::interpose::{DefenseHook, HookAction, NoDefense};
-pub use crate::mapping::{AddressMapper, MappingScheme};
+pub use crate::mapping::AddressMapper;
 pub use crate::metrics::CtrlMetrics;
 pub use crate::pagetable::{PageTable, PageTableConfig, Pte, VirtAddr};
 pub use crate::request::{MemRequest, RequestKind};

@@ -1,32 +1,16 @@
 //! Physical-address to DRAM-coordinate mapping.
 //!
-//! Two schemes are provided:
-//!
-//! - [`MappingScheme::RowInterleaved`]: consecutive rows of the physical
-//!   address space stripe across banks (`row-major` over `bank`), so
-//!   sequential data spreads over banks for parallelism — the common
-//!   controller default;
-//! - [`MappingScheme::BankSequential`]: a bank's rows are contiguous in
-//!   the physical address space, which keeps related data (e.g. one DNN
-//!   layer) in one bank/subarray — convenient for reasoning about
-//!   adjacency in attacks.
-//!
-//! Both schemes are bijective over the device capacity; adjacency within
-//! a subarray (what RowHammer cares about) is preserved by construction
-//! because the low-order `row` bits map to physically adjacent rows.
+//! The mapping is bank-sequential: a bank's rows are contiguous in the
+//! physical address space, which keeps related data (e.g. one DNN
+//! layer) in one bank/subarray — convenient for reasoning about
+//! adjacency in attacks. It is bijective over the device capacity, and
+//! adjacency within a subarray (what RowHammer cares about) is
+//! preserved by construction because the low-order `row` bits map to
+//! physically adjacent rows.
 
 use dlk_dram::{DramGeometry, RowAddr};
 
 use crate::error::MemCtrlError;
-
-/// Address interleaving scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MappingScheme {
-    /// Stripe consecutive rows across banks.
-    RowInterleaved,
-    /// Fill each bank's rows contiguously.
-    BankSequential,
-}
 
 /// Maps physical byte addresses to `(RowAddr, column)` pairs and back.
 ///
@@ -34,10 +18,10 @@ pub enum MappingScheme {
 ///
 /// ```
 /// use dlk_dram::DramGeometry;
-/// use dlk_memctrl::{AddressMapper, MappingScheme};
+/// use dlk_memctrl::AddressMapper;
 ///
 /// let geom = DramGeometry::tiny();
-/// let mapper = AddressMapper::new(geom, MappingScheme::BankSequential);
+/// let mapper = AddressMapper::new(geom);
 /// let (addr, col) = mapper.to_dram(geom.row_bytes as u64 + 5).unwrap();
 /// assert_eq!(col, 5);
 /// assert_eq!(mapper.to_phys(addr, col), geom.row_bytes as u64 + 5);
@@ -45,23 +29,17 @@ pub enum MappingScheme {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
-    scheme: MappingScheme,
 }
 
 impl AddressMapper {
-    /// Creates a mapper for a geometry and scheme.
-    pub fn new(geometry: DramGeometry, scheme: MappingScheme) -> Self {
-        Self { geometry, scheme }
+    /// Creates a mapper for a geometry.
+    pub fn new(geometry: DramGeometry) -> Self {
+        Self { geometry }
     }
 
     /// The geometry this mapper covers.
     pub fn geometry(&self) -> &DramGeometry {
         &self.geometry
-    }
-
-    /// The interleaving scheme.
-    pub fn scheme(&self) -> MappingScheme {
-        self.scheme
     }
 
     /// Total mapped capacity in bytes.
@@ -81,46 +59,22 @@ impl AddressMapper {
         let row_bytes = self.geometry.row_bytes as u64;
         let global_row = phys / row_bytes;
         let col = (phys % row_bytes) as usize;
-        let addr = match self.scheme {
-            MappingScheme::BankSequential => {
-                // global_row = ((bank * subarrays + subarray) * rows) + row
-                let rows = self.geometry.rows_per_subarray as u64;
-                let row = (global_row % rows) as u32;
-                let sa_global = global_row / rows;
-                let subarray = (sa_global % self.geometry.subarrays_per_bank as u64) as u16;
-                let bank = (sa_global / self.geometry.subarrays_per_bank as u64) as u16;
-                RowAddr::new(bank, subarray, row)
-            }
-            MappingScheme::RowInterleaved => {
-                // global_row = (row_chunk * banks + bank) ... stripe rows
-                // across banks, then advance within the subarray.
-                let banks = self.geometry.banks as u64;
-                let bank = (global_row % banks) as u16;
-                let within_bank = global_row / banks;
-                let rows = self.geometry.rows_per_subarray as u64;
-                let row = (within_bank % rows) as u32;
-                let subarray = (within_bank / rows) as u16;
-                RowAddr::new(bank, subarray, row)
-            }
-        };
-        Ok((addr, col))
+        // global_row = ((bank * subarrays + subarray) * rows) + row
+        let rows = self.geometry.rows_per_subarray as u64;
+        let row = (global_row % rows) as u32;
+        let sa_global = global_row / rows;
+        let subarray = (sa_global % self.geometry.subarrays_per_bank as u64) as u16;
+        let bank = (sa_global / self.geometry.subarrays_per_bank as u64) as u16;
+        Ok((RowAddr::new(bank, subarray, row), col))
     }
 
     /// Inverse of [`AddressMapper::to_dram`].
     pub fn to_phys(&self, addr: RowAddr, col: usize) -> u64 {
         let row_bytes = self.geometry.row_bytes as u64;
-        let global_row = match self.scheme {
-            MappingScheme::BankSequential => {
-                (addr.bank as u64 * self.geometry.subarrays_per_bank as u64 + addr.subarray as u64)
-                    * self.geometry.rows_per_subarray as u64
-                    + addr.row as u64
-            }
-            MappingScheme::RowInterleaved => {
-                let within_bank =
-                    addr.subarray as u64 * self.geometry.rows_per_subarray as u64 + addr.row as u64;
-                within_bank * self.geometry.banks as u64 + addr.bank as u64
-            }
-        };
+        let global_row = (addr.bank as u64 * self.geometry.subarrays_per_bank as u64
+            + addr.subarray as u64)
+            * self.geometry.rows_per_subarray as u64
+            + addr.row as u64;
         global_row * row_bytes + col as u64
     }
 
@@ -135,39 +89,33 @@ impl AddressMapper {
 mod tests {
     use super::*;
 
-    fn mappers() -> Vec<AddressMapper> {
-        let geom = DramGeometry::tiny();
-        vec![
-            AddressMapper::new(geom, MappingScheme::BankSequential),
-            AddressMapper::new(geom, MappingScheme::RowInterleaved),
-        ]
+    fn mapper() -> AddressMapper {
+        AddressMapper::new(DramGeometry::tiny())
     }
 
     #[test]
     fn roundtrip_is_bijective() {
-        for mapper in mappers() {
-            let row_bytes = mapper.geometry().row_bytes as u64;
-            // Sample one address per row plus odd offsets.
-            for row in 0..mapper.capacity() / row_bytes {
-                let phys = row * row_bytes + (row % row_bytes);
-                let (addr, col) = mapper.to_dram(phys).unwrap();
-                assert_eq!(mapper.to_phys(addr, col), phys, "{:?}", mapper.scheme());
-            }
+        let mapper = mapper();
+        let row_bytes = mapper.geometry().row_bytes as u64;
+        // Sample one address per row plus odd offsets.
+        for row in 0..mapper.capacity() / row_bytes {
+            let phys = row * row_bytes + (row % row_bytes);
+            let (addr, col) = mapper.to_dram(phys).unwrap();
+            assert_eq!(mapper.to_phys(addr, col), phys);
         }
     }
 
     #[test]
     fn out_of_range_rejected() {
-        for mapper in mappers() {
-            assert!(mapper.to_dram(mapper.capacity()).is_err());
-            assert!(mapper.to_dram(u64::MAX).is_err());
-        }
+        let mapper = mapper();
+        assert!(mapper.to_dram(mapper.capacity()).is_err());
+        assert!(mapper.to_dram(u64::MAX).is_err());
     }
 
     #[test]
     fn bank_sequential_keeps_consecutive_rows_adjacent() {
         let geom = DramGeometry::tiny();
-        let mapper = AddressMapper::new(geom, MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(geom);
         let row_bytes = geom.row_bytes as u64;
         let (a, _) = mapper.to_dram(0).unwrap();
         let (b, _) = mapper.to_dram(row_bytes).unwrap();
@@ -177,29 +125,18 @@ mod tests {
     }
 
     #[test]
-    fn row_interleaved_stripes_across_banks() {
-        let geom = DramGeometry::tiny();
-        let mapper = AddressMapper::new(geom, MappingScheme::RowInterleaved);
-        let row_bytes = geom.row_bytes as u64;
-        let (a, _) = mapper.to_dram(0).unwrap();
-        let (b, _) = mapper.to_dram(row_bytes).unwrap();
-        assert_ne!(a.bank, b.bank, "consecutive rows should hit different banks");
-    }
-
-    #[test]
     fn row_span_covers_row_bytes() {
-        for mapper in mappers() {
-            let (addr, _) = mapper.to_dram(12345).unwrap();
-            let (start, end) = mapper.row_span(addr);
-            assert_eq!(end - start, mapper.geometry().row_bytes as u64);
-            assert!((start..end).contains(&12345));
-        }
+        let mapper = mapper();
+        let (addr, _) = mapper.to_dram(12345).unwrap();
+        let (start, end) = mapper.row_span(addr);
+        assert_eq!(end - start, mapper.geometry().row_bytes as u64);
+        assert!((start..end).contains(&12345));
     }
 
     #[test]
     fn full_coverage_no_collisions_bank_sequential() {
         let geom = DramGeometry::tiny();
-        let mapper = AddressMapper::new(geom, MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(geom);
         let mut seen = std::collections::HashSet::new();
         let row_bytes = geom.row_bytes as u64;
         for phys in (0..mapper.capacity()).step_by(row_bytes as usize) {

@@ -80,11 +80,11 @@ impl PageTableConfig {
 ///
 /// ```
 /// use dlk_dram::{DramConfig, DramDevice, DramGeometry};
-/// use dlk_memctrl::{AddressMapper, MappingScheme, PageTable, PageTableConfig, VirtAddr};
+/// use dlk_memctrl::{AddressMapper, PageTable, PageTableConfig, VirtAddr};
 ///
 /// # fn main() -> Result<(), dlk_memctrl::MemCtrlError> {
 /// let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
-/// let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+/// let mapper = AddressMapper::new(*dram.geometry());
 /// let table = PageTable::new(PageTableConfig::tiny_for_tests());
 /// table.map(&mut dram, &mapper, 3, 7)?; // vpn 3 -> pfn 7
 /// let pa = table.translate(&dram, &mapper, VirtAddr(3 * 256 + 17))?;
@@ -243,12 +243,11 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MappingScheme;
     use dlk_dram::DramConfig;
 
     fn setup() -> (DramDevice, AddressMapper, PageTable) {
         let dram = DramDevice::new(DramConfig::tiny_for_tests());
-        let mapper = AddressMapper::new(*dram.geometry(), MappingScheme::BankSequential);
+        let mapper = AddressMapper::new(*dram.geometry());
         let table = PageTable::new(PageTableConfig::tiny_for_tests());
         (dram, mapper, table)
     }

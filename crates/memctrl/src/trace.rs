@@ -490,7 +490,7 @@ mod tests {
     fn hammer_pair_forces_activations() {
         let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
         let row_bytes = ctrl.geometry().row_bytes as u64;
-        // Two rows in the same bank/subarray (BankSequential mapping).
+        // Two rows in the same bank/subarray (bank-sequential mapping).
         let trace = Trace::hammer_pair(10 * row_bytes, 12 * row_bytes, 50);
         let done = serve_all(&mut ctrl, &trace);
         assert_eq!(done.len(), 100);

@@ -16,7 +16,7 @@
 //!   [`SpanRecorder`]/[`SpanTree`] for the `dlk run --trace` span tree.
 //! - [`TimeSeries`] / [`Sampler`]: the temporal layer — a
 //!   fixed-capacity ring of timestamped samples with windowed
-//!   `rate()`/`mean()`/EWMA, filled by snapshotting a registry on a
+//!   `rate()`/`mean()`, filled by snapshotting a registry on a
 //!   caller-driven tick (histogram deltas absorbed per tick), so
 //!   "what happened over the last N seconds" costs O(capacity) no
 //!   matter how long the daemon runs. `dlk serve` heartbeats and

@@ -6,7 +6,8 @@
 //! through the same match — drivers with zero malice, which is what
 //! lets one scenario API measure both damage and overhead.
 //! [`AttackSpec::check_victim`] states which victim each variant runs
-//! against; scenario build and `dlk check` (DLK104) both apply it.
+//! against; rule DLK104 of [`ScenarioSpec::check`](crate::ScenarioSpec::check)
+//! applies it.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -77,13 +78,14 @@ pub(crate) struct AttackOutcome {
 }
 
 impl AttackSpec {
-    /// Checks that this attack runs against `victim` — the one pairing
-    /// rule that [`ScenarioBuilder::build`](crate::ScenarioBuilder::build)
-    /// and `dlk check` (DLK104) both apply. Weight-bit attacks and
-    /// inference traffic need a contiguously deployed model
-    /// ([`VictimSpec::model`]); the page-table attack needs a paged one
-    /// ([`VictimSpec::paged`]); `hammer` and `row-probe` need a data row
-    /// (raw rows or a contiguous model); replays run against any victim.
+    /// Checks that this attack runs against `victim`: the pairing that
+    /// rule DLK104 of [`ScenarioSpec::check`](crate::ScenarioSpec::check)
+    /// applies, so every build and `dlk check` refuse a mismatch.
+    /// Weight-bit attacks and inference traffic need a contiguously
+    /// deployed model ([`VictimSpec::model`]); the page-table attack
+    /// needs a paged one ([`VictimSpec::paged`]); `hammer` and
+    /// `row-probe` need a data row (raw rows or a contiguous model);
+    /// replays run against any victim.
     ///
     /// # Errors
     ///
@@ -253,7 +255,7 @@ impl AttackSpec {
 }
 
 /// The error for a target an attack cannot run against. Scenario build
-/// rejects such pairings first, through [`AttackSpec::check_victim`].
+/// refuses such pairings first (rule DLK104).
 fn unfit() -> SimError {
     SimError::Build("the target victim does not fit the attack".to_owned())
 }

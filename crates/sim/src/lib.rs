@@ -65,7 +65,9 @@
 //! [`AttackSpec`]/[`DefenseSpec`]/[`VictimSpec`] parts, a line-oriented
 //! [`to_text`](ScenarioSpec::to_text)/[`from_text`](ScenarioSpec::from_text)
 //! codec (the on-disk spec-file format) and
-//! [`Scenario::from_spec`] as the one construction path. Grids expand
+//! [`Scenario::from_spec`] as the one construction path, which refuses
+//! a spec that breaks one of the rules [`ScenarioSpec::check`] states
+//! (the [`check`] module; `dlk check` prints them). Grids expand
 //! through [`sweep::SweepGrid`], execute on worker threads through
 //! [`sweep::SweepRunner`] (results deterministic, bit-identical to
 //! serial) and export through [`metrics::Table`]:
@@ -83,6 +85,7 @@
 
 mod attack;
 pub mod catalog;
+pub mod check;
 pub mod error;
 pub mod metrics;
 pub mod mitigation;
@@ -93,6 +96,7 @@ pub mod sweep;
 pub mod victim;
 
 pub use crate::catalog::{catalog, find, CatalogEntry, Expected};
+pub use crate::check::{Finding, RuleCode, Severity};
 pub use crate::error::SimError;
 pub use crate::mitigation::HookChain;
 pub use crate::report::{MitigationReport, RunReport, VictimReport};

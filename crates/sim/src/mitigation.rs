@@ -141,10 +141,9 @@ impl DefenseHook for HookChain {
 mod tests {
     use super::*;
     use dlk_dram::{DramConfig, DramGeometry};
-    use dlk_memctrl::MappingScheme;
 
     fn mapper() -> AddressMapper {
-        AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential)
+        AddressMapper::new(DramGeometry::tiny())
     }
 
     #[test]

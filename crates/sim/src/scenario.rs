@@ -60,6 +60,7 @@ use dlk_memctrl::{DefenseHook, MemoryController};
 use dlk_obs::{Registry, SpanRecorder, SpanTree};
 
 use crate::attack::{AttackOutcome, RunEnv};
+use crate::check::Severity;
 use crate::error::SimError;
 use crate::mitigation::HookChain;
 use crate::report::{MitigationReport, RunReport, VictimReport};
@@ -192,7 +193,7 @@ impl ScenarioBuilder {
     }
 
     /// Held-out sample size for accuracy measurements (default 64;
-    /// [`ScenarioBuilder::build`] rejects 0).
+    /// 0 breaks rule DLK103).
     pub fn eval_batch(mut self, n: usize) -> Self {
         self.spec.eval_batch = n;
         self
@@ -209,46 +210,16 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Build`] for an empty victim list, a bad
-    /// target index, a zero channel count, an out-of-range home
-    /// channel, a zero eval batch, an attack aimed at a victim it does
-    /// not run against ([`AttackSpec::check_victim`]) or a zero read
-    /// chunk, and propagates deployment/mount failures.
+    /// Returns [`SimError::Build`] for the spec's first error-severity
+    /// finding of [`ScenarioSpec::check`], led by its rule code
+    /// (`DLK105: defense 'graphene' mounted twice in the stack`), and
+    /// propagates deployment/mount failures.
     pub fn build(self) -> Result<ScenarioRun, SimError> {
         let spec = self.spec;
-        if spec.victims.is_empty() {
-            return Err(SimError::Build(format!("scenario '{}' has no victim", spec.label)));
-        }
-        if spec.eval_batch == 0 {
-            return Err(SimError::Build(format!(
-                "scenario '{}' has eval batch 0; accuracy needs at least one sample",
-                spec.label
-            )));
-        }
-        if spec.target >= spec.victims.len() {
-            return Err(SimError::Build(format!(
-                "target victim {} out of range ({} victims)",
-                spec.target,
-                spec.victims.len()
-            )));
-        }
-        if let Some(attack) = &spec.attack {
-            attack.check_victim(&spec.victims[spec.target].0).map_err(SimError::Build)?;
-            if let AttackSpec::InferenceStream { chunk: 0, .. }
-            | AttackSpec::WeightFetch { chunk: 0, .. } = attack
-            {
-                return Err(SimError::Build(format!(
-                    "scenario '{}' reads chunk=0 bytes per request; a read needs at least one",
-                    spec.label
-                )));
-            }
+        if let Some(refused) = spec.check().into_iter().find(|f| f.severity == Severity::Error) {
+            return Err(SimError::Build(refused.to_string()));
         }
         let channels = spec.engine.channels;
-        if let Some(&(_, bad)) = spec.victims.iter().find(|&&(_, channel)| channel >= channels) {
-            return Err(SimError::Build(format!(
-                "victim homed on channel {bad}, but the engine has {channels} channels"
-            )));
-        }
         let mut engine = ShardedEngine::new(spec.engine, spec.geometry.config())?;
 
         // Deploy every victim on its home shard (shard-local
@@ -573,7 +544,7 @@ mod tests {
         let mut spec = crate::catalog::find("bfa-vs-none").unwrap().spec;
         spec.eval_batch = 0;
         let err = Scenario::from_spec(&spec).unwrap_err();
-        assert!(err.to_string().contains("eval batch 0"), "{err}");
+        assert!(err.to_string().contains("DLK103: eval-batch 0"), "{err}");
     }
 
     #[test]

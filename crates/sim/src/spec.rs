@@ -68,12 +68,8 @@ impl GeometrySpec {
         match self {
             GeometrySpec::Tiny => MemCtrlConfig::tiny_for_tests(),
             GeometrySpec::Paper => MemCtrlConfig::default(),
-            GeometrySpec::Ddr4 => {
-                MemCtrlConfig { dram: dlk_dram::DramConfig::ddr4(), ..MemCtrlConfig::default() }
-            }
-            GeometrySpec::Lpddr4 => {
-                MemCtrlConfig { dram: dlk_dram::DramConfig::lpddr4(), ..MemCtrlConfig::default() }
-            }
+            GeometrySpec::Ddr4 => MemCtrlConfig { dram: dlk_dram::DramConfig::ddr4() },
+            GeometrySpec::Lpddr4 => MemCtrlConfig { dram: dlk_dram::DramConfig::lpddr4() },
         }
     }
 

@@ -3,11 +3,14 @@
 //! An 8-bit quantized VGG-11-like network on the CIFAR-100-like
 //! dataset. The targeted attack collapses accuracy within tens of
 //! flips; uniformly random flips barely move it — the gap DRAM-Locker
-//! aims to enforce on every attacker.
+//! aims to enforce on every attacker. Each curve is a scenario run
+//! against the DRAM-deployed victim: an [`AttackSpec::ProgressiveBfa`]
+//! whose every flip lands, and one [`AttackSpec::RandomFlip`] per
+//! random seed.
 
-use dlk_attacks::bfa::{BfaConfig, BitSearch};
-use dlk_attacks::random::RandomAttack;
-use dlk_dnn::models;
+use dlk_attacks::bfa::BfaConfig;
+use dlk_dnn::models::ModelKind;
+use dlk_sim::AttackSpec;
 
 use crate::report::Series;
 
@@ -34,27 +37,24 @@ impl Fig1a {
 
 /// Runs the experiment.
 pub fn run(fidelity: Fidelity) -> Fig1a {
-    let (victim, flips, sample) = match fidelity {
-        Fidelity::Fast => (models::victim_tiny(42), 15, 32),
-        Fidelity::Full => (models::victim_vgg11_cifar100(42), 100, 128),
+    let (model, flips, sample) = match fidelity {
+        Fidelity::Fast => (ModelKind::Tiny, 15, 32),
+        Fidelity::Full => (ModelKind::Vgg11, 100, 128),
     };
-    let (x, y) = victim.dataset.test_sample(sample, 0);
+    let campaign = |attack| super::weight_campaign(model, attack, flips, sample);
 
-    let mut bfa_model = victim.model.clone();
-    let bfa_curve = BitSearch::new(BfaConfig::default()).run(&mut bfa_model, &x, &y, flips);
-    let mut bfa = Series::new("BFA");
-    for point in &bfa_curve.points {
-        bfa.push(point.flips as f64, point.accuracy * 100.0);
-    }
+    let config = BfaConfig::default();
+    let bfa = campaign(AttackSpec::ProgressiveBfa { success_rate: 1.0, seed: 0, config });
+    let bfa = Series { label: "BFA".to_owned(), points: bfa };
 
     // Average the random baseline over a few seeds.
     let seeds = 3u64;
     let mut sums = vec![0.0f64; flips + 1];
     for seed in 0..seeds {
-        let mut model = victim.model.clone();
-        let curve = RandomAttack::new(seed).run(&mut model, &x, &y, flips);
-        for (index, point) in curve.points.iter().enumerate() {
-            sums[index] += point.accuracy * 100.0;
+        for (sum, (_, accuracy_pct)) in
+            sums.iter_mut().zip(campaign(AttackSpec::RandomFlip { seed }))
+        {
+            *sum += accuracy_pct;
         }
     }
     let mut random = Series::new("Random");

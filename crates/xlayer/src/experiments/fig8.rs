@@ -11,7 +11,7 @@
 
 use dlk_attacks::bfa::BfaConfig;
 use dlk_dnn::models::ModelKind;
-use dlk_sim::{AttackSpec, Budget, GeometrySpec, Scenario, VictimSpec};
+use dlk_sim::AttackSpec;
 
 use crate::report::Series;
 
@@ -41,37 +41,13 @@ impl Fig8Panel {
     }
 }
 
-const WEIGHT_BASE: u64 = 0x400;
-const MODEL_SEED: u64 = 42;
-
 fn attack(model: ModelKind, iterations: usize, success_rate: f64, seed: u64) -> Series {
     let label = if success_rate >= 1.0 { "without DRAM-Locker" } else { "with DRAM-Locker" };
-    // The big models outgrow the tiny test device; Fig. 8 deploys onto
-    // the paper-scale default geometry when the image would not fit.
-    let tiny = GeometrySpec::Tiny.config();
-    let victim = model.victim(MODEL_SEED);
-    let image_end = WEIGHT_BASE + victim.model.total_weights() as u64;
-    let geometry = if image_end <= tiny.dram.geometry.capacity_bytes() {
-        GeometrySpec::Tiny
-    } else {
-        GeometrySpec::Paper
-    };
-    let report = Scenario::builder()
-        .label(label)
-        .geometry(geometry)
-        .victim(VictimSpec::model(model, MODEL_SEED, WEIGHT_BASE))
-        .attack(AttackSpec::ProgressiveBfa { success_rate, seed, config: BfaConfig::default() })
-        .budget(Budget { max_activations: 0, check_interval: 1, iterations })
-        .eval_batch(128)
-        .build()
-        .expect("fig8 scenario builds")
-        .run()
-        .expect("fig8 scenario runs");
-    let mut series = Series::new(label);
-    for (iteration, accuracy_pct) in report.curve {
-        series.push(iteration, accuracy_pct);
+    let attack = AttackSpec::ProgressiveBfa { success_rate, seed, config: BfaConfig::default() };
+    Series {
+        label: label.to_owned(),
+        points: super::weight_campaign(model, attack, iterations, 128),
     }
-    series
 }
 
 /// Runs one panel.

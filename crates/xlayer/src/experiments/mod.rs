@@ -38,7 +38,8 @@ pub mod table2;
 
 pub use dl_model::{DlLatencyModel, DlSecurityModel};
 
-use dlk_sim::SimError;
+use dlk_dnn::models::ModelKind;
+use dlk_sim::{AttackSpec, Budget, GeometrySpec, Scenario, SimError, VictimSpec};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -48,6 +49,43 @@ pub enum Fidelity {
     /// Paper-scale models and budgets — minutes, for `paper_figures`.
     #[default]
     Full,
+}
+
+/// Seed of the victim the weight-bit campaigns attack.
+const MODEL_SEED: u64 = 42;
+/// Where the weight-bit campaigns deploy the victim's weight image.
+const WEIGHT_BASE: u64 = 0x400;
+
+/// Runs `iterations` of one weight-bit `attack` (`progressive-bfa` or
+/// `random-flip`) against the seed-42 `model` victim deployed at
+/// `0x400`, measuring accuracy on `eval_batch` held-out samples, and
+/// returns the `(iteration, accuracy %)` curve. The victim goes on the
+/// tiny test device when its image fits, on the paper-scale geometry
+/// otherwise.
+fn weight_campaign(
+    model: ModelKind,
+    attack: AttackSpec,
+    iterations: usize,
+    eval_batch: usize,
+) -> Vec<(f64, f64)> {
+    let tiny = GeometrySpec::Tiny.config();
+    let image_end = WEIGHT_BASE + model.victim(MODEL_SEED).model.total_weights() as u64;
+    let geometry = if image_end <= tiny.dram.geometry.capacity_bytes() {
+        GeometrySpec::Tiny
+    } else {
+        GeometrySpec::Paper
+    };
+    Scenario::builder()
+        .geometry(geometry)
+        .victim(VictimSpec::model(model, MODEL_SEED, WEIGHT_BASE))
+        .attack(attack)
+        .budget(Budget { max_activations: 0, check_interval: 1, iterations })
+        .eval_batch(eval_batch)
+        .build()
+        .expect("weight campaign scenario builds")
+        .run()
+        .expect("weight campaign scenario runs")
+        .curve
 }
 
 /// Runs every experiment at `fidelity` and renders them in paper

@@ -18,7 +18,7 @@ const WEIGHT_BASE: u64 = 0x400;
 /// `n`-channel global address space, homed on channel 0.
 fn fetch_trace(model: &QuantNetwork, channels: usize) -> dram_locker::memctrl::Trace {
     let config = MemCtrlConfig::tiny_for_tests();
-    let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
+    let mapper = AddressMapper::new(config.dram.geometry);
     let layout = WeightLayout::new(WEIGHT_BASE, mapper);
     let local = layout.fetch_trace(model, 2, 32).expect("image fits the tiny device");
     ChannelRouter::new(channels, &mapper).globalize_trace(&local, 0).expect("channel 0")

@@ -5,18 +5,13 @@ use proptest::prelude::*;
 use dram_locker::dnn::{models, QuantNetwork};
 use dram_locker::dram::{DramConfig, DramDevice, DramGeometry, RowAddr, RowId};
 use dram_locker::locker::{Instruction, LockTable, MicroProgram};
-use dram_locker::memctrl::{AddressMapper, MappingScheme};
+use dram_locker::memctrl::AddressMapper;
 
 proptest! {
-    /// Address mapping is bijective for every scheme and address.
+    /// Address mapping is bijective for every address.
     #[test]
-    fn mapper_roundtrip(phys in 0u64..16384, scheme_id in 0u8..2) {
-        let scheme = if scheme_id == 0 {
-            MappingScheme::BankSequential
-        } else {
-            MappingScheme::RowInterleaved
-        };
-        let mapper = AddressMapper::new(DramGeometry::tiny(), scheme);
+    fn mapper_roundtrip(phys in 0u64..16384) {
+        let mapper = AddressMapper::new(DramGeometry::tiny());
         let (row, col) = mapper.to_dram(phys).unwrap();
         prop_assert_eq!(mapper.to_phys(row, col), phys);
     }
