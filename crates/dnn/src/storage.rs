@@ -331,12 +331,15 @@ mod tests {
             let dlk_memctrl::TraceOp::Read { addr, len } = op else {
                 panic!("fetch trace only reads")
             };
-            assert!(*len <= 24);
-            assert_eq!((addr % row_bytes + *len as u64 - 1) / row_bytes, 0, "no row spans");
-            per_batch += *len as u64;
+            assert!(len <= 24);
+            assert_eq!((addr % row_bytes + len as u64 - 1) / row_bytes, 0, "no row spans");
+            per_batch += len as u64;
         }
         assert_eq!(per_batch, 2 * layout.required_bytes(&model));
-        assert_eq!(trace.ops()[0], dlk_memctrl::TraceOp::Read { addr: 128, len: 24 });
+        assert_eq!(
+            trace.ops().iter().next(),
+            Some(dlk_memctrl::TraceOp::Read { addr: 128, len: 24 })
+        );
     }
 
     #[test]

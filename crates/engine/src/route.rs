@@ -16,7 +16,7 @@
 //! single-channel engine bit-identical to the bare controller pipeline
 //! it replaced.
 
-use dlk_memctrl::{AddressMapper, Trace, TraceOp};
+use dlk_memctrl::{AddressMapper, Trace};
 
 use crate::error::EngineError;
 
@@ -113,20 +113,7 @@ impl ChannelRouter {
     /// Returns [`EngineError::BadChannel`] for a channel index outside
     /// the configured width.
     pub fn globalize_trace(&self, trace: &Trace, channel: usize) -> Result<Trace, EngineError> {
-        let mut global = Trace::new();
-        global.untrusted = trace.untrusted;
-        for op in trace.ops() {
-            global.push(match op {
-                TraceOp::Read { addr, len } => {
-                    TraceOp::Read { addr: self.to_global(channel, *addr)?, len: *len }
-                }
-                TraceOp::Write { addr, payload } => TraceOp::Write {
-                    addr: self.to_global(channel, *addr)?,
-                    payload: payload.clone(),
-                },
-            });
-        }
-        Ok(global)
+        trace.try_map_addrs(|addr| self.to_global(channel, addr))
     }
 }
 
@@ -186,7 +173,7 @@ mod tests {
                 panic!("reads only")
             };
             assert_eq!(gl, ll);
-            assert_eq!(router.to_local(*ga), (1, *la));
+            assert_eq!(router.to_local(ga), (1, la));
         }
         assert!(router.globalize_trace(&local, 2).is_err());
     }

@@ -71,13 +71,15 @@ impl ChannelShard {
         router: &ChannelRouter,
     ) -> Result<ReplayCounts, EngineError> {
         let mut counts = ReplayCounts::default();
-        for op in trace.ops() {
-            let (channel, local) = router.to_local(op.addr());
-            if channel == self.channel {
-                let done = self.service(op.request(local, trace.untrusted))?;
-                counts.requests += 1;
-                counts.denied += u64::from(done.denied);
-            }
+        let channel = self.channel;
+        let requests = trace.routed_requests(|addr| {
+            let (home, local) = router.to_local(addr);
+            (home == channel).then_some(local)
+        });
+        for request in requests {
+            let done = self.service(request)?;
+            counts.requests += 1;
+            counts.denied += u64::from(done.denied);
         }
         Ok(counts)
     }

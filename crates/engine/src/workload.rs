@@ -122,8 +122,8 @@ mod tests {
     fn sequential_is_stride_of_len() {
         let trace = Workload::Sequential { base: 100, len: 4, count: 3 }.trace();
         assert_eq!(
-            trace.ops(),
-            &[
+            trace.ops().to_vec(),
+            [
                 TraceOp::Read { addr: 100, len: 4 },
                 TraceOp::Read { addr: 104, len: 4 },
                 TraceOp::Read { addr: 108, len: 4 },
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn strided_advances_by_stride() {
         let trace = Workload::Strided { base: 0, stride: 64, len: 2, count: 3 }.trace();
-        let addrs: Vec<u64> = trace.ops().iter().map(TraceOp::addr).collect();
+        let addrs: Vec<u64> = trace.ops().iter().map(|op| op.addr()).collect();
         assert_eq!(addrs, vec![0, 64, 128]);
     }
 
@@ -146,9 +146,9 @@ mod tests {
         let mut distinct = std::collections::HashSet::new();
         for op in a.ops() {
             let TraceOp::Read { addr, len } = op else { panic!("chase only reads") };
-            assert!(*addr >= 256 && *addr + *len as u64 <= 256 + 1024);
+            assert!(addr >= 256 && addr + len as u64 <= 256 + 1024);
             assert_eq!(addr % 8, 0, "aligned to len");
-            distinct.insert(*addr);
+            distinct.insert(addr);
         }
         assert!(distinct.len() > 10, "chase wanders: {} distinct addrs", distinct.len());
         let b = Workload::PointerChase { base: 256, span: 1024, len: 8, count: 50, seed: 8 };
@@ -168,7 +168,7 @@ mod tests {
             Workload::Sequential { base: 0, len: 1, count: 2 },
             Workload::Sequential { base: 1000, len: 1, count: 2 },
         ]);
-        let addrs: Vec<u64> = mix.ops().iter().map(TraceOp::addr).collect();
+        let addrs: Vec<u64> = mix.ops().iter().map(|op| op.addr()).collect();
         assert_eq!(addrs, vec![0, 1000, 1, 1001]);
     }
 }

@@ -32,8 +32,6 @@ impl MemCtrlConfig {
 /// A served (or skipped) request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedRequest {
-    /// The original request.
-    pub request: MemRequest,
     /// `true` if the defense denied the access (skipped instruction).
     pub denied: bool,
     /// Cycles the request took, including the hook's check latency.
@@ -242,7 +240,7 @@ impl MemoryController {
     pub fn service(&mut self, request: MemRequest) -> Result<CompletedRequest, MemCtrlError> {
         if self.os_faults(&request) {
             self.metrics.os_faults += 1;
-            return Ok(CompletedRequest { request, denied: true, latency: 0, data: None });
+            return Ok(CompletedRequest { denied: true, latency: 0, data: None });
         }
         let (row, col) = self.mapper.to_dram(request.addr)?;
         // `col < row_bytes`, so unlike `col + len` this cannot wrap.
@@ -256,7 +254,7 @@ impl MemoryController {
                 self.metrics.denied += 1;
                 self.metrics.record_latency(request.kind, latency);
                 self.dram.advance(latency);
-                return Ok(CompletedRequest { request, denied: true, latency, data: None });
+                return Ok(CompletedRequest { denied: true, latency, data: None });
             }
             HookAction::Redirect(new_row) => {
                 self.metrics.redirected += 1;
@@ -280,7 +278,7 @@ impl MemoryController {
         }
         self.metrics.served[request.kind.index()] += 1;
         self.metrics.record_latency(request.kind, latency);
-        Ok(CompletedRequest { request, denied: false, latency, data })
+        Ok(CompletedRequest { denied: false, latency, data })
     }
 }
 

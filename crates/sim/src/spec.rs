@@ -38,7 +38,7 @@ use dlk_dnn::models::ModelKind;
 use dlk_engine::{EngineConfig, Workload};
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_memctrl::trace::parse_u64;
-use dlk_memctrl::{MemCtrlConfig, Trace, TraceOp};
+use dlk_memctrl::{MemCtrlConfig, Trace};
 
 use crate::error::SimError;
 use crate::scenario::Budget;
@@ -607,7 +607,7 @@ struct SpecReader<'a> {
 /// An open `attack replay-trace` block.
 struct OpBlock {
     untrusted: bool,
-    ops: Vec<TraceOp>,
+    trace: Trace,
     /// Where its `op` lines run, once the first is read.
     span: Option<Span>,
 }
@@ -694,7 +694,7 @@ impl<'a> SpecReader<'a> {
                 let fields = Fields::parse(line, tokens)?;
                 if kind == "replay-trace" {
                     let untrusted = fields.num::<u8>("untrusted")? != 0;
-                    self.block = Some(OpBlock { untrusted, ops: Vec::new(), span: None });
+                    self.block = Some(OpBlock { untrusted, trace: Trace::new(), span: None });
                 } else {
                     spec.attack = Some(parse_attack(line, kind, &fields)?);
                 }
@@ -751,9 +751,10 @@ impl<'a> SpecReader<'a> {
         }
         // An `op` line holds one trace record; a bare `op` holds none.
         if !record.rest.is_empty() {
-            let op = TraceOp::parse_record(record.rest)
+            block
+                .trace
+                .push_record(record.rest)
                 .map_err(|e| parse_error(record.line, &format!("embedded trace: {e}")))?;
-            block.ops.push(op);
         }
         let (end, line) = (self.records.at, record.line);
         let span = block.span.get_or_insert(Span {
@@ -772,7 +773,7 @@ impl<'a> SpecReader<'a> {
         let Some(block) = self.block.take() else {
             return;
         };
-        let trace = Trace::from(block.ops);
+        let trace = block.trace;
         if let Some(span) = block.span {
             self.parsed.push(ParsedBlock {
                 text: &self.records.text[span.start..span.end],
@@ -977,11 +978,7 @@ fn write_attack(out: &mut String, attack: &AttackSpec) {
             out.push_str(&format!("attack replay-trace untrusted={}\n", u8::from(trace.untrusted)));
             // One trace-file record per `op` line; the trust flag, the
             // trace file's header, rides on the attack line.
-            for op in trace.ops() {
-                out.push_str("op ");
-                op.write_record(out);
-                out.push('\n');
-            }
+            trace.write_records(out, "op ");
         }
     }
 }

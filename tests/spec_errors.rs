@@ -169,7 +169,7 @@ fn an_op_line_holds_one_trace_record_and_cannot_set_the_trust_flag() {
         .expect("a bare op line parses");
     match spec.attack {
         Some(AttackSpec::ReplayTrace { trace }) => {
-            assert_eq!(trace.ops(), [TraceOp::Read { addr: 0, len: 1 }]);
+            assert_eq!(trace.ops().to_vec(), [TraceOp::Read { addr: 0, len: 1 }]);
             assert!(!trace.untrusted);
         }
         other => panic!("expected a replay-trace attack, got {other:?}"),

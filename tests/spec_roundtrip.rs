@@ -443,7 +443,7 @@ fn identical_op_blocks_in_a_list_share_one_trace() {
     let traces: Vec<&Trace> = parsed.iter().map(|(_, spec)| trace_of(spec)).collect();
     assert_eq!(traces[0].ops(), trace.ops());
     assert_eq!(traces.iter().map(|t| t.untrusted).collect::<Vec<_>>(), [true, false, true]);
-    assert!(traces.iter().all(|t| t.ops().as_ptr() == traces[0].ops().as_ptr()));
+    assert!(traces.iter().all(|t| t.shares_ops(traces[0])));
 }
 
 /// A block that differs from an earlier one in one op, one that extends
@@ -456,7 +456,7 @@ fn op_blocks_that_differ_or_extend_are_parsed_not_shared() {
     changed_ops[2] = TraceOp::Read { addr: 0x80, len: 9 };
     let mut extended = trace.clone();
     extended.push(TraceOp::Read { addr: 0x40, len: 1 });
-    let prefix = Trace::from(trace.ops()[..3].to_vec());
+    let prefix: Trace = trace.ops().iter().take(3).collect();
     let specs = vec![
         trace_spec("first", &trace, true, vec![]),
         trace_spec("changed", &Trace::from(changed_ops), true, vec![]),
@@ -467,11 +467,11 @@ fn op_blocks_that_differ_or_extend_are_parsed_not_shared() {
     let text: String = specs.iter().map(ScenarioSpec::to_text).collect();
     let parsed = ScenarioSpec::list_from_text(&text).unwrap();
     assert_eq!(parsed, specs);
-    let first = trace_of(&parsed[0]).ops().as_ptr();
+    let first = trace_of(&parsed[0]);
     for spec in &parsed[1..4] {
-        assert_ne!(trace_of(spec).ops().as_ptr(), first, "{}", spec.label);
+        assert!(!trace_of(spec).shares_ops(first), "{}", spec.label);
     }
-    assert_eq!(trace_of(&parsed[4]).ops().as_ptr(), first);
+    assert!(trace_of(&parsed[4]).shares_ops(first));
 }
 
 /// A syntax error two lines after a shared block reports its

@@ -211,14 +211,16 @@ fn spec_op_lines_give_each_rows_ops_or_error() {
         let text = list_with(op_line);
         match (ScenarioSpec::list_from_text(&text), expected) {
             (Ok(specs), Ok(ops)) => {
-                let traces: Vec<(&[TraceOp], bool)> = specs
+                let traces: Vec<(Vec<TraceOp>, bool)> = specs
                     .iter()
                     .map(|spec| match &spec.attack {
-                        Some(AttackSpec::ReplayTrace { trace }) => (trace.ops(), trace.untrusted),
+                        Some(AttackSpec::ReplayTrace { trace }) => {
+                            (trace.ops().to_vec(), trace.untrusted)
+                        }
                         other => panic!("{op_line:?}: expected a replay-trace, got {other:?}"),
                     })
                     .collect();
-                assert_eq!(traces, [(&[read(0, 1)][..], true), (&ops[..], false)], "{op_line:?}");
+                assert_eq!(traces, [(vec![read(0, 1)], true), (ops, false)], "{op_line:?}");
             }
             (Err(err), Err(message)) => assert_eq!(err.to_string(), message, "{op_line:?}"),
             (got, want) => panic!("{op_line:?}: got {got:?}, want {want:?}"),
